@@ -16,13 +16,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Sequence, TypeVar
+from typing import Optional, Sequence
 
 from . import reports
-from .cocitation import ThresholdPair, core_references, distinct_ref_count
+from .cocitation import ThresholdPair, core_sets, distinct_ref_count
 from .ingest import (
     MalformedRecord,
     ParseResult,
@@ -49,9 +48,6 @@ from .textmetrics import (
     new_terms,
     phrase_trend,
 )
-
-T = TypeVar("T")
-R = TypeVar("R")
 
 DEFAULT_CACHE = "corpus_cache.tsv"
 DEFAULT_THRESHOLDS = "15/11,15/8,11/9,10/8"
@@ -107,7 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--years",
                        help="year range A:B (for words/cowords: the compared pair)")
         p.add_argument("--workers", type=int,
-                       help="parallel workers (default 1); never affects output bytes")
+                       help="accepted for compatibility (>= 1, default 1); work runs "
+                            "serially and output never depends on it")
 
     p = sub.add_parser("ingest", help="parse export files and write the corpus cache")
     common(p)
@@ -211,7 +208,11 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     file_cfg = _load_config_file(getattr(args, "config", None))
 
     years_text = _setting(args, file_cfg, "years")
-    workers = int(_setting(args, file_cfg, "workers", 1))
+    workers_value = _setting(args, file_cfg, "workers", 1)
+    try:
+        workers = int(workers_value)
+    except (TypeError, ValueError) as exc:
+        raise CliError(f"cannot parse workers {workers_value!r} (want an integer)") from exc
     if workers < 1:
         raise CliError(f"workers must be >= 1, got {workers}")
 
@@ -238,16 +239,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 # ── shared helpers ────────────────────────────────────────────────────────────
-
-def _pmap(fn: Callable[[T], R], items: Sequence[T], workers: int) -> list[R]:
-    """Order-preserving map, optionally threaded. Results depend only on
-    the inputs, never on scheduling."""
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
 
 def _load_corpus(cfg: RunConfig, full: bool = False) -> Corpus:
     """Corpus from the cache; ``full`` ignores the --years restriction
@@ -400,19 +391,14 @@ def cmd_summary(cfg: RunConfig, written: list[Path]) -> None:
 def cmd_core_refs(cfg: RunConfig, written: list[Path]) -> None:
     corpus = _load_corpus(cfg)
     years = corpus.years()
-
-    def cores_for(thresholds: ThresholdPair):
-        return [core_references(corpus.slice(year), thresholds) for year in years]
-
-    all_cores = _pmap(cores_for, cfg.thresholds, cfg.workers)
-    by_threshold = dict(zip(cfg.thresholds, all_cores))
+    by_threshold = core_sets(corpus, cfg.thresholds)
 
     config = [
         ("command", "core-refs"),
         ("years", _years_text(corpus)),
         ("thresholds", _thresholds_text(cfg)),
     ]
-    flat = [core for cores in all_cores for core in cores]
+    flat = [core for t in cfg.thresholds for core in by_threshold[t]]
     _write(cfg, "core_refs.tsv", reports.core_membership_table(flat, config), written)
     _write(cfg, "core_sizes.tsv",
            reports.core_size_matrix(by_threshold, years, config), written)
@@ -420,13 +406,11 @@ def cmd_core_refs(cfg: RunConfig, written: list[Path]) -> None:
 
 def cmd_rsi(cfg: RunConfig, written: list[Path]) -> None:
     corpus = _load_corpus(cfg)
+    cores = core_sets(corpus, cfg.thresholds)
     for gap in cfg.gaps:
-        def series_for(thresholds: ThresholdPair):
-            return rsi_series(corpus, thresholds, gap)
-
         try:
-            series_list = _pmap(series_for, cfg.thresholds, cfg.workers)
-            groove = groove_detect(list(series_list))
+            series_list = [rsi_series(corpus, t, gap, cores[t]) for t in cfg.thresholds]
+            groove = groove_detect(series_list)
         except (GapTooLarge, NoDefinedPoints) as exc:
             raise CliError(str(exc)) from exc
 
@@ -449,17 +433,15 @@ def cmd_words(cfg: RunConfig, written: list[Path]) -> None:
     corpus = _load_corpus(cfg, full=True)
     stop = _load_stopwords(cfg)
     former, later = _require_year_pair(cfg, corpus)
-    sources = _sources(corpus)
-
-    def terms_for(source: Source):
-        return new_terms(
+    per_source = {
+        source: new_terms(
             slice_by_source(corpus.slice(former), source),
             slice_by_source(corpus.slice(later), source),
             stop,
             cfg.min_percent,
         )
-
-    per_source = dict(zip(sources, _pmap(terms_for, sources, cfg.workers)))
+        for source in _sources(corpus)
+    }
     config = [
         ("command", "words"),
         ("years", f"{former}:{later}"),
@@ -474,18 +456,16 @@ def cmd_cowords(cfg: RunConfig, written: list[Path]) -> None:
     corpus = _load_corpus(cfg, full=True)
     stop = _load_stopwords(cfg)
     former, later = _require_year_pair(cfg, corpus)
-    sources = _sources(corpus)
-
-    def pairs_for(source: Source):
-        return new_coword_pairs(
+    per_source = {
+        source: new_coword_pairs(
             slice_by_source(corpus.slice(former), source),
             slice_by_source(corpus.slice(later), source),
             stop,
             cfg.min_cosine,
             cfg.min_percent,
         )
-
-    per_source = dict(zip(sources, _pmap(pairs_for, sources, cfg.workers)))
+        for source in _sources(corpus)
+    }
     config = [
         ("command", "cowords"),
         ("years", f"{former}:{later}"),
@@ -501,12 +481,10 @@ def cmd_phrase(cfg: RunConfig, written: list[Path]) -> None:
     if not cfg.head or not cfg.stem:
         raise CliError("phrase needs --head and --stem")
     corpus = _load_corpus(cfg)
-    sources = _sources(corpus)
-
-    def trend_for(source: Source):
-        return phrase_trend(_source_corpus(corpus, source), cfg.head, cfg.stem)
-
-    per_source = dict(zip(sources, _pmap(trend_for, sources, cfg.workers)))
+    per_source = {
+        source: phrase_trend(_source_corpus(corpus, source), cfg.head, cfg.stem)
+        for source in _sources(corpus)
+    }
     config = [
         ("command", "phrase"),
         ("years", _years_text(corpus)),

@@ -14,10 +14,10 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .refkey import RefKey
-from .records import YearSlice
+from .records import Corpus, YearSlice
 
 RefPair = tuple[RefKey, RefKey]
 
@@ -77,7 +77,7 @@ def citation_counts(sl: YearSlice) -> dict[RefKey, int]:
 
 
 def pair_key(a: RefKey, b: RefKey) -> RefPair:
-    """Canonical unordered-pair key: members sorted by canonical spelling."""
+    """Canonical unordered-pair key: members in ``RefKey.sort_key`` order."""
     return (a, b) if a.sort_key() <= b.sort_key() else (b, a)
 
 
@@ -86,12 +86,28 @@ def cocitation_counts(
 ) -> dict[RefPair, int]:
     """Number of papers citing both members, for pairs drawn from
     ``candidates``. Pairs never cited together are omitted."""
-    candidate_set = frozenset(candidates)
-    counts: Counter[RefPair] = Counter()
+    # Count on int ids numbered in sort-key order: a sorted id pair is
+    # already the canonical pair order of pair_key.
+    ordered = sorted(set(candidates), key=RefKey.sort_key)
+    ids = {ref: i for i, ref in enumerate(ordered)}
+    counts: Counter[tuple[int, int]] = Counter()
     for record in sl.records:
-        cited = sorted(record.cited_refs & candidate_set, key=RefKey.sort_key)
+        cited = sorted(i for i in map(ids.get, record.cited_refs) if i is not None)
         counts.update(combinations(cited, 2))
-    return dict(counts)
+    return {(ordered[a], ordered[b]): n for (a, b), n in counts.items()}
+
+
+def core_sets(
+    corpus: Corpus, thresholds: Sequence[ThresholdPair]
+) -> dict[ThresholdPair, list[CoreRefSet]]:
+    """Core sets of every corpus year, in year order, under each threshold
+    pair. Each year is counted once for all the pairs."""
+    unique = list(dict.fromkeys(thresholds))
+    by_threshold: dict[ThresholdPair, list[CoreRefSet]] = {t: [] for t in unique}
+    for year in corpus.years():
+        for core in _year_cores(corpus.slice(year), unique):
+            by_threshold[core.thresholds].append(core)
+    return by_threshold
 
 
 def core_references(sl: YearSlice, thresholds: ThresholdPair) -> CoreRefSet:
@@ -99,16 +115,34 @@ def core_references(sl: YearSlice, thresholds: ThresholdPair) -> CoreRefSet:
 
     An empty result is a legitimate outcome for sparse years.
     """
-    counts = citation_counts(sl)
-    qualifying = {ref for ref, n in counts.items() if n >= thresholds.cite_min}
-    pairs = cocitation_counts(sl, qualifying)
-    members = {
-        ref
-        for pair, n in pairs.items()
-        if n >= thresholds.cocite_min
-        for ref in pair
-    }
-    return CoreRefSet(year=sl.year, thresholds=thresholds, members=frozenset(members))
+    return _year_cores(sl, [thresholds])[0]
+
+
+def _year_cores(sl: YearSlice, thresholds: Sequence[ThresholdPair]) -> list[CoreRefSet]:
+    """One core set per threshold pair from a single count of the slice.
+
+    Pairs are counted among the references that reach the lowest
+    ``cite_min``; each threshold pair then keeps the pairs whose count
+    reaches its ``cocite_min`` and whose members both reach its ``cite_min``.
+    """
+    cites = citation_counts(sl)
+    floor = min(t.cite_min for t in thresholds)
+    pairs = cocitation_counts(sl, [ref for ref, n in cites.items() if n >= floor])
+    # (pair count, lower member citation count, members)
+    scored = [(n, min(cites[a], cites[b]), (a, b)) for (a, b), n in pairs.items()]
+    return [
+        CoreRefSet(
+            year=sl.year,
+            thresholds=t,
+            members=frozenset(
+                ref
+                for n, low, pair in scored
+                if n >= t.cocite_min and low >= t.cite_min
+                for ref in pair
+            ),
+        )
+        for t in thresholds
+    ]
 
 
 def distinct_ref_count(sl: YearSlice) -> int:

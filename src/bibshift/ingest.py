@@ -27,7 +27,7 @@ import re
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional
 
-from .refkey import parse_cited_ref
+from .refkey import RefKey, parse_cited_ref
 from .records import BibRecord, Source
 
 _INDEX_TAG_RE = re.compile(r"^([A-Z][A-Z0-9]) (.*)$")
@@ -71,11 +71,12 @@ def parse_citation_index_export(stream: Iterable[str]) -> ParseResult:
     current_tag: Optional[str] = None
     open_record = False
     last_field_line = 0
+    keys: dict[str, RefKey] = {}  # raw reference string -> parsed key
 
     def flush() -> None:
         nonlocal fields, current_tag, open_record
         if fields:
-            _finish_index_record(fields, result)
+            _finish_index_record(fields, result, keys)
         fields = {}
         current_tag = None
         open_record = False
@@ -113,7 +114,8 @@ def parse_citation_index_export(stream: Iterable[str]) -> ParseResult:
     return result
 
 
-def _finish_index_record(fields: dict[str, list[str]], result: ParseResult) -> None:
+def _finish_index_record(fields: dict[str, list[str]], result: ParseResult,
+                         keys: dict[str, RefKey]) -> None:
     record_id = " ".join(v for v in fields.get("UT", []) if v).strip()
     if not record_id:
         record_id = f"anon:{len(result.records) + 1}"
@@ -127,19 +129,22 @@ def _finish_index_record(fields: dict[str, list[str]], result: ParseResult) -> N
     if year is None:
         result.missing.append(MissingField(record_id, "PY"))
 
-    refs = frozenset(
-        parse_cited_ref(entry)
-        for value in fields.get("CR", [])
-        for entry in value.split(";")
-        if entry.strip()
-    )
+    refs = []
+    for value in fields.get("CR", []):
+        for entry in value.split(";"):
+            if not entry.strip():
+                continue
+            key = keys.get(entry)
+            if key is None:
+                key = keys[entry] = parse_cited_ref(entry)
+            refs.append(key)
     result.records.append(
         BibRecord(
             record_id=record_id,
             source=Source.CITATION_INDEX,
             title=title,
             pub_year=year,
-            cited_refs=refs,
+            cited_refs=frozenset(refs),
         )
     )
 

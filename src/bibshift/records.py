@@ -160,6 +160,8 @@ def _escape(text: str) -> str:
 
 
 def _unescape(text: str) -> str:
+    if "\\" not in text:
+        return text
     out: list[str] = []
     it = iter(text)
     for ch in it:
@@ -173,7 +175,7 @@ def _unescape(text: str) -> str:
 
 def write_cache(corpus: Corpus, path: Path) -> None:
     """Write the corpus as a TSV cache. Deterministic: years ascending,
-    records in slice order, cited refs sorted by canonical key."""
+    records in slice order, cited refs in ``RefKey.sort_key`` order."""
     lines = [CACHE_HEADER]
     for year in corpus.years():
         for record in corpus.slice(year).records:
@@ -193,8 +195,13 @@ def write_cache(corpus: Corpus, path: Path) -> None:
 
 
 def read_cache(path: Path) -> list[BibRecord]:
-    """Read records back from a cache file written by write_cache."""
+    """Read records back from a cache file written by write_cache.
+
+    Each distinct reference cell is parsed once per call; records that
+    repeat a spelling share its key.
+    """
     records: list[BibRecord] = []
+    keys: dict[str, RefKey] = {}  # escaped reference cell -> parsed key
     with path.open(encoding="utf-8", newline="\n") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.rstrip("\n")
@@ -204,16 +211,21 @@ def read_cache(path: Path) -> list[BibRecord]:
             if len(cells) != 5:
                 raise ValueError(f"{path}:{lineno}: expected 5 cache columns, got {len(cells)}")
             record_id, source_name, year_text, title, refs_cell = cells
-            refs = frozenset(
-                parse_cited_ref(_unescape(part)) for part in refs_cell.split("|") if part
-            )
+            refs = []
+            for part in refs_cell.split("|"):
+                if not part:
+                    continue
+                key = keys.get(part)
+                if key is None:
+                    key = keys[part] = parse_cited_ref(_unescape(part))
+                refs.append(key)
             records.append(
                 BibRecord(
                     record_id=_unescape(record_id),
                     source=Source[source_name],
                     title=_unescape(title),
                     pub_year=int(year_text),
-                    cited_refs=refs,
+                    cited_refs=frozenset(refs),
                 )
             )
     return records

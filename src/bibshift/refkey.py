@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 _WS_RE = re.compile(r"\s+")
@@ -49,6 +50,19 @@ class RefKey:
         unlike ``raw`` it is identical for equal keys, whatever spacing or
         casing the source data used.
         """
+        return self._order[0]
+
+    def sort_key(self) -> tuple:
+        """Canonical spelling, then the components.
+
+        Unequal keys can share a spelling (``X, 1970`` and ``X,,1970``,
+        where the year fell in the source position); the components order
+        them the same way in every process, whatever the hash seed.
+        """
+        return self._order
+
+    @cached_property
+    def _order(self) -> tuple:
         parts = [self.author]
         if self.year is not None:
             parts.append(str(self.year))
@@ -58,10 +72,9 @@ class RefKey:
             parts.append(f"V{self.volume}")
         if self.first_page is not None:
             parts.append(f"P{self.first_page}")
-        return ", ".join(parts)
-
-    def sort_key(self) -> str:
-        return self.canonical()
+        optional = (self.year, self.source_abbrev, self.volume, self.first_page)
+        # (is None, value) keeps None from being compared with a value
+        return (", ".join(parts), self.author, *((v is None, v) for v in optional))
 
 
 def parse_cited_ref(raw: str) -> RefKey:

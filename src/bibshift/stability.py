@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
-from .cocitation import CoreRefSet, ThresholdPair, core_references
+from .cocitation import CoreRefSet, ThresholdPair, core_sets
 from .records import Corpus
 
 Interval = tuple[int, int]
@@ -100,8 +100,13 @@ def rsi(core_a: CoreRefSet, core_b: CoreRefSet) -> RsiPoint:
     )
 
 
-def rsi_series(corpus: Corpus, thresholds: ThresholdPair, gap: int) -> RsiSeries:
-    """One RsiPoint per (y, y+gap) pair inside the corpus year range."""
+def rsi_series(corpus: Corpus, thresholds: ThresholdPair, gap: int,
+               cores: Optional[Sequence[CoreRefSet]] = None) -> RsiSeries:
+    """One RsiPoint per (y, y+gap) pair inside the corpus year range.
+
+    ``cores`` are the corpus's core sets under ``thresholds``, one per
+    year, as ``core_sets`` returns them; they are computed when omitted.
+    """
     if gap < 1:
         raise ValueError(f"gap must be >= 1, got {gap}")
     first, last = corpus.year_range
@@ -109,12 +114,11 @@ def rsi_series(corpus: Corpus, thresholds: ThresholdPair, gap: int) -> RsiSeries
         raise GapTooLarge(
             f"gap {gap} leaves no interval inside year range {first}:{last}"
         )
-    cores = {
-        year: core_references(corpus.slice(year), thresholds)
-        for year in corpus.years()
-    }
+    if cores is None:
+        cores = core_sets(corpus, [thresholds])[thresholds]
+    by_year = {core.year: core for core in cores}
     points = tuple(
-        rsi(cores[year], cores[year + gap]) for year in range(first, last - gap + 1)
+        rsi(by_year[year], by_year[year + gap]) for year in range(first, last - gap + 1)
     )
     return RsiSeries(thresholds=thresholds, gap=gap, points=points)
 

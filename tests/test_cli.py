@@ -346,3 +346,15 @@ class TestArgHelpers:
         assert run(["summary", "--cache", str(tmp_path / "c.tsv"),
                     "--workers", "0"]) == 1
         assert "workers must be >= 1" in capsys.readouterr().err
+
+
+class TestConfigWorkers:
+    @pytest.mark.parametrize("value", ["abc", None, [2]])
+    def test_unparseable_workers_is_an_error_not_a_traceback(self, tmp_path, capsys, value):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"workers": value}), encoding="utf-8")
+        assert run(["summary", "--config", str(config),
+                    "--cache", str(tmp_path / "c.tsv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot parse workers")
+        assert "Traceback" not in err

@@ -11,7 +11,7 @@ from bibshift import (
     top_ranked,
     build_corpus,
 )
-from bibshift.cocitation import pair_key
+from bibshift.cocitation import core_sets, pair_key
 from conftest import mkrec, mkref
 from oracles import brute_citation_counts, brute_cocitation_counts, brute_core_refs
 
@@ -194,3 +194,54 @@ class TestProperties:
         tight = ThresholdPair(cite_min + dc, min(cocite_min + dcc, cite_min + dc))
         loose = ThresholdPair(cite_min, cocite_min)
         assert core_references(sl, tight).members <= core_references(sl, loose).members
+
+
+@st.composite
+def random_corpus(draw):
+    """One to three years of papers citing a shared reference pool."""
+    n_refs = draw(st.integers(min_value=1, max_value=10))
+    refs = [mkref(f"REF{i}, 19{i:02d}, J") for i in range(n_refs)]
+    years = range(1970, 1970 + draw(st.integers(min_value=1, max_value=3)))
+    papers = [
+        mkrec(f"p{year}-{p}", refs=draw(st.sets(st.sampled_from(refs))), year=year)
+        for year in years
+        for p in range(draw(st.integers(min_value=1, max_value=15)))
+    ]
+    return build_corpus(papers, (years[0], years[-1]))
+
+
+_threshold_lists = st.lists(
+    st.tuples(st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=5))
+    .map(lambda pair: ThresholdPair(pair[0], min(pair))),
+    min_size=1,
+    max_size=4,
+)
+
+
+class TestCoreSets:
+    @settings(max_examples=150, deadline=None)
+    @given(random_corpus(), _threshold_lists)
+    def test_one_count_per_year_matches_brute_force(self, corpus, thresholds):
+        cores = core_sets(corpus, thresholds)
+        assert list(cores) == list(dict.fromkeys(thresholds))
+        for t in thresholds:
+            assert [c.year for c in cores[t]] == corpus.years()
+            for core in cores[t]:
+                assert core.thresholds == t
+                assert core.members == brute_core_refs(corpus.slice(core.year), t)
+
+    def test_lower_cite_min_candidates_do_not_leak_upwards(self):
+        # Y reaches cite_min 2 but not 3: it is a co-citation candidate
+        # for the 2/2 pair only, and must not make X core under 3/2
+        records = [
+            mkrec("p1", refs=["X, 1960, J", "Y, 1961, J"]),
+            mkrec("p2", refs=["X, 1960, J", "Y, 1961, J"]),
+            mkrec("p3", refs=["X, 1960, J", "Z, 1962, J"]),
+        ]
+        corpus = build_corpus(records)
+        strict, loose = ThresholdPair(3, 2), ThresholdPair(2, 2)
+        cores = core_sets(corpus, [strict, loose])
+        assert cores[strict][0].members == frozenset()
+        assert cores[loose][0].members == frozenset(
+            {mkref("X, 1960, J"), mkref("Y, 1961, J")}
+        )

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bibshift
 from bibshift import (
     BibRecord,
     EmptyCorpus,
@@ -171,3 +177,47 @@ class TestCacheRoundTrip:
         path.write_text("one\ttwo\tthree\n", encoding="utf-8")
         with pytest.raises(ValueError):
             read_cache(path)
+
+
+class TestCacheReferenceSpellings:
+    SPELLING_A = "Baltimore D, 1970, Nature, V226, P1209"
+    SPELLING_B = "BALTIMORE  D,1970,NATURE,  V226 , P1209"
+
+    def test_repeated_and_respelled_refs_read_back_per_occurrence(self, tmp_path):
+        cited = {
+            "a1": [self.SPELLING_A, "X, 1960, J"],
+            "a2": [self.SPELLING_A, "X, 1960, J", "Y, 1961, K"],
+            "b1": [self.SPELLING_B, "X, 1960, J"],
+            "b2": [self.SPELLING_B],
+        }
+        records = [mkrec(rid, refs=refs) for rid, refs in cited.items()]
+        path_a, path_b = tmp_path / "a.tsv", tmp_path / "b.tsv"
+        write_cache(build_corpus(records), path_a)
+        loaded = read_cache(path_a)
+
+        assert loaded == records
+        for record in loaded:
+            assert sorted(k.raw for k in record.cited_refs) == sorted(cited[record.record_id])
+        write_cache(build_corpus(loaded), path_b)
+        assert path_a.read_bytes() == path_b.read_bytes()
+
+    def test_same_canonical_spelling_orders_alike_under_any_hash_seed(self, tmp_path):
+        # "X, 1970" has year 1970; "X,,1970" has source "1970": unequal keys
+        # with one canonical spelling, so only the components can order them
+        script = (
+            "import sys\n"
+            "from pathlib import Path\n"
+            "from bibshift import BibRecord, Source, build_corpus, parse_cited_ref, write_cache\n"
+            "refs = frozenset(parse_cited_ref(r) for r in ('X, 1970', 'X,,1970', 'W, 1950'))\n"
+            "record = BibRecord('p', Source.CITATION_INDEX, 't', 1970, refs)\n"
+            "write_cache(build_corpus([record]), Path(sys.argv[1]))\n"
+        )
+        src = str(Path(bibshift.__file__).resolve().parents[1])
+        outputs = set()
+        for seed in range(1, 7):
+            path = tmp_path / f"seed{seed}.tsv"
+            env = {**os.environ, "PYTHONHASHSEED": str(seed),
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            subprocess.run([sys.executable, "-c", script, str(path)], env=env, check=True)
+            outputs.add(path.read_bytes())
+        assert len(outputs) == 1

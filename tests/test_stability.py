@@ -18,6 +18,7 @@ from bibshift import (
     rsi_series,
     series_minimum,
 )
+from bibshift.cocitation import core_sets
 from conftest import mkrec, mkref
 
 T = ThresholdPair(3, 2)
@@ -261,3 +262,27 @@ class TestGroove:
     def test_empty_series_set_rejected(self):
         with pytest.raises(ValueError):
             groove_detect([])
+
+
+class TestSharedCoreSets:
+    THRESHOLDS = (ThresholdPair(3, 2), ThresholdPair(2, 2), ThresholdPair(2, 1))
+
+    def test_core_sets_once_match_per_series_computation(self):
+        # overlapping pools that drift year by year, with a quiet year
+        pools = {
+            1970: ["A", "B", "C"],
+            1971: ["A", "B", "C", "D"],
+            1972: ["B", "D", "E"],
+            1974: ["E", "F"],
+            1975: ["E", "F", "G"],
+        }
+        records = [
+            mkrec(f"{year}-{i}", refs=[f"{n}, 1960, J" for n in pool[i % 2:]], year=year)
+            for year, pool in pools.items()
+            for i in range(4)
+        ]
+        corpus = build_corpus(records, (1970, 1975))
+        cores = core_sets(corpus, self.THRESHOLDS)
+        for gap in (1, 2):
+            for t in self.THRESHOLDS:
+                assert rsi_series(corpus, t, gap, cores[t]) == rsi_series(corpus, t, gap)
