@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,6 +37,7 @@ from .records import (
     EmptyCorpus,
     Source,
     build_corpus,
+    corpus_sources,
     read_cache,
     slice_by_source,
     write_cache,
@@ -47,6 +50,7 @@ from .textmetrics import (
     new_coword_pairs,
     new_terms,
     phrase_trend,
+    sum_phrase_trends,
 )
 
 DEFAULT_CACHE = "corpus_cache.tsv"
@@ -204,6 +208,31 @@ def parse_gaps(text: str) -> tuple[int, ...]:
     return gaps
 
 
+def _parse_float(name: str, value) -> float:
+    try:
+        number = float(value)
+    except (TypeError, ValueError) as exc:
+        raise CliError(f"cannot parse {name} {value!r} (want a number)") from exc
+    if not math.isfinite(number):
+        raise CliError(f"{name} must be a finite number, got {value!r}")
+    return number
+
+
+# --head and --stem become part of report file names.
+_PATH_CHARS = frozenset({"/", "\\", os.sep, "\0"})
+
+
+def _name_part(name: str, value) -> Optional[str]:
+    if value is None:
+        return None
+    if not isinstance(value, str):
+        raise CliError(f"{name} must be a string, got {value!r}")
+    if _PATH_CHARS.intersection(value):
+        raise CliError(f"{name} {value!r} must not hold a path separator or NUL "
+                       "(it is part of the report file names)")
+    return value
+
+
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     file_cfg = _load_config_file(getattr(args, "config", None))
 
@@ -215,6 +244,14 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raise CliError(f"cannot parse workers {workers_value!r} (want an integer)") from exc
     if workers < 1:
         raise CliError(f"workers must be >= 1, got {workers}")
+    min_percent = _parse_float(
+        "min_percent", _setting(args, file_cfg, "min_percent", DEFAULT_MIN_PERCENT))
+    if min_percent < 0:
+        raise CliError(f"min_percent must be >= 0, got {min_percent}")
+    min_cosine = _parse_float(
+        "min_cosine", _setting(args, file_cfg, "min_cosine", DEFAULT_MIN_COSINE))
+    if not 0 <= min_cosine <= 1:
+        raise CliError(f"min_cosine must be in [0, 1], got {min_cosine}")
 
     def as_path(value) -> Optional[Path]:
         return None if value is None else Path(value)
@@ -227,14 +264,14 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         thresholds=parse_thresholds(str(_setting(args, file_cfg, "thresholds",
                                                  DEFAULT_THRESHOLDS))),
         gaps=parse_gaps(str(_setting(args, file_cfg, "gaps", DEFAULT_GAPS))),
-        min_percent=float(_setting(args, file_cfg, "min_percent", DEFAULT_MIN_PERCENT)),
-        min_cosine=float(_setting(args, file_cfg, "min_cosine", DEFAULT_MIN_COSINE)),
+        min_percent=min_percent,
+        min_cosine=min_cosine,
         stopwords=as_path(_setting(args, file_cfg, "stopwords")),
         workers=workers,
         index=as_path(_setting(args, file_cfg, "index")),
         medline=as_path(_setting(args, file_cfg, "medline")),
-        head=_setting(args, file_cfg, "head"),
-        stem=_setting(args, file_cfg, "stem"),
+        head=_name_part("head", _setting(args, file_cfg, "head")),
+        stem=_name_part("stem", _setting(args, file_cfg, "stem")),
     )
 
 
@@ -303,11 +340,6 @@ def _distinct_refs(corpus: Corpus) -> tuple[dict[int, int], int]:
     for record in corpus.records():
         union.update(record.cited_refs)
     return by_year, len(union)
-
-
-def _sources(corpus: Corpus) -> list[Source]:
-    present = {record.source for record in corpus.records()}
-    return [s for s in Source if s in present]
 
 
 def _source_corpus(corpus: Corpus, source: Source) -> Corpus:
@@ -440,7 +472,7 @@ def cmd_words(cfg: RunConfig, written: list[Path]) -> None:
             stop,
             cfg.min_percent,
         )
-        for source in _sources(corpus)
+        for source in corpus_sources(corpus)
     }
     config = [
         ("command", "words"),
@@ -464,7 +496,7 @@ def cmd_cowords(cfg: RunConfig, written: list[Path]) -> None:
             cfg.min_cosine,
             cfg.min_percent,
         )
-        for source in _sources(corpus)
+        for source in corpus_sources(corpus)
     }
     config = [
         ("command", "cowords"),
@@ -483,7 +515,7 @@ def cmd_phrase(cfg: RunConfig, written: list[Path]) -> None:
     corpus = _load_corpus(cfg)
     per_source = {
         source: phrase_trend(_source_corpus(corpus, source), cfg.head, cfg.stem)
-        for source in _sources(corpus)
+        for source in corpus_sources(corpus)
     }
     config = [
         ("command", "phrase"),
@@ -494,7 +526,7 @@ def cmd_phrase(cfg: RunConfig, written: list[Path]) -> None:
     _write(cfg, f"phrase_{cfg.head}_{cfg.stem}.tsv",
            reports.phrase_table(per_source, corpus.years(), config), written)
     _write(cfg, f"phrase_series_{cfg.head}_{cfg.stem}.tsv",
-           reports.phrase_series(phrase_trend(corpus, cfg.head, cfg.stem), config),
+           reports.phrase_series(sum_phrase_trends(corpus, per_source.values()), config),
            written)
 
 

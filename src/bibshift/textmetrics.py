@@ -10,6 +10,15 @@ to nothing.
 
 Phrase trends deliberately use the raw ordered token sequence (stop words
 kept) so that adjacency is judged on the title as written.
+
+Each query tokenises each title of its slices at most once:
+``new_coword_pairs`` builds the later year's document-frequency and
+co-document-frequency maps from one pass. ``phrase_trend`` tokenises only
+titles whose case-folded text contains the case-folded head. That filter
+drops no match because ``str.casefold`` maps each code point on its own, so
+the case fold of any token is a substring of the case fold of its title.
+The reverse does not hold (``"İ".casefold()`` is two code points, one of
+them a combining mark), so titles are never case-folded before tokenising.
 """
 from __future__ import annotations
 
@@ -24,7 +33,6 @@ from typing import Optional
 from .records import Corpus, YearSlice
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
-_DIGITS_RE = re.compile(r"\d+")
 
 TermPair = tuple[str, str]
 
@@ -87,19 +95,18 @@ def default_stopwords() -> StopWordList:
 
 def title_token_sequence(title: str) -> tuple[str, ...]:
     """Ordered case-folded tokens with no filtering; adjacency-faithful."""
-    return tuple(m.group(0).casefold() for m in _TOKEN_RE.finditer(title))
+    return tuple(map(str.casefold, _TOKEN_RE.findall(title)))
 
 
 def tokenize_title(title: str, stop: StopWordList) -> frozenset[str]:
     """Distinct analysis tokens of one title."""
-    kept = set()
-    for token in title_token_sequence(title):
-        if len(token) < 2 or _DIGITS_RE.fullmatch(token):
-            continue
-        if token in stop:
-            continue
-        kept.add(token)
-    return frozenset(kept)
+    # casefold is idempotent, so folded tokens go to stop.words directly;
+    # isdecimal() is exactly a full match of \d+ (isdigit() also takes "²").
+    words = stop.words
+    return frozenset(
+        token for token in map(str.casefold, _TOKEN_RE.findall(title))
+        if len(token) > 1 and not token.isdecimal() and token not in words
+    )
 
 
 def _doc_freq_map(sl: YearSlice, stop: StopWordList) -> Counter:
@@ -107,6 +114,17 @@ def _doc_freq_map(sl: YearSlice, stop: StopWordList) -> Counter:
     for record in sl.records:
         counts.update(tokenize_title(record.title, stop))
     return counts
+
+
+def _term_maps(sl: YearSlice, stop: StopWordList) -> tuple[Counter, Counter]:
+    """Document and co-document frequencies from one tokenisation per title."""
+    df: Counter[str] = Counter()
+    co: Counter[TermPair] = Counter()
+    for record in sl.records:
+        tokens = sorted(tokenize_title(record.title, stop))
+        df.update(tokens)
+        co.update(combinations(tokens, 2))
+    return df, co
 
 
 def doc_frequencies(sl: YearSlice, stop: StopWordList) -> list[TermStats]:
@@ -136,26 +154,30 @@ def new_terms(
     ]
 
 
-def _co_doc_freq_map(sl: YearSlice, stop: StopWordList) -> Counter:
-    counts: Counter[TermPair] = Counter()
-    for record in sl.records:
-        counts.update(combinations(sorted(tokenize_title(record.title, stop)), 2))
-    return counts
+def _check_min_cosine(min_cosine: float) -> None:
+    if not 0 <= min_cosine <= 1:
+        raise ValueError(f"min_cosine must be in [0,1], got {min_cosine}")
+
+
+def _pairs_at_cosine(df: Counter, co: Counter, min_cosine: float,
+                     skip=frozenset()) -> list[CoWordPair]:
+    """Pairs of ``co`` outside ``skip`` with cosine >= min_cosine, unordered."""
+    pairs = []
+    for (a, b), n in co.items():
+        if (a, b) in skip:
+            continue
+        cosine = n / math.sqrt(df[a] * df[b])
+        if cosine >= min_cosine:
+            pairs.append(CoWordPair(term_a=a, term_b=b, co_doc_freq=n, cosine=cosine))
+    return pairs
 
 
 def cosine_pairs(
     sl: YearSlice, stop: StopWordList, min_cosine: float
 ) -> list[CoWordPair]:
     """Co-occurring term pairs with cosine >= min_cosine, strongest first."""
-    if not 0 <= min_cosine <= 1:
-        raise ValueError(f"min_cosine must be in [0,1], got {min_cosine}")
-    df = _doc_freq_map(sl, stop)
-    pairs = [
-        CoWordPair(term_a=a, term_b=b, co_doc_freq=co,
-                   cosine=co / math.sqrt(df[a] * df[b]))
-        for (a, b), co in _co_doc_freq_map(sl, stop).items()
-    ]
-    qualifying = [p for p in pairs if p.cosine >= min_cosine]
+    _check_min_cosine(min_cosine)
+    qualifying = _pairs_at_cosine(*_term_maps(sl, stop), min_cosine)
     qualifying.sort(key=lambda p: (-p.cosine, p.term_a, p.term_b))
     return qualifying
 
@@ -172,17 +194,22 @@ def new_coword_pairs(
     first. Percent is the later-year pair document frequency share."""
     if min_percent < 0:
         raise ValueError(f"min_percent must be >= 0, got {min_percent}")
-    former_pairs = set(_co_doc_freq_map(former, stop))
+    _check_min_cosine(min_cosine)
+    former_pairs = _term_maps(former, stop)[1]
     total = len(later)
     fresh = [
         CoWordPair(term_a=p.term_a, term_b=p.term_b, co_doc_freq=p.co_doc_freq,
                    cosine=p.cosine, percent=100.0 * p.co_doc_freq / total)
-        for p in cosine_pairs(later, stop, min_cosine)
-        if (p.term_a, p.term_b) not in former_pairs
+        for p in _pairs_at_cosine(*_term_maps(later, stop), min_cosine, former_pairs)
     ]
     qualifying = [p for p in fresh if p.percent >= min_percent]
     qualifying.sort(key=lambda p: (-p.co_doc_freq, p.term_a, p.term_b))
     return qualifying
+
+
+def _phrase_point(year: int, hits: int, total: int) -> PhrasePoint:
+    return PhrasePoint(year=year, doc_freq=hits,
+                       percent=100.0 * hits / total if total else 0.0)
 
 
 def phrase_trend(corpus: Corpus, head: str, stem_prefix: str) -> list[PhrasePoint]:
@@ -197,13 +224,24 @@ def phrase_trend(corpus: Corpus, head: str, stem_prefix: str) -> list[PhrasePoin
         sl = corpus.slice(year)
         hits = 0
         for record in sl.records:
+            if head not in record.title.casefold():
+                continue
             seq = title_token_sequence(record.title)
             if any(
                 seq[i] == head and seq[i + 1].startswith(stem_prefix)
                 for i in range(len(seq) - 1)
             ):
                 hits += 1
-        total = len(sl)
-        percent = 100.0 * hits / total if total else 0.0
-        points.append(PhrasePoint(year=year, doc_freq=hits, percent=percent))
+        points.append(_phrase_point(year, hits, len(sl)))
     return points
+
+
+def sum_phrase_trends(corpus: Corpus, trends) -> list[PhrasePoint]:
+    """The trend over the whole corpus from ``phrase_trend`` results for
+    disjoint parts of it (e.g. one per source) that together cover it."""
+    trends = list(trends)
+    return [
+        _phrase_point(year, sum(trend[i].doc_freq for trend in trends),
+                      len(corpus.slice(year)))
+        for i, year in enumerate(corpus.years())
+    ]

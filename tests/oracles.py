@@ -51,6 +51,19 @@ def brute_core_refs(sl: YearSlice, thresholds: ThresholdPair) -> frozenset:
     return frozenset(members)
 
 
+def brute_sequence(title: str) -> list:
+    """Every case-folded token of a title, in order, stop words kept."""
+    tokens = []
+    word = []
+    for ch in title + " ":
+        if ch.isalnum() and ch != "_":
+            word.append(ch)
+        elif word:
+            tokens.append("".join(word).casefold())
+            word = []
+    return tokens
+
+
 def brute_tokens(title: str, stop_words: set) -> set:
     """Literal re-statement of the tokenizer rules."""
     tokens = set()
@@ -61,7 +74,7 @@ def brute_tokens(title: str, stop_words: set) -> set:
         elif word:
             token = "".join(word).casefold()
             word = []
-            if len(token) >= 2 and not token.isdigit() and token not in stop_words:
+            if len(token) >= 2 and not token.isdecimal() and token not in stop_words:
                 tokens.add(token)
     return tokens
 
@@ -108,3 +121,24 @@ def brute_new_coword_pairs(former: YearSlice, later: YearSlice, stop_words: set,
         if cosine >= min_cosine and percent >= min_percent:
             out[(a, b)] = (co, cosine, percent)
     return out
+
+
+def brute_phrase_points(records, years, head: str, stem: str) -> list:
+    """(year, doc_freq, percent) per year: records of that year whose title
+    holds ``head`` followed at once by a token starting with ``stem``.
+    Tokenises every title; no pre-filter."""
+    head, stem = head.casefold(), stem.casefold()
+    points = []
+    for year in years:
+        total = hits = 0
+        for record in records:
+            if record.pub_year != year:
+                continue
+            total += 1
+            seq = brute_sequence(record.title)
+            for i in range(len(seq) - 1):
+                if seq[i] == head and seq[i + 1].startswith(stem):
+                    hits += 1
+                    break
+        points.append((year, hits, 100.0 * hits / total if total else 0.0))
+    return points

@@ -1,7 +1,11 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from bibshift import textmetrics
 from bibshift.cli import (
     CliError,
     parse_gaps,
@@ -9,8 +13,9 @@ from bibshift.cli import (
     parse_years,
     run,
 )
-from bibshift.records import CACHE_HEADER
-from conftest import write_index_export, write_medline_export
+from bibshift.records import CACHE_HEADER, Source, build_corpus, read_cache, write_cache
+from conftest import mkrec, write_index_export, write_medline_export
+from oracles import brute_phrase_points
 
 POOLS = {
     1970: ["KAPLAN A, 1950, J ONE, V1, P1", "LODGE B, 1951, J TWO, V2, P2"],
@@ -252,6 +257,153 @@ class TestPhrase:
         cache = ingest(tmp_path)
         assert run(["phrase", *base_args(tmp_path, cache)]) == 1
         assert "phrase needs --head and --stem" in capsys.readouterr().err
+
+
+def count_calls(monkeypatch, name):
+    """Count the calls to ``textmetrics.<name>`` made by any command."""
+    calls = []
+    original = getattr(textmetrics, name)
+
+    def counted(title, *rest):
+        calls.append(title)
+        return original(title, *rest)
+
+    monkeypatch.setattr(textmetrics, name, counted)
+    return calls
+
+
+class TestTitlesReadOnce:
+    def test_cowords_tokenizes_each_title_of_the_two_years_once(self, tmp_path, monkeypatch):
+        cache = ingest(tmp_path)
+        calls = count_calls(monkeypatch, "tokenize_title")
+        assert run(["cowords", *base_args(tmp_path, cache), "--years", "1971:1972"]) == 0
+        titles = [r.title for r in read_cache(cache) if r.pub_year in (1971, 1972)]
+        assert sorted(calls) == sorted(titles)
+
+    def test_phrase_reads_each_title_at_most_once(self, tmp_path, monkeypatch):
+        cache = ingest(tmp_path)
+        calls = count_calls(monkeypatch, "title_token_sequence")
+        assert run(["phrase", *base_args(tmp_path, cache),
+                    "--head", "reverse", "--stem", "transcr"]) == 0
+        # only the four titles holding "reverse" (two per source) are tokenised
+        assert sorted(calls) == sorted(
+            r.title for r in read_cache(cache) if "reverse" in r.title)
+
+
+# Code points whose case folds differ from their lower-case forms, or that
+# the tokeniser treats specially, mixed with ASCII.
+_TRICKY = list("İßﬁ\u212a_²") + list("aeiknrstIKRST2 -.")
+
+
+def _table_rows(path: Path) -> list[list[str]]:
+    lines = path.read_text(encoding="utf-8").splitlines()
+    return [line.split("\t") for line in lines if not line.startswith("#")][1:]
+
+
+_word = st.text(st.sampled_from(_TRICKY), min_size=1, max_size=4)
+
+
+@st.composite
+def phrase_cases(draw):
+    """Head, stem and dated, sourced titles built from pieces that often
+    put the head (in any case) right before a stem-prefixed word."""
+    head, stem = draw(_word), draw(_word)
+    piece = st.one_of(_word, st.sampled_from([head, head.upper(), head.lower(), stem]),
+                      st.builds(lambda w: stem + w, _word))
+    title = st.lists(piece, max_size=6).map(" ".join)
+    rows = draw(st.lists(
+        st.tuples(title, st.integers(1970, 1972), st.sampled_from(list(Source))),
+        min_size=1, max_size=12))
+    return head, stem, rows
+
+
+class TestPhraseMatchesOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(phrase_cases())
+    @example(("i", "s", [("İSTANBUL", 1970, Source.MEDLINE),
+                         ("i stanbul", 1971, Source.CITATION_INDEX)]))
+    def test_series_match_brute_force(self, case):
+        head, stem, rows = case
+        records = [mkrec(f"r{i}", title=t, year=y, source=s)
+                   for i, (t, y, s) in enumerate(rows)]
+        corpus = build_corpus(records)
+        years = corpus.years()
+        with tempfile.TemporaryDirectory() as tmp:
+            cache, out = Path(tmp) / "c.tsv", Path(tmp) / "out"
+            write_cache(corpus, cache)
+            assert run(["phrase", "--cache", str(cache), "--out-dir", str(out),
+                        f"--head={head}", f"--stem={stem}"]) == 0
+            table = _table_rows(out / f"phrase_{head}_{stem}.tsv")
+            series = _table_rows(out / f"phrase_series_{head}_{stem}.tsv")
+
+        def cells(points):
+            return [[str(hits), f"{percent:.2f}"] for _, hits, percent in points]
+
+        expected = [[str(y)] for y in years]
+        for source in Source:
+            mine = [r for r in records if r.source is source]
+            if mine:
+                for row, cell in zip(expected, cells(brute_phrase_points(
+                        mine, years, head, stem))):
+                    row += cell
+        assert table == expected
+        everything = brute_phrase_points(records, years, head, stem)
+        assert series == [[str(y), cell[1]] for y, cell in zip(years, cells(everything))]
+
+
+class TestBadFloats:
+    @pytest.mark.parametrize("key", ["min_percent", "min_cosine"])
+    @pytest.mark.parametrize("value", ["abc", None, [1]])
+    def test_unparseable_config_value_is_an_error(self, tmp_path, capsys, key, value):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({key: value}), encoding="utf-8")
+        assert run(["cowords", "--config", str(config),
+                    "--cache", str(tmp_path / "c.tsv"), "--years", "1971:1972"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot parse {key}")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--min-cosine", "nan", "min_cosine must be a finite number"),
+        ("--min-cosine", "1.5", "min_cosine must be in [0, 1]"),
+        ("--min-cosine", "-0.1", "min_cosine must be in [0, 1]"),
+        ("--min-percent", "inf", "min_percent must be a finite number"),
+        ("--min-percent", "-1", "min_percent must be >= 0"),
+    ])
+    def test_out_of_range_cowords_floor_is_an_error(self, tmp_path, capsys, flag, value,
+                                                    message):
+        cache = ingest(tmp_path)
+        assert run(["cowords", *base_args(tmp_path, cache), "--years", "1971:1972",
+                    flag, value]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not (tmp_path / "out" / "cowords_1971-1972.tsv").exists()
+
+    def test_nan_min_percent_writes_no_words_table(self, tmp_path, capsys):
+        cache = ingest(tmp_path)
+        assert run(["words", *base_args(tmp_path, cache), "--years", "1971:1972",
+                    "--min-percent", "nan"]) == 1
+        assert capsys.readouterr().err.startswith("error: min_percent must be a finite number")
+        assert not (tmp_path / "out" / "words_1971-1972.tsv").exists()
+
+
+class TestPhraseNames:
+    @pytest.mark.parametrize("flag,value", [
+        ("--head", "../../x"), ("--head", "a/b"), ("--stem", "a\\b"), ("--stem", "x\0y"),
+    ])
+    def test_path_characters_rejected_before_the_corpus_loads(self, tmp_path, capsys,
+                                                              flag, value):
+        other = {"--head": "--stem", "--stem": "--head"}[flag]
+        assert run(["phrase", "--cache", str(tmp_path / "absent.tsv"),
+                    "--out-dir", str(tmp_path / "out"), flag, value, other, "ok"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag[2:]} {value!r} must not hold a path separator")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_non_string_head_in_config_is_an_error(self, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"head": 5, "stem": "x"}), encoding="utf-8")
+        assert run(["phrase", "--config", str(config)]) == 1
+        assert capsys.readouterr().err.startswith("error: head must be a string")
 
 
 class TestConfigFile:

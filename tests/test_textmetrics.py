@@ -16,8 +16,9 @@ from bibshift import (
     title_token_sequence,
     tokenize_title,
 )
+from bibshift.textmetrics import parse_stopwords
 from conftest import mkrec
-from oracles import brute_co_doc_freq, brute_doc_freq, brute_tokens
+from oracles import brute_co_doc_freq, brute_doc_freq, brute_sequence, brute_tokens
 
 EMPTY_STOP = StopWordList(words=frozenset(), source_path="<none>")
 
@@ -276,6 +277,15 @@ class TestPhraseTrend:
         assert points[0].doc_freq == 0
         assert points[0].percent == 0.0
 
+    def test_dotted_capital_i_stays_one_token(self):
+        # "İ".casefold() is "i" plus a combining dot, which is no word
+        # character; folding the title before splitting would yield "i", "stanbul"
+        corpus = build_corpus([mkrec("a", title="İSTANBUL", year=1970)])
+        assert phrase_trend(corpus, "i", "stanbul")[0].doc_freq == 0
+        assert phrase_trend(corpus, "İstanbul", "x")[0].doc_freq == 0
+        corpus = build_corpus([mkrec("a", title="İSTANBUL İZMİR", year=1970)])
+        assert phrase_trend(corpus, "İstanbul", "İz")[0].doc_freq == 1
+
     def test_empty_head_rejected(self):
         with pytest.raises(ValueError):
             phrase_trend(self.make_corpus(), "", "transcr")
@@ -338,6 +348,18 @@ class TestOracleProperties:
         base = {(p.term_a, p.term_b) for p in cosine_pairs(sl, EMPTY_STOP, 0.0)}
         tightened = {(p.term_a, p.term_b) for p in cosine_pairs(sl, EMPTY_STOP, min_cosine)}
         assert tightened <= base
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(st.sampled_from(list("İßﬁ\u212a_²٣") + list("aIk2 -.")), max_size=30),
+           st.sets(st.sampled_from(["ss", "ﬁ", "fi", "k", "i̇", "aa"])))
+    def test_tokens_match_brute_force_beyond_ascii(self, title, stop_words):
+        # "²" is a digit to isdigit() but not to \d; "٣" is a decimal digit
+        stop = parse_stopwords(stop_words, "<p>")
+        assert tokenize_title(title, stop) == brute_tokens(title, stop.words)
+        assert list(title_token_sequence(title)) == brute_sequence(title)
+
+    def test_superscript_digits_are_kept(self):
+        assert tokenize_title("x² ²² ٣٣", EMPTY_STOP) == {"x²", "²²"}
 
     def test_no_stop_words_in_any_output(self, s2_slice, s2_stop):
         for s in doc_frequencies(s2_slice, s2_stop):
