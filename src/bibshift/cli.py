@@ -220,6 +220,10 @@ def _parse_float(name: str, value) -> float:
 
 # --head and --stem become part of report file names.
 _PATH_CHARS = frozenset({"/", "\\", os.sep, "\0"})
+# No character of a title word (a run of [^\W_]) case-folds to anything that
+# holds whitespace or ASCII punctuation, and those characters keep one after
+# case folding, so a --head or --stem holding one can never match.
+_NEVER_IN_WORD = frozenset("!\"#$%&'()*+,-./:;<=>?@[\\]^_`{|}~")  # string.punctuation
 
 
 def _name_part(name: str, value) -> Optional[str]:
@@ -230,6 +234,9 @@ def _name_part(name: str, value) -> Optional[str]:
     if _PATH_CHARS.intersection(value):
         raise CliError(f"{name} {value!r} must not hold a path separator or NUL "
                        "(it is part of the report file names)")
+    if any(ch.isspace() or ch in _NEVER_IN_WORD for ch in value):
+        raise CliError(f"{name} {value!r} must not hold whitespace or ASCII punctuation "
+                       "(no title word can match it)")
     return value
 
 
@@ -362,6 +369,8 @@ def _parse_export(path: Optional[Path], parser) -> ParseResult:
             return parser(handle)
     except MalformedRecord as exc:
         raise CliError(f"{path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: not UTF-8 text ({exc})") from exc
 
 
 def cmd_ingest(cfg: RunConfig, written: list[Path]) -> list[str]:
@@ -560,3 +569,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -5,8 +5,8 @@ The cache is a line-delimited TSV: one record per line with columns
 column joins the raw cited-reference strings with ``|``; backslash escapes
 (backslash, tab, newline, carriage return, ``#``, and ``|`` as ``\\p``) keep
 every field tab-, separator-, and comment-safe, so a cache file round-trips
-byte-identically. Lines starting with ``#`` are header/comment lines and are
-skipped on read.
+byte-identically. The first line must be ``CACHE_HEADER``; later lines
+starting with ``#`` are comment lines and are skipped on read.
 """
 from __future__ import annotations
 
@@ -203,7 +203,10 @@ def read_cache(path: Path) -> list[BibRecord]:
     records: list[BibRecord] = []
     keys: dict[str, RefKey] = {}  # escaped reference cell -> parsed key
     with path.open(encoding="utf-8", newline="\n") as handle:
-        for lineno, line in enumerate(handle, start=1):
+        if handle.readline().rstrip("\n") != CACHE_HEADER:
+            raise ValueError(f"{path}:1: not a bibshift cache (the first line must be "
+                             f"{CACHE_HEADER!r})")
+        for lineno, line in enumerate(handle, start=2):
             line = line.rstrip("\n")
             if not line or line.startswith("#"):
                 continue
@@ -211,6 +214,11 @@ def read_cache(path: Path) -> list[BibRecord]:
             if len(cells) != 5:
                 raise ValueError(f"{path}:{lineno}: expected 5 cache columns, got {len(cells)}")
             record_id, source_name, year_text, title, refs_cell = cells
+            try:
+                source = Source[source_name]
+            except KeyError:
+                raise ValueError(f"{path}:{lineno}: unknown source {source_name!r} (want one "
+                                 f"of {', '.join(Source.__members__)})") from None
             refs = []
             for part in refs_cell.split("|"):
                 if not part:
@@ -222,7 +230,7 @@ def read_cache(path: Path) -> list[BibRecord]:
             records.append(
                 BibRecord(
                     record_id=_unescape(record_id),
-                    source=Source[source_name],
+                    source=source,
                     title=_unescape(title),
                     pub_year=int(year_text),
                     cited_refs=frozenset(refs),

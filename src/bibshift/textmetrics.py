@@ -11,12 +11,16 @@ to nothing.
 Phrase trends deliberately use the raw ordered token sequence (stop words
 kept) so that adjacency is judged on the title as written.
 
-Each query tokenises each title of its slices at most once:
-``new_coword_pairs`` builds the later year's document-frequency and
-co-document-frequency maps from one pass. ``phrase_trend`` tokenises only
-titles whose case-folded text contains the case-folded head. That filter
-drops no match because ``str.casefold`` maps each code point on its own, so
-the case fold of any token is a substring of the case fold of its title.
+Each query tokenises each title of its slices at most once.
+``new_coword_pairs`` counts pairs, in both years, only among the later
+terms whose own share reaches ``min_percent``: a pair's share never exceeds
+either member's, so no pair holding another term can pass the floor, and
+former pairs outside that vocabulary can mark no later pair as not new.
+When every later term reaches the floor it counts over the full token sets.
+``phrase_trend`` tokenises only titles whose case-folded text contains the
+case-folded head. That filter drops no match because ``str.casefold`` maps
+each code point on its own, so the case fold of any token is a substring of
+the case fold of its title.
 The reverse does not hold (``"İ".casefold()`` is two code points, one of
 them a combining mark), so titles are never case-folded before tokenising.
 """
@@ -27,7 +31,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Optional
 
 from .records import Corpus, YearSlice
@@ -127,6 +131,11 @@ def _term_maps(sl: YearSlice, stop: StopWordList) -> tuple[Counter, Counter]:
     return df, co
 
 
+def _term_pairs(token_sets):
+    """Every term pair of every set, lexicographically ordered in the pair."""
+    return chain.from_iterable(combinations(sorted(tokens), 2) for tokens in token_sets)
+
+
 def doc_frequencies(sl: YearSlice, stop: StopWordList) -> list[TermStats]:
     """Per-term record counts, most frequent first (ties alphabetical)."""
     counts = _doc_freq_map(sl, stop)
@@ -195,12 +204,22 @@ def new_coword_pairs(
     if min_percent < 0:
         raise ValueError(f"min_percent must be >= 0, got {min_percent}")
     _check_min_cosine(min_cosine)
-    former_pairs = _term_maps(former, stop)[1]
     total = len(later)
+    later_sets = [tokenize_title(record.title, stop) for record in later.records]
+    former_sets = (tokenize_title(record.title, stop) for record in former.records)
+    df = Counter(chain.from_iterable(later_sets))
+    keep = frozenset(t for t, n in df.items() if 100.0 * n / total >= min_percent)
+    if len(keep) < len(df):
+        # A pair's co_doc_freq is at most either member's df, and the percent
+        # is monotone in it: a pair holding a term outside keep cannot pass.
+        later_sets = [tokens & keep for tokens in later_sets]
+        former_sets = (tokens & keep for tokens in former_sets)
+    former_pairs = set(_term_pairs(former_sets))
     fresh = [
         CoWordPair(term_a=p.term_a, term_b=p.term_b, co_doc_freq=p.co_doc_freq,
                    cosine=p.cosine, percent=100.0 * p.co_doc_freq / total)
-        for p in _pairs_at_cosine(*_term_maps(later, stop), min_cosine, former_pairs)
+        for p in _pairs_at_cosine(df, Counter(_term_pairs(later_sets)), min_cosine,
+                                   former_pairs)
     ]
     qualifying = [p for p in fresh if p.percent >= min_percent]
     qualifying.sort(key=lambda p: (-p.co_doc_freq, p.term_a, p.term_b))

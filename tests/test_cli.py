@@ -1,10 +1,15 @@
 import json
+import os
+import string
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import bibshift
 from bibshift import textmetrics
 from bibshift.cli import (
     CliError,
@@ -112,6 +117,20 @@ class TestIngest:
                     "--cache", str(tmp_path / "c.tsv")]) == 1
         err = capsys.readouterr().err
         assert "error:" in err and "line 4" in err
+
+    @pytest.mark.parametrize("flag,data", [
+        ("--medline", b"PMID- 1\nTI  - caf\xe9\nDP  - 1970\n"),
+        ("--index", b"PT J\nTI caf\xe9\nPY 1970\nUT A\nER\n"),
+    ])
+    def test_non_utf8_export_is_an_error(self, tmp_path, capsys, flag, data):
+        path = tmp_path / "export.txt"
+        path.write_bytes(data)
+        cache = tmp_path / "c.tsv"
+        assert run(["ingest", flag, str(path), "--cache", str(cache)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: not UTF-8 text")
+        assert "Traceback" not in err
+        assert not cache.exists()
 
     def test_missing_field_warnings_reported(self, tmp_path, capsys):
         path = tmp_path / "index.txt"
@@ -300,14 +319,22 @@ def _table_rows(path: Path) -> list[list[str]]:
     return [line.split("\t") for line in lines if not line.startswith("#")][1:]
 
 
+def _never_in_word(text: str) -> bool:
+    """Whether ``text`` holds a character the CLI rejects in --head / --stem."""
+    return any(ch.isspace() or ch in string.punctuation for ch in text)
+
+
 _word = st.text(st.sampled_from(_TRICKY), min_size=1, max_size=4)
+_query = st.text(st.sampled_from([ch for ch in _TRICKY if not _never_in_word(ch)]),
+                 min_size=1, max_size=4)
 
 
 @st.composite
-def phrase_cases(draw):
-    """Head, stem and dated, sourced titles built from pieces that often
-    put the head (in any case) right before a stem-prefixed word."""
-    head, stem = draw(_word), draw(_word)
+def phrase_cases(draw, query=_query):
+    """Head and stem drawn from ``query``, and dated, sourced titles built
+    from pieces that often put the head (in any case) right before a
+    stem-prefixed word."""
+    head, stem = draw(query), draw(query)
     piece = st.one_of(_word, st.sampled_from([head, head.upper(), head.lower(), stem]),
                       st.builds(lambda w: stem + w, _word))
     title = st.lists(piece, max_size=6).map(" ".join)
@@ -404,6 +431,82 @@ class TestPhraseNames:
         config.write_text(json.dumps({"head": 5, "stem": "x"}), encoding="utf-8")
         assert run(["phrase", "--config", str(config)]) == 1
         assert capsys.readouterr().err.startswith("error: head must be a string")
+
+
+class TestPhraseValuesThatCanNeverMatch:
+    @pytest.mark.parametrize("flag,value", [
+        ("--head", "reverse transcriptase"), ("--stem", "tran-"), ("--head", "x\ty"),
+        ("--stem", "tr."), ("--head", "\u3000reverse"), ("--stem", "trans*"),
+    ])
+    def test_rejected_before_the_corpus_loads(self, tmp_path, capsys, flag, value):
+        other = {"--head": "--stem", "--stem": "--head"}[flag]
+        assert run(["phrase", "--cache", str(tmp_path / "absent.tsv"),
+                    "--out-dir", str(tmp_path / "out"), f"{flag}={value}", other, "ok"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag[2:]} {value!r} must not hold whitespace")
+        assert list(tmp_path.iterdir()) == []
+
+    @settings(max_examples=100, deadline=None)
+    @given(phrase_cases(query=_word).filter(lambda case: _never_in_word(case[0] + case[1])))
+    def test_oracle_never_matches_a_rejected_value(self, case):
+        head, stem, rows = case
+        records = [mkrec(f"r{i}", title=t, year=y, source=s)
+                   for i, (t, y, s) in enumerate(rows)]
+        corpus = build_corpus(records)
+        points = brute_phrase_points(records, corpus.years(), head, stem)
+        assert all(hits == 0 for _, hits, _ in points)
+        with tempfile.TemporaryDirectory() as tmp:
+            cache, out = Path(tmp) / "c.tsv", Path(tmp) / "out"
+            write_cache(corpus, cache)
+            assert run(["phrase", "--cache", str(cache), "--out-dir", str(out),
+                        f"--head={head}", f"--stem={stem}"]) == 1
+            assert not out.exists()
+
+    def test_no_title_word_can_hold_a_rejected_character(self):
+        # The rule rejects nothing that could match: a rejected character
+        # keeps one after case folding, and no case-folded character of any
+        # title word (a run of the tokenizer's pattern) holds one.
+        everything = "".join(map(chr, range(sys.maxunicode + 1)))
+        assert all(_never_in_word(ch.casefold()) for ch in everything if _never_in_word(ch))
+        word_chars = "".join(textmetrics._TOKEN_RE.findall(everything))
+        assert len(word_chars) > 100_000
+        assert [ch for ch in word_chars if _never_in_word(ch.casefold())] == []
+
+
+class TestBadCache:
+    def write(self, tmp_path, edit):
+        corpus = build_corpus([mkrec("a", title="virus", year=1970, source=Source.MEDLINE)])
+        cache = tmp_path / "c.tsv"
+        write_cache(corpus, cache)
+        cache.write_text(edit(cache.read_text(encoding="utf-8")), encoding="utf-8")
+        return cache
+
+    def test_unknown_source_is_an_error(self, tmp_path, capsys):
+        cache = self.write(tmp_path, lambda text: text.replace("\tMEDLINE\t", "\tBOGUS\t"))
+        assert run(["summary", *base_args(tmp_path, cache)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"{cache}:2: unknown source 'BOGUS'" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_headerless_cache_is_an_error(self, tmp_path, capsys):
+        cache = self.write(tmp_path, lambda text: text.split("\n", 1)[1])
+        assert run(["summary", *base_args(tmp_path, cache)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"{cache}:1: not a bibshift cache" in err
+        assert not (tmp_path / "out").exists()
+
+
+def test_module_runs_the_cli(tmp_path):
+    src = Path(bibshift.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "bibshift.cli", "summary", "--cache", str(tmp_path / "absent")],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: cache file not found")
 
 
 class TestConfigFile:

@@ -17,6 +17,7 @@ from bibshift import (
     slice_by_source,
     write_cache,
 )
+from bibshift.records import CACHE_HEADER
 from conftest import mkrec
 
 
@@ -176,6 +177,12 @@ class TestCacheRoundTrip:
         path = tmp_path / "c.tsv"
         path.write_text("one\ttwo\tthree\n", encoding="utf-8")
         with pytest.raises(ValueError):
+            read_cache(path)
+
+    def test_wrong_column_count_after_the_header_rejected(self, tmp_path):
+        path = tmp_path / "c.tsv"
+        path.write_text(f"{CACHE_HEADER}\none\ttwo\tthree\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r":2: expected 5 cache columns, got 3"):
             read_cache(path)
 
 

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bibshift import (
     StopWordList,
@@ -16,9 +16,16 @@ from bibshift import (
     title_token_sequence,
     tokenize_title,
 )
+from bibshift import textmetrics
 from bibshift.textmetrics import parse_stopwords
 from conftest import mkrec
-from oracles import brute_co_doc_freq, brute_doc_freq, brute_sequence, brute_tokens
+from oracles import (
+    brute_co_doc_freq,
+    brute_doc_freq,
+    brute_new_coword_pairs,
+    brute_sequence,
+    brute_tokens,
+)
 
 EMPTY_STOP = StopWordList(words=frozenset(), source_path="<none>")
 
@@ -214,6 +221,29 @@ class TestNewCowordPairs:
         assert {(p.term_a, p.term_b) for p in tight} == {("mice", "transcription")}
 
 
+    def test_no_pair_with_a_term_below_the_floor_is_counted(self, monkeypatch):
+        former = build_corpus([mkrec("f1", title="alpha gamma", year=1970),
+                               mkrec("f2", title="beta delta", year=1970)]).slice(1970)
+        later = build_corpus([mkrec("l1", title="alpha beta", year=1971),
+                              mkrec("l2", title="alpha beta", year=1971),
+                              mkrec("l3", title="alpha gamma", year=1971),
+                              mkrec("l4", title="delta epsilon", year=1971)]).slice(1971)
+        scored = []
+        original = textmetrics._pairs_at_cosine
+
+        def spy(df, co, min_cosine, skip=frozenset()):
+            scored.append((set(co), set(skip)))
+            return original(df, co, min_cosine, skip)
+
+        monkeypatch.setattr(textmetrics, "_pairs_at_cosine", spy)
+        # alpha (3 of 4) and beta (2 of 4) reach 50 %; gamma, delta, epsilon do not
+        fresh = new_coword_pairs(former, later, EMPTY_STOP, min_cosine=0.0, min_percent=50.0)
+        assert [(p.term_a, p.term_b, p.co_doc_freq) for p in fresh] == [("alpha", "beta", 2)]
+        [(counted, former_pairs)] = scored
+        assert counted == {("alpha", "beta")}
+        assert former_pairs == set()
+
+
 class TestPhraseTrend:
     def make_corpus(self):
         titles = {
@@ -297,6 +327,26 @@ _title = st.text(
 )
 
 
+def _slice(titles, year):
+    records = [mkrec(f"r{year}-{i}", title=t, year=year) for i, t in enumerate(titles)]
+    return build_corpus(records).slice(year)
+
+
+@st.composite
+def coword_cases(draw):
+    """Former and later slices and the two floors; the percent floor is
+    often exactly the share of a later term or pair, or 0."""
+    former = _slice(draw(st.lists(_title, min_size=1, max_size=8)), 1970)
+    later = _slice(draw(st.lists(_title, min_size=1, max_size=8)), 1971)
+    counts = sorted({*brute_doc_freq(later, set()).values(),
+                     *brute_co_doc_freq(later, set()).values()})
+    exact = [100.0 * n / len(later) for n in counts]
+    min_percent = draw(st.one_of(st.just(0.0), st.sampled_from(exact or [0.0]),
+                                 st.floats(0, 100)))
+    min_cosine = draw(st.one_of(st.just(0.0), st.floats(0, 1)))
+    return former, later, min_percent, min_cosine
+
+
 class TestOracleProperties:
     @settings(max_examples=120, deadline=None)
     @given(st.lists(_title, min_size=1, max_size=10), st.sets(st.sampled_from(["de", "f2", "ab"])))
@@ -357,6 +407,19 @@ class TestOracleProperties:
         stop = parse_stopwords(stop_words, "<p>")
         assert tokenize_title(title, stop) == brute_tokens(title, stop.words)
         assert list(title_token_sequence(title)) == brute_sequence(title)
+
+    @settings(max_examples=300, deadline=None)
+    @given(coword_cases())
+    # (ab, cd) is in 2 of 8 later titles: exactly on the 25 % floor
+    @example((_slice(["ab", "cd ef"], 1970),
+              _slice(["ab cd", "ab cd"] + ["ef"] * 6, 1971), 25.0, 0.25))
+    def test_new_coword_pairs_match_brute_force(self, case):
+        former, later, min_percent, min_cosine = case
+        fresh = new_coword_pairs(former, later, EMPTY_STOP, min_cosine, min_percent)
+        got = {(p.term_a, p.term_b): (p.co_doc_freq, p.cosine, p.percent) for p in fresh}
+        assert got == brute_new_coword_pairs(former, later, set(), min_cosine, min_percent)
+        assert [(p.term_a, p.term_b) for p in fresh] == sorted(
+            got, key=lambda pair: (-got[pair][0], pair))
 
     def test_superscript_digits_are_kept(self):
         assert tokenize_title("x² ²² ٣٣", EMPTY_STOP) == {"x²", "²²"}
