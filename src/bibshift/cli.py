@@ -69,6 +69,13 @@ class CliError(Exception):
     """User-facing failure; printed as ``error: ...`` with exit code 1."""
 
 
+def _file_error(action: str, path: Path, exc: OSError) -> CliError:
+    """``cannot <action> <path> (<file>: <reason>)``; the file the system
+    names can differ from ``path`` (a parent that is not a directory)."""
+    reason = f"{exc.filename}: {exc.strerror}" if exc.filename else str(exc)
+    return CliError(f"cannot {action} {path} ({reason})")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     command: str
@@ -160,6 +167,10 @@ def _load_config_file(path: Optional[Path]) -> dict:
         data = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise CliError(f"cannot parse config file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: not UTF-8 text ({exc})") from exc
+    except OSError as exc:
+        raise _file_error("read config file", path, exc) from exc
     if not isinstance(data, dict):
         raise CliError(f"config file {path} must hold a JSON object")
     unknown = sorted(set(data) - _CONFIG_KEYS)
@@ -284,17 +295,21 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 # ── shared helpers ────────────────────────────────────────────────────────────
 
-def _load_corpus(cfg: RunConfig, full: bool = False) -> Corpus:
+def _load_corpus(cfg: RunConfig, full: bool = False, refs: bool = True) -> Corpus:
     """Corpus from the cache; ``full`` ignores the --years restriction
-    (words/cowords read --years as the compared pair, not a filter)."""
+    (words/cowords read --years as the compared pair, not a filter), and
+    ``refs`` false leaves every record's cited references empty (for the
+    title commands)."""
     if not cfg.cache.exists():
         raise CliError(
             f"cache file not found: {cfg.cache} (run the ingest command first)"
         )
     try:
-        return build_corpus(read_cache(cfg.cache), None if full else cfg.years)
+        return build_corpus(read_cache(cfg.cache, refs=refs), None if full else cfg.years)
     except (EmptyCorpus, ValueError) as exc:
         raise CliError(f"cannot build corpus from {cfg.cache}: {exc}") from exc
+    except OSError as exc:
+        raise _file_error("read cache", cfg.cache, exc) from exc
 
 
 def _load_stopwords(cfg: RunConfig) -> StopWordList:
@@ -302,7 +317,12 @@ def _load_stopwords(cfg: RunConfig) -> StopWordList:
         return default_stopwords()
     if not cfg.stopwords.exists():
         raise CliError(f"stop-word file not found: {cfg.stopwords}")
-    return load_stopwords(cfg.stopwords)
+    try:
+        return load_stopwords(cfg.stopwords)
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{cfg.stopwords}: not UTF-8 text ({exc})") from exc
+    except OSError as exc:
+        raise _file_error("read stop-word file", cfg.stopwords, exc) from exc
 
 
 def _years_text(corpus: Corpus) -> str:
@@ -319,9 +339,12 @@ def _stopwords_text(stop: StopWordList) -> str:
 
 
 def _write(cfg: RunConfig, name: str, text: str, written: list[Path]) -> None:
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     path = cfg.out_dir / name
-    reports.write_report(path, text)
+    try:
+        cfg.out_dir.mkdir(parents=True, exist_ok=True)
+        reports.write_report(path, text)
+    except OSError as exc:
+        raise _file_error("write report", path, exc) from exc
     written.append(path)
 
 
@@ -371,6 +394,8 @@ def _parse_export(path: Optional[Path], parser) -> ParseResult:
         raise CliError(f"{path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise CliError(f"{path}: not UTF-8 text ({exc})") from exc
+    except OSError as exc:
+        raise _file_error("read input file", path, exc) from exc
 
 
 def cmd_ingest(cfg: RunConfig, written: list[Path]) -> list[str]:
@@ -390,8 +415,11 @@ def cmd_ingest(cfg: RunConfig, written: list[Path]) -> list[str]:
     except EmptyCorpus as exc:
         raise CliError(f"cannot build corpus: {exc}") from exc
 
-    cfg.cache.parent.mkdir(parents=True, exist_ok=True)
-    write_cache(corpus, cfg.cache)
+    try:
+        cfg.cache.parent.mkdir(parents=True, exist_ok=True)
+        write_cache(corpus, cfg.cache)
+    except OSError as exc:
+        raise _file_error("write cache", cfg.cache, exc) from exc
     written.append(cfg.cache)
 
     if cfg.index is not None and cfg.medline is not None:
@@ -471,7 +499,7 @@ def cmd_rsi(cfg: RunConfig, written: list[Path]) -> None:
 
 
 def cmd_words(cfg: RunConfig, written: list[Path]) -> None:
-    corpus = _load_corpus(cfg, full=True)
+    corpus = _load_corpus(cfg, full=True, refs=False)
     stop = _load_stopwords(cfg)
     former, later = _require_year_pair(cfg, corpus)
     per_source = {
@@ -494,7 +522,7 @@ def cmd_words(cfg: RunConfig, written: list[Path]) -> None:
 
 
 def cmd_cowords(cfg: RunConfig, written: list[Path]) -> None:
-    corpus = _load_corpus(cfg, full=True)
+    corpus = _load_corpus(cfg, full=True, refs=False)
     stop = _load_stopwords(cfg)
     former, later = _require_year_pair(cfg, corpus)
     per_source = {
@@ -521,7 +549,7 @@ def cmd_cowords(cfg: RunConfig, written: list[Path]) -> None:
 def cmd_phrase(cfg: RunConfig, written: list[Path]) -> None:
     if not cfg.head or not cfg.stem:
         raise CliError("phrase needs --head and --stem")
-    corpus = _load_corpus(cfg)
+    corpus = _load_corpus(cfg, refs=False)
     per_source = {
         source: phrase_trend(_source_corpus(corpus, source), cfg.head, cfg.stem)
         for source in corpus_sources(corpus)

@@ -9,7 +9,6 @@ other reference that itself reaches ``cite_min``.
 """
 from __future__ import annotations
 
-import enum
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -61,11 +60,6 @@ class CoreRefSet:
 
     def __len__(self) -> int:
         return len(self.members)
-
-
-class RankMode(enum.Enum):
-    CITED = "cited"
-    COCITED = "cocited"
 
 
 def citation_counts(sl: YearSlice) -> dict[RefKey, int]:
@@ -151,19 +145,3 @@ def distinct_ref_count(sl: YearSlice) -> int:
         refs.update(record.cited_refs)
     return len(refs)
 
-
-def top_ranked(sl: YearSlice, k: int, mode: RankMode):
-    """Top-k references (CITED) or reference pairs (COCITED) by count,
-    descending; ties broken by ascending canonical spelling."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if mode is RankMode.CITED:
-        counts = citation_counts(sl)
-        ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0].sort_key()))
-    else:
-        pairs = cocitation_counts(sl, citation_counts(sl))
-        ranked = sorted(
-            pairs.items(),
-            key=lambda item: (-item[1], item[0][0].sort_key(), item[0][1].sort_key()),
-        )
-    return ranked[:k]

@@ -6,7 +6,9 @@ column joins the raw cited-reference strings with ``|``; backslash escapes
 (backslash, tab, newline, carriage return, ``#``, and ``|`` as ``\\p``) keep
 every field tab-, separator-, and comment-safe, so a cache file round-trips
 byte-identically. The first line must be ``CACHE_HEADER``; later lines
-starting with ``#`` are comment lines and are skipped on read.
+starting with ``#`` are comment lines and are skipped on read. A reader
+that needs only titles can leave the reference column unparsed
+(``read_cache(path, refs=False)``).
 """
 from __future__ import annotations
 
@@ -194,11 +196,15 @@ def write_cache(corpus: Corpus, path: Path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-def read_cache(path: Path) -> list[BibRecord]:
+def read_cache(path: Path, refs: bool = True) -> list[BibRecord]:
     """Read records back from a cache file written by write_cache.
 
     Each distinct reference cell is parsed once per call; records that
-    repeat a spelling share its key.
+    repeat a spelling share its key. With ``refs`` false, for callers that
+    read only titles, every line is still split and its column count,
+    source and year checked, but the cited-reference column is never parsed
+    and every record's ``cited_refs`` is empty. Parsing a reference never
+    fails, so skipping the column rejects no cache that reading it accepts.
     """
     records: list[BibRecord] = []
     keys: dict[str, RefKey] = {}  # escaped reference cell -> parsed key
@@ -210,7 +216,8 @@ def read_cache(path: Path) -> list[BibRecord]:
             line = line.rstrip("\n")
             if not line or line.startswith("#"):
                 continue
-            cells = _split_cache_line(line)
+            # Tabs inside fields are escaped, so a plain split is safe.
+            cells = line.split("\t")
             if len(cells) != 5:
                 raise ValueError(f"{path}:{lineno}: expected 5 cache columns, got {len(cells)}")
             record_id, source_name, year_text, title, refs_cell = cells
@@ -219,26 +226,22 @@ def read_cache(path: Path) -> list[BibRecord]:
             except KeyError:
                 raise ValueError(f"{path}:{lineno}: unknown source {source_name!r} (want one "
                                  f"of {', '.join(Source.__members__)})") from None
-            refs = []
-            for part in refs_cell.split("|"):
-                if not part:
-                    continue
-                key = keys.get(part)
-                if key is None:
-                    key = keys[part] = parse_cited_ref(_unescape(part))
-                refs.append(key)
+            cited = []
+            if refs:
+                for part in refs_cell.split("|"):
+                    if not part:
+                        continue
+                    key = keys.get(part)
+                    if key is None:
+                        key = keys[part] = parse_cited_ref(_unescape(part))
+                    cited.append(key)
             records.append(
                 BibRecord(
                     record_id=_unescape(record_id),
                     source=source,
                     title=_unescape(title),
                     pub_year=int(year_text),
-                    cited_refs=frozenset(refs),
+                    cited_refs=frozenset(cited),
                 )
             )
     return records
-
-
-def _split_cache_line(line: str) -> list[str]:
-    # Tabs inside fields are escaped, so a plain split is safe.
-    return line.split("\t")

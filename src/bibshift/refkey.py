@@ -4,11 +4,16 @@ A cited reference arrives as a single comma-separated string, e.g.
 
     BALTIMORE D, 1970, NATURE, V226, P1209
 
-Segments are mapped positionally (author, year, source); segments of the
-form ``V<digits>`` / ``P<digits>`` are taken as volume / first page wherever
-they occur. Anything else (DOIs, trailing junk) survives only in ``raw``.
-Two keys are equal when their normalized component tuples are equal; the
-raw spelling never takes part in equality or hashing.
+The string is normalized once: each run of whitespace becomes one space
+and the whole is upper-cased. It is then split on commas and each segment
+is stripped. Segments are mapped positionally (author, year, source); a
+year is a segment of exactly four decimal digits in position 1, and
+segments of the form ``V<digits>`` / ``P<digits>`` are taken as volume /
+first page wherever they occur ("digits" are Unicode decimal digits, as
+``str.isdecimal`` and ``\\d`` define them). Anything else (DOIs, trailing
+junk) survives only in ``raw``. Two keys are equal when their normalized
+component tuples are equal; the raw spelling never takes part in equality
+or hashing.
 """
 from __future__ import annotations
 
@@ -18,9 +23,6 @@ from functools import cached_property
 from typing import Optional
 
 _WS_RE = re.compile(r"\s+")
-_YEAR_RE = re.compile(r"^\d{4}$")
-_VOLUME_RE = re.compile(r"^V(\d+)$")
-_PAGE_RE = re.compile(r"^P(\d+)$")
 
 
 def normalize_text(text: str) -> str:
@@ -83,10 +85,14 @@ def parse_cited_ref(raw: str) -> RefKey:
     Never raises: a string with no recognizable components yields a key
     whose author is the whole normalized string.
     """
-    segments = [normalize_text(part) for part in raw.split(",")]
+    # Normalizing the whole string before splitting gives the same segments
+    # as normalizing each one: upper() never turns a character other than a
+    # comma or whitespace into one holding a comma or whitespace.
+    text = _WS_RE.sub(" ", raw).upper()
+    segments = [part.strip() for part in text.split(",")]
     non_empty = [seg for seg in segments if seg]
     if not non_empty:
-        return RefKey(author=normalize_text(raw), raw=raw)
+        return RefKey(author=text.strip(), raw=raw)
 
     author = segments[0] if segments[0] else non_empty[0]
     year: Optional[int] = None
@@ -97,17 +103,16 @@ def parse_cited_ref(raw: str) -> RefKey:
     for pos, seg in enumerate(segments[1:], start=1):
         if not seg:
             continue
-        m = _VOLUME_RE.match(seg)
-        if m:
+        # isdecimal() is exactly the \d of a str pattern; "" is not decimal
+        if seg[0] == "V" and seg[1:].isdecimal():
             if volume is None:
-                volume = int(m.group(1))
+                volume = int(seg[1:])
             continue
-        m = _PAGE_RE.match(seg)
-        if m:
+        if seg[0] == "P" and seg[1:].isdecimal():
             if page is None:
-                page = int(m.group(1))
+                page = int(seg[1:])
             continue
-        if pos == 1 and _YEAR_RE.match(seg):
+        if pos == 1 and len(seg) == 4 and seg.isdecimal():
             year = int(seg)
         elif pos == 2:
             source = seg

@@ -16,7 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .cocitation import CoreRefSet, RefPair, ThresholdPair
+from .cocitation import CoreRefSet, ThresholdPair
 from .records import Corpus, Source, slice_by_source
 from .refkey import RefKey
 from .stability import GrooveReport, RsiSeries, format_cell, format_rsi
@@ -81,34 +81,6 @@ def summary_table(corpus: Corpus, distinct_refs_by_year: dict[int, int],
 
 
 # ── citation-graph tables ─────────────────────────────────────────────────────
-
-def _ref_components(key: RefKey) -> list[str]:
-    return [
-        key.author,
-        "-" if key.year is None else str(key.year),
-        "-" if key.source_abbrev is None else key.source_abbrev,
-        "-" if key.volume is None else str(key.volume),
-        "-" if key.first_page is None else str(key.first_page),
-    ]
-
-
-def citation_table(year: int, counts: dict[RefKey, int], config: ConfigPairs) -> str:
-    columns = ["year", "author", "ref_year", "source", "volume", "first_page",
-               "citations"]
-    ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0].sort_key()))
-    rows = [[year, *_ref_components(key), n] for key, n in ranked]
-    return render_table(config, columns, rows)
-
-
-def cocitation_table(year: int, counts: dict[RefPair, int], config: ConfigPairs) -> str:
-    columns = ["year", "ref_a", "ref_b", "cocitations"]
-    ranked = sorted(
-        counts.items(),
-        key=lambda item: (-item[1], item[0][0].sort_key(), item[0][1].sort_key()),
-    )
-    rows = [[year, a.canonical(), b.canonical(), n] for (a, b), n in ranked]
-    return render_table(config, columns, rows)
-
 
 def core_membership_table(core_sets: Sequence[CoreRefSet], config: ConfigPairs) -> str:
     columns = ["year", "thresholds", "member"]

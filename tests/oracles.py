@@ -5,9 +5,11 @@ loops possible; no sharing of code with the package under test beyond the
 data types.
 """
 import math
+import re
 from itertools import combinations
+from typing import Optional
 
-from bibshift import YearSlice
+from bibshift import RefKey, YearSlice
 from bibshift.cocitation import ThresholdPair
 
 
@@ -142,3 +144,56 @@ def brute_phrase_points(records, years, head: str, stem: str) -> list:
                     break
         points.append((year, hits, 100.0 * hits / total if total else 0.0))
     return points
+
+
+# The cited-reference parser as first written: whitespace collapsed, strip
+# and upper-case per comma segment, one regex per recognised segment form.
+_WS_RE = re.compile(r"\s+")
+_YEAR_RE = re.compile(r"^\d{4}$")
+_VOLUME_RE = re.compile(r"^V(\d+)$")
+_PAGE_RE = re.compile(r"^P(\d+)$")
+
+
+def _normalize_text(text: str) -> str:
+    return _WS_RE.sub(" ", text).strip().upper()
+
+
+def brute_parse_cited_ref(raw: str) -> RefKey:
+    segments = [_normalize_text(part) for part in raw.split(",")]
+    non_empty = [seg for seg in segments if seg]
+    if not non_empty:
+        return RefKey(author=_normalize_text(raw), raw=raw)
+
+    author = segments[0] if segments[0] else non_empty[0]
+    year: Optional[int] = None
+    source: Optional[str] = None
+    volume: Optional[int] = None
+    page: Optional[int] = None
+
+    for pos, seg in enumerate(segments[1:], start=1):
+        if not seg:
+            continue
+        m = _VOLUME_RE.match(seg)
+        if m:
+            if volume is None:
+                volume = int(m.group(1))
+            continue
+        m = _PAGE_RE.match(seg)
+        if m:
+            if page is None:
+                page = int(m.group(1))
+            continue
+        if pos == 1 and _YEAR_RE.match(seg):
+            year = int(seg)
+        elif pos == 2:
+            source = seg
+        # other positions: unparseable, kept only in raw
+
+    return RefKey(
+        author=author,
+        year=year,
+        source_abbrev=source,
+        volume=volume,
+        first_page=page,
+        raw=raw,
+    )

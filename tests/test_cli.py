@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import bibshift
-from bibshift import textmetrics
+from bibshift import cli, records, textmetrics
 from bibshift.cli import (
     CliError,
     parse_gaps,
@@ -309,6 +309,54 @@ class TestTitlesReadOnce:
             r.title for r in read_cache(cache) if "reverse" in r.title)
 
 
+TITLE_COMMANDS = {
+    "words": ["words", "--years", "1971:1972"],
+    "cowords": ["cowords", "--years", "1971:1972"],
+    "phrase": ["phrase", "--head", "reverse", "--stem", "transcr"],
+}
+REFERENCE_COMMANDS = {
+    "summary": ["summary"],
+    "rsi": ["rsi", "--thresholds", "3/2,2/2", "--gaps", "1,2"],
+    "core-refs": ["core-refs", "--thresholds", "3/2,2/2"],
+}
+
+
+def _reports(out_dir: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+
+
+class TestTitleCommandsSkipReferences:
+    @pytest.mark.parametrize("command", [*TITLE_COMMANDS, *REFERENCE_COMMANDS])
+    def test_only_the_reference_commands_parse_references(self, tmp_path, monkeypatch,
+                                                          command):
+        cache = ingest(tmp_path)
+        parsed = []
+        original = records.parse_cited_ref
+
+        def spy(raw):
+            parsed.append(raw)
+            return original(raw)
+
+        monkeypatch.setattr(records, "parse_cited_ref", spy)
+        argv = {**TITLE_COMMANDS, **REFERENCE_COMMANDS}[command]
+        assert run([*argv, *base_args(tmp_path, cache)]) == 0
+        if command in TITLE_COMMANDS:
+            assert parsed == []
+        else:
+            assert len(parsed) == len(set(POOLS[1970] + POOLS[1972]))
+
+    @pytest.mark.parametrize("command", list(TITLE_COMMANDS))
+    def test_reports_match_a_run_that_parses_references(self, tmp_path, monkeypatch,
+                                                         command):
+        cache = ingest(tmp_path)
+        assert any(record.cited_refs for record in read_cache(cache))
+        argv = [*TITLE_COMMANDS[command], "--cache", str(cache)]
+        assert run([*argv, "--out-dir", str(tmp_path / "skipped")]) == 0
+        monkeypatch.setattr(cli, "read_cache", lambda path, refs=True: read_cache(path))
+        assert run([*argv, "--out-dir", str(tmp_path / "parsed")]) == 0
+        assert _reports(tmp_path / "skipped") == _reports(tmp_path / "parsed")
+
+
 # Code points whose case folds differ from their lower-case forms, or that
 # the tokeniser treats specially, mixed with ASCII.
 _TRICKY = list("İßﬁ\u212a_²") + list("aeiknrstIKRST2 -.")
@@ -496,6 +544,71 @@ class TestBadCache:
         assert err.startswith("error: ")
         assert f"{cache}:1: not a bibshift cache" in err
         assert not (tmp_path / "out").exists()
+
+
+class TestUnreadableFiles:
+    def assert_error(self, capsys, *fragments):
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        for fragment in fragments:
+            assert fragment in err
+
+    def test_non_utf8_stopword_file(self, tmp_path, capsys):
+        cache = ingest(tmp_path)
+        capsys.readouterr()
+        stop = tmp_path / "stop.txt"
+        stop.write_bytes(b"the\n\xe9t\xe9\n")
+        assert run(["words", *base_args(tmp_path, cache), "--years", "1971:1972",
+                    "--stopwords", str(stop)]) == 1
+        self.assert_error(capsys, f"error: {stop}: not UTF-8 text")
+
+    def test_non_utf8_config_file(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_bytes(b'{"years": "\xe9"}')
+        assert run(["summary", "--config", str(config)]) == 1
+        self.assert_error(capsys, f"error: {config}: not UTF-8 text")
+
+    def test_cache_that_is_a_directory(self, tmp_path, capsys):
+        assert run(["summary", "--cache", str(tmp_path)]) == 1
+        self.assert_error(capsys, f"error: cannot read cache {tmp_path}")
+
+    def test_ingest_cache_that_is_a_directory(self, tmp_path, capsys):
+        index_path, _ = seed_exports(tmp_path)
+        assert run(["ingest", "--index", str(index_path), "--cache", str(tmp_path)]) == 1
+        self.assert_error(capsys, f"error: cannot write cache {tmp_path}")
+
+    def test_out_dir_that_is_a_file(self, tmp_path, capsys):
+        cache = ingest(tmp_path)
+        capsys.readouterr()
+        afile = tmp_path / "afile"
+        afile.write_text("", encoding="utf-8")
+        assert run(["summary", "--cache", str(cache), "--out-dir", str(afile)]) == 1
+        self.assert_error(capsys, f"error: cannot write report {afile / 'summary.tsv'}",
+                          f"({afile}: ")
+
+    def test_out_dir_below_a_file(self, tmp_path, capsys):
+        cache = ingest(tmp_path)
+        capsys.readouterr()
+        afile = tmp_path / "afile"
+        afile.write_text("", encoding="utf-8")
+        out_dir = afile / "sub"
+        assert run(["summary", "--cache", str(cache), "--out-dir", str(out_dir)]) == 1
+        self.assert_error(capsys, f"error: cannot write report {out_dir / 'summary.tsv'}")
+
+    @pytest.mark.parametrize("flag,what", [
+        ("--stopwords", "stop-word file"), ("--config", "config file")])
+    def test_input_file_that_is_a_directory(self, tmp_path, capsys, flag, what):
+        cache = ingest(tmp_path)
+        capsys.readouterr()
+        assert run(["words", *base_args(tmp_path, cache), "--years", "1971:1972",
+                    flag, str(tmp_path)]) == 1
+        self.assert_error(capsys, f"error: cannot read {what} {tmp_path}")
+
+    def test_export_that_is_a_directory(self, tmp_path, capsys):
+        assert run(["ingest", "--index", str(tmp_path),
+                    "--cache", str(tmp_path / "c.tsv")]) == 1
+        self.assert_error(capsys, f"error: cannot read input file {tmp_path}")
 
 
 def test_module_runs_the_cli(tmp_path):

@@ -2,13 +2,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bibshift import (
-    RankMode,
     ThresholdPair,
     citation_counts,
     cocitation_counts,
     core_references,
     distinct_ref_count,
-    top_ranked,
     build_corpus,
 )
 from bibshift.cocitation import core_sets, pair_key
@@ -119,29 +117,6 @@ class TestDistinctRefCount:
         refs = ["A, 1960, J", "B, 1961, J"]
         sl = build_corpus([mkrec("p1", refs=refs), mkrec("p2", refs=refs)]).slice(1970)
         assert distinct_ref_count(sl) == 2
-
-
-class TestTopRanked:
-    def test_s1_top_cited(self, s1_slice, s1_refs):
-        [(key, count)] = top_ranked(s1_slice, 1, RankMode.CITED)
-        assert key == s1_refs["R1"]
-        assert count == 4
-
-    def test_s1_top_cocited(self, s1_slice, s1_refs):
-        [(pair, count)] = top_ranked(s1_slice, 1, RankMode.COCITED)
-        assert pair == pair_key(s1_refs["R1"], s1_refs["R2"])
-        assert count == 3
-
-    def test_k_larger_than_population_returns_all(self, s1_slice):
-        assert len(top_ranked(s1_slice, 99, RankMode.CITED)) == 3
-
-    def test_ties_break_alphabetically(self, s1_slice, s1_refs):
-        ranked = top_ranked(s1_slice, 3, RankMode.CITED)
-        assert [k for k, _ in ranked] == [s1_refs["R1"], s1_refs["R2"], s1_refs["R3"]]
-
-    def test_k_below_one_rejected(self, s1_slice):
-        with pytest.raises(ValueError):
-            top_ranked(s1_slice, 0, RankMode.CITED)
 
 
 # random small corpora for property checks

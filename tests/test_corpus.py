@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -228,3 +229,37 @@ class TestCacheReferenceSpellings:
             subprocess.run([sys.executable, "-c", script, str(path)], env=env, check=True)
             outputs.add(path.read_bytes())
         assert len(outputs) == 1
+
+
+class TestCacheWithoutReferences:
+    def write(self, tmp_path):
+        records = [
+            mkrec("a", refs=["X, 1960, J", "Y, 1961, K"], title="virus assay", year=1970),
+            mkrec("m", title="tumor", year=1971, source=Source.MEDLINE),
+        ]
+        path = tmp_path / "c.tsv"
+        write_cache(build_corpus(records), path)
+        return path
+
+    def test_same_records_with_no_references(self, tmp_path):
+        path = self.write(tmp_path)
+        full = read_cache(path)
+        assert any(record.cited_refs for record in full)
+        assert read_cache(path, refs=False) == [
+            replace(record, cited_refs=frozenset()) for record in full]
+
+    @pytest.mark.parametrize("edit,message", [
+        pytest.param(lambda text: text.split("\n", 1)[1], r":1: not a bibshift cache",
+                     id="no-header"),
+        pytest.param(lambda text: text.replace("\tvirus assay\t", "\t"),
+                     r":2: expected 5 cache columns", id="four-columns"),
+        pytest.param(lambda text: text.replace("\tMEDLINE\t", "\tBOGUS\t"),
+                     r":3: unknown source", id="unknown-source"),
+        pytest.param(lambda text: text.replace("\t1971\t", "\tMCMLXXI\t"), r"MCMLXXI",
+                     id="bad-year"),
+    ])
+    def test_bad_lines_are_still_rejected(self, tmp_path, edit, message):
+        path = self.write(tmp_path)
+        path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
+        with pytest.raises(ValueError, match=message):
+            read_cache(path, refs=False)

@@ -1,8 +1,22 @@
+import re
 import string
+import sys
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bibshift import RefKey, normalize_text, parse_cited_ref
+from oracles import brute_parse_cited_ref
+
+# Separators, Unicode whitespace (tab, NBSP, EM SPACE, \x1c), both cases of
+# the volume and page markers, ASCII and non-ASCII decimal digits (ARABIC-INDIC
+# THREE), a digit that is not decimal (SUPERSCRIPT TWO), and letters whose
+# upper-case forms differ in length or need the context (ß -> SS, İ).
+_REF_ALPHABET = (list(",\t\u00a0\u2003\x1c VPvp") + list(string.digits)
+                 + list("٣²ßİ") + list("AXj."))
+
+
+def _fields(key: RefKey) -> tuple:
+    return (key.author, key.year, key.source_abbrev, key.volume, key.first_page, key.raw)
 
 
 class TestNormalizeText:
@@ -110,6 +124,30 @@ class TestParseCitedRef:
         again = parse_cited_ref(key.canonical())
         assert again == key
         assert again.canonical() == key.canonical()
+
+
+class TestOneNormalizingPass:
+    @settings(max_examples=400)
+    @given(st.text(alphabet=st.sampled_from(_REF_ALPHABET), max_size=30))
+    @example("  baltimore d ,1970,  nature , V226, P1209 ")
+    @example("x, ١٩٧٠, j, v٣, p٢")
+    @example("x, 1970, j, V², P²")
+    @example("\x1c,\u2003,\u00a0")
+    @example("ß, 1970, İ")
+    def test_every_field_matches_the_per_segment_parser(self, raw):
+        assert _fields(parse_cited_ref(raw)) == _fields(brute_parse_cited_ref(raw))
+
+    def test_normalizing_before_the_split_is_exact_on_every_code_point(self):
+        # The three facts that make one pass over the whole string give the
+        # same segments and components as one pass per segment.
+        space, digit = re.compile(r"\s"), re.compile(r"\d")
+        for code in range(sys.maxunicode + 1):
+            ch = chr(code)
+            assert (space.fullmatch(ch) is not None) == ch.isspace(), hex(code)
+            assert (digit.fullmatch(ch) is not None) == ch.isdecimal(), hex(code)
+            if ch != "," and not ch.isspace():
+                upper = ch.upper()
+                assert "," not in upper and not any(c.isspace() for c in upper), hex(code)
 
 
 class TestCanonical:

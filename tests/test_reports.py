@@ -6,15 +6,11 @@ from bibshift import (
     Source,
     ThresholdPair,
     build_corpus,
-    citation_counts,
-    cocitation_counts,
     core_references,
     groove_detect,
     rsi_series,
 )
 from bibshift.reports import (
-    citation_table,
-    cocitation_table,
     core_membership_table,
     core_size_matrix,
     cosine_text,
@@ -99,27 +95,6 @@ class TestSummaryTable:
 
 
 class TestCitationTables:
-    def make_slice(self):
-        records = [
-            mkrec("p1", refs=("SMITH J, 1960, J EXP MED, V1, P10", "DOE A, 1961")),
-            mkrec("p2", refs=("SMITH J, 1960, J EXP MED, V1, P10",)),
-        ]
-        return build_corpus(records).slice(1970)
-
-    def test_citation_rows_ordered_and_padded(self):
-        sl = self.make_slice()
-        text = citation_table(1970, citation_counts(sl), CFG)
-        lines = text.splitlines()
-        assert lines[3] == "1970\tSMITH J\t1960\tJ EXP MED\t1\t10\t2"
-        assert lines[4] == "1970\tDOE A\t1961\t-\t-\t-\t1"
-
-    def test_cocitation_rows_use_canonical_keys(self):
-        sl = self.make_slice()
-        counts = cocitation_counts(sl, set(citation_counts(sl)))
-        text = cocitation_table(1970, counts, CFG)
-        [row] = text.splitlines()[3:]
-        assert row == "1970\tDOE A, 1961\tSMITH J, 1960, J EXP MED, V1, P10\t1"
-
     def test_core_membership_sorted(self):
         corpus = pool_corpus({1970: ["B, 1960", "A, 1950"]})
         cores = [core_references(corpus.slice(1970), T)]
