@@ -7,126 +7,5 @@ find the groove that marks a break in citation behavior, and corroborate
 it with new title words, new co-word pairs, and stem-anchored phrase
 trends.
 """
-from .cocitation import (
-    CoreRefSet,
-    ThresholdPair,
-    citation_counts,
-    cocitation_counts,
-    core_references,
-    distinct_ref_count,
-)
-from .ingest import (
-    LinkageResult,
-    MalformedRecord,
-    MissingField,
-    ParseResult,
-    link_records,
-    normalize_title,
-    parse_citation_index_export,
-    parse_medline_export,
-)
-from .records import (
-    BibRecord,
-    BuildReport,
-    Corpus,
-    EmptyCorpus,
-    Source,
-    YearSlice,
-    build_corpus,
-    corpus_sources,
-    read_cache,
-    slice_by_source,
-    write_cache,
-)
-from .refkey import RefKey, normalize_text, parse_cited_ref
-from .stability import (
-    GapTooLarge,
-    GrooveReport,
-    NoDefinedPoints,
-    RsiPoint,
-    RsiSeries,
-    SeriesMinimum,
-    ThresholdMismatch,
-    format_cell,
-    format_rsi,
-    groove_detect,
-    round_half_up_2dp,
-    rsi,
-    rsi_series,
-    series_minimum,
-)
-from .textmetrics import (
-    CoWordPair,
-    PhrasePoint,
-    StopWordList,
-    TermStats,
-    cosine_pairs,
-    default_stopwords,
-    doc_frequencies,
-    load_stopwords,
-    new_coword_pairs,
-    new_terms,
-    phrase_trend,
-    title_token_sequence,
-    tokenize_title,
-)
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BibRecord",
-    "BuildReport",
-    "Corpus",
-    "CoreRefSet",
-    "CoWordPair",
-    "EmptyCorpus",
-    "GapTooLarge",
-    "GrooveReport",
-    "LinkageResult",
-    "MalformedRecord",
-    "MissingField",
-    "NoDefinedPoints",
-    "ParseResult",
-    "PhrasePoint",
-    "RefKey",
-    "RsiPoint",
-    "RsiSeries",
-    "SeriesMinimum",
-    "Source",
-    "StopWordList",
-    "TermStats",
-    "ThresholdMismatch",
-    "ThresholdPair",
-    "YearSlice",
-    "build_corpus",
-    "citation_counts",
-    "cocitation_counts",
-    "core_references",
-    "corpus_sources",
-    "cosine_pairs",
-    "default_stopwords",
-    "distinct_ref_count",
-    "doc_frequencies",
-    "format_cell",
-    "format_rsi",
-    "groove_detect",
-    "link_records",
-    "load_stopwords",
-    "new_coword_pairs",
-    "new_terms",
-    "normalize_text",
-    "normalize_title",
-    "parse_cited_ref",
-    "parse_citation_index_export",
-    "parse_medline_export",
-    "phrase_trend",
-    "read_cache",
-    "round_half_up_2dp",
-    "rsi",
-    "rsi_series",
-    "series_minimum",
-    "slice_by_source",
-    "title_token_sequence",
-    "tokenize_title",
-    "write_cache",
-]

@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -69,11 +70,22 @@ class CliError(Exception):
     """User-facing failure; printed as ``error: ...`` with exit code 1."""
 
 
-def _file_error(action: str, path: Path, exc: OSError) -> CliError:
-    """``cannot <action> <path> (<file>: <reason>)``; the file the system
-    names can differ from ``path`` (a parent that is not a directory)."""
-    reason = f"{exc.filename}: {exc.strerror}" if exc.filename else str(exc)
-    return CliError(f"cannot {action} {path} ({reason})")
+@contextmanager
+def _user_file(action: str, path: Path, missing: str = ""):
+    """Turn a failure on ``path`` into ``CliError``: ``missing`` (when given)
+    if the file does not exist, ``<path>: not UTF-8 text (...)`` on bad
+    bytes, and ``cannot <action> <path> (<file>: <reason>)`` on any other
+    ``OSError``; the file the system names can differ from ``path`` (a
+    parent that is not a directory)."""
+    if missing and not path.exists():
+        raise CliError(missing)
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: not UTF-8 text ({exc})") from exc
+    except OSError as exc:
+        reason = f"{exc.filename}: {exc.strerror}" if exc.filename else str(exc)
+        raise CliError(f"cannot {action} {path} ({reason})") from exc
 
 
 @dataclass(frozen=True)
@@ -87,7 +99,6 @@ class RunConfig:
     min_percent: float
     min_cosine: float
     stopwords: Optional[Path]
-    workers: int
     index: Optional[Path] = None
     medline: Optional[Path] = None
     head: Optional[str] = None
@@ -161,16 +172,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_config_file(path: Optional[Path]) -> dict:
     if path is None:
         return {}
-    if not path.exists():
-        raise CliError(f"config file not found: {path}")
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise CliError(f"cannot parse config file {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise CliError(f"{path}: not UTF-8 text ({exc})") from exc
-    except OSError as exc:
-        raise _file_error("read config file", path, exc) from exc
+    with _user_file("read config file", path, f"config file not found: {path}"):
+        try:
+            data = json.loads(path.read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise CliError(f"cannot parse config file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise CliError(f"config file {path} must hold a JSON object")
     unknown = sorted(set(data) - _CONFIG_KEYS)
@@ -285,7 +291,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         min_percent=min_percent,
         min_cosine=min_cosine,
         stopwords=as_path(_setting(args, file_cfg, "stopwords")),
-        workers=workers,
         index=as_path(_setting(args, file_cfg, "index")),
         medline=as_path(_setting(args, file_cfg, "medline")),
         head=_name_part("head", _setting(args, file_cfg, "head")),
@@ -300,29 +305,21 @@ def _load_corpus(cfg: RunConfig, full: bool = False, refs: bool = True) -> Corpu
     (words/cowords read --years as the compared pair, not a filter), and
     ``refs`` false leaves every record's cited references empty (for the
     title commands)."""
-    if not cfg.cache.exists():
-        raise CliError(
-            f"cache file not found: {cfg.cache} (run the ingest command first)"
-        )
-    try:
-        return build_corpus(read_cache(cfg.cache, refs=refs), None if full else cfg.years)
-    except (EmptyCorpus, ValueError) as exc:
-        raise CliError(f"cannot build corpus from {cfg.cache}: {exc}") from exc
-    except OSError as exc:
-        raise _file_error("read cache", cfg.cache, exc) from exc
+    with _user_file("read cache", cfg.cache,
+                    f"cache file not found: {cfg.cache} (run the ingest command first)"):
+        try:
+            return build_corpus(read_cache(cfg.cache, refs=refs),
+                                None if full else cfg.years)
+        except (EmptyCorpus, ValueError) as exc:
+            raise CliError(f"cannot build corpus from {cfg.cache}: {exc}") from exc
 
 
 def _load_stopwords(cfg: RunConfig) -> StopWordList:
     if cfg.stopwords is None:
         return default_stopwords()
-    if not cfg.stopwords.exists():
-        raise CliError(f"stop-word file not found: {cfg.stopwords}")
-    try:
+    with _user_file("read stop-word file", cfg.stopwords,
+                    f"stop-word file not found: {cfg.stopwords}"):
         return load_stopwords(cfg.stopwords)
-    except UnicodeDecodeError as exc:
-        raise CliError(f"{cfg.stopwords}: not UTF-8 text ({exc})") from exc
-    except OSError as exc:
-        raise _file_error("read stop-word file", cfg.stopwords, exc) from exc
 
 
 def _years_text(corpus: Corpus) -> str:
@@ -334,17 +331,11 @@ def _thresholds_text(cfg: RunConfig) -> str:
     return ",".join(str(t) for t in cfg.thresholds)
 
 
-def _stopwords_text(stop: StopWordList) -> str:
-    return stop.source_path
-
-
 def _write(cfg: RunConfig, name: str, text: str, written: list[Path]) -> None:
     path = cfg.out_dir / name
-    try:
+    with _user_file("write report", path):
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
         reports.write_report(path, text)
-    except OSError as exc:
-        raise _file_error("write report", path, exc) from exc
     written.append(path)
 
 
@@ -385,17 +376,12 @@ def _source_corpus(corpus: Corpus, source: Source) -> Corpus:
 def _parse_export(path: Optional[Path], parser) -> ParseResult:
     if path is None:
         return ParseResult()
-    if not path.exists():
-        raise CliError(f"input file not found: {path}")
-    try:
-        with path.open(encoding="utf-8") as handle:
-            return parser(handle)
-    except MalformedRecord as exc:
-        raise CliError(f"{path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise CliError(f"{path}: not UTF-8 text ({exc})") from exc
-    except OSError as exc:
-        raise _file_error("read input file", path, exc) from exc
+    with _user_file("read input file", path, f"input file not found: {path}"):
+        try:
+            with path.open(encoding="utf-8") as handle:
+                return parser(handle)
+        except MalformedRecord as exc:
+            raise CliError(f"{path}: {exc}") from exc
 
 
 def cmd_ingest(cfg: RunConfig, written: list[Path]) -> list[str]:
@@ -414,13 +400,6 @@ def cmd_ingest(cfg: RunConfig, written: list[Path]) -> list[str]:
         corpus = build_corpus(records, cfg.years)
     except EmptyCorpus as exc:
         raise CliError(f"cannot build corpus: {exc}") from exc
-
-    try:
-        cfg.cache.parent.mkdir(parents=True, exist_ok=True)
-        write_cache(corpus, cfg.cache)
-    except OSError as exc:
-        raise _file_error("write cache", cfg.cache, exc) from exc
-    written.append(cfg.cache)
 
     if cfg.index is not None and cfg.medline is not None:
         kept = list(corpus.records())
@@ -446,6 +425,11 @@ def cmd_ingest(cfg: RunConfig, written: list[Path]) -> list[str]:
     by_year, total = _distinct_refs(corpus)
     _write(cfg, "ingest_report.tsv", reports.summary_table(corpus, by_year, total, config),
            written)
+    # The cache goes last, so a failed ingest leaves the earlier cache (or none).
+    with _user_file("write cache", cfg.cache):
+        cfg.cache.parent.mkdir(parents=True, exist_ok=True)
+        write_cache(corpus, cfg.cache)
+    written.append(cfg.cache)
     return warnings
 
 
@@ -515,7 +499,7 @@ def cmd_words(cfg: RunConfig, written: list[Path]) -> None:
         ("command", "words"),
         ("years", f"{former}:{later}"),
         ("min_percent", str(cfg.min_percent)),
-        ("stopwords", _stopwords_text(stop)),
+        ("stopwords", stop.source_path),
     ]
     _write(cfg, f"words_{former}-{later}.tsv",
            reports.words_table(per_source, config), written)
@@ -540,7 +524,7 @@ def cmd_cowords(cfg: RunConfig, written: list[Path]) -> None:
         ("years", f"{former}:{later}"),
         ("min_percent", str(cfg.min_percent)),
         ("min_cosine", str(cfg.min_cosine)),
-        ("stopwords", _stopwords_text(stop)),
+        ("stopwords", stop.source_path),
     ]
     _write(cfg, f"cowords_{former}-{later}.tsv",
            reports.cowords_table(per_source, config), written)

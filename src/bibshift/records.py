@@ -208,7 +208,7 @@ def read_cache(path: Path, refs: bool = True) -> list[BibRecord]:
     """
     records: list[BibRecord] = []
     keys: dict[str, RefKey] = {}  # escaped reference cell -> parsed key
-    with path.open(encoding="utf-8", newline="\n") as handle:
+    with open(path, encoding="utf-8", newline="\n") as handle:
         if handle.readline().rstrip("\n") != CACHE_HEADER:
             raise ValueError(f"{path}:1: not a bibshift cache (the first line must be "
                              f"{CACHE_HEADER!r})")

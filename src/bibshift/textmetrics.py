@@ -38,8 +38,6 @@ from .records import Corpus, YearSlice
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
-TermPair = tuple[str, str]
-
 
 @dataclass(frozen=True)
 class StopWordList:
@@ -120,17 +118,6 @@ def _doc_freq_map(sl: YearSlice, stop: StopWordList) -> Counter:
     return counts
 
 
-def _term_maps(sl: YearSlice, stop: StopWordList) -> tuple[Counter, Counter]:
-    """Document and co-document frequencies from one tokenisation per title."""
-    df: Counter[str] = Counter()
-    co: Counter[TermPair] = Counter()
-    for record in sl.records:
-        tokens = sorted(tokenize_title(record.title, stop))
-        df.update(tokens)
-        co.update(combinations(tokens, 2))
-    return df, co
-
-
 def _term_pairs(token_sets):
     """Every term pair of every set, lexicographically ordered in the pair."""
     return chain.from_iterable(combinations(sorted(tokens), 2) for tokens in token_sets)
@@ -186,7 +173,9 @@ def cosine_pairs(
 ) -> list[CoWordPair]:
     """Co-occurring term pairs with cosine >= min_cosine, strongest first."""
     _check_min_cosine(min_cosine)
-    qualifying = _pairs_at_cosine(*_term_maps(sl, stop), min_cosine)
+    token_sets = [tokenize_title(record.title, stop) for record in sl.records]
+    df = Counter(chain.from_iterable(token_sets))
+    qualifying = _pairs_at_cosine(df, Counter(_term_pairs(token_sets)), min_cosine)
     qualifying.sort(key=lambda p: (-p.cosine, p.term_a, p.term_b))
     return qualifying
 

@@ -2,7 +2,8 @@ from pathlib import Path
 
 import pytest
 
-from bibshift import BibRecord, Source, YearSlice, build_corpus, parse_cited_ref
+from bibshift.records import BibRecord, Source, YearSlice, build_corpus
+from bibshift.refkey import parse_cited_ref
 from bibshift.textmetrics import StopWordList
 
 DATA_DIR = Path(__file__).parent / "data"

@@ -9,8 +9,9 @@ import re
 from itertools import combinations
 from typing import Optional
 
-from bibshift import RefKey, YearSlice
 from bibshift.cocitation import ThresholdPair
+from bibshift.records import YearSlice
+from bibshift.refkey import RefKey
 
 
 def brute_citation_counts(sl: YearSlice) -> dict:

@@ -11,27 +11,26 @@ import random
 import time
 import warnings
 
-from bibshift import (
+from bibshift.cli import run
+from bibshift.cocitation import (
     CoreRefSet,
     ThresholdPair,
-    build_corpus,
     citation_counts,
     cocitation_counts,
     core_references,
+)
+from bibshift.records import build_corpus
+from bibshift.refkey import parse_cited_ref
+from bibshift.reports import rsi_matrix
+from bibshift.stability import format_rsi, groove_detect, rsi, rsi_series
+from bibshift.textmetrics import (
+    StopWordList,
     cosine_pairs,
     doc_frequencies,
-    format_rsi,
-    groove_detect,
     new_coword_pairs,
     new_terms,
-    parse_cited_ref,
     phrase_trend,
-    rsi,
-    rsi_series,
 )
-from bibshift.cli import run
-from bibshift.reports import rsi_matrix
-from bibshift.textmetrics import StopWordList
 from conftest import DATA_DIR, mkrec, mkref, write_index_export, write_medline_export
 from oracles import (
     brute_co_doc_freq,

@@ -132,6 +132,21 @@ class TestIngest:
         assert "Traceback" not in err
         assert not cache.exists()
 
+    def test_failed_report_write_leaves_the_cache_alone(self, tmp_path, capsys):
+        cache = ingest(tmp_path)
+        before = cache.read_bytes()
+        fresh = tmp_path / "fresh.tsv"
+        afile = tmp_path / "afile"
+        afile.write_text("", encoding="utf-8")
+        index_path, _ = seed_exports(tmp_path)
+        capsys.readouterr()
+        for target in (cache, fresh):
+            assert run(["ingest", "--index", str(index_path), "--years", "1970:1971",
+                        "--cache", str(target), "--out-dir", str(afile)]) == 1
+            assert capsys.readouterr().err.startswith("error: cannot write report ")
+        assert cache.read_bytes() == before
+        assert not fresh.exists()
+
     def test_missing_field_warnings_reported(self, tmp_path, capsys):
         path = tmp_path / "index.txt"
         path.write_text("TI ONLY A TITLE\nPY 1970\nER\n", encoding="utf-8")
@@ -575,7 +590,8 @@ class TestUnreadableFiles:
 
     def test_ingest_cache_that_is_a_directory(self, tmp_path, capsys):
         index_path, _ = seed_exports(tmp_path)
-        assert run(["ingest", "--index", str(index_path), "--cache", str(tmp_path)]) == 1
+        assert run(["ingest", "--index", str(index_path), "--cache", str(tmp_path),
+                    "--out-dir", str(tmp_path / "out")]) == 1
         self.assert_error(capsys, f"error: cannot write cache {tmp_path}")
 
     def test_out_dir_that_is_a_file(self, tmp_path, capsys):

@@ -1,15 +1,16 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bibshift import (
+from bibshift.cocitation import (
     ThresholdPair,
     citation_counts,
     cocitation_counts,
     core_references,
+    core_sets,
     distinct_ref_count,
-    build_corpus,
+    pair_key,
 )
-from bibshift.cocitation import core_sets, pair_key
+from bibshift.records import build_corpus
 from conftest import mkrec, mkref
 from oracles import brute_citation_counts, brute_cocitation_counts, brute_core_refs
 

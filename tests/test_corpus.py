@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bibshift
-from bibshift import (
+from bibshift.records import (
+    CACHE_HEADER,
     BibRecord,
     EmptyCorpus,
     Source,
@@ -18,7 +19,6 @@ from bibshift import (
     slice_by_source,
     write_cache,
 )
-from bibshift.records import CACHE_HEADER
 from conftest import mkrec
 
 
@@ -113,7 +113,7 @@ _nasty_ref = st.text(
 
 class TestCacheRoundTrip:
     def test_round_trip_is_bit_identical(self, tmp_path, data_dir):
-        from bibshift import parse_citation_index_export
+        from bibshift.ingest import parse_citation_index_export
 
         with open(data_dir / "citation_index_3records.txt", encoding="utf-8") as fh:
             corpus = build_corpus(parse_citation_index_export(fh).records)
@@ -137,7 +137,7 @@ class TestCacheRoundTrip:
         )
     )
     def test_arbitrary_field_content_survives(self, tmp_path_factory, rows):
-        from bibshift import parse_cited_ref
+        from bibshift.refkey import parse_cited_ref
 
         records = [
             BibRecord(
@@ -215,7 +215,8 @@ class TestCacheReferenceSpellings:
         script = (
             "import sys\n"
             "from pathlib import Path\n"
-            "from bibshift import BibRecord, Source, build_corpus, parse_cited_ref, write_cache\n"
+            "from bibshift.records import BibRecord, Source, build_corpus, write_cache\n"
+            "from bibshift.refkey import parse_cited_ref\n"
             "refs = frozenset(parse_cited_ref(r) for r in ('X, 1970', 'X,,1970', 'W, 1950'))\n"
             "record = BibRecord('p', Source.CITATION_INDEX, 't', 1970, refs)\n"
             "write_cache(build_corpus([record]), Path(sys.argv[1]))\n"

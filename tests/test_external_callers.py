@@ -1,0 +1,61 @@
+"""Callers outside ``src/`` that no other test runs: the README's Library
+example and the tables of functions the benchmark's tracer wraps."""
+import ast
+import contextlib
+import io
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+from bibshift.cli import run
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _library_example() -> str:
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch):
+    exports = tmp_path / "exports"
+    subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "make_synthetic_corpus.py"),
+         "--out-dir", str(exports), "--papers-per-year", "24"],
+        check=True, capture_output=True, timeout=120,
+    )
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(["ingest", "--cache", str(tmp_path / "corpus_cache.tsv"),
+                    "--out-dir", str(tmp_path / "reports"),
+                    "--index", str(exports / "citation_index.txt"),
+                    "--medline", str(exports / "medline.txt")]) == 0
+    monkeypatch.chdir(tmp_path)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(_library_example(), "README.md", "exec"), {})
+    consensus = ast.literal_eval(out.getvalue().strip())
+    assert consensus and all(len(interval) == 2 for interval in consensus)
+
+
+def _tracer_tables() -> dict[str, dict[str, tuple[str, ...]]]:
+    tree = ast.parse((ROOT / "bench" / "tracer.py").read_text(encoding="utf-8"))
+    return {
+        node.targets[0].id: ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and len(node.targets) == 1
+        and isinstance(node.targets[0], ast.Name)
+        and node.targets[0].id in ("SPANNED", "HOT")
+    }
+
+
+def test_every_function_the_tracer_wraps_exists():
+    tables = _tracer_tables()
+    assert set(tables) == {"SPANNED", "HOT"}
+    for table in tables.values():
+        for module_name, names in table.items():
+            # install() needs the module loaded by importing the CLI.
+            module = sys.modules[f"bibshift.{module_name}"]
+            for name in names:
+                assert callable(getattr(module, name, None)), f"bibshift.{module_name}.{name}"

@@ -2,14 +2,14 @@ import io
 
 import pytest
 
-from bibshift import (
+from bibshift.ingest import (
     MalformedRecord,
-    Source,
     link_records,
     normalize_title,
     parse_citation_index_export,
     parse_medline_export,
 )
+from bibshift.records import Source
 from conftest import mkrec
 
 

@@ -4,7 +4,7 @@ import sys
 
 from hypothesis import example, given, settings, strategies as st
 
-from bibshift import RefKey, normalize_text, parse_cited_ref
+from bibshift.refkey import RefKey, normalize_text, parse_cited_ref
 from oracles import brute_parse_cited_ref
 
 # Separators, Unicode whitespace (tab, NBSP, EM SPACE, \x1c), both cases of

@@ -1,15 +1,7 @@
 from fractions import Fraction
 
-from bibshift import (
-    GrooveReport,
-    SeriesMinimum,
-    Source,
-    ThresholdPair,
-    build_corpus,
-    core_references,
-    groove_detect,
-    rsi_series,
-)
+from bibshift.cocitation import ThresholdPair, core_references
+from bibshift.records import Source, build_corpus
 from bibshift.reports import (
     core_membership_table,
     core_size_matrix,
@@ -26,6 +18,7 @@ from bibshift.reports import (
     words_table,
     write_report,
 )
+from bibshift.stability import GrooveReport, SeriesMinimum, groove_detect, rsi_series
 from bibshift.textmetrics import CoWordPair, PhrasePoint, TermStats
 from conftest import mkrec
 

@@ -3,13 +3,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bibshift import (
-    CoreRefSet,
+from bibshift.cocitation import CoreRefSet, ThresholdPair, core_sets
+from bibshift.records import build_corpus
+from bibshift.stability import (
     GapTooLarge,
     NoDefinedPoints,
     ThresholdMismatch,
-    ThresholdPair,
-    build_corpus,
     format_cell,
     format_rsi,
     groove_detect,
@@ -18,7 +17,6 @@ from bibshift import (
     rsi_series,
     series_minimum,
 )
-from bibshift.cocitation import core_sets
 from conftest import mkrec, mkref
 
 T = ThresholdPair(3, 2)

@@ -3,21 +3,21 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bibshift import (
+from bibshift import textmetrics
+from bibshift.records import build_corpus
+from bibshift.textmetrics import (
     StopWordList,
-    build_corpus,
     cosine_pairs,
     default_stopwords,
     doc_frequencies,
     load_stopwords,
     new_coword_pairs,
     new_terms,
+    parse_stopwords,
     phrase_trend,
     title_token_sequence,
     tokenize_title,
 )
-from bibshift import textmetrics
-from bibshift.textmetrics import parse_stopwords
 from conftest import mkrec
 from oracles import (
     brute_co_doc_freq,
