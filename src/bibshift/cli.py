@@ -22,6 +22,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
+from warnings import catch_warnings, simplefilter
 
 from . import reports
 from .cocitation import ThresholdPair, core_sets, distinct_ref_count
@@ -76,7 +77,8 @@ def _user_file(action: str, path: Path, missing: str = ""):
     if the file does not exist, ``<path>: not UTF-8 text (...)`` on bad
     bytes, and ``cannot <action> <path> (<file>: <reason>)`` on any other
     ``OSError``; the file the system names can differ from ``path`` (a
-    parent that is not a directory)."""
+    parent that is not a directory). When a temp file fails to replace
+    ``path``, the file named is the target, not the temp file."""
     if missing and not path.exists():
         raise CliError(missing)
     try:
@@ -84,7 +86,8 @@ def _user_file(action: str, path: Path, missing: str = ""):
     except UnicodeDecodeError as exc:
         raise CliError(f"{path}: not UTF-8 text ({exc})") from exc
     except OSError as exc:
-        reason = f"{exc.filename}: {exc.strerror}" if exc.filename else str(exc)
+        name = exc.filename2 or exc.filename
+        reason = f"{name}: {exc.strerror}" if name else str(exc)
         raise CliError(f"cannot {action} {path} ({reason})") from exc
 
 
@@ -107,8 +110,18 @@ class RunConfig:
 
 # ── argument handling ─────────────────────────────────────────────────────────
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Ends a bad flag, flag value or subcommand like every other bad input:
+    the usage line, then ``error: ...``, and exit code 1 (argparse's is 2).
+    Subparsers inherit the class."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="bibshift",
         description="Detect shifts in a literature corpus via core-reference "
                     "stability and title-word analysis.",
@@ -206,10 +219,16 @@ def parse_years(text: str) -> tuple[int, int]:
 
 
 def parse_thresholds(text: str) -> tuple[ThresholdPair, ...]:
+    """Threshold pairs from ``N/M,...``; the library's warning about a pair
+    whose cocite_min exceeds its cite_min is printed as a ``warning:`` line."""
     try:
-        pairs = tuple(ThresholdPair.parse(part) for part in text.split(","))
+        with catch_warnings(record=True) as caught:
+            simplefilter("always")
+            pairs = tuple(ThresholdPair.parse(part) for part in text.split(","))
     except ValueError as exc:
         raise CliError(str(exc)) from exc
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
     if not pairs:
         raise CliError("thresholds list is empty")
     return pairs

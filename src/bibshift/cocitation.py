@@ -6,14 +6,20 @@ however often the raw record repeated the string. A reference is *core*
 for a year under a threshold pair when its citation count reaches
 ``cite_min`` and it is co-cited at least ``cocite_min`` times with some
 other reference that itself reaches ``cite_min``.
+
+Core sets are counted on ints: each distinct reference of the corpus gets
+an id once, in one pass over the records that cite anything, and citation
+and co-citation counts run on those ids. Only each year's candidates are
+ordered by ``RefKey.sort_key``, and ``RefKey`` sets are built only for the
+result.
 """
 from __future__ import annotations
 
 import warnings
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Sequence
+from itertools import chain, combinations
+from typing import Hashable, Iterable, Sequence
 
 from .refkey import RefKey
 from .records import Corpus, YearSlice
@@ -80,15 +86,22 @@ def cocitation_counts(
 ) -> dict[RefPair, int]:
     """Number of papers citing both members, for pairs drawn from
     ``candidates``. Pairs never cited together are omitted."""
-    # Count on int ids numbered in sort-key order: a sorted id pair is
-    # already the canonical pair order of pair_key.
     ordered = sorted(set(candidates), key=RefKey.sort_key)
-    ids = {ref: i for i, ref in enumerate(ordered)}
-    counts: Counter[tuple[int, int]] = Counter()
-    for record in sl.records:
-        cited = sorted(i for i in map(ids.get, record.cited_refs) if i is not None)
-        counts.update(combinations(cited, 2))
+    counts = _pair_counts((record.cited_refs for record in sl.records), ordered)
     return {(ordered[a], ordered[b]): n for (a, b), n in counts.items()}
+
+
+def _pair_counts(rows: Iterable[Iterable[Hashable]],
+                 ordered: Sequence[Hashable]) -> Counter[tuple[int, int]]:
+    """For each pair of ``ordered`` items, the number of rows holding both,
+    keyed by the items' positions in ``ordered``, lower first. With
+    ``ordered`` in sort-key order that is the canonical order of pair_key."""
+    position = {item: p for p, item in enumerate(ordered)}
+    counts: Counter[tuple[int, int]] = Counter()
+    for row in rows:
+        held = sorted([position[item] for item in row if item in position])
+        counts.update(combinations(held, 2))
+    return counts
 
 
 def core_sets(
@@ -98,8 +111,10 @@ def core_sets(
     pair. Each year is counted once for all the pairs."""
     unique = list(dict.fromkeys(thresholds))
     by_threshold: dict[ThresholdPair, list[CoreRefSet]] = {t: [] for t in unique}
-    for year in corpus.years():
-        for core in _year_cores(corpus.slice(year), unique):
+    years = corpus.years()
+    keys, rows_by_year = _ref_ids(corpus.slice(year) for year in years)
+    for year, rows in zip(years, rows_by_year):
+        for core in _year_cores(year, rows, keys, unique):
             by_threshold[core.thresholds].append(core)
     return by_threshold
 
@@ -109,34 +124,47 @@ def core_references(sl: YearSlice, thresholds: ThresholdPair) -> CoreRefSet:
 
     An empty result is a legitimate outcome for sparse years.
     """
-    return _year_cores(sl, [thresholds])[0]
+    keys, (rows,) = _ref_ids([sl])
+    return _year_cores(sl.year, rows, keys, [thresholds])[0]
 
 
-def _year_cores(sl: YearSlice, thresholds: Sequence[ThresholdPair]) -> list[CoreRefSet]:
-    """One core set per threshold pair from a single count of the slice.
+def _ref_ids(slices: Iterable[YearSlice]) -> tuple[list[RefKey], list[list[list[int]]]]:
+    """Give each distinct reference of the slices an int id: the keys in id
+    order, and per slice the ids cited by each record that cites anything."""
+    ids: dict[RefKey, int] = {}
+    rows = [
+        [[ids.setdefault(ref, len(ids)) for ref in record.cited_refs]
+         for record in sl.records if record.cited_refs]
+        for sl in slices
+    ]
+    return list(ids), rows
+
+
+def _year_cores(year: int, rows: list[list[int]], keys: Sequence[RefKey],
+                thresholds: Sequence[ThresholdPair]) -> list[CoreRefSet]:
+    """One core set per threshold pair from a single count of one year's
+    id rows.
 
     Pairs are counted among the references that reach the lowest
     ``cite_min``; each threshold pair then keeps the pairs whose count
     reaches its ``cocite_min`` and whose members both reach its ``cite_min``.
     """
-    cites = citation_counts(sl)
+    cites = Counter(chain.from_iterable(rows))
     floor = min(t.cite_min for t in thresholds)
-    pairs = cocitation_counts(sl, [ref for ref, n in cites.items() if n >= floor])
-    # (pair count, lower member citation count, members)
-    scored = [(n, min(cites[a], cites[b]), (a, b)) for (a, b), n in pairs.items()]
-    return [
-        CoreRefSet(
-            year=sl.year,
-            thresholds=t,
-            members=frozenset(
-                ref
-                for n, low, pair in scored
-                if n >= t.cocite_min and low >= t.cite_min
-                for ref in pair
-            ),
-        )
-        for t in thresholds
-    ]
+    ordered = sorted((i for i, n in cites.items() if n >= floor),
+                     key=lambda i: keys[i].sort_key())
+    pairs = _pair_counts(rows, ordered)
+    counts = [cites[i] for i in ordered]  # citation count by position
+    cores = []
+    for t in thresholds:
+        cite_min, cocite_min = t.cite_min, t.cocite_min
+        positions = set(chain.from_iterable(
+            pair for pair, n in pairs.items()
+            if n >= cocite_min and counts[pair[0]] >= cite_min and counts[pair[1]] >= cite_min
+        ))
+        members = frozenset(keys[ordered[p]] for p in positions)
+        cores.append(CoreRefSet(year=year, thresholds=t, members=members))
+    return cores
 
 
 def distinct_ref_count(sl: YearSlice) -> int:

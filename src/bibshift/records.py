@@ -6,13 +6,17 @@ column joins the raw cited-reference strings with ``|``; backslash escapes
 (backslash, tab, newline, carriage return, ``#``, and ``|`` as ``\\p``) keep
 every field tab-, separator-, and comment-safe, so a cache file round-trips
 byte-identically. The first line must be ``CACHE_HEADER``; later lines
-starting with ``#`` are comment lines and are skipped on read. A reader
+starting with ``#`` are comment lines and are skipped on read. The file
+always ends with a newline, so a last line without one marks a cut file and
+is rejected. The cache is written through a temp file that replaces the old
+one only once complete (``write_text_atomic``). A reader
 that needs only titles can leave the reference column unparsed
 (``read_cache(path, refs=False)``).
 """
 from __future__ import annotations
 
 import enum
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
@@ -175,7 +179,25 @@ def _unescape(text: str) -> str:
     return "".join(out)
 
 
-def write_cache(corpus: Corpus, path: Path) -> None:
+def write_text_atomic(path: str | os.PathLike, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8 with ``\\n`` line ends, through a
+    temp file in the same directory that replaces ``path`` only once it is
+    complete. On any error the temp file is removed and ``path`` keeps what
+    it held. This guards against an interrupted process, not a power loss:
+    nothing is synced to disk."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
+    handle = open(tmp, "x", encoding="utf-8", newline="\n")
+    try:
+        with handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_cache(corpus: Corpus, path: str | os.PathLike) -> None:
     """Write the corpus as a TSV cache. Deterministic: years ascending,
     records in slice order, cited refs in ``RefKey.sort_key`` order."""
     lines = [CACHE_HEADER]
@@ -193,10 +215,10 @@ def write_cache(corpus: Corpus, path: Path) -> None:
                     )
                 )
             )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
-def read_cache(path: Path, refs: bool = True) -> list[BibRecord]:
+def read_cache(path: str | os.PathLike, refs: bool = True) -> list[BibRecord]:
     """Read records back from a cache file written by write_cache.
 
     Each distinct reference cell is parsed once per call; records that
@@ -205,6 +227,7 @@ def read_cache(path: Path, refs: bool = True) -> list[BibRecord]:
     source and year checked, but the cited-reference column is never parsed
     and every record's ``cited_refs`` is empty. Parsing a reference never
     fails, so skipping the column rejects no cache that reading it accepts.
+    A file whose last line lacks its newline was cut short and is rejected.
     """
     records: list[BibRecord] = []
     keys: dict[str, RefKey] = {}  # escaped reference cell -> parsed key
@@ -213,7 +236,10 @@ def read_cache(path: Path, refs: bool = True) -> list[BibRecord]:
             raise ValueError(f"{path}:1: not a bibshift cache (the first line must be "
                              f"{CACHE_HEADER!r})")
         for lineno, line in enumerate(handle, start=2):
-            line = line.rstrip("\n")
+            if not line.endswith("\n"):
+                raise ValueError(f"{path}:{lineno}: truncated cache line (a cache file "
+                                 "ends with a newline; this one was cut short)")
+            line = line[:-1]
             if not line or line.startswith("#"):
                 continue
             # Tabs inside fields are escaped, so a plain split is safe.

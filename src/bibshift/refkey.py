@@ -13,7 +13,7 @@ first page wherever they occur ("digits" are Unicode decimal digits, as
 ``str.isdecimal`` and ``\\d`` define them). Anything else (DOIs, trailing
 junk) survives only in ``raw``. Two keys are equal when their normalized
 component tuples are equal; the raw spelling never takes part in equality
-or hashing.
+or hashing. Each key hashes its components once, when it is built.
 """
 from __future__ import annotations
 
@@ -44,6 +44,21 @@ class RefKey:
     volume: Optional[int] = None
     first_page: Optional[int] = None
     raw: str = field(default="", compare=False)
+
+    def __post_init__(self):
+        # The value the generated __hash__ would give, computed once: keys
+        # are hashed on every lookup in the citation and co-citation counts.
+        object.__setattr__(self, "_hash", hash(
+            (self.author, self.year, self.source_abbrev, self.volume, self.first_page)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild through __init__: a str hash is only valid in the process
+        # that computed it.
+        return (RefKey, (self.author, self.year, self.source_abbrev, self.volume,
+                         self.first_page, self.raw))
 
     def canonical(self) -> str:
         """Canonical spelling rebuilt from the components.

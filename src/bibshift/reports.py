@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .cocitation import CoreRefSet, ThresholdPair
-from .records import Corpus, Source, slice_by_source
+from .records import Corpus, Source, slice_by_source, write_text_atomic
 from .refkey import RefKey
 from .stability import GrooveReport, RsiSeries, format_cell, format_rsi
 from .textmetrics import CoWordPair, PhrasePoint, TermStats
@@ -47,7 +47,7 @@ def render_table(config: ConfigPairs, columns: Sequence[str], rows) -> str:
 
 
 def write_report(path: Path, text: str) -> None:
-    path.write_text(text, encoding="utf-8", newline="\n")
+    write_text_atomic(path, text)
 
 
 # ── corpus summary ────────────────────────────────────────────────────────────

@@ -1,9 +1,12 @@
+import contextlib
+import io
 import json
 import os
 import string
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -18,9 +21,12 @@ from bibshift.cli import (
     parse_years,
     run,
 )
+from bibshift.cocitation import ThresholdPair
 from bibshift.records import CACHE_HEADER, Source, build_corpus, read_cache, write_cache
+from bibshift.refkey import RefKey
+from bibshift.stability import RsiPoint, format_cell
 from conftest import mkrec, write_index_export, write_medline_export
-from oracles import brute_phrase_points
+from oracles import brute_core_refs, brute_phrase_points
 
 POOLS = {
     1970: ["KAPLAN A, 1950, J ONE, V1, P1", "LODGE B, 1951, J TWO, V2, P2"],
@@ -441,6 +447,95 @@ class TestPhraseMatchesOracle:
         assert series == [[str(y), cell[1]] for y, cell in zip(years, cells(everything))]
 
 
+# Reference spellings: each base in several spellings of one key, and two
+# unequal keys that share the canonical spelling "X, 1970".
+_REF_BASES = ["BALTIMORE D, 1970, NATURE, V226, P1209", "TEMIN HM, 1970, NATURE, V226",
+              "WATSON JD, 1953, NATURE, V171, P737", "GROSS L, 1957, CANCER RES",
+              "X, 1970", "X,,1970"]
+_REF_SPELLINGS = [spelling for base in _REF_BASES
+                  for spelling in dict.fromkeys((base, base.lower(), base.replace(", ", ","),
+                                                 base.replace(" ", "  ")))]
+
+
+@st.composite
+def reference_cases(draw):
+    """Records of mixed sources in years with a gap (1972 has none), index
+    records citing any spellings (MEDLINE records and some index records
+    cite nothing), threshold pairs and gaps."""
+    row = st.tuples(st.sampled_from(list(Source)),
+                    st.lists(st.sampled_from(_REF_SPELLINGS), max_size=6))
+    rows = [(year, source, refs)
+            for year in (1970, 1971, 1973, 1974)
+            for source, refs in draw(st.lists(row, max_size=8))]
+    if not rows:
+        rows = [(1970, Source.MEDLINE, [])]
+    records = [mkrec(f"r{i}", refs=refs if source is Source.CITATION_INDEX else (),
+                     title="virus", year=year, source=source)
+               for i, (year, source, refs) in enumerate(rows)]
+    thresholds = draw(st.lists(
+        st.tuples(st.integers(1, 3), st.integers(1, 3))
+        .map(lambda pair: ThresholdPair(pair[0], min(pair))),
+        min_size=1, max_size=3))
+    gaps = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2, unique=True))
+    return build_corpus(records), thresholds, gaps
+
+
+class TestReferenceReportsMatchOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(reference_cases())
+    def test_core_refs_and_rsi_match_brute_force(self, case):
+        corpus, thresholds, gaps = case
+        years = corpus.years()
+        brute = {(t, y): brute_core_refs(corpus.slice(y), t) for t in thresholds for y in years}
+        threshold_text = ",".join(map(str, thresholds))
+        with tempfile.TemporaryDirectory() as tmp:
+            cache, out = Path(tmp) / "c.tsv", Path(tmp) / "out"
+            write_cache(corpus, cache)
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert run(["core-refs", "--cache", str(cache), "--out-dir", str(out),
+                            "--thresholds", threshold_text]) == 0
+            assert _table_rows(out / "core_refs.tsv") == [
+                [str(y), str(t), ref.canonical()]
+                for t in thresholds for y in years
+                for ref in sorted(brute[t, y], key=RefKey.sort_key)
+            ]
+            assert _table_rows(out / "core_sizes.tsv") == [
+                [str(t)] + [str(len(brute[t, y])) for y in years]
+                for t in dict.fromkeys(thresholds)
+            ]
+
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = run(["rsi", "--cache", str(cache), "--out-dir", str(out),
+                            "--thresholds", threshold_text,
+                            "--gaps", ",".join(map(str, gaps))])
+            for gap in gaps:
+                points = {t: [self.point(brute[t, y], brute[t, y + gap], y, y + gap)
+                              for y in years if y + gap <= years[-1]] for t in thresholds}
+                if not points[thresholds[0]] or not all(
+                        any(p.defined for p in series) for series in points.values()):
+                    # no interval fits, or some series has no defined point
+                    assert code == 1 and err.getvalue().startswith("error: ")
+                    break
+                lines = (out / f"rsi_matrix_gap{gap}.tsv").read_text(
+                    encoding="utf-8").splitlines()
+                rows = [line.split("\t") for line in lines if not line.startswith("#")]
+                assert rows[0] == ["thresholds"] + [f"{p.former_year}/{p.later_year}"
+                                                    for p in points[thresholds[0]]]
+                assert rows[1:1 + len(thresholds)] == [
+                    [str(t)] + [format_cell(p) for p in points[t]] for t in thresholds]
+            else:
+                assert code == 0
+
+    @staticmethod
+    def point(former: frozenset, later: frozenset, former_year: int,
+              later_year: int) -> RsiPoint:
+        shared = len(former & later)
+        union = len(former) + len(later) - shared
+        rsi = Fraction(shared, union) if former and later else None
+        return RsiPoint(former_year, later_year, len(former), len(later), shared, rsi)
+
+
 class TestBadFloats:
     @pytest.mark.parametrize("key", ["min_percent", "min_cosine"])
     @pytest.mark.parametrize("value", ["abc", None, [1]])
@@ -550,6 +645,14 @@ class TestBadCache:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert f"{cache}:2: unknown source 'BOGUS'" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_cache_cut_mid_line_is_an_error(self, tmp_path, capsys):
+        cache = self.write(tmp_path, lambda text: text[:-len("virus\t\n")])
+        assert run(["summary", *base_args(tmp_path, cache)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot build corpus from {cache}: "
+                              f"{cache}:2: truncated cache line")
         assert not (tmp_path / "out").exists()
 
     def test_headerless_cache_is_an_error(self, tmp_path, capsys):
@@ -730,6 +833,33 @@ class TestArgHelpers:
         assert run(["summary", "--cache", str(tmp_path / "c.tsv"),
                     "--workers", "0"]) == 1
         assert "workers must be >= 1" in capsys.readouterr().err
+
+
+class TestArgparseErrors:
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["summary", "--workers", "abc"], id="bad-value"),
+        pytest.param(["summary", "--bogus"], id="unknown-flag"),
+        pytest.param([], id="no-subcommand"),
+    ])
+    def test_bad_flag_ends_in_error_and_exit_1(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[0].startswith("usage: bibshift")
+        assert lines[-1].startswith("error: ")
+        assert "Traceback" not in "\n".join(lines)
+
+
+class TestThresholdWarning:
+    def test_cocite_above_cite_is_a_warning_line(self, tmp_path, capsys):
+        cache = ingest(tmp_path)
+        capsys.readouterr()
+        assert run(["rsi", *base_args(tmp_path, cache),
+                    "--thresholds", "2/3", "--gaps", "1"]) == 0
+        assert capsys.readouterr().err == (
+            "warning: cocite_min 3 exceeds cite_min 2; the co-citation threshold "
+            "can never bind above the citation count\n")
 
 
 class TestConfigWorkers:

@@ -264,3 +264,56 @@ class TestCacheWithoutReferences:
         path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
         with pytest.raises(ValueError, match=message):
             read_cache(path, refs=False)
+
+
+class TestCacheCutShort:
+    def write(self, tmp_path):
+        records = [mkrec(f"p{i}", refs=["GROSS L, 1957, CANCER RES, V17, P1"],
+                         title="virus", year=1970 + i) for i in range(3)]
+        path = tmp_path / "c.tsv"
+        write_cache(build_corpus(records), path)
+        return path
+
+    def test_cache_cut_mid_line_rejected(self, tmp_path):
+        path = self.write(tmp_path)
+        data = path.read_bytes()
+        path.write_bytes(data[:data.rindex(b"CANCER")])
+        with pytest.raises(ValueError, match=r":4: truncated cache line"):
+            read_cache(path)
+        with pytest.raises(ValueError, match=r":4: truncated cache line"):
+            read_cache(path, refs=False)
+
+    def test_cache_cut_at_a_line_end_still_loads(self, tmp_path):
+        path = self.write(tmp_path)
+        data = path.read_bytes()
+        path.write_bytes(data[:data.rindex(b"\n", 0, -1) + 1])
+        assert [r.pub_year for r in read_cache(path)] == [1970, 1971]
+
+
+class TestCacheWrite:
+    def corpus(self, title="virus"):
+        return build_corpus([mkrec("p", refs=["X, 1960, J"], title=title, year=1970)])
+
+    def test_str_path_works(self, tmp_path):
+        path = tmp_path / "c.tsv"
+        write_cache(self.corpus(), str(path))
+        assert [r.record_id for r in read_cache(str(path))] == ["p"]
+
+    @pytest.mark.parametrize("failure", ["unencodable title", "replace fails"])
+    def test_failed_write_keeps_the_earlier_cache_and_no_temp_file(
+            self, tmp_path, monkeypatch, failure):
+        path = tmp_path / "c.tsv"
+        write_cache(self.corpus(), path)
+        before = path.read_bytes()
+        if failure == "replace fails":
+            def replace_fails(src, dst):
+                raise OSError(28, "No space left on device", str(src))
+            monkeypatch.setattr(os, "replace", replace_fails)
+            corpus, error = self.corpus("tumor"), OSError
+        else:
+            # a lone surrogate cannot be encoded as UTF-8: the write fails part way
+            corpus, error = self.corpus("virus \ud800"), UnicodeEncodeError
+        with pytest.raises(error):
+            write_cache(corpus, path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.tsv"]

@@ -1,6 +1,11 @@
+import os
+import pickle
 import re
 import string
+import subprocess
 import sys
+from dataclasses import replace
+from pathlib import Path
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -163,3 +168,35 @@ class TestCanonical:
         a = parse_cited_ref("Smith A, 1960, J Virol, V1, P10")
         b = parse_cited_ref("SMITH  A , 1960 , J  VIROL, V1, P10")
         assert a.sort_key() == b.sort_key()
+
+
+class TestHash:
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(st.sampled_from(_REF_ALPHABET), max_size=24))
+    def test_hash_is_that_of_the_five_compared_fields(self, raw):
+        key = parse_cited_ref(raw)
+        assert hash(key) == hash(
+            (key.author, key.year, key.source_abbrev, key.volume, key.first_page))
+
+    def test_keys_differing_only_in_raw_hash_alike(self):
+        a = parse_cited_ref("Baltimore D, 1970, Nature, V226, P1209")
+        b = parse_cited_ref("BALTIMORE  D,1970,NATURE,V226,P1209")
+        assert a.raw != b.raw
+        assert a == b and hash(a) == hash(b)
+        assert hash(replace(a, raw="other")) == hash(a)
+
+    def test_an_unpickled_key_hashes_for_the_loading_process(self):
+        # A str hash differs between hash seeds, so a key pickled under
+        # another seed must not carry its old hash along.
+        seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = ("import pickle, sys\n"
+                "from bibshift.refkey import parse_cited_ref\n"
+                "sys.stdout.buffer.write(pickle.dumps(parse_cited_ref('X, 1960, J')))\n")
+        data = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                              capture_output=True, timeout=120).stdout
+        key = pickle.loads(data)
+        assert key in {parse_cited_ref("x, 1960, j")}
+        assert key.raw == "X, 1960, J"
