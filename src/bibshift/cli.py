@@ -218,17 +218,19 @@ def parse_years(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def parse_thresholds(text: str) -> tuple[ThresholdPair, ...]:
-    """Threshold pairs from ``N/M,...``; the library's warning about a pair
-    whose cocite_min exceeds its cite_min is printed as a ``warning:`` line."""
+def parse_thresholds(text: str, warn: bool = True) -> tuple[ThresholdPair, ...]:
+    """Threshold pairs from ``N/M,...``. With ``warn``, the library's warning
+    about a pair whose cocite_min exceeds its cite_min is printed as a
+    ``warning:`` line, once per distinct message."""
     try:
         with catch_warnings(record=True) as caught:
             simplefilter("always")
             pairs = tuple(ThresholdPair.parse(part) for part in text.split(","))
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    for warning in caught:
-        print(f"warning: {warning.message}", file=sys.stderr)
+    if warn:
+        for message in dict.fromkeys(str(warning.message) for warning in caught):
+            print(f"warning: {message}", file=sys.stderr)
     if not pairs:
         raise CliError("thresholds list is empty")
     return pairs
@@ -296,22 +298,31 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if not 0 <= min_cosine <= 1:
         raise CliError(f"min_cosine must be in [0, 1], got {min_cosine}")
 
-    def as_path(value) -> Optional[Path]:
-        return None if value is None else Path(value)
+    def as_path(name: str, default=None) -> Optional[Path]:
+        value = _setting(args, file_cfg, name, default)
+        if value is None and default is None:
+            return None
+        if not isinstance(value, (str, Path)):
+            raise CliError(f"{name} must be a path string, got {value!r}")
+        if "\0" in str(value):
+            raise CliError(f"{name} {str(value)!r} must not hold a NUL character")
+        return Path(value)
 
     return RunConfig(
         command=args.command,
-        cache=Path(_setting(args, file_cfg, "cache", DEFAULT_CACHE)),
-        out_dir=Path(_setting(args, file_cfg, "out_dir", ".")),
+        cache=as_path("cache", DEFAULT_CACHE),
+        out_dir=as_path("out_dir", "."),
         years=parse_years(str(years_text)) if years_text is not None else None,
-        thresholds=parse_thresholds(str(_setting(args, file_cfg, "thresholds",
-                                                 DEFAULT_THRESHOLDS))),
+        # Every command rejects a bad value; only those using it warn.
+        thresholds=parse_thresholds(
+            str(_setting(args, file_cfg, "thresholds", DEFAULT_THRESHOLDS)),
+            warn=args.command in ("rsi", "core-refs")),
         gaps=parse_gaps(str(_setting(args, file_cfg, "gaps", DEFAULT_GAPS))),
         min_percent=min_percent,
         min_cosine=min_cosine,
-        stopwords=as_path(_setting(args, file_cfg, "stopwords")),
-        index=as_path(_setting(args, file_cfg, "index")),
-        medline=as_path(_setting(args, file_cfg, "medline")),
+        stopwords=as_path("stopwords"),
+        index=as_path("index"),
+        medline=as_path("medline"),
         head=_name_part("head", _setting(args, file_cfg, "head")),
         stem=_name_part("stem", _setting(args, file_cfg, "stem")),
     )

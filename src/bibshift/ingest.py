@@ -20,6 +20,18 @@ MEDLINE export layout:
 Both parsers keep records that lack a title or year and report them as
 MissingField entries instead of dropping them; structurally broken input
 raises MalformedRecord with the offending line number.
+
+Both read a line by its fixed columns first. A citation-index line is a
+tag line when its first two characters are a tag (``[A-Z][A-Z0-9]``) and
+the third is a space, or nothing but whitespace follows the tag; it is a
+continuation line when it starts with three spaces. A MEDLINE line is a tag
+line when ``line[:4]`` is a tag padded with spaces and ``line[4:6]`` is
+``"- "`` (the tag regex checks each distinct six-column head once per
+file); it is a continuation line when it starts with a space. Only a
+line of any other shape (a blank line, a tag padded with anything but
+spaces, ``TI -x``, a stray line, a tag line holding a newline before its
+end) is stripped of its line end and matched against the tag regexes,
+which gives the same fields and the same errors as matching every line.
 """
 from __future__ import annotations
 
@@ -33,7 +45,8 @@ from .records import BibRecord, Source
 _INDEX_TAG_RE = re.compile(r"^([A-Z][A-Z0-9]) (.*)$")
 _INDEX_BARE_TAG_RE = re.compile(r"^([A-Z][A-Z0-9])\s*$")
 _MEDLINE_TAG_RE = re.compile(r"^([A-Z0-9]{1,4})\s*- ?(.*)$")
-_LEADING_YEAR_RE = re.compile(r"^(\d{4})")
+_UPPER = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+_INDEX_TAGS = frozenset(a + b for a in _UPPER for b in _UPPER + "0123456789")
 
 END_OF_RECORD = "ER"
 _HEADER_TAGS = {"FN", "VR", "EF"}
@@ -68,47 +81,50 @@ def parse_citation_index_export(stream: Iterable[str]) -> ParseResult:
     """Parse a citation-index export (opened text file or iterable of lines)."""
     result = ParseResult()
     fields: dict[str, list[str]] = {}
-    current_tag: Optional[str] = None
-    open_record = False
+    values: Optional[list[str]] = None  # values of the field being continued
     last_field_line = 0
     keys: dict[str, RefKey] = {}  # raw reference string -> parsed key
 
-    def flush() -> None:
-        nonlocal fields, current_tag, open_record
-        if fields:
-            _finish_index_record(fields, result, keys)
-        fields = {}
-        current_tag = None
-        open_record = False
-
-    line_number = 0
     for line_number, raw_line in enumerate(stream, start=1):
-        line = raw_line.rstrip("\n").rstrip("\r")
-        if not line.strip():
-            continue
-        if line.startswith("   "):
-            if current_tag is None:
+        # The usual shapes, told apart by their first columns.
+        if raw_line[:3] == "   ":
+            value = raw_line[3:].strip()
+            if not value:
+                continue  # blank line
+            if values is None:
                 raise MalformedRecord(line_number, "continuation line outside any field")
-            fields[current_tag].append(line[3:].strip())
+            values.append(value)
             last_field_line = line_number
             continue
-        m = _INDEX_TAG_RE.match(line) or _INDEX_BARE_TAG_RE.match(line)
-        if m is None:
-            raise MalformedRecord(line_number, f"unrecognized line {line!r}")
-        tag = m.group(1)
-        value = m.group(2).strip() if m.lastindex and m.lastindex >= 2 else ""
+        tag, rest = raw_line[:2], raw_line[2:]
+        # A newline before the line's end fails the tag pattern's "(.*)$".
+        if (tag in _INDEX_TAGS and (rest[:1] == " " or not rest.strip())
+                and raw_line.find("\n", 0, -1) < 0):
+            value = rest[1:].strip()  # "" for a bare tag
+        else:
+            # Anything else: blank lines, errors, tags padded otherwise.
+            line = raw_line.rstrip("\n").rstrip("\r")
+            if not line.strip():
+                continue
+            m = _INDEX_TAG_RE.match(line) or _INDEX_BARE_TAG_RE.match(line)
+            if m is None:
+                raise MalformedRecord(line_number, f"unrecognized line {line!r}")
+            tag = m.group(1)
+            value = m.group(2).strip() if m.lastindex and m.lastindex >= 2 else ""
         if tag == END_OF_RECORD:
-            flush()
+            if fields:
+                _finish_index_record(fields, result, keys)
+                fields = {}
+            values = None
             continue
         if tag in _HEADER_TAGS:
-            current_tag = None
+            values = None
             continue
-        fields.setdefault(tag, []).append(value)
-        current_tag = tag
-        open_record = True
+        values = fields.setdefault(tag, [])
+        values.append(value)
         last_field_line = line_number
 
-    if open_record:
+    if fields:
         raise MalformedRecord(last_field_line, "record block without end-of-record tag")
     _ensure_unique_ids(result)
     return result
@@ -116,26 +132,28 @@ def parse_citation_index_export(stream: Iterable[str]) -> ParseResult:
 
 def _finish_index_record(fields: dict[str, list[str]], result: ParseResult,
                          keys: dict[str, RefKey]) -> None:
-    record_id = " ".join(v for v in fields.get("UT", []) if v).strip()
+    record_id = " ".join(filter(None, fields.get("UT", ()))).strip()
     if not record_id:
         record_id = f"anon:{len(result.records) + 1}"
         result.missing.append(MissingField(record_id, "UT"))
 
-    title = " ".join(v for v in fields.get("TI", []) if v).strip()
+    title = " ".join(filter(None, fields.get("TI", ()))).strip()
     if not title:
         result.missing.append(MissingField(record_id, "TI"))
 
-    year = _parse_year(" ".join(fields.get("PY", [])))
+    year = _parse_year(" ".join(fields.get("PY", ())))
     if year is None:
         result.missing.append(MissingField(record_id, "PY"))
 
     refs = []
-    for value in fields.get("CR", []):
-        for entry in value.split(";"):
-            if not entry.strip():
-                continue
+    cited = fields.get("CR")
+    if cited:
+        # Splitting the joined values gives the entries of each value in turn.
+        for entry in ";".join(cited).split(";"):
             key = keys.get(entry)
             if key is None:
+                if not entry.strip():
+                    continue
                 key = keys[entry] = parse_cited_ref(entry)
             refs.append(key)
     result.records.append(
@@ -153,48 +171,66 @@ def parse_medline_export(stream: Iterable[str]) -> ParseResult:
     """Parse a MEDLINE export (opened text file or iterable of lines)."""
     result = ParseResult()
     fields: dict[str, list[str]] = {}
-    current_tag: Optional[str] = None
-
-    def flush() -> None:
-        nonlocal fields, current_tag
-        if fields:
-            _finish_medline_record(fields, result)
-        fields = {}
-        current_tag = None
+    values: Optional[list[str]] = None  # values of the field being continued
+    tags: dict[str, str] = {}  # "TI  - " -> "TI", for each tag column seen
 
     for line_number, raw_line in enumerate(stream, start=1):
+        # The usual shapes, told apart by their first columns.
+        head = raw_line[:6]
+        tag = tags.get(head)
+        if tag is None and head[4:] == "- ":
+            m = _MEDLINE_TAG_RE.match(head)
+            if m and m.group(1) == head[:4].rstrip(" "):  # padded with spaces only
+                tag = tags[head] = m.group(1)
+        # A newline before the line's end fails the tag pattern's "(.*)$".
+        if tag is not None and raw_line.find("\n", 0, -1) < 0:
+            values = fields.setdefault(tag, [])
+            values.append(raw_line[6:].strip())
+            continue
+        if raw_line[:1] == " ":
+            value = raw_line.strip()
+            if value:
+                if values is None:
+                    raise MalformedRecord(line_number,
+                                          "continuation line outside any field")
+                values.append(value)
+                continue
+        # Anything else: blank lines, errors, tags padded otherwise.
         line = raw_line.rstrip("\n").rstrip("\r")
         if not line.strip():
-            flush()
+            if fields:
+                _finish_medline_record(fields, result)
+                fields = {}
+            values = None
             continue
         if line[0].isspace():
-            if current_tag is None:
+            if values is None:
                 raise MalformedRecord(line_number, "continuation line outside any field")
-            fields[current_tag].append(line.strip())
+            values.append(line.strip())
             continue
         m = _MEDLINE_TAG_RE.match(line)
         if m is None:
             raise MalformedRecord(line_number, f"unrecognized line {line!r}")
-        tag, value = m.group(1), m.group(2).strip()
-        fields.setdefault(tag, []).append(value)
-        current_tag = tag
+        values = fields.setdefault(m.group(1), [])
+        values.append(m.group(2).strip())
 
-    flush()
+    if fields:
+        _finish_medline_record(fields, result)
     _ensure_unique_ids(result)
     return result
 
 
 def _finish_medline_record(fields: dict[str, list[str]], result: ParseResult) -> None:
-    record_id = " ".join(v for v in fields.get("PMID", []) if v).strip()
+    record_id = " ".join(filter(None, fields.get("PMID", ()))).strip()
     if not record_id:
         record_id = f"anon:{len(result.records) + 1}"
         result.missing.append(MissingField(record_id, "PMID"))
 
-    title = " ".join(v for v in fields.get("TI", []) if v).strip()
+    title = " ".join(filter(None, fields.get("TI", ()))).strip()
     if not title:
         result.missing.append(MissingField(record_id, "TI"))
 
-    year = _parse_year(" ".join(fields.get("DP", [])))
+    year = _parse_year(" ".join(fields.get("DP", ())))
     if year is None:
         result.missing.append(MissingField(record_id, "DP"))
 
@@ -210,8 +246,9 @@ def _finish_medline_record(fields: dict[str, list[str]], result: ParseResult) ->
 
 
 def _parse_year(text: str) -> Optional[int]:
-    m = _LEADING_YEAR_RE.match(text.strip())
-    return int(m.group(1)) if m else None
+    # isdecimal() is exactly the \d of a str pattern; "" is not decimal
+    digits = text.strip()[:4]
+    return int(digits) if len(digits) == 4 and digits.isdecimal() else None
 
 
 def _ensure_unique_ids(result: ParseResult) -> None:
@@ -231,11 +268,19 @@ def _ensure_unique_ids(result: ParseResult) -> None:
 # ── record linkage ────────────────────────────────────────────────────────────
 
 _TITLE_PUNCT_RE = re.compile(r"[\W_]+", re.UNICODE)
+# Each ASCII character that is not a letter or digit ([\W_] on ASCII text)
+# becomes a space. Letters and digits map to themselves: a full table is
+# faster than one that misses.
+_ASCII_PUNCT_TO_SPACE = {c: chr(c) if chr(c).isalnum() else " " for c in range(128)}
 
 
 def normalize_title(title: str) -> str:
     """Case-fold, strip punctuation, collapse whitespace."""
-    return _TITLE_PUNCT_RE.sub(" ", title.casefold()).strip()
+    folded = title.casefold()
+    if folded.isascii():
+        # Same result as the regex: runs of [\W_] become one space, trimmed.
+        return " ".join(folded.translate(_ASCII_PUNCT_TO_SPACE).split())
+    return _TITLE_PUNCT_RE.sub(" ", folded).strip()
 
 
 @dataclass(frozen=True)

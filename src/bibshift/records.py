@@ -9,7 +9,8 @@ byte-identically. The first line must be ``CACHE_HEADER``; later lines
 starting with ``#`` are comment lines and are skipped on read. The file
 always ends with a newline, so a last line without one marks a cut file and
 is rejected. The cache is written through a temp file that replaces the old
-one only once complete (``write_text_atomic``). A reader
+one only once complete (``write_text_atomic``); each distinct raw reference
+is escaped once per write. A reader
 that needs only titles can leave the reference column unparsed
 (``read_cache(path, refs=False)``).
 """
@@ -152,17 +153,12 @@ def corpus_sources(corpus: Corpus) -> list[Source]:
 
 # ── corpus cache ──────────────────────────────────────────────────────────────
 
-# "|" maps to "\p" so no literal pipe survives inside a field and the
-# ref-join column can be split on plain "|"; "#" is escaped so a record id
-# can never make a data line look like a comment line.
-_ESCAPES = [("\\", "\\\\"), ("\t", "\\t"), ("\n", "\\n"), ("\r", "\\r"),
-            ("|", "\\p"), ("#", "\\#")]
-
-
 def _escape(text: str) -> str:
-    for plain, escaped in _ESCAPES:
-        text = text.replace(plain, escaped)
-    return text
+    # "|" maps to "\p" so no literal pipe survives inside a field and the
+    # ref-join column can be split on plain "|"; "#" is escaped so a record
+    # id can never make a data line look like a comment line.
+    return (text.replace("\\", "\\\\").replace("\t", "\\t").replace("\n", "\\n")
+            .replace("\r", "\\r").replace("|", "\\p").replace("#", "\\#"))
 
 
 def _unescape(text: str) -> str:
@@ -199,19 +195,27 @@ def write_text_atomic(path: str | os.PathLike, text: str) -> None:
 
 def write_cache(corpus: Corpus, path: str | os.PathLike) -> None:
     """Write the corpus as a TSV cache. Deterministic: years ascending,
-    records in slice order, cited refs in ``RefKey.sort_key`` order."""
+    records in slice order, cited refs in ``RefKey.sort_key`` order. Each
+    distinct raw reference is escaped once per write."""
     lines = [CACHE_HEADER]
+    escaped: dict[str, str] = {}  # raw reference -> its escaped cache text
     for year in corpus.years():
+        year_text = str(year)
         for record in corpus.slice(year).records:
-            refs = sorted(record.cited_refs, key=RefKey.sort_key)
+            cells = []
+            for key in sorted(record.cited_refs, key=RefKey.sort_key):
+                cell = escaped.get(key.raw)
+                if cell is None:
+                    cell = escaped[key.raw] = _escape(key.raw)
+                cells.append(cell)
             lines.append(
                 "\t".join(
                     (
                         _escape(record.record_id),
                         record.source.name,
-                        str(year),
+                        year_text,
                         _escape(record.title),
-                        "|".join(_escape(k.raw) for k in refs),
+                        "|".join(cells),
                     )
                 )
             )

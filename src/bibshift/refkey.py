@@ -17,17 +17,14 @@ or hashing. Each key hashes its components once, when it is built.
 """
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
-_WS_RE = re.compile(r"\s+")
-
 
 def normalize_text(text: str) -> str:
     """Uppercase and collapse runs of whitespace. Idempotent."""
-    return _WS_RE.sub(" ", text).strip().upper()
+    return " ".join(text.split()).upper()
 
 
 @dataclass(frozen=True)
@@ -103,7 +100,7 @@ def parse_cited_ref(raw: str) -> RefKey:
     # Normalizing the whole string before splitting gives the same segments
     # as normalizing each one: upper() never turns a character other than a
     # comma or whitespace into one holding a comma or whitespace.
-    text = _WS_RE.sub(" ", raw).upper()
+    text = " ".join(raw.split()).upper()
     segments = [part.strip() for part in text.split(",")]
     non_empty = [seg for seg in segments if seg]
     if not non_empty:

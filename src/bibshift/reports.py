@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .cocitation import CoreRefSet, ThresholdPair
-from .records import Corpus, Source, slice_by_source, write_text_atomic
+from .records import Corpus, Source, write_text_atomic
 from .refkey import RefKey
 from .stability import GrooveReport, RsiSeries, format_cell, format_rsi
 from .textmetrics import CoWordPair, PhrasePoint, TermStats
@@ -60,7 +60,10 @@ def summary_table(corpus: Corpus, distinct_refs_by_year: dict[int, int],
     totals = {source: 0 for source in Source}
     for year in corpus.years():
         sl = corpus.slice(year)
-        per_source = {source: len(slice_by_source(sl, source)) for source in Source}
+        # One read of the records; list.count then compares by identity in
+        # C (a Counter would call Enum's Python-level __hash__ per record).
+        sources = [record.source for record in sl.records]
+        per_source = {source: sources.count(source) for source in Source}
         for source, n in per_source.items():
             totals[source] += n
         rows.append([

@@ -6,11 +6,13 @@ data types.
 """
 import math
 import re
+from dataclasses import replace
 from itertools import combinations
 from typing import Optional
 
 from bibshift.cocitation import ThresholdPair
-from bibshift.records import YearSlice
+from bibshift.ingest import MalformedRecord, MissingField, ParseResult
+from bibshift.records import BibRecord, Source, YearSlice
 from bibshift.refkey import RefKey
 
 
@@ -198,3 +200,145 @@ def brute_parse_cited_ref(raw: str) -> RefKey:
         first_page=page,
         raw=raw,
     )
+
+
+# The two export parsers as first written: every line stripped of its line
+# end, tested for blankness and matched against a regex.
+_INDEX_TAG_RE = re.compile(r"^([A-Z][A-Z0-9]) (.*)$")
+_INDEX_BARE_TAG_RE = re.compile(r"^([A-Z][A-Z0-9])\s*$")
+_MEDLINE_TAG_RE = re.compile(r"^([A-Z0-9]{1,4})\s*- ?(.*)$")
+_LEADING_YEAR_RE = re.compile(r"^(\d{4})")
+
+
+def brute_parse_citation_index_export(stream) -> ParseResult:
+    result = ParseResult()
+    fields = {}
+    current_tag = None
+    open_record = False
+    last_field_line = 0
+
+    def flush():
+        nonlocal fields, current_tag, open_record
+        if fields:
+            _brute_finish_index_record(fields, result)
+        fields = {}
+        current_tag = None
+        open_record = False
+
+    for line_number, raw_line in enumerate(stream, start=1):
+        line = raw_line.rstrip("\n").rstrip("\r")
+        if not line.strip():
+            continue
+        if line.startswith("   "):
+            if current_tag is None:
+                raise MalformedRecord(line_number, "continuation line outside any field")
+            fields[current_tag].append(line[3:].strip())
+            last_field_line = line_number
+            continue
+        m = _INDEX_TAG_RE.match(line) or _INDEX_BARE_TAG_RE.match(line)
+        if m is None:
+            raise MalformedRecord(line_number, f"unrecognized line {line!r}")
+        tag = m.group(1)
+        value = m.group(2).strip() if m.lastindex and m.lastindex >= 2 else ""
+        if tag == "ER":
+            flush()
+            continue
+        if tag in ("FN", "VR", "EF"):
+            current_tag = None
+            continue
+        fields.setdefault(tag, []).append(value)
+        current_tag = tag
+        open_record = True
+        last_field_line = line_number
+
+    if open_record:
+        raise MalformedRecord(last_field_line, "record block without end-of-record tag")
+    _brute_unique_ids(result)
+    return result
+
+
+def _brute_finish_index_record(fields, result) -> None:
+    record_id = " ".join(v for v in fields.get("UT", []) if v).strip()
+    if not record_id:
+        record_id = f"anon:{len(result.records) + 1}"
+        result.missing.append(MissingField(record_id, "UT"))
+    title = " ".join(v for v in fields.get("TI", []) if v).strip()
+    if not title:
+        result.missing.append(MissingField(record_id, "TI"))
+    year = _brute_year(" ".join(fields.get("PY", [])))
+    if year is None:
+        result.missing.append(MissingField(record_id, "PY"))
+    refs = []
+    for value in fields.get("CR", []):
+        for entry in value.split(";"):
+            if entry.strip():
+                refs.append(brute_parse_cited_ref(entry))
+    result.records.append(BibRecord(record_id=record_id, source=Source.CITATION_INDEX,
+                                    title=title, pub_year=year, cited_refs=frozenset(refs)))
+
+
+def brute_parse_medline_export(stream) -> ParseResult:
+    result = ParseResult()
+    fields = {}
+    current_tag = None
+
+    def flush():
+        nonlocal fields, current_tag
+        if fields:
+            _brute_finish_medline_record(fields, result)
+        fields = {}
+        current_tag = None
+
+    for line_number, raw_line in enumerate(stream, start=1):
+        line = raw_line.rstrip("\n").rstrip("\r")
+        if not line.strip():
+            flush()
+            continue
+        if line[0].isspace():
+            if current_tag is None:
+                raise MalformedRecord(line_number, "continuation line outside any field")
+            fields[current_tag].append(line.strip())
+            continue
+        m = _MEDLINE_TAG_RE.match(line)
+        if m is None:
+            raise MalformedRecord(line_number, f"unrecognized line {line!r}")
+        tag, value = m.group(1), m.group(2).strip()
+        fields.setdefault(tag, []).append(value)
+        current_tag = tag
+
+    flush()
+    _brute_unique_ids(result)
+    return result
+
+
+def _brute_finish_medline_record(fields, result) -> None:
+    record_id = " ".join(v for v in fields.get("PMID", []) if v).strip()
+    if not record_id:
+        record_id = f"anon:{len(result.records) + 1}"
+        result.missing.append(MissingField(record_id, "PMID"))
+    title = " ".join(v for v in fields.get("TI", []) if v).strip()
+    if not title:
+        result.missing.append(MissingField(record_id, "TI"))
+    year = _brute_year(" ".join(fields.get("DP", [])))
+    if year is None:
+        result.missing.append(MissingField(record_id, "DP"))
+    result.records.append(BibRecord(record_id=record_id, source=Source.MEDLINE,
+                                    title=title, pub_year=year, cited_refs=frozenset()))
+
+
+def _brute_year(text: str) -> Optional[int]:
+    m = _LEADING_YEAR_RE.match(text.strip())
+    return int(m.group(1)) if m else None
+
+
+def _brute_unique_ids(result: ParseResult) -> None:
+    seen = {}
+    for i, record in enumerate(result.records):
+        count = seen.get(record.record_id, 0)
+        seen[record.record_id] = count + 1
+        if count:
+            new_id = f"{record.record_id}#{count + 1}"
+            result.warnings.append(
+                f"duplicate record id {record.record_id!r} renamed to {new_id!r}"
+            )
+            result.records[i] = replace(record, record_id=new_id)

@@ -861,6 +861,40 @@ class TestThresholdWarning:
             "warning: cocite_min 3 exceeds cite_min 2; the co-citation threshold "
             "can never bind above the citation count\n")
 
+    @pytest.mark.parametrize("command", [
+        ["summary"], ["words", "--years", "1970:1972"], ["cowords", "--years", "1970:1972"],
+        ["phrase", "--head", "reverse", "--stem", "transcr"],
+    ])
+    def test_commands_without_thresholds_never_warn(self, tmp_path, capsys, command):
+        cache = ingest(tmp_path)
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"thresholds": "2/3"}), encoding="utf-8")
+        capsys.readouterr()
+        assert run([*command, "--config", str(config), *base_args(tmp_path, cache)]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_a_repeated_pair_warns_once(self, tmp_path, capsys):
+        cache = ingest(tmp_path)
+        capsys.readouterr()
+        assert run(["core-refs", *base_args(tmp_path, cache),
+                    "--thresholds", "2/3,2/3,3/4"]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: cocite_min 3 exceeds cite_min 2; the co-citation threshold "
+            "can never bind above the citation count",
+            "warning: cocite_min 4 exceeds cite_min 3; the co-citation threshold "
+            "can never bind above the citation count",
+        ]
+
+    def test_an_unparseable_value_is_rejected_by_every_command(self, tmp_path, capsys):
+        cache = ingest(tmp_path)
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"thresholds": "5-8"}), encoding="utf-8")
+        capsys.readouterr()
+        assert run(["words", "--years", "1970:1972", "--config", str(config),
+                    *base_args(tmp_path, cache)]) == 1
+        assert capsys.readouterr().err == (
+            "error: cannot parse threshold pair '5-8' (want N/M)\n")
+
 
 class TestConfigWorkers:
     @pytest.mark.parametrize("value", ["abc", None, [2]])
@@ -872,3 +906,89 @@ class TestConfigWorkers:
         err = capsys.readouterr().err
         assert err.startswith("error: cannot parse workers")
         assert "Traceback" not in err
+
+
+# ── any input: exit 0 or 1, never a traceback ────────────────────────────────
+
+# File names below stand for files each example writes into its directory.
+_FILES = ["index.txt", "medline.txt", "cache.tsv", "cut.tsv", "garbage.txt", "latin1.txt",
+          "config.json", "stop.txt", "missing.txt", "a_dir", "nul\0name"]
+_FLAG_VALUES = {
+    "--years": ["1970:1972", "1972:1970", "1970", "a:b", "1971:1971", "1900:1901", ""],
+    "--thresholds": ["2/2", "2/3", "2/3,2/3", "x", "0/1", "", "1/1,"],
+    "--gaps": ["1", "1,2", "0", "x", "99", ""],
+    "--min-percent": ["1", "-1", "nan", "inf", "x", "0"],
+    "--min-cosine": ["0.5", "2", "nan", "x"],
+    "--workers": ["1", "2", "0", "x", "-3"],
+    "--head": ["reverse", "a/b", "a b", "", "ü"],
+    "--stem": ["transcr", "x.y", ""],
+}
+_PATH_FLAGS = ("--index", "--medline", "--cache", "--config", "--stopwords", "--out-dir")
+_CONFIG_VALUES = st.one_of(
+    st.sampled_from([v for values in _FLAG_VALUES.values() for v in values] + _FILES),
+    st.integers(-3, 3), st.none(), st.booleans(), st.just([1]), st.just({}),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@st.composite
+def run_cases(draw):
+    """An argv, and the text of the config file it may name."""
+    argv = draw(st.lists(st.sampled_from(
+        ["ingest", "summary", "rsi", "core-refs", "words", "cowords", "phrase", "bogus"]),
+        max_size=1))
+    for _ in range(draw(st.integers(0, 6))):
+        flag = draw(st.sampled_from([*_FLAG_VALUES, *_PATH_FLAGS, "--bogus"]))
+        if flag in _FLAG_VALUES:
+            argv += [flag, draw(st.sampled_from(_FLAG_VALUES[flag]))]
+        elif flag in _PATH_FLAGS:
+            argv += [flag, draw(st.sampled_from(_FILES))]
+        else:
+            argv.append(flag)
+    if draw(st.booleans()):
+        argv += ["--config", "config.json"]
+    config = draw(st.one_of(
+        st.dictionaries(st.sampled_from(sorted(cli._CONFIG_KEYS) + ["bogus"]), _CONFIG_VALUES,
+                        max_size=4).map(json.dumps),
+        st.sampled_from(["[]", "{", "", "null"]),
+    ))
+    return argv, config
+
+
+def _write_run_files(root: Path, config: str) -> None:
+    index_path, medline_path = seed_exports(root)
+    index_path.rename(root / "index.txt")
+    medline_path.rename(root / "medline.txt")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(["ingest", "--index", str(root / "index.txt"), "--medline",
+                    str(root / "medline.txt"), "--cache", str(root / "cache.tsv"),
+                    "--out-dir", str(root / "ingest_out")]) == 0
+    cache = (root / "cache.tsv").read_bytes()
+    (root / "cut.tsv").write_bytes(cache[:len(cache) // 2])
+    (root / "garbage.txt").write_text("PMID 1\n;;;\n", encoding="utf-8")
+    (root / "latin1.txt").write_bytes("TI  - caf\xe9\n".encode("latin-1"))
+    (root / "config.json").write_text(config, encoding="utf-8")
+    (root / "stop.txt").write_text("of\nthe\n", encoding="utf-8")
+    (root / "a_dir").mkdir()
+
+
+class TestRunOnGeneratedInput:
+    @settings(max_examples=200, deadline=None)
+    @given(run_cases())
+    @example((["summary", "--config", "config.json"], '{"cache": 5}'))
+    @example((["summary", "--config", "config.json"], '{"cache": null}'))
+    @example((["ingest", "--index", "index.txt", "--cache", "nul\0name"], "{}"))
+    def test_exit_code_is_0_or_1_and_an_error_is_named(self, case):
+        argv, config = case
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+            _write_run_files(Path(tmp), config)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = run(argv)
+                except SystemExit as exc:  # argparse
+                    code = exc.code
+        assert code in (0, 1)
+        assert "Traceback" not in err.getvalue()
+        if code == 1:
+            assert any(line.startswith("error: ") for line in err.getvalue().splitlines())

@@ -1,5 +1,6 @@
 """Callers outside ``src/`` that no other test runs: the README's Library
-example and the tables of functions the benchmark's tracer wraps."""
+example, the tables of functions the benchmark's tracer wraps, and the
+names through which ``ingest`` reaches the layers the tracer times."""
 import ast
 import contextlib
 import io
@@ -8,7 +9,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+from bibshift import cli
 from bibshift.cli import run
+from conftest import write_index_export, write_medline_export
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -59,3 +62,28 @@ def test_every_function_the_tracer_wraps_exists():
             module = sys.modules[f"bibshift.{module_name}"]
             for name in names:
                 assert callable(getattr(module, name, None)), f"bibshift.{module_name}.{name}"
+
+
+def test_ingest_calls_each_traced_layer_through_the_cli_binding(tmp_path, monkeypatch):
+    """The tracer times ingest's layers by wrapping the names ``cli`` binds;
+    a layer ingest reached some other way would read 0 without a warning."""
+    names = ("parse_citation_index_export", "parse_medline_export", "link_records",
+             "write_cache")
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+    write_index_export(tmp_path / "index.txt", [("IDX:1", 1970, "A title", ["X, 1960"])])
+    write_medline_export(tmp_path / "medline.txt", [("1", 1970, "A title")])
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(["ingest", "--index", str(tmp_path / "index.txt"),
+                    "--medline", str(tmp_path / "medline.txt"),
+                    "--cache", str(tmp_path / "cache.tsv"),
+                    "--out-dir", str(tmp_path / "out")]) == 0
+    assert calls == dict.fromkeys(names, 1)

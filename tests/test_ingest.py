@@ -1,6 +1,8 @@
 import io
+import re
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from bibshift.ingest import (
     MalformedRecord,
@@ -11,6 +13,7 @@ from bibshift.ingest import (
 )
 from bibshift.records import Source
 from conftest import mkrec
+from oracles import brute_parse_citation_index_export, brute_parse_medline_export
 
 
 def parse_index_text(text):
@@ -139,6 +142,85 @@ class TestMedlineParser:
         assert any(m.field == "DP" for m in result.missing)
 
 
+# ── parsers against the regex-per-line oracles ──────────────────────────────
+
+_ENDINGS = st.sampled_from(["\n", "\n", "\n", "\r\n", "\r", "", " \n", "\t\r\n"])
+_VALUE = st.text(alphabet="AZaz09 ,;\t\r\xa0\u00e9\u0661\u0669\n", max_size=12)
+_REFS = st.lists(
+    st.sampled_from(["SMITH A, 1960, J, V1, P1", "smith a,1960,j,v1,p1", " X, 1970",
+                     "X,,1970", "  ", "", "A\xa0B, 1971"]),
+    max_size=4,
+).flatmap(lambda refs: st.sampled_from([";", "; ", " ;"]).map(lambda sep: sep.join(refs)))
+_BLANK = st.sampled_from(["", " ", "   ", "      ", "\t", "\xa0", " \r"])
+
+
+def _index_line():
+    tag = st.sampled_from(["UT", "TI", "PY", "CR", "PT", "ER", "ER", "FN", "VR", "EF",
+                           "Z9", "ut", "\u00dc1", "T", "E"])
+    gap = st.sampled_from([" ", " ", "  ", "\t", "", " \t"])
+    value = st.one_of(_VALUE, _REFS, st.sampled_from(["1970", " 1971 ", "19x0", ""]))
+    tagged = st.tuples(tag, gap, value).map("".join)
+    indent = st.sampled_from(["   ", "   ", "    ", "  ", " ", "\t"])
+    continued = st.tuples(indent, st.one_of(_REFS, _VALUE)).map("".join)
+    return st.tuples(st.one_of(tagged, tagged, continued, _BLANK), _ENDINGS).map("".join)
+
+
+def _medline_line():
+    tag = st.sampled_from(["PMID", "TI", "DP", "AB", "T", "pmid", "T\u00cd", "TIXYZ"])
+    pad = st.sampled_from(["", " ", "  ", "   ", "\t"])
+    dash = st.sampled_from(["- ", "- ", "-", "-  "])
+    value = st.one_of(_VALUE, st.sampled_from(["1970 Jun", "197", "\u0661\u0669\u0667\u0660",
+                                               " 1970", "x1970"]))
+    tagged = st.tuples(tag, pad, dash, value).map("".join)
+    indent = st.sampled_from(["      ", "      ", " ", "\t", "  "])
+    continued = st.tuples(indent, _VALUE).map("".join)
+    return st.tuples(st.one_of(tagged, tagged, continued, _BLANK), _ENDINGS).map("".join)
+
+
+def _streams(lines):
+    r"""The same lines as a file opened by the CLI would give them (universal
+    newlines), as a stream that splits on "\n" only, and as a plain list
+    (whose items may hold a "\r" or "\n" before their end)."""
+    text = "".join(lines)
+    return [lambda: io.StringIO(text, newline=None), lambda: io.StringIO(text),
+            lambda: list(lines)]
+
+
+def _outcome(parse, stream):
+    try:
+        result = parse(stream)
+    except MalformedRecord as exc:
+        return ("error", str(exc), exc.line_number)
+    # RefKey equality ignores the raw spelling; the cache writes it.
+    raws = [{(key, key.raw) for key in record.cited_refs} for record in result.records]
+    return ("ok", result, raws)
+
+
+class TestParsersMatchOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(_index_line(), max_size=24))
+    @example(["UT X\n", "CR A, 1970;  B, 1971; \n", "   A, 1970 ;\n", "ER \n"])
+    @example(["UT X\n", "TI A\nB\n", "ER\n"])
+    @example(["UT X\r", "ER\r\n", "   \n"])
+    @example(["UT \nX\n", "ER\n"])
+    @example(["UT X\n \n", "ER\n"])
+    def test_citation_index(self, lines):
+        for stream in _streams(lines):
+            assert _outcome(parse_citation_index_export, stream()) == _outcome(
+                brute_parse_citation_index_export, stream())
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(_medline_line(), max_size=24))
+    @example(["PMID- 1\n", "TI  - A\n", "      B\n", "DP  - 1970\n", "\n"])
+    @example(["TI -x\n", "PMID-\n", "T   - y\n", "TI  - A\nB\n"])
+    @example(["PMID- 1\n", "TI  - \nA\n"])
+    @example(["PMID- 1\n", "TI- - A\n", "TI\t - B\n"])
+    def test_medline(self, lines):
+        for stream in _streams(lines):
+            assert _outcome(parse_medline_export, stream()) == _outcome(
+                brute_parse_medline_export, stream())
+
+
 class TestNormalizeTitle:
     def test_strips_punctuation_and_case(self):
         assert normalize_title("Viral genome replication, in vitro!") == (
@@ -147,6 +229,14 @@ class TestNormalizeTitle:
 
     def test_collapses_whitespace(self):
         assert normalize_title("  A   B\tC  ") == "a b c"
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.text(alphabet="aZ09 _-.,;!?'()\t\xa0\u017f\u212a\u0130\u00df\u00e9\u03a3",
+                   max_size=20))
+    @example("\u017ftra\u00dfe \u212a")
+    @example("_\u0130_")
+    def test_matches_the_punctuation_regex(self, title):
+        assert normalize_title(title) == re.sub(r"[\W_]+", " ", title.casefold()).strip()
 
 
 class TestLinkage:
