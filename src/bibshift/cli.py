@@ -37,11 +37,11 @@ from .records import (
     BibRecord,
     Corpus,
     EmptyCorpus,
+    MAX_YEAR,
     Source,
     build_corpus,
-    corpus_sources,
     read_cache,
-    slice_by_source,
+    split_by_source,
     write_cache,
 )
 from .stability import GapTooLarge, NoDefinedPoints, groove_detect, rsi_series
@@ -215,6 +215,8 @@ def parse_years(text: str) -> tuple[int, int]:
         raise CliError(f"cannot parse years {text!r} (want A:B)") from exc
     if lo > hi:
         raise CliError(f"years {text!r} are reversed")
+    if lo < 0 or hi > MAX_YEAR:
+        raise CliError(f"years {text!r} must lie in 0:{MAX_YEAR}")
     return lo, hi
 
 
@@ -393,14 +395,6 @@ def _distinct_refs(corpus: Corpus) -> tuple[dict[int, int], int]:
     return by_year, len(union)
 
 
-def _source_corpus(corpus: Corpus, source: Source) -> Corpus:
-    slices = {
-        year: slice_by_source(corpus.slice(year), source) for year in corpus.years()
-    }
-    return Corpus(slices=slices, year_range=corpus.year_range,
-                  build_report=corpus.build_report)
-
-
 # ── commands ──────────────────────────────────────────────────────────────────
 
 def _parse_export(path: Optional[Path], parser) -> ParseResult:
@@ -517,13 +511,8 @@ def cmd_words(cfg: RunConfig, written: list[Path]) -> None:
     stop = _load_stopwords(cfg)
     former, later = _require_year_pair(cfg, corpus)
     per_source = {
-        source: new_terms(
-            slice_by_source(corpus.slice(former), source),
-            slice_by_source(corpus.slice(later), source),
-            stop,
-            cfg.min_percent,
-        )
-        for source in corpus_sources(corpus)
+        source: new_terms(part.slice(former), part.slice(later), stop, cfg.min_percent)
+        for source, part in split_by_source(corpus).items()
     }
     config = [
         ("command", "words"),
@@ -540,14 +529,9 @@ def cmd_cowords(cfg: RunConfig, written: list[Path]) -> None:
     stop = _load_stopwords(cfg)
     former, later = _require_year_pair(cfg, corpus)
     per_source = {
-        source: new_coword_pairs(
-            slice_by_source(corpus.slice(former), source),
-            slice_by_source(corpus.slice(later), source),
-            stop,
-            cfg.min_cosine,
-            cfg.min_percent,
-        )
-        for source in corpus_sources(corpus)
+        source: new_coword_pairs(part.slice(former), part.slice(later), stop,
+                                 cfg.min_cosine, cfg.min_percent)
+        for source, part in split_by_source(corpus).items()
     }
     config = [
         ("command", "cowords"),
@@ -565,8 +549,8 @@ def cmd_phrase(cfg: RunConfig, written: list[Path]) -> None:
         raise CliError("phrase needs --head and --stem")
     corpus = _load_corpus(cfg, refs=False)
     per_source = {
-        source: phrase_trend(_source_corpus(corpus, source), cfg.head, cfg.stem)
-        for source in corpus_sources(corpus)
+        source: phrase_trend(part, cfg.head, cfg.stem)
+        for source, part in split_by_source(corpus).items()
     }
     config = [
         ("command", "phrase"),

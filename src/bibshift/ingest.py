@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .refkey import RefKey, parse_cited_ref
 from .records import BibRecord, Source
@@ -113,7 +113,8 @@ def parse_citation_index_export(stream: Iterable[str]) -> ParseResult:
             value = m.group(2).strip() if m.lastindex and m.lastindex >= 2 else ""
         if tag == END_OF_RECORD:
             if fields:
-                _finish_index_record(fields, result, keys)
+                _finish_record(fields, result, Source.CITATION_INDEX, "UT", "PY",
+                               _cited_refs(fields.get("CR", ()), keys))
                 fields = {}
             values = None
             continue
@@ -130,41 +131,18 @@ def parse_citation_index_export(stream: Iterable[str]) -> ParseResult:
     return result
 
 
-def _finish_index_record(fields: dict[str, list[str]], result: ParseResult,
-                         keys: dict[str, RefKey]) -> None:
-    record_id = " ".join(filter(None, fields.get("UT", ()))).strip()
-    if not record_id:
-        record_id = f"anon:{len(result.records) + 1}"
-        result.missing.append(MissingField(record_id, "UT"))
-
-    title = " ".join(filter(None, fields.get("TI", ()))).strip()
-    if not title:
-        result.missing.append(MissingField(record_id, "TI"))
-
-    year = _parse_year(" ".join(fields.get("PY", ())))
-    if year is None:
-        result.missing.append(MissingField(record_id, "PY"))
-
+def _cited_refs(cited: Sequence[str], keys: dict[str, RefKey]) -> frozenset[RefKey]:
+    """The parsed ``CR`` entries; ``keys`` memoises each raw entry's key."""
     refs = []
-    cited = fields.get("CR")
-    if cited:
-        # Splitting the joined values gives the entries of each value in turn.
-        for entry in ";".join(cited).split(";"):
-            key = keys.get(entry)
-            if key is None:
-                if not entry.strip():
-                    continue
-                key = keys[entry] = parse_cited_ref(entry)
-            refs.append(key)
-    result.records.append(
-        BibRecord(
-            record_id=record_id,
-            source=Source.CITATION_INDEX,
-            title=title,
-            pub_year=year,
-            cited_refs=frozenset(refs),
-        )
-    )
+    # Splitting the joined values gives the entries of each value in turn.
+    for entry in ";".join(cited).split(";"):
+        key = keys.get(entry)
+        if key is None:
+            if not entry.strip():
+                continue
+            key = keys[entry] = parse_cited_ref(entry)
+        refs.append(key)
+    return frozenset(refs)
 
 
 def parse_medline_export(stream: Iterable[str]) -> ParseResult:
@@ -199,7 +177,7 @@ def parse_medline_export(stream: Iterable[str]) -> ParseResult:
         line = raw_line.rstrip("\n").rstrip("\r")
         if not line.strip():
             if fields:
-                _finish_medline_record(fields, result)
+                _finish_record(fields, result, Source.MEDLINE, "PMID", "DP")
                 fields = {}
             values = None
             continue
@@ -215,32 +193,36 @@ def parse_medline_export(stream: Iterable[str]) -> ParseResult:
         values.append(m.group(2).strip())
 
     if fields:
-        _finish_medline_record(fields, result)
+        _finish_record(fields, result, Source.MEDLINE, "PMID", "DP")
     _ensure_unique_ids(result)
     return result
 
 
-def _finish_medline_record(fields: dict[str, list[str]], result: ParseResult) -> None:
-    record_id = " ".join(filter(None, fields.get("PMID", ()))).strip()
+def _finish_record(fields: dict[str, list[str]], result: ParseResult, source: Source,
+                   id_tag: str, year_tag: str,
+                   cited_refs: frozenset[RefKey] = frozenset()) -> None:
+    """Append the record of one field block to ``result``, noting a missing
+    id (given an ``anon:`` id), title or year in that order."""
+    record_id = " ".join(filter(None, fields.get(id_tag, ()))).strip()
     if not record_id:
         record_id = f"anon:{len(result.records) + 1}"
-        result.missing.append(MissingField(record_id, "PMID"))
+        result.missing.append(MissingField(record_id, id_tag))
 
     title = " ".join(filter(None, fields.get("TI", ()))).strip()
     if not title:
         result.missing.append(MissingField(record_id, "TI"))
 
-    year = _parse_year(" ".join(fields.get("DP", ())))
+    year = _parse_year(" ".join(fields.get(year_tag, ())))
     if year is None:
-        result.missing.append(MissingField(record_id, "DP"))
+        result.missing.append(MissingField(record_id, year_tag))
 
     result.records.append(
         BibRecord(
             record_id=record_id,
-            source=Source.MEDLINE,
+            source=source,
             title=title,
             pub_year=year,
-            cited_refs=frozenset(),
+            cited_refs=cited_refs,
         )
     )
 

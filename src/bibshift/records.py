@@ -25,6 +25,8 @@ from typing import Iterable, Iterator, Optional
 from .refkey import RefKey, parse_cited_ref
 
 CACHE_HEADER = "# bibshift-cache v1: record_id\tsource\tyear\ttitle\tcited_refs"
+# Export years are four-digit fields, so every year lies in 0..MAX_YEAR.
+MAX_YEAR = 9999
 
 
 class Source(enum.Enum):
@@ -141,14 +143,22 @@ def build_corpus(
     return Corpus(slices=slices, year_range=(lo, hi), build_report=report)
 
 
-def slice_by_source(sl: YearSlice, source: Source) -> YearSlice:
-    return YearSlice(year=sl.year, records=tuple(r for r in sl.records if r.source == source))
-
-
-def corpus_sources(corpus: Corpus) -> list[Source]:
-    """Sources present in the corpus, in enum declaration order."""
-    present = {r.source for r in corpus.records()}
-    return [s for s in Source if s in present]
+def split_by_source(corpus: Corpus) -> dict[Source, Corpus]:
+    """The corpus split by record source: one part per source present, in
+    ``Source`` order. Each part keeps every year of the corpus, empty or
+    not, and its build report."""
+    parts = {}
+    for source in Source:
+        # Sources compare by identity; hashing an Enum member runs Python code.
+        slices = {
+            year: YearSlice(year=year, records=tuple(
+                r for r in corpus.slice(year).records if r.source is source))
+            for year in corpus.years()
+        }
+        if any(sl.records for sl in slices.values()):
+            parts[source] = Corpus(slices=slices, year_range=corpus.year_range,
+                                   build_report=corpus.build_report)
+    return parts
 
 
 # ── corpus cache ──────────────────────────────────────────────────────────────
@@ -231,7 +241,8 @@ def read_cache(path: str | os.PathLike, refs: bool = True) -> list[BibRecord]:
     source and year checked, but the cited-reference column is never parsed
     and every record's ``cited_refs`` is empty. Parsing a reference never
     fails, so skipping the column rejects no cache that reading it accepts.
-    A file whose last line lacks its newline was cut short and is rejected.
+    A file whose last line lacks its newline was cut short and is rejected,
+    and so is a year cell that is not a whole number in 0-``MAX_YEAR``.
     """
     records: list[BibRecord] = []
     keys: dict[str, RefKey] = {}  # escaped reference cell -> parsed key
@@ -256,6 +267,11 @@ def read_cache(path: str | os.PathLike, refs: bool = True) -> list[BibRecord]:
             except KeyError:
                 raise ValueError(f"{path}:{lineno}: unknown source {source_name!r} (want one "
                                  f"of {', '.join(Source.__members__)})") from None
+            # 1-4 ASCII digits, as ingest writes a year; int() alone would also
+            # take "1_970" or "+2000000", a year no export can hold.
+            if not (len(year_text) <= 4 and year_text.isascii() and year_text.isdigit()):
+                raise ValueError(f"{path}:{lineno}: year {year_text!r} is not a whole "
+                                 f"number in 0-{MAX_YEAR}")
             cited = []
             if refs:
                 for part in refs_cell.split("|"):

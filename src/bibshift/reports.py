@@ -167,63 +167,52 @@ def rsi_matrix(series_list: Sequence[RsiSeries], groove: GrooveReport,
 
 # ── word tables ───────────────────────────────────────────────────────────────
 
+def _per_source_table(per_source: dict[Source, Sequence], key_columns: Sequence[str],
+                      value_columns: Sequence[str], key, cells,
+                      config: ConfigPairs) -> str:
+    """One row per key (a tuple) over every source's items, with one group of
+    ``value_columns`` per source present and ``-`` cells where the key is
+    absent from a source. Rows run from the best percent in any source down,
+    ties in key order."""
+    sources = [s for s in Source if s in per_source]
+    columns = [*key_columns,
+               *(f"{source.value}_{name}" for source in sources for name in value_columns)]
+    by_key: dict[tuple, dict[Source, object]] = {}
+    for source in sources:
+        for item in per_source[source]:
+            by_key.setdefault(key(item), {})[source] = item
+
+    def order(k: tuple):
+        return (-max(item.percent for item in by_key[k].values()), k)
+
+    absent = ["-"] * len(value_columns)
+    rows = []
+    for k in sorted(by_key, key=order):
+        row = list(k)
+        for source in sources:
+            item = by_key[k].get(source)
+            row += absent if item is None else cells(item)
+        rows.append(row)
+    return render_table(config, columns, rows)
+
+
 def words_table(per_source: dict[Source, Sequence[TermStats]],
                 config: ConfigPairs) -> str:
     """New-term table; one percent/doc-freq column pair per source, ``-``
     where a term did not qualify in that source."""
-    sources = [s for s in Source if s in per_source]
-    columns = ["term"]
-    for source in sources:
-        columns += [f"{source.value}_doc_freq", f"{source.value}_percent"]
-
-    by_term: dict[str, dict[Source, TermStats]] = {}
-    for source in sources:
-        for stats in per_source[source]:
-            by_term.setdefault(stats.term, {})[source] = stats
-
-    def order(term: str):
-        best = max(s.percent for s in by_term[term].values())
-        return (-best, term)
-
-    rows = []
-    for term in sorted(by_term, key=order):
-        row: list[str] = [term]
-        for source in sources:
-            stats = by_term[term].get(source)
-            row += (["-", "-"] if stats is None
-                    else [str(stats.doc_freq), percent_text(stats.percent)])
-        rows.append(row)
-    return render_table(config, columns, rows)
+    return _per_source_table(
+        per_source, ["term"], ["doc_freq", "percent"], lambda s: (s.term,),
+        lambda s: [str(s.doc_freq), percent_text(s.percent)], config)
 
 
 def cowords_table(per_source: dict[Source, Sequence[CoWordPair]],
                   config: ConfigPairs) -> str:
     """New co-word table; per-source co-doc-freq / cosine / percent columns."""
-    sources = [s for s in Source if s in per_source]
-    columns = ["term_a", "term_b"]
-    for source in sources:
-        columns += [f"{source.value}_co_doc_freq", f"{source.value}_cosine",
-                    f"{source.value}_percent"]
-
-    by_pair: dict[tuple[str, str], dict[Source, CoWordPair]] = {}
-    for source in sources:
-        for pair in per_source[source]:
-            by_pair.setdefault((pair.term_a, pair.term_b), {})[source] = pair
-
-    def order(key: tuple[str, str]):
-        best = max(p.percent for p in by_pair[key].values())
-        return (-best, key)
-
-    rows = []
-    for key in sorted(by_pair, key=order):
-        row: list[str] = [key[0], key[1]]
-        for source in sources:
-            pair = by_pair[key].get(source)
-            row += (["-", "-", "-"] if pair is None
-                    else [str(pair.co_doc_freq), cosine_text(pair.cosine),
-                          percent_text(pair.percent)])
-        rows.append(row)
-    return render_table(config, columns, rows)
+    return _per_source_table(
+        per_source, ["term_a", "term_b"], ["co_doc_freq", "cosine", "percent"],
+        lambda p: (p.term_a, p.term_b),
+        lambda p: [str(p.co_doc_freq), cosine_text(p.cosine), percent_text(p.percent)],
+        config)
 
 
 def phrase_table(per_source: dict[Source, Sequence[PhrasePoint]],

@@ -16,7 +16,6 @@ Each query tokenises each title of its slices at most once.
 terms whose own share reaches ``min_percent``: a pair's share never exceeds
 either member's, so no pair holding another term can pass the floor, and
 former pairs outside that vocabulary can mark no later pair as not new.
-When every later term reaches the floor it counts over the full token sets.
 ``phrase_trend`` tokenises only titles whose case-folded text contains the
 case-folded head. That filter drops no match because ``str.casefold`` maps
 each code point on its own, so the case fold of any token is a substring of
@@ -195,14 +194,12 @@ def new_coword_pairs(
     _check_min_cosine(min_cosine)
     total = len(later)
     later_sets = [tokenize_title(record.title, stop) for record in later.records]
-    former_sets = (tokenize_title(record.title, stop) for record in former.records)
     df = Counter(chain.from_iterable(later_sets))
+    # A pair's co_doc_freq is at most either member's df, and the percent is
+    # monotone in it: a pair holding a term outside keep cannot pass.
     keep = frozenset(t for t, n in df.items() if 100.0 * n / total >= min_percent)
-    if len(keep) < len(df):
-        # A pair's co_doc_freq is at most either member's df, and the percent
-        # is monotone in it: a pair holding a term outside keep cannot pass.
-        later_sets = [tokens & keep for tokens in later_sets]
-        former_sets = (tokens & keep for tokens in former_sets)
+    later_sets = [tokens & keep for tokens in later_sets]
+    former_sets = (tokenize_title(record.title, stop) & keep for record in former.records)
     former_pairs = set(_term_pairs(former_sets))
     fresh = [
         CoWordPair(term_a=p.term_a, term_b=p.term_b, co_doc_freq=p.co_doc_freq,

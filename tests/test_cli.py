@@ -22,11 +22,25 @@ from bibshift.cli import (
     run,
 )
 from bibshift.cocitation import ThresholdPair
-from bibshift.records import CACHE_HEADER, Source, build_corpus, read_cache, write_cache
+from bibshift.records import (
+    CACHE_HEADER,
+    Source,
+    YearSlice,
+    build_corpus,
+    read_cache,
+    write_cache,
+)
 from bibshift.refkey import RefKey
 from bibshift.stability import RsiPoint, format_cell
+from bibshift.textmetrics import default_stopwords
 from conftest import mkrec, write_index_export, write_medline_export
-from oracles import brute_core_refs, brute_phrase_points
+from oracles import (
+    brute_core_refs,
+    brute_new_coword_pairs,
+    brute_new_terms,
+    brute_parse_cited_ref,
+    brute_phrase_points,
+)
 
 POOLS = {
     1970: ["KAPLAN A, 1950, J ONE, V1, P1", "LODGE B, 1951, J TWO, V2, P2"],
@@ -536,6 +550,128 @@ class TestReferenceReportsMatchOracle:
         return RsiPoint(former_year, later_year, len(former), len(later), shared, rsi)
 
 
+# Title words: stop words, digits, one-letter words, case and case-fold
+# variants, NBSP, and the words of the reverse transcriptase story.
+_TITLE_WORDS = ["virus", "Virus", "tumor", "avian", "reverse", "transcriptase",
+                "transcription", "RNA", "rna", "of", "the", "in", "1970", "2", "x",
+                "İstanbul", "straße", "STRASSE", "dna\u00a0polymerase", "enzyme-assay"]
+_COMPARED_PAIRS = {"both sources": (1970, 1972), "one source": (1971, 1973)}
+
+
+@st.composite
+def title_cases(draw):
+    """Records in 1970-1975 (1974 empty): one source in every year, the other
+    only in 1970 and 1972, so it is absent from the 1971:1973 pair. Index
+    records cite respelled and repeated references; MEDLINE records cite
+    nothing. Also the two floors."""
+    everywhere = draw(st.sampled_from(list(Source)))
+    elsewhere = next(source for source in Source if source is not everywhere)
+    row = st.tuples(st.lists(st.sampled_from(_TITLE_WORDS), max_size=5).map(" ".join),
+                    st.lists(st.sampled_from(_REF_SPELLINGS), max_size=4))
+    rows = []
+    for source, year, min_size in [*((everywhere, y, 1) for y in (1970, 1971, 1972, 1973, 1975)),
+                                   (elsewhere, 1970, 1), (elsewhere, 1972, 0)]:
+        rows += [(year, source, title, refs) for title, refs in
+                 draw(st.lists(row, min_size=min_size, max_size=5))]
+    min_percent = draw(st.sampled_from([0.0, 1.0, 25.0, 50.0]))
+    min_cosine = draw(st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+    return rows, min_percent, min_cosine
+
+
+class TestTitleAndSummaryReportsMatchOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(title_cases())
+    def test_summary_words_and_cowords_match_brute_force(self, case):
+        rows, min_percent, min_cosine = case
+        records = [mkrec(f"r{i}", refs=refs if source is Source.CITATION_INDEX else (),
+                         title=title, year=year, source=source)
+                   for i, (year, source, title, refs) in enumerate(rows)]
+        raw_refs = {i: refs if source is Source.CITATION_INDEX else []
+                    for i, (_, source, _, refs) in enumerate(rows)}
+        stop = set(default_stopwords().words)
+        with tempfile.TemporaryDirectory() as tmp:
+            cache, out = Path(tmp) / "c.tsv", Path(tmp) / "out"
+            write_cache(build_corpus(records), cache)
+            base = ["--cache", str(cache), "--out-dir", str(out)]
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert run(["summary", *base]) == 0
+                for former, later in _COMPARED_PAIRS.values():
+                    years = ["--years", f"{former}:{later}"]
+                    assert run(["words", *base, *years, "--min-percent", str(min_percent)]) == 0
+                    assert run(["cowords", *base, *years, "--min-percent", str(min_percent),
+                                "--min-cosine", str(min_cosine)]) == 0
+            summary = self.table(out / "summary.tsv")
+            words = {pair: self.table(out / f"words_{pair[0]}-{pair[1]}.tsv")
+                     for pair in _COMPARED_PAIRS.values()}
+            cowords = {pair: self.table(out / f"cowords_{pair[0]}-{pair[1]}.tsv")
+                       for pair in _COMPARED_PAIRS.values()}
+
+        years = range(1970, 1976)
+        distinct = {y: {brute_parse_cited_ref(raw) for i, (year, *_) in enumerate(rows)
+                        if year == y for raw in raw_refs[i]} for y in years}
+        count = {(y, s): sum(1 for year, source, *_ in rows if (year, source) == (y, s))
+                 for y in years for s in Source}
+        assert summary == [
+            ["year", "citation_index_records", "medline_records", "total_records",
+             "distinct_cited_refs"],
+            *([str(y), str(count[y, Source.CITATION_INDEX]), str(count[y, Source.MEDLINE]),
+               str(count[y, Source.CITATION_INDEX] + count[y, Source.MEDLINE]),
+               str(len(distinct[y]))] for y in years),
+            ["TOTAL", *(str(sum(count[y, s] for y in years)) for s in Source),
+             str(len(rows)), str(len(set().union(*distinct.values())))],
+        ]
+
+        def part(year: int, source: Source) -> YearSlice:
+            return YearSlice(year, tuple(r for r in records
+                                         if r.pub_year == year and r.source is source))
+
+        for former, later in _COMPARED_PAIRS.values():
+            terms = {s: brute_new_terms(part(former, s), part(later, s), stop, min_percent)
+                     for s in Source}
+            assert words[former, later] == self.merged(
+                ["term"], ["doc_freq", "percent"], terms,
+                lambda found: [str(found[0]), f"{found[1]:.2f}"])
+            pairs = {s: brute_new_coword_pairs(part(former, s), part(later, s), stop,
+                                               min_cosine, min_percent) for s in Source}
+            assert cowords[former, later] == self.merged(
+                ["term_a", "term_b"], ["co_doc_freq", "cosine", "percent"], pairs,
+                lambda found: [str(found[0]), f"{found[1]:.4f}", f"{found[2]:.2f}"])
+        # The source absent from the 1971:1973 pair keeps its columns, all "-".
+        elsewhere = next(s for s in Source if not any(
+            year == 1971 and source is s for year, source, *_ in rows))
+        for table, width in ((words, 2), (cowords, 3)):
+            header, *body = table[_COMPARED_PAIRS["one source"]]
+            columns = [i for i, name in enumerate(header)
+                       if name.startswith(f"{elsewhere.value}_")]
+            assert len(columns) == width
+            assert all(row[i] == "-" for row in body for i in columns)
+
+    @staticmethod
+    def table(path: Path) -> list[list[str]]:
+        lines = path.read_text(encoding="utf-8").splitlines()
+        return [line.split("\t") for line in lines if not line.startswith("#")]
+
+    @staticmethod
+    def merged(key_columns, value_columns, per_source: dict, cells) -> list[list[str]]:
+        """Header and rows: one row per key, best percent (the last value)
+        over the sources first, then key order; ``-`` where a key is absent."""
+        keys = {key for found in per_source.values() for key in found}
+
+        def order(key):
+            best = max(found[key][-1] for found in per_source.values() if key in found)
+            return (-best, key)
+
+        header = [*key_columns, *(f"{s.value}_{name}" for s in Source for name in value_columns)]
+        rows = []
+        for key in sorted(keys, key=order):
+            row = [key] if isinstance(key, str) else list(key)
+            for source in Source:
+                found = per_source[source].get(key)
+                row += ["-"] * len(value_columns) if found is None else cells(found)
+            rows.append(row)
+        return [header, *rows]
+
+
 class TestBadFloats:
     @pytest.mark.parametrize("key", ["min_percent", "min_cosine"])
     @pytest.mark.parametrize("value", ["abc", None, [1]])
@@ -654,6 +790,21 @@ class TestBadCache:
         assert err.startswith(f"error: cannot build corpus from {cache}: "
                               f"{cache}:2: truncated cache line")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("year", ["+2000000", "1_970", "10000", "-5", "", " 197", "١٩٧٠"])
+    def test_year_outside_0_to_9999_is_an_error(self, tmp_path, capsys, year):
+        cache = self.write(tmp_path, lambda text: text.replace("\t1970\t", f"\t{year}\t"))
+        assert run(["summary", *base_args(tmp_path, cache)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot build corpus from {cache}: {cache}:2: "
+                              f"year {year!r} is not a whole number in 0-9999")
+        assert not (tmp_path / "out").exists()
+
+    def test_years_0_and_9999_load(self, tmp_path):
+        cache = tmp_path / "c.tsv"
+        cache.write_text(f"{CACHE_HEADER}\na\tMEDLINE\t0\tvirus\t\n"
+                         "b\tMEDLINE\t9999\tvirus\t\n", encoding="utf-8")
+        assert [r.pub_year for r in read_cache(cache)] == [0, 9999]
 
     def test_headerless_cache_is_an_error(self, tmp_path, capsys):
         cache = self.write(tmp_path, lambda text: text.split("\n", 1)[1])
@@ -829,6 +980,21 @@ class TestArgHelpers:
         with pytest.raises(CliError):
             parse_gaps("0")
 
+    @pytest.mark.parametrize("text", ["-1:1970", "1970:10000", "1:300000", "1_970:+2000000"])
+    def test_parse_years_rejects_a_bound_outside_0_to_9999(self, text):
+        with pytest.raises(CliError, match="must lie in 0:9999"):
+            parse_years(text)
+
+    def test_parse_years_accepts_0_to_9999(self):
+        assert parse_years("0:9999") == (0, 9999)
+
+    def test_a_wide_year_span_is_an_error_before_the_corpus_loads(self, tmp_path, capsys):
+        assert run(["summary", "--cache", str(tmp_path / "missing.tsv"),
+                    "--out-dir", str(tmp_path / "out"), "--years", "1:300000"]) == 1
+        assert capsys.readouterr().err == (
+            "error: years '1:300000' must lie in 0:9999\n")
+        assert not (tmp_path / "out").exists()
+
     def test_workers_must_be_positive(self, tmp_path, capsys):
         assert run(["summary", "--cache", str(tmp_path / "c.tsv"),
                     "--workers", "0"]) == 1
@@ -914,7 +1080,8 @@ class TestConfigWorkers:
 _FILES = ["index.txt", "medline.txt", "cache.tsv", "cut.tsv", "garbage.txt", "latin1.txt",
           "config.json", "stop.txt", "missing.txt", "a_dir", "nul\0name"]
 _FLAG_VALUES = {
-    "--years": ["1970:1972", "1972:1970", "1970", "a:b", "1971:1971", "1900:1901", ""],
+    "--years": ["1970:1972", "1972:1970", "1970", "a:b", "1971:1971", "1900:1901", "",
+                "0:9999", "-1:1970", "1970:10000", "1:100000000", "1_970:+2000000"],
     "--thresholds": ["2/2", "2/3", "2/3,2/3", "x", "0/1", "", "1/1,"],
     "--gaps": ["1", "1,2", "0", "x", "99", ""],
     "--min-percent": ["1", "-1", "nan", "inf", "x", "0"],

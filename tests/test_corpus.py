@@ -14,9 +14,8 @@ from bibshift.records import (
     EmptyCorpus,
     Source,
     build_corpus,
-    corpus_sources,
     read_cache,
-    slice_by_source,
+    split_by_source,
     write_cache,
 )
 from conftest import mkrec
@@ -77,24 +76,39 @@ class TestBuildCorpus:
             build_corpus([mkrec("a", year=1970)], (1975, 1966))
 
 
-class TestSourceHelpers:
-    def test_slice_by_source(self):
-        records = [
-            mkrec("i", year=1970, source=Source.CITATION_INDEX),
-            mkrec("m", year=1970, source=Source.MEDLINE),
-        ]
-        sl = build_corpus(records).slice(1970)
-        assert [r.record_id for r in slice_by_source(sl, Source.MEDLINE).records] == ["m"]
-
-    def test_corpus_sources_in_declaration_order(self):
+class TestSplitBySource:
+    def test_sources_in_declaration_order(self):
         records = [
             mkrec("m", year=1970, source=Source.MEDLINE),
             mkrec("i", year=1970, source=Source.CITATION_INDEX),
         ]
-        assert corpus_sources(build_corpus(records)) == [
+        assert list(split_by_source(build_corpus(records))) == [
             Source.CITATION_INDEX,
             Source.MEDLINE,
         ]
+
+    def test_each_part_holds_its_source_and_every_year(self):
+        records = [
+            mkrec("i70", year=1970, source=Source.CITATION_INDEX),
+            mkrec("m70", year=1970, source=Source.MEDLINE),
+            mkrec("i72", year=1972, source=Source.CITATION_INDEX),
+            mkrec("m74", year=1974, source=Source.MEDLINE),
+        ]
+        corpus = build_corpus(records, (1969, 1975))
+        parts = split_by_source(corpus)
+        for source, part in parts.items():
+            assert part.year_range == corpus.year_range
+            assert part.build_report == corpus.build_report
+            assert sorted(part.slices) == corpus.years()
+            for year in corpus.years():
+                assert part.slice(year).records == tuple(
+                    r for r in corpus.slice(year).records if r.source is source)
+        assert [r.record_id for r in parts[Source.CITATION_INDEX].records()] == ["i70", "i72"]
+        assert [r.record_id for r in parts[Source.MEDLINE].records()] == ["m70", "m74"]
+
+    def test_an_absent_source_is_omitted(self):
+        corpus = build_corpus([mkrec("m", year=1970, source=Source.MEDLINE)])
+        assert list(split_by_source(corpus)) == [Source.MEDLINE]
 
 
 # awkward characters the cache escaping must survive

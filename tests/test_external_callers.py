@@ -1,6 +1,7 @@
 """Callers outside ``src/`` that no other test runs: the README's Library
 example, the tables of functions the benchmark's tracer wraps, and the
-names through which ``ingest`` reaches the layers the tracer times."""
+names through which ``ingest`` and the title commands reach the layers the
+tracer times."""
 import ast
 import contextlib
 import io
@@ -9,8 +10,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from bibshift import cli
 from bibshift.cli import run
+from bibshift.records import Source
 from conftest import write_index_export, write_medline_export
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -64,11 +68,8 @@ def test_every_function_the_tracer_wraps_exists():
                 assert callable(getattr(module, name, None)), f"bibshift.{module_name}.{name}"
 
 
-def test_ingest_calls_each_traced_layer_through_the_cli_binding(tmp_path, monkeypatch):
-    """The tracer times ingest's layers by wrapping the names ``cli`` binds;
-    a layer ingest reached some other way would read 0 without a warning."""
-    names = ("parse_citation_index_export", "parse_medline_export", "link_records",
-             "write_cache")
+def _count_calls(monkeypatch, module, names) -> dict[str, int]:
+    """Calls made to each of ``names`` through ``module``'s binding."""
     calls = dict.fromkeys(names, 0)
 
     def counting(name, original):
@@ -78,7 +79,16 @@ def test_ingest_calls_each_traced_layer_through_the_cli_binding(tmp_path, monkey
         return wrapper
 
     for name in names:
-        monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    return calls
+
+
+def test_ingest_calls_each_traced_layer_through_the_cli_binding(tmp_path, monkeypatch):
+    """The tracer times ingest's layers by wrapping the names ``cli`` binds;
+    a layer ingest reached some other way would read 0 without a warning."""
+    names = ("parse_citation_index_export", "parse_medline_export", "link_records",
+             "write_cache")
+    calls = _count_calls(monkeypatch, cli, names)
     write_index_export(tmp_path / "index.txt", [("IDX:1", 1970, "A title", ["X, 1960"])])
     write_medline_export(tmp_path / "medline.txt", [("1", 1970, "A title")])
     with contextlib.redirect_stdout(io.StringIO()):
@@ -87,3 +97,30 @@ def test_ingest_calls_each_traced_layer_through_the_cli_binding(tmp_path, monkey
                     "--cache", str(tmp_path / "cache.tsv"),
                     "--out-dir", str(tmp_path / "out")]) == 0
     assert calls == dict.fromkeys(names, 1)
+
+
+@pytest.mark.parametrize("command, analysis, table", [
+    (["words", "--years", "1970:1971"], "new_terms", "words_table"),
+    (["cowords", "--years", "1970:1971"], "new_coword_pairs", "cowords_table"),
+    (["phrase", "--head", "reverse", "--stem", "transcr"], "phrase_trend", "phrase_table"),
+])
+def test_title_commands_call_each_traced_layer_through_the_cli_binding(
+        tmp_path, monkeypatch, command, analysis, table):
+    """The tracer times the title commands' analysis once per source and
+    their table once, by wrapping the names ``cli`` and ``cli.reports``
+    bind; a call made some other way would read 0 without a warning."""
+    analysis_calls = _count_calls(monkeypatch, cli, [analysis])
+    table_calls = _count_calls(monkeypatch, cli.reports, [table])
+    titles = ["virus growth", "reverse transcriptase"]
+    write_index_export(tmp_path / "index.txt",
+                       [(f"IDX:{i}", 1970 + i, title, []) for i, title in enumerate(titles)])
+    write_medline_export(tmp_path / "medline.txt",
+                         [(str(i), 1970 + i, title) for i, title in enumerate(titles)])
+    cache = tmp_path / "cache.tsv"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(["ingest", "--index", str(tmp_path / "index.txt"),
+                    "--medline", str(tmp_path / "medline.txt"),
+                    "--cache", str(cache), "--out-dir", str(tmp_path / "out")]) == 0
+        assert run([*command, "--cache", str(cache), "--out-dir", str(tmp_path / "out")]) == 0
+    assert analysis_calls == {analysis: len(Source)}
+    assert table_calls == {table: 1}
