@@ -21,7 +21,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 from warnings import catch_warnings, simplefilter
 
 from . import reports
@@ -54,17 +54,6 @@ from .textmetrics import (
     phrase_trend,
     sum_phrase_trends,
 )
-
-DEFAULT_CACHE = "corpus_cache.tsv"
-DEFAULT_THRESHOLDS = "15/11,15/8,11/9,10/8"
-DEFAULT_GAPS = "1,2"
-DEFAULT_MIN_PERCENT = 1.0
-DEFAULT_MIN_COSINE = 0.25
-
-_CONFIG_KEYS = {
-    "cache", "out_dir", "years", "thresholds", "gaps", "min_percent",
-    "min_cosine", "stopwords", "workers", "index", "medline", "head", "stem",
-}
 
 
 class CliError(Exception):
@@ -102,6 +91,7 @@ class RunConfig:
     min_percent: float
     min_cosine: float
     stopwords: Optional[Path]
+    workers: int
     index: Optional[Path] = None
     medline: Optional[Path] = None
     head: Optional[str] = None
@@ -120,91 +110,6 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(1, f"error: {message}\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _ArgumentParser(
-        prog="bibshift",
-        description="Detect shifts in a literature corpus via core-reference "
-                    "stability and title-word analysis.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", type=Path,
-                       help="JSON config file; explicit flags override it")
-        p.add_argument("--cache", type=Path,
-                       help=f"corpus cache file (default {DEFAULT_CACHE})")
-        p.add_argument("--out-dir", type=Path,
-                       help="directory for report files (default .)")
-        p.add_argument("--years",
-                       help="year range A:B (for words/cowords: the compared pair)")
-        p.add_argument("--workers", type=int,
-                       help="accepted for compatibility (>= 1, default 1); work runs "
-                            "serially and output never depends on it")
-
-    p = sub.add_parser("ingest", help="parse export files and write the corpus cache")
-    common(p)
-    p.add_argument("--index", type=Path, help="citation-index export file")
-    p.add_argument("--medline", type=Path, help="MEDLINE export file")
-
-    p = sub.add_parser("summary", help="per-year record and cited-reference counts")
-    common(p)
-
-    p = sub.add_parser("rsi", help="stability series, combined matrix, groove report")
-    common(p)
-    p.add_argument("--thresholds",
-                   help=f"comma-separated cite/cocite pairs (default {DEFAULT_THRESHOLDS})")
-    p.add_argument("--gaps", help=f"comma-separated interval gaps (default {DEFAULT_GAPS})")
-
-    p = sub.add_parser("core-refs", help="core-reference membership and set sizes")
-    common(p)
-    p.add_argument("--thresholds",
-                   help=f"comma-separated cite/cocite pairs (default {DEFAULT_THRESHOLDS})")
-
-    p = sub.add_parser("words", help="new title words for a year pair")
-    common(p)
-    p.add_argument("--min-percent", type=float,
-                   help=f"later-year document-frequency floor (default {DEFAULT_MIN_PERCENT})")
-    p.add_argument("--stopwords", type=Path, help="stop-word list file (default: built-in)")
-
-    p = sub.add_parser("cowords", help="new co-word pairs for a year pair")
-    common(p)
-    p.add_argument("--min-percent", type=float,
-                   help=f"later-year document-frequency floor (default {DEFAULT_MIN_PERCENT})")
-    p.add_argument("--min-cosine", type=float,
-                   help=f"cosine floor for pairs (default {DEFAULT_MIN_COSINE})")
-    p.add_argument("--stopwords", type=Path, help="stop-word list file (default: built-in)")
-
-    p = sub.add_parser("phrase", help="per-year trend of head word + stem prefix")
-    common(p)
-    p.add_argument("--head", help="leading word, e.g. reverse")
-    p.add_argument("--stem", help="stem prefix of the following word, e.g. transcr")
-
-    return parser
-
-
-def _load_config_file(path: Optional[Path]) -> dict:
-    if path is None:
-        return {}
-    with _user_file("read config file", path, f"config file not found: {path}"):
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise CliError(f"cannot parse config file {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise CliError(f"config file {path} must hold a JSON object")
-    unknown = sorted(set(data) - _CONFIG_KEYS)
-    if unknown:
-        raise CliError(f"unknown config keys in {path}: {', '.join(unknown)}")
-    return data
-
-
-def _setting(args: argparse.Namespace, file_cfg: dict, name: str, default=None):
-    value = getattr(args, name, None)
-    if value is None:
-        value = file_cfg.get(name, default)
-    return value
-
-
 def parse_years(text: str) -> tuple[int, int]:
     first, sep, last = text.partition(":")
     if not sep:
@@ -220,22 +125,12 @@ def parse_years(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def parse_thresholds(text: str, warn: bool = True) -> tuple[ThresholdPair, ...]:
-    """Threshold pairs from ``N/M,...``. With ``warn``, the library's warning
-    about a pair whose cocite_min exceeds its cite_min is printed as a
-    ``warning:`` line, once per distinct message."""
+def parse_thresholds(text: str) -> tuple[ThresholdPair, ...]:
+    """Threshold pairs from ``N/M,...``."""
     try:
-        with catch_warnings(record=True) as caught:
-            simplefilter("always")
-            pairs = tuple(ThresholdPair.parse(part) for part in text.split(","))
+        return tuple(ThresholdPair.parse(part) for part in text.split(","))
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    if warn:
-        for message in dict.fromkeys(str(warning.message) for warning in caught):
-            print(f"warning: {message}", file=sys.stderr)
-    if not pairs:
-        raise CliError("thresholds list is empty")
-    return pairs
 
 
 def parse_gaps(text: str) -> tuple[int, ...]:
@@ -248,14 +143,34 @@ def parse_gaps(text: str) -> tuple[int, ...]:
     return gaps
 
 
-def _parse_float(name: str, value) -> float:
-    try:
-        number = float(value)
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"cannot parse {name} {value!r} (want a number)") from exc
+def _workers(name: str, count: int) -> int:
+    if count < 1:
+        raise CliError(f"{name} must be >= 1, got {count}")
+    return count
+
+
+def _finite(name: str, number: float) -> float:
     if not math.isfinite(number):
-        raise CliError(f"{name} must be a finite number, got {value!r}")
+        raise CliError(f"{name} must be a finite number, got {number}")
     return number
+
+
+def _min_percent(name: str, number: float) -> float:
+    if _finite(name, number) < 0:
+        raise CliError(f"{name} must be >= 0, got {number}")
+    return number
+
+
+def _min_cosine(name: str, number: float) -> float:
+    if not 0 <= _finite(name, number) <= 1:
+        raise CliError(f"{name} must be in [0, 1], got {number}")
+    return number
+
+
+def _path(name: str, text: str) -> Path:
+    if "\0" in text:
+        raise CliError(f"{name} {text!r} must not hold a NUL character")
+    return Path(text)
 
 
 # --head and --stem become part of report file names.
@@ -266,11 +181,7 @@ _PATH_CHARS = frozenset({"/", "\\", os.sep, "\0"})
 _NEVER_IN_WORD = frozenset("!\"#$%&'()*+,-./:;<=>?@[\\]^_`{|}~")  # string.punctuation
 
 
-def _name_part(name: str, value) -> Optional[str]:
-    if value is None:
-        return None
-    if not isinstance(value, str):
-        raise CliError(f"{name} must be a string, got {value!r}")
+def _name_part(name: str, value: str) -> str:
     if _PATH_CHARS.intersection(value):
         raise CliError(f"{name} {value!r} must not hold a path separator or NUL "
                        "(it is part of the report file names)")
@@ -280,54 +191,131 @@ def _name_part(name: str, value) -> Optional[str]:
     return value
 
 
-def resolve_config(args: argparse.Namespace) -> RunConfig:
-    file_cfg = _load_config_file(getattr(args, "config", None))
+@dataclass(frozen=True)
+class _Setting:
+    """One setting: the flag ``--name`` (``_`` written ``-``) on ``commands``
+    (``None``: every command) and the config-file key ``name``. ``help`` may
+    name ``{default}``. The flag's text, or a config value read as that
+    text, goes through ``type`` (when set) and then ``check(name, value)``,
+    which rejects what a run cannot use and returns the run's value; a
+    warning it raises is printed only on the commands that take the flag.
+    A ``text_only`` setting (a path or a report-name part) takes no JSON
+    number."""
+    help: str
+    check: Callable[[str, Any], Any]
+    commands: Optional[tuple[str, ...]] = None
+    default: Any = None
+    type: Optional[Callable[[str], Any]] = None
+    text_only: bool = False
 
-    years_text = _setting(args, file_cfg, "years")
-    workers_value = _setting(args, file_cfg, "workers", 1)
-    try:
-        workers = int(workers_value)
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"cannot parse workers {workers_value!r} (want an integer)") from exc
-    if workers < 1:
-        raise CliError(f"workers must be >= 1, got {workers}")
-    min_percent = _parse_float(
-        "min_percent", _setting(args, file_cfg, "min_percent", DEFAULT_MIN_PERCENT))
-    if min_percent < 0:
-        raise CliError(f"min_percent must be >= 0, got {min_percent}")
-    min_cosine = _parse_float(
-        "min_cosine", _setting(args, file_cfg, "min_cosine", DEFAULT_MIN_COSINE))
-    if not 0 <= min_cosine <= 1:
-        raise CliError(f"min_cosine must be in [0, 1], got {min_cosine}")
+    def takes(self, command: str) -> bool:
+        return self.commands is None or command in self.commands
 
-    def as_path(name: str, default=None) -> Optional[Path]:
-        value = _setting(args, file_cfg, name, default)
-        if value is None and default is None:
-            return None
-        if not isinstance(value, (str, Path)):
-            raise CliError(f"{name} must be a path string, got {value!r}")
-        if "\0" in str(value):
-            raise CliError(f"{name} {str(value)!r} must not hold a NUL character")
-        return Path(value)
 
-    return RunConfig(
-        command=args.command,
-        cache=as_path("cache", DEFAULT_CACHE),
-        out_dir=as_path("out_dir", "."),
-        years=parse_years(str(years_text)) if years_text is not None else None,
-        # Every command rejects a bad value; only those using it warn.
-        thresholds=parse_thresholds(
-            str(_setting(args, file_cfg, "thresholds", DEFAULT_THRESHOLDS)),
-            warn=args.command in ("rsi", "core-refs")),
-        gaps=parse_gaps(str(_setting(args, file_cfg, "gaps", DEFAULT_GAPS))),
-        min_percent=min_percent,
-        min_cosine=min_cosine,
-        stopwords=as_path("stopwords"),
-        index=as_path("index"),
-        medline=as_path("medline"),
-        head=_name_part("head", _setting(args, file_cfg, "head")),
-        stem=_name_part("stem", _setting(args, file_cfg, "stem")),
+_SETTINGS = {
+    "cache": _Setting("corpus cache file (default {default})", _path,
+                      default="corpus_cache.tsv", text_only=True),
+    "out_dir": _Setting("directory for report files (default {default})", _path,
+                        default=".", text_only=True),
+    "years": _Setting("year range A:B (for words/cowords: the compared pair)",
+                      lambda _, text: parse_years(text)),
+    "workers": _Setting("accepted for compatibility (>= 1, default {default}); work runs "
+                        "serially and output never depends on it",
+                        _workers, default=1, type=int),
+    "index": _Setting("citation-index export file", _path, ("ingest",), text_only=True),
+    "medline": _Setting("MEDLINE export file", _path, ("ingest",), text_only=True),
+    "thresholds": _Setting("comma-separated cite/cocite pairs (default {default})",
+                           lambda _, text: parse_thresholds(text),
+                           ("rsi", "core-refs"), default="15/11,15/8,11/9,10/8"),
+    "gaps": _Setting("comma-separated interval gaps (default {default})",
+                     lambda _, text: parse_gaps(text), ("rsi",), default="1,2"),
+    "min_percent": _Setting("later-year document-frequency floor (default {default})",
+                            _min_percent, ("words", "cowords"), default=1.0, type=float),
+    "min_cosine": _Setting("cosine floor for pairs (default {default})",
+                           _min_cosine, ("cowords",), default=0.25, type=float),
+    "stopwords": _Setting("stop-word list file (default: built-in)", _path,
+                          ("words", "cowords"), text_only=True),
+    "head": _Setting("leading word, e.g. reverse", _name_part, ("phrase",), text_only=True),
+    "stem": _Setting("stem prefix of the following word, e.g. transcr", _name_part,
+                     ("phrase",), text_only=True),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _ArgumentParser(
+        prog="bibshift",
+        description="Detect shifts in a literature corpus via core-reference "
+                    "stability and title-word analysis.",
     )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (help_text, _) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--config", help="JSON config file; explicit flags override it")
+        for name, setting in _SETTINGS.items():
+            if setting.takes(command):
+                p.add_argument(f"--{name.replace('_', '-')}", type=setting.type,
+                               help=setting.help.format(default=setting.default))
+    return parser
+
+
+def _load_config_file(name: Optional[str]) -> dict:
+    if name is None:
+        return {}
+    path = Path(name)
+    with _user_file("read config file", path, f"config file not found: {path}"):
+        text = path.read_text(encoding="utf-8")
+    try:
+        data = json.loads(text)
+    except ValueError as exc:  # also a number too long for int()
+        raise CliError(f"cannot parse config file {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise CliError(f"config file {path} must hold a JSON object")
+    unknown = sorted(set(data) - set(_SETTINGS))
+    if unknown:
+        raise CliError(f"unknown config keys in {path}: {', '.join(unknown)}")
+    return data
+
+
+def _config_value(name: str, setting: _Setting, value):
+    """A config value as its flag's value: a JSON string is the flag's text
+    and a JSON number (unless ``text_only``) its ``str()``, converted by the
+    flag's ``type``."""
+    if isinstance(value, str):
+        text = value
+    elif setting.text_only:
+        raise CliError(f"{name} must be a string, got {value!r}")
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        text = str(value)
+    else:
+        raise CliError(f"cannot parse {name} {value!r} (want a string or a number)")
+    if setting.type is None:
+        return text
+    try:
+        return setting.type(text)
+    except ValueError as exc:
+        raise CliError(f"cannot parse {name} {text!r} "
+                       f"(invalid {setting.type.__name__} value)") from exc
+
+
+def resolve_config(args: argparse.Namespace) -> RunConfig:
+    """Each setting from its flag, else the config file, else its default."""
+    file_cfg = _load_config_file(args.config)
+    values = {}
+    for name, setting in _SETTINGS.items():
+        value = getattr(args, name, None)
+        if value is None and name in file_cfg:
+            value = _config_value(name, setting, file_cfg[name])
+        if value is None:
+            value = setting.default
+        with catch_warnings(record=True) as caught:
+            simplefilter("always")
+            values[name] = None if value is None else setting.check(name, value)
+        # Every command rejects a bad value; only those taking the flag warn
+        # (of a threshold pair whose cocite_min exceeds its cite_min).
+        if setting.takes(args.command):
+            for message in dict.fromkeys(str(warning.message) for warning in caught):
+                print(f"warning: {message}", file=sys.stderr)
+    return RunConfig(command=args.command, **values)
 
 
 # ── shared helpers ────────────────────────────────────────────────────────────
@@ -566,13 +554,13 @@ def cmd_phrase(cfg: RunConfig, written: list[Path]) -> None:
 
 
 _COMMANDS = {
-    "ingest": cmd_ingest,
-    "summary": cmd_summary,
-    "rsi": cmd_rsi,
-    "core-refs": cmd_core_refs,
-    "words": cmd_words,
-    "cowords": cmd_cowords,
-    "phrase": cmd_phrase,
+    "ingest": ("parse export files and write the corpus cache", cmd_ingest),
+    "summary": ("per-year record and cited-reference counts", cmd_summary),
+    "rsi": ("stability series, combined matrix, groove report", cmd_rsi),
+    "core-refs": ("core-reference membership and set sizes", cmd_core_refs),
+    "words": ("new title words for a year pair", cmd_words),
+    "cowords": ("new co-word pairs for a year pair", cmd_cowords),
+    "phrase": ("per-year trend of head word + stem prefix", cmd_phrase),
 }
 
 
@@ -581,7 +569,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     try:
         cfg = resolve_config(args)
         written: list[Path] = []
-        result = _COMMANDS[cfg.command](cfg, written)
+        result = _COMMANDS[cfg.command][1](cfg, written)
         if result:
             for warning in result:
                 print(f"warning: {warning}", file=sys.stderr)

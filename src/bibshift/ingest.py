@@ -72,10 +72,6 @@ class ParseResult:
     missing: list[MissingField] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
 
-    @property
-    def is_clean(self) -> bool:
-        return not self.missing and not self.warnings
-
 
 def parse_citation_index_export(stream: Iterable[str]) -> ParseResult:
     """Parse a citation-index export (opened text file or iterable of lines)."""

@@ -22,11 +22,6 @@ from functools import cached_property
 from typing import Optional
 
 
-def normalize_text(text: str) -> str:
-    """Uppercase and collapse runs of whitespace. Idempotent."""
-    return " ".join(text.split()).upper()
-
-
 @dataclass(frozen=True)
 class RefKey:
     """Identity of one cited reference.

@@ -72,10 +72,6 @@ class GrooveReport:
     minima: tuple[SeriesMinimum, ...]
     consensus: tuple[Interval, ...]  # intervals minimal in every series
 
-    @property
-    def has_consensus(self) -> bool:
-        return bool(self.consensus)
-
 
 def rsi(core_a: CoreRefSet, core_b: CoreRefSet) -> RsiPoint:
     """Stability of the core set from ``core_a``'s year to ``core_b``'s."""

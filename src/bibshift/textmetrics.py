@@ -29,8 +29,8 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
-from importlib import resources
 from itertools import chain, combinations
+from pathlib import Path
 from typing import Optional
 
 from .records import Corpus, YearSlice
@@ -42,12 +42,6 @@ _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 class StopWordList:
     words: frozenset[str]  # stored case-folded
     source_path: str
-
-    def __contains__(self, token: str) -> bool:
-        return token.casefold() in self.words
-
-    def __len__(self) -> int:
-        return len(self.words)
 
 
 @dataclass(frozen=True)
@@ -90,8 +84,8 @@ def load_stopwords(path) -> StopWordList:
 
 
 def default_stopwords() -> StopWordList:
-    text = resources.files("bibshift").joinpath("data/stopwords_en.txt").read_text("utf-8")
-    return parse_stopwords(text.splitlines(), source_path="<builtin:en>")
+    with open(Path(__file__).parent / "data" / "stopwords_en.txt", encoding="utf-8") as fh:
+        return parse_stopwords(fh, source_path="<builtin:en>")
 
 
 def title_token_sequence(title: str) -> tuple[str, ...]:

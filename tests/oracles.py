@@ -7,6 +7,7 @@ data types.
 import math
 import re
 from dataclasses import replace
+from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
@@ -54,6 +55,14 @@ def brute_core_refs(sl: YearSlice, thresholds: ThresholdPair) -> frozenset:
                 members.add(ref)
                 break
     return frozenset(members)
+
+
+def brute_rsi_2dp(value: Fraction) -> str:
+    """Two decimals, a remainder of exactly half a hundredth rounding up."""
+    hundredths = math.floor(value * 100)
+    if value * 100 - hundredths >= Fraction(1, 2):
+        hundredths += 1
+    return f"{hundredths // 100}.{hundredths % 100:02d}"
 
 
 def brute_sequence(title: str) -> list:
@@ -342,3 +351,18 @@ def _brute_unique_ids(result: ParseResult) -> None:
                 f"duplicate record id {record.record_id!r} renamed to {new_id!r}"
             )
             result.records[i] = replace(record, record_id=new_id)
+
+
+def brute_link_counts(medline, index) -> tuple[int, int, int]:
+    """(matched, ambiguous, unmatched) MEDLINE records: index records with a
+    year equal to the MEDLINE record's and the same title, case-folded with
+    every run of non-word characters read as one space."""
+    def norm(title: str) -> str:
+        return re.sub(r"[\W_]+", " ", title.casefold()).strip()
+
+    counts = [0, 0, 0]
+    for m in medline:
+        found = [r for r in index if m.pub_year is not None and r.pub_year == m.pub_year
+                 and norm(r.title) == norm(m.title)]
+        counts[0 if len(found) == 1 else 1 if found else 2] += 1
+    return tuple(counts)

@@ -238,7 +238,7 @@ def test_criterion_05_groove_consensus_interval():
             problems.append(f"{minimum.thresholds} dips at {minimum.intervals}")
         if format_rsi(minimum.value) != "0.07":
             problems.append(f"{minimum.thresholds} minimum {minimum.value}, want 1/15")
-    if not groove.has_consensus:
+    if not groove.consensus:
         problems.append("no consensus flagged")
     if groove.consensus != ((1970, 1972),):
         problems.append(f"consensus {groove.consensus} != ((1970, 1972),)")

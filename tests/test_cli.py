@@ -1,7 +1,9 @@
+import argparse
 import contextlib
 import io
 import json
 import os
+import shutil
 import string
 import subprocess
 import sys
@@ -16,6 +18,7 @@ import bibshift
 from bibshift import cli, records, textmetrics
 from bibshift.cli import (
     CliError,
+    build_parser,
     parse_gaps,
     parse_thresholds,
     parse_years,
@@ -36,10 +39,14 @@ from bibshift.textmetrics import default_stopwords
 from conftest import mkrec, write_index_export, write_medline_export
 from oracles import (
     brute_core_refs,
+    brute_link_counts,
     brute_new_coword_pairs,
     brute_new_terms,
+    brute_parse_citation_index_export,
     brute_parse_cited_ref,
+    brute_parse_medline_export,
     brute_phrase_points,
+    brute_rsi_2dp,
 )
 
 POOLS = {
@@ -89,6 +96,17 @@ def ingest(tmp_path, *extra):
 
 def base_args(tmp_path, cache):
     return ["--cache", str(cache), "--out-dir", str(tmp_path / "out")]
+
+
+def _run_quietly(argv: list[str]) -> tuple[int, str]:
+    """Exit code and stderr of a run, argparse exits included."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as exc:  # argparse
+            code = exc.code
+    return code, err.getvalue()
 
 
 class TestIngest:
@@ -494,9 +512,26 @@ def reference_cases(draw):
     return build_corpus(records), thresholds, gaps
 
 
+def _pool_case(pools: dict, thresholds: list, gaps: list, extra=()):
+    """Three index records per year citing that year's pool, plus ``extra``
+    (year, refs) records."""
+    rows = [(year, refs) for year, refs in pools.items() for _ in range(3)] + list(extra)
+    records = [mkrec(f"r{i}", refs=[f"{name}, 1960, J" for name in refs], year=year)
+               for i, (year, refs) in enumerate(rows)]
+    return build_corpus(records), [ThresholdPair.parse(t) for t in thresholds], gaps
+
+
 class TestReferenceReportsMatchOracle:
+    GROOVE = "# groove: minimal defined RSI per series"
+
     @settings(max_examples=100, deadline=None)
     @given(reference_cases())
+    # 3/2 dips at 1972/1973 and 2/2 (which takes in U and V) at 1970/1971:
+    # no shared interval, so CONSENSUS reads "-"
+    @example(_pool_case({1970: "AB", 1971: "AB", 1972: "AB", 1973: "BC"}, ["3/2", "2/2"], [1],
+                        extra=[(y, "UV") for y in (1971, 1972, 1973) for _ in range(2)]))
+    # both intervals tie at 1/8, which rounds half up to 0.13
+    @example(_pool_case({1970: "ABCD", 1971: "AEFGH", 1972: "ABCD"}, ["3/3", "2/2"], [1]))
     def test_core_refs_and_rsi_match_brute_force(self, case):
         corpus, thresholds, gaps = case
         years = corpus.years()
@@ -531,6 +566,13 @@ class TestReferenceReportsMatchOracle:
                     # no interval fits, or some series has no defined point
                     assert code == 1 and err.getvalue().startswith("error: ")
                     break
+                for t in thresholds:
+                    assert _table_rows(out / f"rsi_{t.cite_min}-{t.cocite_min}_gap{gap}.tsv") == [
+                        [str(t), str(gap), str(p.former_year), str(p.later_year),
+                         str(p.n_former), str(p.n_later), str(p.shared),
+                         *((f"{p.rsi.numerator}/{p.rsi.denominator}", brute_rsi_2dp(p.rsi))
+                           if p.defined else ("-/-", "-/-"))]
+                        for p in points[t]]
                 lines = (out / f"rsi_matrix_gap{gap}.tsv").read_text(
                     encoding="utf-8").splitlines()
                 rows = [line.split("\t") for line in lines if not line.startswith("#")]
@@ -538,8 +580,28 @@ class TestReferenceReportsMatchOracle:
                                                     for p in points[thresholds[0]]]
                 assert rows[1:1 + len(thresholds)] == [
                     [str(t)] + [format_cell(p) for p in points[t]] for t in thresholds]
+                assert lines[lines.index(self.GROOVE):] == self.groove_block(
+                    [points[t] for t in thresholds], thresholds)
             else:
                 assert code == 0
+
+    @staticmethod
+    def groove_block(series: list, thresholds: list) -> list[str]:
+        """Per series, the least defined RSI and every interval reaching it;
+        with more than one series, a CONSENSUS row of the intervals they all
+        reach (``-`` when none)."""
+        rows, tied = [], []
+        for t, points in zip(thresholds, series):
+            low = min(p.rsi for p in points if p.defined)
+            tied.append([f"{p.former_year}/{p.later_year}"
+                         for p in points if p.defined and p.rsi == low])
+            rows.append(f"{t}\t{low.numerator}/{low.denominator}\t{brute_rsi_2dp(low)}"
+                        f"\t{','.join(tied[-1])}")
+        if len(series) > 1:
+            shared = [interval for interval in tied[0]
+                      if all(interval in others for others in tied[1:])]
+            rows.append(f"CONSENSUS\t-\t-\t{','.join(shared) or '-'}")
+        return [TestReferenceReportsMatchOracle.GROOVE, "thresholds\tmin_rsi_full\tmin_rsi_2dp\tintervals", *rows]
 
     @staticmethod
     def point(former: frozenset, later: frozenset, former_year: int,
@@ -670,6 +732,116 @@ class TestTitleAndSummaryReportsMatchOracle:
                 row += ["-"] * len(value_columns) if found is None else cells(found)
             rows.append(row)
         return [header, *rows]
+
+
+# Export rows: ids that repeat, a missing (None) or empty title or year,
+# years on both sides of the --years bounds, and titles that normalise alike.
+_EXPORT_TITLES = [None, "", "Virus growth", "virus  GROWTH!", "Tumor assay", "tumor-assay",
+                  "Enzyme"]
+_EXPORT_YEARS = [None, 1969, 1970, 1971, 1972]
+
+
+@st.composite
+def ingest_cases(draw):
+    """Index rows with their references, MEDLINE rows (``None``: no MEDLINE
+    file) and a ``--years`` value (``None``: not given)."""
+    row = st.tuples(st.sampled_from(["1", "2", "3"]), st.sampled_from(_EXPORT_YEARS),
+                    st.sampled_from(_EXPORT_TITLES))
+    index = draw(st.lists(st.tuples(row, st.lists(st.sampled_from(_REF_SPELLINGS), max_size=3)),
+                          max_size=8))
+    medline = draw(st.lists(row, max_size=8)) if draw(st.integers(0, 3)) else None
+    years = draw(st.sampled_from([None, "1970:1971", "1969:1972"]))
+    return index, medline, years
+
+
+def _export_text(rows, first_tag: str, tags: tuple[str, str], year_suffix: str, end: str):
+    """An export in either format, one block per row; a ``None`` title or
+    year leaves its line out."""
+    blocks = []
+    for (record_id, year, title), refs in rows:
+        lines = [f"{first_tag}{record_id}"]
+        if title is not None:
+            lines.append(f"{tags[0]}{title}")
+        if year is not None:
+            lines.append(f"{tags[1]}{year}{year_suffix}")
+        lines += [f"CR {ref};" for ref in refs] + [end]
+        blocks.append("\n".join(lines) + "\n")
+    return "".join(blocks)
+
+
+class TestIngestReportMatchesOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(ingest_cases())
+    # one MEDLINE title matching one index record, one matching two, one none
+    @example(([(("1", 1970, "Virus growth"), []), (("2", 1970, "Tumor assay"), []),
+               (("3", 1970, "tumor-assay"), [])],
+              [("7", 1970, "VIRUS growth."), ("8", 1970, "Tumor  assay"), ("9", 1971, "Enzyme")],
+              None))
+    def test_ingest_report_matches_brute_force(self, case):
+        index_rows, medline_rows, years = case
+        index_text = _export_text(index_rows, "UT ", ("TI ", "PY "), "", "ER")
+        medline_text = _export_text([(row, []) for row in medline_rows or []],
+                                    "PMID- ", ("TI  - ", "DP  - "), " Jan", "")
+        index = brute_parse_citation_index_export(io.StringIO(index_text))
+        medline = brute_parse_medline_export(io.StringIO(medline_text))
+        dated = [r for r in index.records + medline.records if r.pub_year is not None]
+        if years:
+            lo, hi = map(int, years.split(":"))
+        else:
+            lo = min((r.pub_year for r in dated), default=0)
+            hi = max((r.pub_year for r in dated), default=-1)
+        kept = [r for r in dated if lo <= r.pub_year <= hi]
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            (root / "index.txt").write_text(index_text, encoding="utf-8")
+            (root / "medline.txt").write_text(medline_text, encoding="utf-8")
+            argv = ["ingest", "--index", str(root / "index.txt"), "--cache",
+                    str(root / "c.tsv"), "--out-dir", str(root / "out")]
+            if medline_rows is not None:
+                argv += ["--medline", str(root / "medline.txt")]
+            if years:
+                argv += ["--years", years]
+            code, err = _run_quietly(argv)
+            if not kept:
+                assert code == 1 and err.startswith("error: cannot build corpus")
+                return
+            assert code == 0
+            lines = (root / "out" / "ingest_report.tsv").read_text(
+                encoding="utf-8").splitlines()
+
+        warnings = index.warnings + medline.warnings + [
+            f"record {m.record_id} missing field {m.field}"
+            for m in index.missing + medline.missing]
+        assert err.splitlines() == [f"warning: {w}" for w in warnings]
+        if medline_rows is None:
+            coverage = "not applicable"
+        else:
+            in_range = [r for r in kept if r.source is Source.MEDLINE]
+            matched, _, _ = brute_link_counts(
+                in_range, [r for r in kept if r.source is Source.CITATION_INDEX])
+            coverage = f"{matched / len(in_range):.4f}" if in_range else "-"
+        assert [line for line in lines if line.startswith("#")] == [
+            "# command=ingest", f"# years={lo}:{hi}",
+            f"# total_input={len(index.records) + len(medline.records)}",
+            f"# kept={len(kept)}",
+            f"# excluded_missing_year={len(index.records) + len(medline.records) - len(dated)}",
+            f"# excluded_out_of_range={len(dated) - len(kept)}",
+            f"# linkage_coverage={coverage}",
+            *(f"# warning={w}" for w in warnings)]
+
+        count = {(y, s): sum(1 for r in kept if (r.pub_year, r.source) == (y, s))
+                 for y in range(lo, hi + 1) for s in Source}
+        refs = {y: {ref for r in kept if r.pub_year == y for ref in r.cited_refs}
+                for y in range(lo, hi + 1)}
+        assert [line.split("\t") for line in lines if not line.startswith("#")] == [
+            ["year", "citation_index_records", "medline_records", "total_records",
+             "distinct_cited_refs"],
+            *([str(y), str(count[y, Source.CITATION_INDEX]), str(count[y, Source.MEDLINE]),
+               str(count[y, Source.CITATION_INDEX] + count[y, Source.MEDLINE]),
+               str(len(refs[y]))] for y in range(lo, hi + 1)),
+            ["TOTAL", *(str(sum(1 for r in kept if r.source is s)) for s in Source),
+             str(len(kept)), str(len(set().union(*refs.values())))],
+        ]
 
 
 class TestBadFloats:
@@ -936,6 +1108,18 @@ class TestConfigFile:
         assert "must hold a JSON object" in capsys.readouterr().err
 
 
+def test_readme_names_every_flag_and_config_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    flags = {flag for sub in subparsers.choices.values() for action in sub._actions
+             for flag in action.option_strings if flag not in ("-h", "--help")}
+    assert "--min-cosine" in flags and "--config" in flags
+    assert sorted(flag for flag in flags if f"`{flag}" not in section) == []
+    assert sorted(key for key in cli._SETTINGS if f"`{key}`" not in section) == []
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("command", [
         ["rsi", "--thresholds", "3/2,2/2", "--gaps", "1,2"],
@@ -1115,7 +1299,7 @@ def run_cases(draw):
     if draw(st.booleans()):
         argv += ["--config", "config.json"]
     config = draw(st.one_of(
-        st.dictionaries(st.sampled_from(sorted(cli._CONFIG_KEYS) + ["bogus"]), _CONFIG_VALUES,
+        st.dictionaries(st.sampled_from(sorted(cli._SETTINGS) + ["bogus"]), _CONFIG_VALUES,
                         max_size=4).map(json.dumps),
         st.sampled_from(["[]", "{", "", "null"]),
     ))
@@ -1147,15 +1331,71 @@ class TestRunOnGeneratedInput:
     @example((["ingest", "--index", "index.txt", "--cache", "nul\0name"], "{}"))
     def test_exit_code_is_0_or_1_and_an_error_is_named(self, case):
         argv, config = case
-        out, err = io.StringIO(), io.StringIO()
         with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
             _write_run_files(Path(tmp), config)
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                try:
-                    code = run(argv)
-                except SystemExit as exc:  # argparse
-                    code = exc.code
+            code, err = _run_quietly(argv)
         assert code in (0, 1)
-        assert "Traceback" not in err.getvalue()
+        assert "Traceback" not in err
         if code == 1:
-            assert any(line.startswith("error: ") for line in err.getvalue().splitlines())
+            assert any(line.startswith("error: ") for line in err.splitlines())
+
+
+# ── a config value reads as its flag's text ──────────────────────────────────
+
+# Flags every run of a command needs, unless the case under test sets one.
+_NEEDED = {
+    "ingest": {"--index": "index.txt", "--medline": "medline.txt"},
+    "words": {"--years": "1970:1972"},
+    "cowords": {"--years": "1970:1972"},
+    "phrase": {"--head": "reverse", "--stem": "transcr"},
+}
+
+
+class TestConfigValueReadsAsFlagText:
+    @pytest.fixture(scope="class")
+    def root(self, tmp_path_factory) -> Path:
+        root = tmp_path_factory.mktemp("flag_or_config")
+        _write_run_files(root, "{}")
+        return root
+
+    def outcome(self, root: Path, out: str, command: str, flag: str, args: list[str]):
+        needed = [f"{f}={root / v if f in ('--index', '--medline') else v}"
+                  for f, v in _NEEDED.get(command, {}).items() if f != flag]
+        out_dir = root / out
+        shutil.rmtree(out_dir, ignore_errors=True)
+        cache = out_dir / "cache.tsv" if command == "ingest" else root / "cache.tsv"
+        code, err = _run_quietly([command, "--cache", str(cache), "--out-dir", str(out_dir),
+                                  *needed, *args])
+        assert "Traceback" not in err
+        reports = {p.name: p.read_bytes() for p in out_dir.iterdir()} if out_dir.exists() else {}
+        return code, reports
+
+    @pytest.mark.parametrize("flag,value", [(flag, value) for flag, values in _FLAG_VALUES.items()
+                                            for value in values])
+    def test_same_exit_code_and_reports(self, root, flag, value):
+        key = flag[2:].replace("-", "_")
+        (root / "value.json").write_text(json.dumps({key: value}), encoding="utf-8")
+        for command in cli._COMMANDS:
+            if cli._SETTINGS[key].takes(command):
+                by_flag = self.outcome(root, "flag", command, flag, [f"{flag}={value}"])
+                by_config = self.outcome(root, "config", command, flag,
+                                         ["--config", str(root / "value.json")])
+                assert by_flag == by_config, command
+
+    @pytest.mark.parametrize("command,config", [
+        ("summary", '{"workers": 2.7}'),
+        ("summary", '{"workers": true}'),
+        ("summary", '{"workers": 1e300}'),
+        pytest.param("summary", '{"workers": 1' + "0" * 5000 + "}", id="summary-5001-digits"),
+        ("words", '{"min_percent": true}'),
+        ("cowords", '{"min_cosine": false}'),
+        ("words", '{"stopwords": null}'),
+    ])
+    def test_a_value_the_flag_would_reject_is_an_error(self, root, command, config):
+        (root / "value.json").write_text(config, encoding="utf-8")
+        code, err = _run_quietly([command, "--cache", str(root / "cache.tsv"),
+                                  "--out-dir", str(root / "out"), "--years", "1970:1972",
+                                  "--config", str(root / "value.json")])
+        assert code == 1
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (root / "out").exists()

@@ -30,7 +30,7 @@ class TestCitationIndexParser:
             result = parse_citation_index_export(fh)
         assert [r.record_id for r in result.records] == ["IDX:0001", "IDX:0002", "IDX:0003"]
         assert [len(r.cited_refs) for r in result.records] == [2, 0, 5]
-        assert result.is_clean
+        assert result.missing == [] and result.warnings == []
 
     def test_fixture_years_and_sources(self, data_dir):
         with open(data_dir / "citation_index_3records.txt", encoding="utf-8") as fh:
@@ -52,7 +52,7 @@ class TestCitationIndexParser:
     def test_empty_stream(self):
         result = parse_index_text("")
         assert result.records == []
-        assert result.is_clean
+        assert result.missing == [] and result.warnings == []
 
     def test_duplicate_ref_strings_collapse(self):
         result = parse_index_text(
@@ -93,7 +93,7 @@ class TestCitationIndexParser:
     def test_header_and_trailer_tags_ignored(self):
         result = parse_index_text("FN Export\nVR 1.0\nUT X\nTI T\nPY 1970\nER\nEF\n")
         assert len(result.records) == 1
-        assert result.is_clean
+        assert result.missing == [] and result.warnings == []
 
     def test_parse_is_deterministic(self, data_dir):
         text = (data_dir / "citation_index_3records.txt").read_text(encoding="utf-8")

@@ -9,7 +9,7 @@ from pathlib import Path
 
 from hypothesis import example, given, settings, strategies as st
 
-from bibshift.refkey import RefKey, normalize_text, parse_cited_ref
+from bibshift.refkey import RefKey, parse_cited_ref
 from oracles import brute_parse_cited_ref
 
 # Separators, Unicode whitespace (tab, NBSP, EM SPACE, \x1c), both cases of
@@ -22,16 +22,6 @@ _REF_ALPHABET = (list(",\t\u00a0\u2003\x1c VPvp") + list(string.digits)
 
 def _fields(key: RefKey) -> tuple:
     return (key.author, key.year, key.source_abbrev, key.volume, key.first_page, key.raw)
-
-
-class TestNormalizeText:
-    def test_uppercases_and_collapses_whitespace(self):
-        assert normalize_text("  baltimore   d \t x ") == "BALTIMORE D X"
-
-    @given(st.text())
-    def test_idempotent(self, text):
-        once = normalize_text(text)
-        assert normalize_text(once) == once
 
 
 class TestParseCitedRef:

@@ -224,7 +224,6 @@ class TestGroove:
             for t in (ThresholdPair(3, 2), ThresholdPair(3, 3), ThresholdPair(2, 2))
         ]
         report = groove_detect(series_set)
-        assert report.has_consensus
         assert report.consensus == ((1971, 1972),)
 
     def test_no_consensus_when_minima_disagree(self):
@@ -246,7 +245,6 @@ class TestGroove:
         assert series_minimum(strict).intervals == ((1972, 1973),)
         assert series_minimum(loose).intervals == ((1970, 1971),)
         report = groove_detect([strict, loose])
-        assert not report.has_consensus
         assert report.consensus == ()
 
     def test_mixed_gaps_rejected(self):
