@@ -22,7 +22,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence
-from warnings import catch_warnings, simplefilter
 
 from . import reports
 from .cocitation import ThresholdPair, core_sets, distinct_ref_count
@@ -197,9 +196,8 @@ class _Setting:
     (``None``: every command) and the config-file key ``name``. ``help`` may
     name ``{default}``. The flag's text, or a config value read as that
     text, goes through ``type`` (when set) and then ``check(name, value)``,
-    which rejects what a run cannot use and returns the run's value; a
-    warning it raises is printed only on the commands that take the flag.
-    A ``text_only`` setting (a path or a report-name part) takes no JSON
+    which rejects what a run cannot use and returns the run's value. A
+    ``text_only`` setting (a path or a report-name part) takes no JSON
     number."""
     help: str
     check: Callable[[str, Any], Any]
@@ -307,14 +305,14 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             value = _config_value(name, setting, file_cfg[name])
         if value is None:
             value = setting.default
-        with catch_warnings(record=True) as caught:
-            simplefilter("always")
-            values[name] = None if value is None else setting.check(name, value)
-        # Every command rejects a bad value; only those taking the flag warn
-        # (of a threshold pair whose cocite_min exceeds its cite_min).
-        if setting.takes(args.command):
-            for message in dict.fromkeys(str(warning.message) for warning in caught):
-                print(f"warning: {message}", file=sys.stderr)
+        values[name] = None if value is None else setting.check(name, value)
+    # Every command rejects a bad threshold list; only those taking it warn.
+    if _SETTINGS["thresholds"].takes(args.command):
+        for t in dict.fromkeys(values["thresholds"]):
+            if t.cocite_min > t.cite_min:
+                print(f"warning: cocite_min {t.cocite_min} exceeds cite_min {t.cite_min}; "
+                      "the co-citation threshold can never bind above the citation count",
+                      file=sys.stderr)
     return RunConfig(command=args.command, **values)
 
 
@@ -474,7 +472,7 @@ def cmd_rsi(cfg: RunConfig, written: list[Path]) -> None:
     cores = core_sets(corpus, cfg.thresholds)
     for gap in cfg.gaps:
         try:
-            series_list = [rsi_series(corpus, t, gap, cores[t]) for t in cfg.thresholds]
+            series_list = [rsi_series(cores[t], gap) for t in cfg.thresholds]
             groove = groove_detect(series_list)
         except (GapTooLarge, NoDefinedPoints) as exc:
             raise CliError(str(exc)) from exc

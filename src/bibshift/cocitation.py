@@ -15,7 +15,6 @@ result.
 """
 from __future__ import annotations
 
-import warnings
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations
@@ -24,12 +23,14 @@ from typing import Hashable, Iterable, Sequence
 from .refkey import RefKey
 from .records import Corpus, YearSlice
 
-RefPair = tuple[RefKey, RefKey]
-
 
 @dataclass(frozen=True)
 class ThresholdPair:
-    """Citation / co-citation thresholds, written ``cite/cocite`` (e.g. 15/11)."""
+    """Citation / co-citation thresholds, written ``cite/cocite`` (e.g. 15/11).
+
+    A ``cocite_min`` above ``cite_min`` is allowed: a pair count can never
+    exceed either member's citation count, so such a pair behaves like
+    ``cocite_min == cite_min``. The CLI warns about it."""
 
     cite_min: int
     cocite_min: int
@@ -37,14 +38,6 @@ class ThresholdPair:
     def __post_init__(self):
         if self.cite_min < 1 or self.cocite_min < 1:
             raise ValueError(f"thresholds must be >= 1, got {self}")
-        if self.cocite_min > self.cite_min:
-            # A pair count can never exceed either member's citation count,
-            # so such a pair behaves like cocite_min == cite_min.
-            warnings.warn(
-                f"cocite_min {self.cocite_min} exceeds cite_min {self.cite_min}; "
-                "the co-citation threshold can never bind above the citation count",
-                stacklevel=2,
-            )
 
     def __str__(self) -> str:
         return f"{self.cite_min}/{self.cocite_min}"
@@ -76,16 +69,12 @@ def citation_counts(sl: YearSlice) -> dict[RefKey, int]:
     return dict(counts)
 
 
-def pair_key(a: RefKey, b: RefKey) -> RefPair:
-    """Canonical unordered-pair key: members in ``RefKey.sort_key`` order."""
-    return (a, b) if a.sort_key() <= b.sort_key() else (b, a)
-
-
 def cocitation_counts(
     sl: YearSlice, candidates: Iterable[RefKey]
-) -> dict[RefPair, int]:
+) -> dict[tuple[RefKey, RefKey], int]:
     """Number of papers citing both members, for pairs drawn from
-    ``candidates``. Pairs never cited together are omitted."""
+    ``candidates``, each pair's members in ``RefKey.sort_key`` order. Pairs
+    never cited together are omitted."""
     ordered = sorted(set(candidates), key=RefKey.sort_key)
     counts = _pair_counts((record.cited_refs for record in sl.records), ordered)
     return {(ordered[a], ordered[b]): n for (a, b), n in counts.items()}
@@ -94,8 +83,7 @@ def cocitation_counts(
 def _pair_counts(rows: Iterable[Iterable[Hashable]],
                  ordered: Sequence[Hashable]) -> Counter[tuple[int, int]]:
     """For each pair of ``ordered`` items, the number of rows holding both,
-    keyed by the items' positions in ``ordered``, lower first. With
-    ``ordered`` in sort-key order that is the canonical order of pair_key."""
+    keyed by the items' positions in ``ordered``, lower first."""
     position = {item: p for p, item in enumerate(ordered)}
     counts: Counter[tuple[int, int]] = Counter()
     for row in rows:

@@ -291,25 +291,26 @@ def link_records(
     """Link each MEDLINE record to the citation-index record sharing its
     normalized title and publication year.
 
-    Several candidates with the same title+year leave the MEDLINE record
-    ambiguous (reported, not matched); ambiguity is data, not failure.
+    A record with no year or an empty normalized title (no title, or only
+    punctuation) is never a candidate and never matches. Several candidates
+    with the same title+year leave the MEDLINE record ambiguous (reported,
+    not matched); ambiguity is data, not failure.
     """
+    def key(record: BibRecord) -> Optional[tuple[str, int]]:
+        title = normalize_title(record.title)
+        return (title, record.pub_year) if title and record.pub_year is not None else None
+
     candidates: dict[tuple[str, int], list[str]] = {}
     for record in index:
-        if record.pub_year is None:
-            continue
-        key = (normalize_title(record.title), record.pub_year)
-        candidates.setdefault(key, []).append(record.record_id)
+        title_year = key(record)
+        if title_year is not None:
+            candidates.setdefault(title_year, []).append(record.record_id)
 
     matches: dict[str, str] = {}
     ambiguous: dict[str, tuple[str, ...]] = {}
     unmatched: list[str] = []
     for record in medline:
-        found = (
-            candidates.get((normalize_title(record.title), record.pub_year), [])
-            if record.pub_year is not None
-            else []
-        )
+        found = candidates.get(key(record), [])
         if len(found) == 1:
             matches[record.record_id] = found[0]
         elif len(found) > 1:

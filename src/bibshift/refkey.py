@@ -11,9 +11,10 @@ year is a segment of exactly four decimal digits in position 1, and
 segments of the form ``V<digits>`` / ``P<digits>`` are taken as volume /
 first page wherever they occur ("digits" are Unicode decimal digits, as
 ``str.isdecimal`` and ``\\d`` define them). Anything else (DOIs, trailing
-junk) survives only in ``raw``. Two keys are equal when their normalized
-component tuples are equal; the raw spelling never takes part in equality
-or hashing. Each key hashes its components once, when it is built.
+junk, a digit run longer than ``int()`` converts) survives only in ``raw``.
+Two keys are equal when their normalized component tuples are equal; the
+raw spelling never takes part in equality or hashing. Each key hashes its
+components once, when it is built.
 """
 from __future__ import annotations
 
@@ -86,6 +87,14 @@ class RefKey:
         return (", ".join(parts), self.author, *((v is None, v) for v in optional))
 
 
+def _number(digits: str) -> Optional[int]:
+    """``int(digits)``, or None for a run longer than ``int()`` converts."""
+    try:
+        return int(digits)
+    except ValueError:
+        return None
+
+
 def parse_cited_ref(raw: str) -> RefKey:
     """Parse one cited-reference string into a RefKey.
 
@@ -111,13 +120,11 @@ def parse_cited_ref(raw: str) -> RefKey:
         if not seg:
             continue
         # isdecimal() is exactly the \d of a str pattern; "" is not decimal
-        if seg[0] == "V" and seg[1:].isdecimal():
-            if volume is None:
-                volume = int(seg[1:])
-            continue
-        if seg[0] == "P" and seg[1:].isdecimal():
-            if page is None:
-                page = int(seg[1:])
+        if seg[0] in "VP" and seg[1:].isdecimal():
+            if seg[0] == "V" and volume is None:
+                volume = _number(seg[1:])
+            elif seg[0] == "P" and page is None:
+                page = _number(seg[1:])
             continue
         if pos == 1 and len(seg) == 4 and seg.isdecimal():
             year = int(seg)

@@ -4,7 +4,9 @@ RSI compares the core-reference sets of two years: shared members divided
 by the union size (shared / (n_former + n_later - shared)). When either
 core set is empty the index is undefined, distinct from 0.0, and renders
 as "-/-". Values are kept as exact fractions; rounding to two decimals
-(half-up) happens only in reports.
+(half-up) happens only in reports. A series compares the core sets it is
+given, one per consecutive year under one threshold pair, as
+``cocitation.core_sets`` returns them; this module counts no citations.
 
 A "groove" is a pronounced dip: per series, the interval(s) attaining the
 minimal defined RSI. When every series in a set bottoms out at a common
@@ -16,8 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .cocitation import CoreRefSet, ThresholdPair, core_sets
-from .records import Corpus
+from .cocitation import CoreRefSet, ThresholdPair
 
 Interval = tuple[int, int]
 
@@ -96,26 +97,24 @@ def rsi(core_a: CoreRefSet, core_b: CoreRefSet) -> RsiPoint:
     )
 
 
-def rsi_series(corpus: Corpus, thresholds: ThresholdPair, gap: int,
-               cores: Optional[Sequence[CoreRefSet]] = None) -> RsiSeries:
-    """One RsiPoint per (y, y+gap) pair inside the corpus year range.
-
-    ``cores`` are the corpus's core sets under ``thresholds``, one per
-    year, as ``core_sets`` returns them; they are computed when omitted.
-    """
+def rsi_series(cores: Sequence[CoreRefSet], gap: int) -> RsiSeries:
+    """One RsiPoint per (y, y+gap) pair of ``cores``: one core set per
+    consecutive year under one threshold pair, in year order, as
+    ``core_sets(...)[t]`` returns them."""
     if gap < 1:
         raise ValueError(f"gap must be >= 1, got {gap}")
-    first, last = corpus.year_range
+    if not cores:
+        raise ValueError("need at least one core set")
+    first, thresholds = cores[0].year, cores[0].thresholds
+    if any(core.year != first + i or core.thresholds != thresholds
+           for i, core in enumerate(cores)):
+        raise ValueError("need one core set per consecutive year under one threshold pair")
+    last = cores[-1].year
     if first + gap > last:
         raise GapTooLarge(
             f"gap {gap} leaves no interval inside year range {first}:{last}"
         )
-    if cores is None:
-        cores = core_sets(corpus, [thresholds])[thresholds]
-    by_year = {core.year: core for core in cores}
-    points = tuple(
-        rsi(by_year[year], by_year[year + gap]) for year in range(first, last - gap + 1)
-    )
+    points = tuple(rsi(former, later) for former, later in zip(cores, cores[gap:]))
     return RsiSeries(thresholds=thresholds, gap=gap, points=points)
 
 

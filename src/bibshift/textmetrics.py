@@ -1,5 +1,5 @@
-"""Title-word analysis: document frequencies, new-word detection, co-word
-cosine pairs, and stem-anchored phrase trends.
+"""Title-word analysis: document frequencies, new-word detection, new co-word
+pairs scored by cosine, and stem-anchored phrase trends.
 
 Tokenization case-folds, splits on any non-alphanumeric character, and
 drops pure-digit and single-character tokens plus stop words. Counting is
@@ -143,13 +143,8 @@ def new_terms(
     ]
 
 
-def _check_min_cosine(min_cosine: float) -> None:
-    if not 0 <= min_cosine <= 1:
-        raise ValueError(f"min_cosine must be in [0,1], got {min_cosine}")
-
-
 def _pairs_at_cosine(df: Counter, co: Counter, min_cosine: float,
-                     skip=frozenset()) -> list[CoWordPair]:
+                     skip: set) -> list[CoWordPair]:
     """Pairs of ``co`` outside ``skip`` with cosine >= min_cosine, unordered."""
     pairs = []
     for (a, b), n in co.items():
@@ -159,18 +154,6 @@ def _pairs_at_cosine(df: Counter, co: Counter, min_cosine: float,
         if cosine >= min_cosine:
             pairs.append(CoWordPair(term_a=a, term_b=b, co_doc_freq=n, cosine=cosine))
     return pairs
-
-
-def cosine_pairs(
-    sl: YearSlice, stop: StopWordList, min_cosine: float
-) -> list[CoWordPair]:
-    """Co-occurring term pairs with cosine >= min_cosine, strongest first."""
-    _check_min_cosine(min_cosine)
-    token_sets = [tokenize_title(record.title, stop) for record in sl.records]
-    df = Counter(chain.from_iterable(token_sets))
-    qualifying = _pairs_at_cosine(df, Counter(_term_pairs(token_sets)), min_cosine)
-    qualifying.sort(key=lambda p: (-p.cosine, p.term_a, p.term_b))
-    return qualifying
 
 
 def new_coword_pairs(
@@ -185,7 +168,8 @@ def new_coword_pairs(
     first. Percent is the later-year pair document frequency share."""
     if min_percent < 0:
         raise ValueError(f"min_percent must be >= 0, got {min_percent}")
-    _check_min_cosine(min_cosine)
+    if not 0 <= min_cosine <= 1:
+        raise ValueError(f"min_cosine must be in [0,1], got {min_cosine}")
     total = len(later)
     later_sets = [tokenize_title(record.title, stop) for record in later.records]
     df = Counter(chain.from_iterable(later_sets))

@@ -2,9 +2,11 @@ from pathlib import Path
 
 import pytest
 
+from bibshift.cocitation import core_sets
 from bibshift.records import BibRecord, Source, YearSlice, build_corpus
 from bibshift.refkey import parse_cited_ref
-from bibshift.textmetrics import StopWordList
+from bibshift.stability import rsi_series
+from bibshift.textmetrics import StopWordList, new_coword_pairs
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -21,6 +23,17 @@ def mkrec(record_id, refs=(), title="", year=1970, source=Source.CITATION_INDEX)
         pub_year=year,
         cited_refs=frozenset(mkref(r) if isinstance(r, str) else r for r in refs),
     )
+
+
+def corpus_series(corpus, thresholds, gap):
+    """The RSI series of ``corpus`` under one threshold pair."""
+    return rsi_series(core_sets(corpus, [thresholds])[thresholds], gap)
+
+
+def coword_pairs(sl: YearSlice, stop: StopWordList, min_cosine: float):
+    """Every co-word pair of ``sl`` at ``min_cosine``: its new pairs against
+    an empty former year, with no percent floor."""
+    return new_coword_pairs(YearSlice(year=sl.year - 1), sl, stop, min_cosine, 0.0)
 
 
 @pytest.fixture(scope="session")

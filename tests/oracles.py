@@ -170,6 +170,14 @@ def _normalize_text(text: str) -> str:
     return _WS_RE.sub(" ", text).strip().upper()
 
 
+def _int_or_none(digits: str) -> Optional[int]:
+    """A digit run ``int()`` refuses (too long) is kept only in raw."""
+    try:
+        return int(digits)
+    except ValueError:
+        return None
+
+
 def brute_parse_cited_ref(raw: str) -> RefKey:
     segments = [_normalize_text(part) for part in raw.split(",")]
     non_empty = [seg for seg in segments if seg]
@@ -188,12 +196,12 @@ def brute_parse_cited_ref(raw: str) -> RefKey:
         m = _VOLUME_RE.match(seg)
         if m:
             if volume is None:
-                volume = int(m.group(1))
+                volume = _int_or_none(m.group(1))
             continue
         m = _PAGE_RE.match(seg)
         if m:
             if page is None:
-                page = int(m.group(1))
+                page = _int_or_none(m.group(1))
             continue
         if pos == 1 and _YEAR_RE.match(seg):
             year = int(seg)
@@ -355,14 +363,14 @@ def _brute_unique_ids(result: ParseResult) -> None:
 
 def brute_link_counts(medline, index) -> tuple[int, int, int]:
     """(matched, ambiguous, unmatched) MEDLINE records: index records with a
-    year equal to the MEDLINE record's and the same title, case-folded with
-    every run of non-word characters read as one space."""
+    year equal to the MEDLINE record's and the same non-empty title,
+    case-folded with every run of non-word characters read as one space."""
     def norm(title: str) -> str:
         return re.sub(r"[\W_]+", " ", title.casefold()).strip()
 
     counts = [0, 0, 0]
     for m in medline:
         found = [r for r in index if m.pub_year is not None and r.pub_year == m.pub_year
-                 and norm(r.title) == norm(m.title)]
+                 and norm(m.title) and norm(r.title) == norm(m.title)]
         counts[0 if len(found) == 1 else 1 if found else 2] += 1
     return tuple(counts)

@@ -9,7 +9,6 @@ answers, and byte-level CLI determinism.
 import math
 import random
 import time
-import warnings
 
 from bibshift.cli import run
 from bibshift.cocitation import (
@@ -22,16 +21,23 @@ from bibshift.cocitation import (
 from bibshift.records import build_corpus
 from bibshift.refkey import parse_cited_ref
 from bibshift.reports import rsi_matrix
-from bibshift.stability import format_rsi, groove_detect, rsi, rsi_series
+from bibshift.stability import format_rsi, groove_detect, rsi
 from bibshift.textmetrics import (
     StopWordList,
-    cosine_pairs,
     doc_frequencies,
     new_coword_pairs,
     new_terms,
     phrase_trend,
 )
-from conftest import DATA_DIR, mkrec, mkref, write_index_export, write_medline_export
+from conftest import (
+    DATA_DIR,
+    corpus_series,
+    coword_pairs,
+    mkrec,
+    mkref,
+    write_index_export,
+    write_medline_export,
+)
 from oracles import (
     brute_co_doc_freq,
     brute_core_refs,
@@ -142,7 +148,7 @@ def test_criterion_02_undefined_cell_renders_dashes():
     if sizes != (3, 0):
         problems.append(f"core sizes {sizes} != (3, 0)")
 
-    series = rsi_series(corpus, thresholds, gap=1)
+    series = corpus_series(corpus, thresholds, gap=1)
     text = rsi_matrix([series], groove_detect([series]),
                       [("command", "rsi"), ("gap", "1")])
     row = next(line for line in text.splitlines() if line.startswith("3/2\t"))
@@ -167,17 +173,15 @@ def test_criterion_03_core_sets_match_brute_force():
     rng = random.Random(20260814)
     problems = []
     started = time.perf_counter()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for case in range(1000):
-            sl = random_slice(rng)
-            thresholds = ThresholdPair(rng.randint(1, 6), rng.randint(1, 6))
-            fast = core_references(sl, thresholds).members
-            slow = brute_core_refs(sl, thresholds)
-            if fast != slow:
-                problems.append(f"case {case} under {thresholds}: {len(fast)} vs {len(slow)}")
-                if len(problems) > 3:
-                    break
+    for case in range(1000):
+        sl = random_slice(rng)
+        thresholds = ThresholdPair(rng.randint(1, 6), rng.randint(1, 6))
+        fast = core_references(sl, thresholds).members
+        slow = brute_core_refs(sl, thresholds)
+        if fast != slow:
+            problems.append(f"case {case} under {thresholds}: {len(fast)} vs {len(slow)}")
+            if len(problems) > 3:
+                break
     elapsed = time.perf_counter() - started
     if elapsed >= 30.0:
         problems.append(f"took {elapsed:.1f}s, budget 30s")
@@ -187,22 +191,20 @@ def test_criterion_03_core_sets_match_brute_force():
 def test_criterion_04_threshold_monotonicity_and_pair_bound():
     rng = random.Random(8141412)
     problems = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for case in range(1000):
-            sl = random_slice(rng, max_papers=25, max_refs=15)
-            loose = ThresholdPair(rng.randint(1, 6), rng.randint(1, 6))
-            tight = ThresholdPair(loose.cite_min + rng.randint(0, 3),
-                                  loose.cocite_min + rng.randint(0, 3))
-            if not core_references(sl, tight).members <= core_references(sl, loose).members:
-                problems.append(f"case {case}: core({tight}) escaped core({loose})")
-            cites = citation_counts(sl)
-            for (a, b), co in cocitation_counts(sl, set(cites)).items():
-                if co > min(cites[a], cites[b]):
-                    problems.append(f"case {case}: cocite {co} exceeds cite counts")
-                    break
-            if len(problems) > 3:
+    for case in range(1000):
+        sl = random_slice(rng, max_papers=25, max_refs=15)
+        loose = ThresholdPair(rng.randint(1, 6), rng.randint(1, 6))
+        tight = ThresholdPair(loose.cite_min + rng.randint(0, 3),
+                              loose.cocite_min + rng.randint(0, 3))
+        if not core_references(sl, tight).members <= core_references(sl, loose).members:
+            problems.append(f"case {case}: core({tight}) escaped core({loose})")
+        cites = citation_counts(sl)
+        for (a, b), co in cocitation_counts(sl, set(cites)).items():
+            if co > min(cites[a], cites[b]):
+                problems.append(f"case {case}: cocite {co} exceeds cite counts")
                 break
+        if len(problems) > 3:
+            break
     report(4, "1000 cases: tighter thresholds shrink cores; cocite <= min(cite)", problems)
 
 
@@ -229,7 +231,7 @@ def decade_corpus():
 
 def test_criterion_05_groove_consensus_interval():
     corpus = decade_corpus()
-    series_set = [rsi_series(corpus, t, gap=2) for t in FOUR_THRESHOLDS]
+    series_set = [corpus_series(corpus, t, gap=2) for t in FOUR_THRESHOLDS]
     groove = groove_detect(series_set)
 
     problems = []
@@ -300,11 +302,11 @@ def test_criterion_07_cosine_angle_and_boundary():
     if not 75.0 <= angle <= 76.0:
         problems.append(f"acos(0.25) = {angle:.3f} degrees")
 
-    below = cosine_pairs(boundary_slice(2499), EMPTY_STOP, min_cosine=0.25)
+    below = coword_pairs(boundary_slice(2499), EMPTY_STOP, min_cosine=0.25)
     if any((p.term_a, p.term_b) == ("alpha", "beta") for p in below):
         problems.append("cosine 0.2499 slipped past min_cosine 0.25")
 
-    above = cosine_pairs(boundary_slice(2501), EMPTY_STOP, min_cosine=0.25)
+    above = coword_pairs(boundary_slice(2501), EMPTY_STOP, min_cosine=0.25)
     kept = [p for p in above if (p.term_a, p.term_b) == ("alpha", "beta")]
     if not kept:
         problems.append("cosine 0.2501 was dropped at min_cosine 0.25")
@@ -385,7 +387,7 @@ def test_criterion_09_text_metrics_match_brute_force():
 
         got_pairs = {
             (p.term_a, p.term_b): (p.co_doc_freq, p.cosine)
-            for p in cosine_pairs(later, stop, min_cosine)
+            for p in coword_pairs(later, stop, min_cosine)
         }
         df = brute_doc_freq(later, stop_words)
         want_pairs = {
@@ -394,7 +396,7 @@ def test_criterion_09_text_metrics_match_brute_force():
             if co / math.sqrt(df[pair[0]] * df[pair[1]]) >= min_cosine
         }
         if got_pairs != want_pairs:
-            problems.append(f"case {case}: cosine_pairs")
+            problems.append(f"case {case}: co-word pairs")
 
         got_new = {
             s.term: (s.doc_freq, s.percent)

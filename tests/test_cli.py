@@ -185,6 +185,17 @@ class TestIngest:
         assert cache.read_bytes() == before
         assert not fresh.exists()
 
+    def test_title_less_records_never_link(self, tmp_path, capsys):
+        index_path, medline_path = tmp_path / "index.txt", tmp_path / "medline.txt"
+        index_path.write_text("PT J\nPY 1970\nUT IDX:1\nER\n"
+                              "PT J\nTI A TITLE\nPY 1970\nUT IDX:2\nER\n", encoding="utf-8")
+        medline_path.write_text("PMID- 1\nDP  - 1970\n", encoding="utf-8")
+        assert run(["ingest", "--index", str(index_path), "--medline", str(medline_path),
+                    "--cache", str(tmp_path / "c.tsv"), "--out-dir", str(tmp_path / "out")]) == 0
+        text = (tmp_path / "out" / "ingest_report.tsv").read_text(encoding="utf-8")
+        assert "# linkage_coverage=0.0000" in text
+        assert capsys.readouterr().err.count("missing field TI") == 2
+
     def test_missing_field_warnings_reported(self, tmp_path, capsys):
         path = tmp_path / "index.txt"
         path.write_text("TI ONLY A TITLE\nPY 1970\nER\n", encoding="utf-8")
@@ -193,6 +204,24 @@ class TestIngest:
                     "--out-dir", str(tmp_path / "out")]) == 0
         err = capsys.readouterr().err
         assert "warning: record anon:1 missing field UT" in err
+
+
+    def test_a_reference_digit_run_int_refuses_reads_everywhere(self, tmp_path):
+        long_ref = "SMITH J, 1960, NATURE, V" + "9" * 5000 + ", P1"
+        index_path = tmp_path / "index.txt"
+        write_index_export(index_path, [
+            (f"IDX:{year}{i}", year, TITLES[year][i], POOLS[year] + [long_ref])
+            for year in POOLS for i in range(3)])
+        cache = tmp_path / "cache.tsv"
+        assert _run_quietly(["ingest", "--index", str(index_path),
+                             *base_args(tmp_path, cache)]) == (0, "")
+        assert long_ref in cache.read_text(encoding="utf-8")
+        for command in (["summary"], ["rsi", "--thresholds", "3/3", "--gaps", "1"],
+                        ["core-refs", "--thresholds", "3/3"]):
+            assert _run_quietly([*command, *base_args(tmp_path, cache)]) == (0, "")
+        core_refs = _table_rows(tmp_path / "out" / "core_refs.tsv")
+        assert [[str(year), "3/3", "SMITH J, 1960, NATURE, P1"] in core_refs
+                for year in POOLS] == [True] * len(POOLS)
 
 
 class TestSummary:
@@ -491,24 +520,24 @@ _REF_SPELLINGS = [spelling for base in _REF_BASES
 
 @st.composite
 def reference_cases(draw):
-    """Records of mixed sources in years with a gap (1972 has none), index
-    records citing any spellings (MEDLINE records and some index records
-    cite nothing), threshold pairs and gaps."""
-    row = st.tuples(st.sampled_from(list(Source)),
-                    st.lists(st.sampled_from(_REF_SPELLINGS), max_size=6))
-    rows = [(year, source, refs)
-            for year in (1970, 1971, 1973, 1974)
-            for source, refs in draw(st.lists(row, max_size=8))]
-    if not rows:
-        rows = [(1970, Source.MEDLINE, [])]
-    records = [mkrec(f"r{i}", refs=refs if source is Source.CITATION_INDEX else (),
-                     title="virus", year=year, source=source)
+    """Records in years with a gap (1972 has none): three to eight index
+    records a year citing two or more spellings, and up to three records of
+    either source citing nothing; threshold pairs, and gaps up to 5, which
+    fits no interval in 1970:1974."""
+    citing = st.lists(st.sampled_from(_REF_SPELLINGS), min_size=2, max_size=6)
+    rows = []
+    for year in (1970, 1971, 1973, 1974):
+        rows += [(year, Source.CITATION_INDEX, refs)
+                 for refs in draw(st.lists(citing, min_size=3, max_size=8))]
+        rows += [(year, source, ()) for source in draw(st.lists(st.sampled_from(list(Source)),
+                                                               max_size=3))]
+    records = [mkrec(f"r{i}", refs=refs, title="virus", year=year, source=source)
                for i, (year, source, refs) in enumerate(rows)]
     thresholds = draw(st.lists(
         st.tuples(st.integers(1, 3), st.integers(1, 3))
         .map(lambda pair: ThresholdPair(pair[0], min(pair))),
         min_size=1, max_size=3))
-    gaps = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2, unique=True))
+    gaps = draw(st.lists(st.integers(1, 5), min_size=1, max_size=2, unique=True))
     return build_corpus(records), thresholds, gaps
 
 

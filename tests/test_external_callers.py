@@ -1,7 +1,8 @@
 """Callers outside ``src/`` that no other test runs: the README's Library
 example, the tables of functions the benchmark's tracer wraps, and the
 names through which ``ingest`` and the title commands reach the layers the
-tracer times."""
+tracer times. Also a guard that every public name in ``src/`` has one of
+these callers or a caller in ``src/``."""
 import ast
 import contextlib
 import io
@@ -66,6 +67,46 @@ def test_every_function_the_tracer_wraps_exists():
             module = sys.modules[f"bibshift.{module_name}"]
             for name in names:
                 assert callable(getattr(module, name, None)), f"bibshift.{module_name}.{name}"
+
+
+def _used_names(tree: ast.AST) -> set[str]:
+    """Every name ``tree`` reads, as a name, an attribute or an import."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name)
+    return used
+
+
+def _public_top_level_names(tree: ast.Module) -> list[str]:
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [target.id for target in targets if isinstance(target, ast.Name)]
+    return [name for name in names if not name.startswith("_")]
+
+
+def test_every_public_name_has_a_caller():
+    """A public top-level name of ``src/bibshift`` that nothing in ``src/``
+    uses, the tracer does not wrap and the Library example does not show
+    is dead API: delete it, or use it."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src" / "bibshift").glob("*.py"))}
+    used = set().union(*map(_used_names, trees.values()))
+    used |= _used_names(ast.parse(_library_example()))
+    wrapped = {(module, name) for table in _tracer_tables().values()
+               for module, names in table.items() for name in names}
+    dead = [f"{module}.{name}" for module, tree in trees.items()
+            for name in _public_top_level_names(tree)
+            if name not in used and (module, name) not in wrapped]
+    assert dead == []
 
 
 def _count_calls(monkeypatch, module, names) -> dict[str, int]:

@@ -288,3 +288,12 @@ class TestLinkage:
         after = link_records(med, idx)
         assert before.ambiguous == after.ambiguous
         assert before.matches == after.matches
+
+    @pytest.mark.parametrize("medline_title", ["", "!!!"])
+    def test_a_title_empty_once_normalized_never_matches(self, medline_title):
+        med = [mkrec("m", title=medline_title, year=1970, source=Source.MEDLINE)]
+        idx = [mkrec("i1", title="", year=1970), mkrec("i2", title="A title", year=1970)]
+        linkage = link_records(med, idx)
+        assert linkage.matches == {} and linkage.ambiguous == {}
+        assert linkage.unmatched == ("m",)
+        assert linkage.coverage_text() == "0.0000"

@@ -98,6 +98,29 @@ class TestParseCitedRef:
         key = parse_cited_ref(raw)
         assert isinstance(key, RefKey)
 
+    # Segments with digit runs around int()'s default 4,300-digit limit,
+    # after V, P, either case or nothing, in any position.
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.one_of(
+        st.text(alphabet=st.sampled_from(_REF_ALPHABET), max_size=8),
+        st.builds(lambda marker, digit, n: marker + digit * n,
+                  st.sampled_from(["V", "P", "v", "p", " V", ""]),
+                  st.sampled_from(["9", "1", "٣"]), st.integers(4290, 6000))),
+        max_size=6).map(", ".join))
+    @example("SMITH J, 1960, NATURE, V" + "9" * 5000 + ", P1")
+    def test_never_raises_on_long_digit_runs(self, raw):
+        key = parse_cited_ref(raw)
+        assert _fields(key) == _fields(brute_parse_cited_ref(raw))
+
+    def test_a_run_int_refuses_is_kept_only_in_raw(self):
+        raw = "SMITH J, 1960, NATURE, V" + "9" * 5000 + ", P1"
+        key = parse_cited_ref(raw)
+        assert (key.author, key.year, key.source_abbrev, key.volume, key.first_page) == (
+            "SMITH J", 1960, "NATURE", None, 1)
+        assert key.raw == raw
+        # a later volume segment that converts is taken
+        assert parse_cited_ref(raw + ", V7").volume == 7
+
     @given(
         st.text(alphabet=string.ascii_uppercase + " .", min_size=1, max_size=20),
         st.integers(min_value=1000, max_value=2999),

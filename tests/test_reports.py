@@ -18,9 +18,9 @@ from bibshift.reports import (
     words_table,
     write_report,
 )
-from bibshift.stability import GrooveReport, SeriesMinimum, groove_detect, rsi_series
+from bibshift.stability import GrooveReport, SeriesMinimum, groove_detect
 from bibshift.textmetrics import CoWordPair, PhrasePoint, TermStats
-from conftest import mkrec
+from conftest import corpus_series, mkrec
 
 T = ThresholdPair(3, 2)
 CFG = [("command", "test"), ("thresholds", "3/2")]
@@ -116,7 +116,7 @@ def stability_corpus():
 
 class TestRsiTables:
     def test_long_table_rows(self):
-        series = rsi_series(stability_corpus(), T, gap=1)
+        series = corpus_series(stability_corpus(), T, gap=1)
         text = rsi_long_table(series, CFG)
         lines = text.splitlines()
         assert lines[2] == ("thresholds\tgap\tformer_year\tlater_year"
@@ -127,8 +127,8 @@ class TestRsiTables:
 
     def test_matrix_cells_and_groove(self):
         corpus = stability_corpus()
-        strict = rsi_series(corpus, T, gap=1)
-        loose = rsi_series(corpus, ThresholdPair(2, 2), gap=1)
+        strict = corpus_series(corpus, T, gap=1)
+        loose = corpus_series(corpus, ThresholdPair(2, 2), gap=1)
         groove = groove_detect([strict, loose])
         text = rsi_matrix([strict, loose], groove, CFG)
         lines = text.splitlines()
@@ -143,14 +143,14 @@ class TestRsiTables:
         assert len(lines) == 10
 
     def test_single_series_omits_consensus(self):
-        series = rsi_series(stability_corpus(), T, gap=1)
+        series = corpus_series(stability_corpus(), T, gap=1)
         text = rsi_matrix([series], groove_detect([series]), CFG)
         assert "CONSENSUS" not in text
 
     def test_empty_consensus_rendered_as_dash(self):
         corpus = stability_corpus()
-        strict = rsi_series(corpus, T, gap=1)
-        loose = rsi_series(corpus, ThresholdPair(2, 2), gap=1)
+        strict = corpus_series(corpus, T, gap=1)
+        loose = corpus_series(corpus, ThresholdPair(2, 2), gap=1)
         groove = GrooveReport(
             gap=1,
             minima=(
@@ -163,9 +163,9 @@ class TestRsiTables:
         assert text.splitlines()[-1] == "CONSENSUS\t-\t-\t-"
 
     def test_table_is_deterministic(self):
-        series = rsi_series(stability_corpus(), T, gap=1)
+        series = corpus_series(stability_corpus(), T, gap=1)
         once = rsi_long_table(series, CFG)
-        again = rsi_long_table(rsi_series(stability_corpus(), T, gap=1), CFG)
+        again = rsi_long_table(corpus_series(stability_corpus(), T, gap=1), CFG)
         assert once == again
 
 

@@ -17,7 +17,7 @@ from bibshift.stability import (
     rsi_series,
     series_minimum,
 )
-from conftest import mkrec, mkref
+from conftest import corpus_series, mkrec, mkref
 
 T = ThresholdPair(3, 2)
 
@@ -143,7 +143,7 @@ def interval_corpus(per_year_refs, years=None):
 class TestRsiSeries:
     def test_point_count_and_order(self):
         corpus = interval_corpus({y: ["A", "B"] for y in range(1966, 1976)})
-        series = rsi_series(corpus, T, gap=2)
+        series = corpus_series(corpus, T, gap=2)
         assert len(series.points) == 8
         assert [p.interval for p in series.points] == [
             (y, y + 2) for y in range(1966, 1974)
@@ -151,27 +151,44 @@ class TestRsiSeries:
 
     def test_gap_one_on_ten_years(self):
         corpus = interval_corpus({y: ["A", "B"] for y in range(1966, 1976)})
-        assert len(rsi_series(corpus, T, gap=1).points) == 9
+        assert len(corpus_series(corpus, T, gap=1).points) == 9
 
     def test_single_year_rejects_any_gap(self):
         corpus = interval_corpus({1970: ["A", "B"]})
-        with pytest.raises(GapTooLarge):
-            rsi_series(corpus, T, gap=1)
+        with pytest.raises(GapTooLarge,
+                           match=r"^gap 1 leaves no interval inside year range 1970:1970$"):
+            corpus_series(corpus, T, gap=1)
 
     def test_gap_below_one_rejected(self):
         corpus = interval_corpus({y: ["A", "B"] for y in (1970, 1971)})
-        with pytest.raises(ValueError):
-            rsi_series(corpus, T, gap=0)
+        with pytest.raises(ValueError, match=r"^gap must be >= 1, got 0$"):
+            corpus_series(corpus, T, gap=0)
 
     def test_values_track_core_overlap(self):
         corpus = interval_corpus({1970: ["A", "B"], 1971: ["B", "C"]})
-        [point] = rsi_series(corpus, T, gap=1).points
+        [point] = corpus_series(corpus, T, gap=1).points
         assert point.rsi == Fraction(1, 3)
 
     def test_empty_year_gives_undefined_point(self):
         corpus = interval_corpus({1970: ["A", "B"], 1972: ["A", "B"]}, (1970, 1972))
-        series = rsi_series(corpus, T, gap=1)
+        series = corpus_series(corpus, T, gap=1)
         assert [p.defined for p in series.points] == [False, False]
+
+    def test_thresholds_and_years_come_from_the_cores(self):
+        loose = ThresholdPair(2, 2)
+        series = rsi_series([core(1980, "AB", loose), core(1981, "B", loose)], gap=1)
+        assert series.thresholds == loose
+        assert [p.interval for p in series.points] == [(1980, 1981)]
+
+    @pytest.mark.parametrize("cores", [
+        [],
+        [core(1970, "AB"), core(1972, "AB")],
+        [core(1971, "AB"), core(1970, "AB")],
+        [core(1970, "AB"), core(1971, "AB"), core(1972, "AB", ThresholdPair(2, 2))],
+    ])
+    def test_cores_not_one_per_consecutive_year_under_one_pair_rejected(self, cores):
+        with pytest.raises(ValueError, match="need "):
+            rsi_series(cores, gap=1)
 
 
 class TestGroove:
@@ -182,14 +199,14 @@ class TestGroove:
             1972: ["X", "Y", "Z"],
             1973: ["X", "Y", "Z"],
         })
-        series = rsi_series(corpus, T, gap=1)
+        series = corpus_series(corpus, T, gap=1)
         low = series_minimum(series)
         assert low.value == 0
         assert low.intervals == ((1971, 1972),)
 
     def test_ties_list_every_interval(self):
         corpus = interval_corpus({y: ["A", "B"] for y in range(1970, 1974)})
-        series = rsi_series(corpus, T, gap=1)
+        series = corpus_series(corpus, T, gap=1)
         low = series_minimum(series)
         assert low.value == 1
         assert low.intervals == ((1970, 1971), (1971, 1972), (1972, 1973))
@@ -198,7 +215,7 @@ class TestGroove:
         corpus = interval_corpus(
             {1970: ["A", "B"], 1972: ["A", "B"], 1973: ["A", "C"]}, (1970, 1973)
         )
-        series = rsi_series(corpus, T, gap=1)
+        series = corpus_series(corpus, T, gap=1)
         low = series_minimum(series)
         assert low.intervals == ((1972, 1973),)
         assert low.value == Fraction(1, 3)
@@ -207,7 +224,7 @@ class TestGroove:
         # data only in the end years leaves every consecutive pair with an
         # empty side
         corpus = interval_corpus({1970: ["A", "B"], 1974: ["A", "B"]}, (1970, 1974))
-        series = rsi_series(corpus, T, gap=1)
+        series = corpus_series(corpus, T, gap=1)
         assert not any(p.defined for p in series.points)
         with pytest.raises(NoDefinedPoints):
             series_minimum(series)
@@ -220,7 +237,7 @@ class TestGroove:
             1973: ["W", "X", "Y", "Z"],
         })
         series_set = [
-            rsi_series(corpus, t, gap=1)
+            corpus_series(corpus, t, gap=1)
             for t in (ThresholdPair(3, 2), ThresholdPair(3, 3), ThresholdPair(2, 2))
         ]
         report = groove_detect(series_set)
@@ -240,8 +257,8 @@ class TestGroove:
             records.append(mkrec(f"w{year}a", refs=["U, 1960, J", "V, 1960, J"], year=year))
             records.append(mkrec(f"w{year}b", refs=["U, 1960, J", "V, 1960, J"], year=year))
         corpus = build_corpus(records)
-        strict = rsi_series(corpus, ThresholdPair(3, 2), gap=1)
-        loose = rsi_series(corpus, ThresholdPair(2, 2), gap=1)
+        strict = corpus_series(corpus, ThresholdPair(3, 2), gap=1)
+        loose = corpus_series(corpus, ThresholdPair(2, 2), gap=1)
         assert series_minimum(strict).intervals == ((1972, 1973),)
         assert series_minimum(loose).intervals == ((1970, 1971),)
         report = groove_detect([strict, loose])
@@ -251,8 +268,8 @@ class TestGroove:
         corpus = interval_corpus({y: ["A", "B"] for y in range(1970, 1974)})
         with pytest.raises(ValueError):
             groove_detect([
-                rsi_series(corpus, T, gap=1),
-                rsi_series(corpus, T, gap=2),
+                corpus_series(corpus, T, gap=1),
+                corpus_series(corpus, T, gap=2),
             ])
 
     def test_empty_series_set_rejected(self):
@@ -281,4 +298,4 @@ class TestSharedCoreSets:
         cores = core_sets(corpus, self.THRESHOLDS)
         for gap in (1, 2):
             for t in self.THRESHOLDS:
-                assert rsi_series(corpus, t, gap, cores[t]) == rsi_series(corpus, t, gap)
+                assert rsi_series(cores[t], gap) == corpus_series(corpus, t, gap)

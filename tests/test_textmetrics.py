@@ -7,7 +7,6 @@ from bibshift import textmetrics
 from bibshift.records import build_corpus
 from bibshift.textmetrics import (
     StopWordList,
-    cosine_pairs,
     default_stopwords,
     doc_frequencies,
     load_stopwords,
@@ -18,7 +17,7 @@ from bibshift.textmetrics import (
     title_token_sequence,
     tokenize_title,
 )
-from conftest import mkrec
+from conftest import coword_pairs, mkrec
 from oracles import (
     brute_co_doc_freq,
     brute_doc_freq,
@@ -153,21 +152,24 @@ class TestNewTerms:
 
 
 class TestCosinePairs:
+    """Cosine scoring of ``new_coword_pairs`` against an empty former year,
+    with no percent floor: every co-occurring pair is new."""
+
     def test_s2_values(self, s2_slice, s2_stop):
-        pairs = cosine_pairs(s2_slice, s2_stop, min_cosine=0.0)
+        pairs = coword_pairs(s2_slice, s2_stop, min_cosine=0.0)
         by_pair = {(p.term_a, p.term_b): p.cosine for p in pairs}
         assert by_pair[("avian", "virus")] == pytest.approx(1.0)
         assert by_pair[("avian", "reverse")] == pytest.approx(0.5)
 
     def test_pairs_ordered_and_canonical(self, s2_slice, s2_stop):
-        pairs = cosine_pairs(s2_slice, s2_stop, min_cosine=0.0)
+        pairs = coword_pairs(s2_slice, s2_stop, min_cosine=0.0)
         for p in pairs:
             assert p.term_a < p.term_b
-        cosines = [p.cosine for p in pairs]
-        assert cosines == sorted(cosines, reverse=True)
+        order = [(-p.co_doc_freq, p.term_a, p.term_b) for p in pairs]
+        assert order == sorted(order)
 
     def test_never_cooccurring_pair_absent(self, s2_slice, s2_stop):
-        pairs = cosine_pairs(s2_slice, s2_stop, min_cosine=0.0)
+        pairs = coword_pairs(s2_slice, s2_stop, min_cosine=0.0)
         assert ("mice", "tumor") not in {(p.term_a, p.term_b) for p in pairs}
 
     def test_threshold_angle_interpretation(self):
@@ -180,12 +182,12 @@ class TestCosinePairs:
                    mkrec("d", title="beta delta", year=1970)]
         sl = build_corpus(records).slice(1970)
         # cosine(alpha, beta) = 2/sqrt(3*3) = 2/3
-        pairs = cosine_pairs(sl, EMPTY_STOP, min_cosine=2 / 3)
+        pairs = coword_pairs(sl, EMPTY_STOP, min_cosine=2 / 3)
         assert {(p.term_a, p.term_b) for p in pairs} == {("alpha", "beta")}
 
     def test_invalid_min_cosine_rejected(self, s2_slice, s2_stop):
         with pytest.raises(ValueError):
-            cosine_pairs(s2_slice, s2_stop, min_cosine=1.5)
+            coword_pairs(s2_slice, s2_stop, min_cosine=1.5)
 
 
 class TestNewCowordPairs:
@@ -362,7 +364,7 @@ class TestOracleProperties:
         sl = build_corpus(records).slice(1970)
         df = brute_doc_freq(sl, set())
         co = brute_co_doc_freq(sl, set())
-        got = {(p.term_a, p.term_b): p for p in cosine_pairs(sl, EMPTY_STOP, 0.0)}
+        got = {(p.term_a, p.term_b): p for p in coword_pairs(sl, EMPTY_STOP, 0.0)}
         assert set(got) == set(co)
         for pair, p in got.items():
             assert p.co_doc_freq == co[pair]
@@ -393,8 +395,8 @@ class TestOracleProperties:
     def test_raising_floors_never_adds_results(self, titles, min_cosine):
         records = [mkrec(f"r{i}", title=t, year=1970) for i, t in enumerate(titles)]
         sl = build_corpus(records).slice(1970)
-        base = {(p.term_a, p.term_b) for p in cosine_pairs(sl, EMPTY_STOP, 0.0)}
-        tightened = {(p.term_a, p.term_b) for p in cosine_pairs(sl, EMPTY_STOP, min_cosine)}
+        base = {(p.term_a, p.term_b) for p in coword_pairs(sl, EMPTY_STOP, 0.0)}
+        tightened = {(p.term_a, p.term_b) for p in coword_pairs(sl, EMPTY_STOP, min_cosine)}
         assert tightened <= base
 
     @settings(max_examples=200, deadline=None)
@@ -425,6 +427,6 @@ class TestOracleProperties:
     def test_no_stop_words_in_any_output(self, s2_slice, s2_stop):
         for s in doc_frequencies(s2_slice, s2_stop):
             assert s.term not in s2_stop.words
-        for p in cosine_pairs(s2_slice, s2_stop, 0.0):
+        for p in coword_pairs(s2_slice, s2_stop, 0.0):
             assert p.term_a not in s2_stop.words
             assert p.term_b not in s2_stop.words
