@@ -125,16 +125,17 @@ def parse_years(text: str) -> tuple[int, int]:
 
 
 def parse_thresholds(text: str) -> tuple[ThresholdPair, ...]:
-    """Threshold pairs from ``N/M,...``."""
+    """Threshold pairs from ``N/M,...``; a repeated pair counts once."""
     try:
-        return tuple(ThresholdPair.parse(part) for part in text.split(","))
+        return tuple(dict.fromkeys(ThresholdPair.parse(part) for part in text.split(",")))
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 
 
 def parse_gaps(text: str) -> tuple[int, ...]:
+    """Gaps from ``N,M,...``; a repeated gap counts once."""
     try:
-        gaps = tuple(int(part) for part in text.split(","))
+        gaps = tuple(dict.fromkeys(int(part) for part in text.split(",")))
     except ValueError as exc:
         raise CliError(f"cannot parse gaps {text!r} (want N,M,...)") from exc
     if any(g < 1 for g in gaps):
@@ -308,7 +309,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         values[name] = None if value is None else setting.check(name, value)
     # Every command rejects a bad threshold list; only those taking it warn.
     if _SETTINGS["thresholds"].takes(args.command):
-        for t in dict.fromkeys(values["thresholds"]):
+        for t in values["thresholds"]:
             if t.cocite_min > t.cite_min:
                 print(f"warning: cocite_min {t.cocite_min} exceeds cite_min {t.cite_min}; "
                       "the co-citation threshold can never bind above the citation count",
@@ -388,7 +389,8 @@ def _parse_export(path: Optional[Path], parser) -> ParseResult:
         return ParseResult()
     with _user_file("read input file", path, f"input file not found: {path}"):
         try:
-            with path.open(encoding="utf-8") as handle:
+            # utf-8-sig drops the byte-order mark that starts some exports.
+            with path.open(encoding="utf-8-sig") as handle:
                 return parser(handle)
         except MalformedRecord as exc:
             raise CliError(f"{path}: {exc}") from exc
@@ -470,13 +472,16 @@ def cmd_core_refs(cfg: RunConfig, written: list[Path]) -> None:
 def cmd_rsi(cfg: RunConfig, written: list[Path]) -> None:
     corpus = _load_corpus(cfg)
     cores = core_sets(corpus, cfg.thresholds)
+    # Every gap's results come first, so a gap that fails writes no report.
+    results = []
     for gap in cfg.gaps:
         try:
             series_list = [rsi_series(cores[t], gap) for t in cfg.thresholds]
-            groove = groove_detect(series_list)
+            results.append((gap, series_list, groove_detect(series_list)))
         except (GapTooLarge, NoDefinedPoints) as exc:
             raise CliError(str(exc)) from exc
 
+    for gap, series_list, groove in results:
         base_config = [
             ("command", "rsi"),
             ("years", _years_text(corpus)),

@@ -30,8 +30,10 @@ line when ``line[:4]`` is a tag padded with spaces and ``line[4:6]`` is
 file); it is a continuation line when it starts with a space. Only a
 line of any other shape (a blank line, a tag padded with anything but
 spaces, ``TI -x``, a stray line, a tag line holding a newline before its
-end) is stripped of its line end and matched against the tag regexes,
-which gives the same fields and the same errors as matching every line.
+end) is stripped of its line end and matched against its format's tag
+pattern, which gives the same fields and the same errors as matching every
+line. The citation-index pattern takes a tag followed by a space and a
+value, or a bare tag followed by nothing but whitespace.
 """
 from __future__ import annotations
 
@@ -42,8 +44,7 @@ from typing import Iterable, Optional, Sequence
 from .refkey import RefKey, parse_cited_ref
 from .records import BibRecord, Source
 
-_INDEX_TAG_RE = re.compile(r"^([A-Z][A-Z0-9]) (.*)$")
-_INDEX_BARE_TAG_RE = re.compile(r"^([A-Z][A-Z0-9])\s*$")
+_INDEX_TAG_RE = re.compile(r"^([A-Z][A-Z0-9])(?: (.*)|\s*)$")
 _MEDLINE_TAG_RE = re.compile(r"^([A-Z0-9]{1,4})\s*- ?(.*)$")
 _UPPER = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 _INDEX_TAGS = frozenset(a + b for a in _UPPER for b in _UPPER + "0123456789")
@@ -102,11 +103,11 @@ def parse_citation_index_export(stream: Iterable[str]) -> ParseResult:
             line = raw_line.rstrip("\n").rstrip("\r")
             if not line.strip():
                 continue
-            m = _INDEX_TAG_RE.match(line) or _INDEX_BARE_TAG_RE.match(line)
+            m = _INDEX_TAG_RE.match(line)
             if m is None:
                 raise MalformedRecord(line_number, f"unrecognized line {line!r}")
             tag = m.group(1)
-            value = m.group(2).strip() if m.lastindex and m.lastindex >= 2 else ""
+            value = (m.group(2) or "").strip()
         if tag == END_OF_RECORD:
             if fields:
                 _finish_record(fields, result, Source.CITATION_INDEX, "UT", "PY",

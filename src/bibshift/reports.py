@@ -31,12 +31,12 @@ def fraction_text(value: Optional[Fraction]) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def percent_text(value: Optional[float]) -> str:
-    return "-" if value is None else f"{value:.2f}"
+def percent_text(value: float) -> str:
+    return f"{value:.2f}"
 
 
-def cosine_text(value: Optional[float]) -> str:
-    return "-" if value is None else f"{value:.4f}"
+def cosine_text(value: float) -> str:
+    return f"{value:.4f}"
 
 
 def render_table(config: ConfigPairs, columns: Sequence[str], rows) -> str:
@@ -159,10 +159,8 @@ def rsi_matrix(series_list: Sequence[RsiSeries], groove: GrooveReport,
     if len(series_list) > 1:
         consensus = ",".join(_interval_text(iv) for iv in groove.consensus) or "-"
         groove_rows.append(["CONSENSUS", "-", "-", consensus])
-    text += "# groove: minimal defined RSI per series\n"
-    text += "\t".join(groove_columns) + "\n"
-    text += "".join("\t".join(str(c) for c in row) + "\n" for row in groove_rows)
-    return text
+    return (text + "# groove: minimal defined RSI per series\n"
+            + render_table([], groove_columns, groove_rows))
 
 
 # ── word tables ───────────────────────────────────────────────────────────────

@@ -31,7 +31,6 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations
 from pathlib import Path
-from typing import Optional
 
 from .records import Corpus, YearSlice
 
@@ -58,7 +57,7 @@ class CoWordPair:
     term_b: str
     co_doc_freq: int
     cosine: float
-    percent: Optional[float] = None  # later-year percent, set by novelty queries
+    percent: float  # later-year pair document frequency share
 
 
 @dataclass(frozen=True)
@@ -143,19 +142,6 @@ def new_terms(
     ]
 
 
-def _pairs_at_cosine(df: Counter, co: Counter, min_cosine: float,
-                     skip: set) -> list[CoWordPair]:
-    """Pairs of ``co`` outside ``skip`` with cosine >= min_cosine, unordered."""
-    pairs = []
-    for (a, b), n in co.items():
-        if (a, b) in skip:
-            continue
-        cosine = n / math.sqrt(df[a] * df[b])
-        if cosine >= min_cosine:
-            pairs.append(CoWordPair(term_a=a, term_b=b, co_doc_freq=n, cosine=cosine))
-    return pairs
-
-
 def new_coword_pairs(
     former: YearSlice,
     later: YearSlice,
@@ -179,15 +165,17 @@ def new_coword_pairs(
     later_sets = [tokens & keep for tokens in later_sets]
     former_sets = (tokenize_title(record.title, stop) & keep for record in former.records)
     former_pairs = set(_term_pairs(former_sets))
-    fresh = [
-        CoWordPair(term_a=p.term_a, term_b=p.term_b, co_doc_freq=p.co_doc_freq,
-                   cosine=p.cosine, percent=100.0 * p.co_doc_freq / total)
-        for p in _pairs_at_cosine(df, Counter(_term_pairs(later_sets)), min_cosine,
-                                   former_pairs)
-    ]
-    qualifying = [p for p in fresh if p.percent >= min_percent]
-    qualifying.sort(key=lambda p: (-p.co_doc_freq, p.term_a, p.term_b))
-    return qualifying
+    pairs = []
+    for (a, b), n in Counter(_term_pairs(later_sets)).items():
+        if (a, b) in former_pairs:
+            continue
+        cosine = n / math.sqrt(df[a] * df[b])
+        percent = 100.0 * n / total
+        if cosine >= min_cosine and percent >= min_percent:
+            pairs.append(CoWordPair(term_a=a, term_b=b, co_doc_freq=n,
+                                    cosine=cosine, percent=percent))
+    pairs.sort(key=lambda p: (-p.co_doc_freq, p.term_a, p.term_b))
+    return pairs
 
 
 def _phrase_point(year: int, hits: int, total: int) -> PhrasePoint:

@@ -1,4 +1,5 @@
 import argparse
+import codecs
 import contextlib
 import io
 import json
@@ -36,7 +37,13 @@ from bibshift.records import (
 from bibshift.refkey import RefKey
 from bibshift.stability import RsiPoint, format_cell
 from bibshift.textmetrics import default_stopwords
-from conftest import mkrec, write_index_export, write_medline_export
+from conftest import (
+    index_export_text,
+    medline_export_text,
+    mkrec,
+    write_index_export,
+    write_medline_export,
+)
 from oracles import (
     brute_core_refs,
     brute_link_counts,
@@ -170,6 +177,21 @@ class TestIngest:
         assert "Traceback" not in err
         assert not cache.exists()
 
+    def test_a_byte_order_mark_is_ignored(self, tmp_path):
+        index_path, medline_path = seed_exports(tmp_path)
+        exports = {path: path.read_bytes() for path in (index_path, medline_path)}
+        outcomes = []
+        for bom in (b"", codecs.BOM_UTF8):
+            for path, data in exports.items():
+                path.write_bytes(bom + data)
+            out = tmp_path / f"out{len(bom)}"
+            argv = ["ingest", "--index", str(index_path), "--medline", str(medline_path),
+                    "--cache", str(out / "cache.tsv"), "--out-dir", str(out)]
+            assert _run_quietly(argv) == (0, "")
+            outcomes.append(_reports(out))
+        assert outcomes[0] == outcomes[1]
+        assert set(outcomes[0]) == {"cache.tsv", "ingest_report.tsv"}
+
     def test_failed_report_write_leaves_the_cache_alone(self, tmp_path, capsys):
         cache = ingest(tmp_path)
         before = cache.read_bytes()
@@ -267,6 +289,18 @@ class TestRsi:
                     "--thresholds", "3/2", "--gaps", "9"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_a_failing_gap_writes_no_report(self, tmp_path, capsys):
+        cache = ingest(tmp_path)
+        out = tmp_path / "empty"
+        out.mkdir()
+        capsys.readouterr()
+        assert run(["rsi", "--cache", str(cache), "--out-dir", str(out),
+                    "--thresholds", "3/2", "--gaps", "1,9"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: gap 9 leaves no interval")
+        assert "wrote" not in captured.out
+        assert list(out.iterdir()) == []
+
     def test_invalid_gap_rejected(self, tmp_path, capsys):
         cache = ingest(tmp_path)
         assert run(["rsi", *base_args(tmp_path, cache), "--gaps", "0"]) == 1
@@ -285,6 +319,27 @@ class TestCoreRefs:
         # only the three index records per year carry refs, so each yearly
         # pool of two refs qualifies at 3/2
         assert "3/2\t2\t2\t2" in sizes
+
+
+class TestRepeatedValues:
+    def outcome(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        shutil.rmtree(out, ignore_errors=True)
+        capsys.readouterr()
+        assert run([*argv, *base_args(tmp_path, tmp_path / "cache.tsv")]) == 0
+        return capsys.readouterr(), _reports(out)
+
+    @pytest.mark.parametrize("repeated,once", [
+        (["rsi", "--thresholds", "3/2,3/2", "--gaps", "1,1"],
+         ["rsi", "--thresholds", "3/2", "--gaps", "1"]),
+        (["rsi", "--thresholds", "3/2,2/2,3/2", "--gaps", "1,2,1"],
+         ["rsi", "--thresholds", "3/2,2/2", "--gaps", "1,2"]),
+        (["core-refs", "--thresholds", "3/2,3/2"], ["core-refs", "--thresholds", "3/2"]),
+    ])
+    def test_a_repeated_value_counts_once(self, tmp_path, capsys, repeated, once):
+        ingest(tmp_path)
+        assert self.outcome(tmp_path, capsys, repeated) == self.outcome(tmp_path, capsys,
+                                                                          once)
 
 
 class TestWords:
@@ -522,8 +577,8 @@ _REF_SPELLINGS = [spelling for base in _REF_BASES
 def reference_cases(draw):
     """Records in years with a gap (1972 has none): three to eight index
     records a year citing two or more spellings, and up to three records of
-    either source citing nothing; threshold pairs, and gaps up to 5, which
-    fits no interval in 1970:1974."""
+    either source citing nothing; threshold pairs, and gaps up to 5 (which
+    fits no interval in 1970:1974), either of which may repeat."""
     citing = st.lists(st.sampled_from(_REF_SPELLINGS), min_size=2, max_size=6)
     rows = []
     for year in (1970, 1971, 1973, 1974):
@@ -537,7 +592,7 @@ def reference_cases(draw):
         st.tuples(st.integers(1, 3), st.integers(1, 3))
         .map(lambda pair: ThresholdPair(pair[0], min(pair))),
         min_size=1, max_size=3))
-    gaps = draw(st.lists(st.integers(1, 5), min_size=1, max_size=2, unique=True))
+    gaps = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
     return build_corpus(records), thresholds, gaps
 
 
@@ -563,9 +618,11 @@ class TestReferenceReportsMatchOracle:
     @example(_pool_case({1970: "ABCD", 1971: "AEFGH", 1972: "ABCD"}, ["3/3", "2/2"], [1]))
     def test_core_refs_and_rsi_match_brute_force(self, case):
         corpus, thresholds, gaps = case
+        threshold_text, gap_text = ",".join(map(str, thresholds)), ",".join(map(str, gaps))
+        # A repeated threshold pair or gap counts once.
+        thresholds, gaps = list(dict.fromkeys(thresholds)), list(dict.fromkeys(gaps))
         years = corpus.years()
         brute = {(t, y): brute_core_refs(corpus.slice(y), t) for t in thresholds for y in years}
-        threshold_text = ",".join(map(str, thresholds))
         with tempfile.TemporaryDirectory() as tmp:
             cache, out = Path(tmp) / "c.tsv", Path(tmp) / "out"
             write_cache(corpus, cache)
@@ -579,40 +636,43 @@ class TestReferenceReportsMatchOracle:
             ]
             assert _table_rows(out / "core_sizes.tsv") == [
                 [str(t)] + [str(len(brute[t, y])) for y in years]
-                for t in dict.fromkeys(thresholds)
+                for t in thresholds
             ]
 
             err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 code = run(["rsi", "--cache", str(cache), "--out-dir", str(out),
                             "--thresholds", threshold_text,
-                            "--gaps", ",".join(map(str, gaps))])
-            for gap in gaps:
-                points = {t: [self.point(brute[t, y], brute[t, y + gap], y, y + gap)
-                              for y in years if y + gap <= years[-1]] for t in thresholds}
-                if not points[thresholds[0]] or not all(
-                        any(p.defined for p in series) for series in points.values()):
-                    # no interval fits, or some series has no defined point
-                    assert code == 1 and err.getvalue().startswith("error: ")
-                    break
+                            "--gaps", gap_text])
+            points = {gap: {t: [self.point(brute[t, y], brute[t, y + gap], y, y + gap)
+                                for y in years if y + gap <= years[-1]] for t in thresholds}
+                      for gap in gaps}
+            if not all(by_t[thresholds[0]] and all(any(p.defined for p in series)
+                                                   for series in by_t.values())
+                       for by_t in points.values()):
+                # some gap fits no interval, or leaves a series with no defined
+                # point: no rsi report is written
+                assert code == 1 and err.getvalue().startswith("error: ")
+                assert not list(out.glob("rsi_*"))
+                return
+            assert code == 0
+            for gap, by_t in points.items():
                 for t in thresholds:
                     assert _table_rows(out / f"rsi_{t.cite_min}-{t.cocite_min}_gap{gap}.tsv") == [
                         [str(t), str(gap), str(p.former_year), str(p.later_year),
                          str(p.n_former), str(p.n_later), str(p.shared),
                          *((f"{p.rsi.numerator}/{p.rsi.denominator}", brute_rsi_2dp(p.rsi))
                            if p.defined else ("-/-", "-/-"))]
-                        for p in points[t]]
+                        for p in by_t[t]]
                 lines = (out / f"rsi_matrix_gap{gap}.tsv").read_text(
                     encoding="utf-8").splitlines()
                 rows = [line.split("\t") for line in lines if not line.startswith("#")]
                 assert rows[0] == ["thresholds"] + [f"{p.former_year}/{p.later_year}"
-                                                    for p in points[thresholds[0]]]
+                                                    for p in by_t[thresholds[0]]]
                 assert rows[1:1 + len(thresholds)] == [
-                    [str(t)] + [format_cell(p) for p in points[t]] for t in thresholds]
+                    [str(t)] + [format_cell(p) for p in by_t[t]] for t in thresholds]
                 assert lines[lines.index(self.GROOVE):] == self.groove_block(
-                    [points[t] for t in thresholds], thresholds)
-            else:
-                assert code == 0
+                    [by_t[t] for t in thresholds], thresholds)
 
     @staticmethod
     def groove_block(series: list, thresholds: list) -> list[str]:
@@ -1185,9 +1245,11 @@ class TestArgHelpers:
         assert [(p.cite_min, p.cocite_min) for p in pairs] == [(15, 11), (10, 8)]
         with pytest.raises(CliError):
             parse_thresholds("15-11")
+        assert parse_thresholds("15/11,10/8,15/11") == parse_thresholds("15/11,10/8")
 
     def test_parse_gaps(self):
         assert parse_gaps("1,2") == (1, 2)
+        assert parse_gaps("2,1,2,1") == (2, 1)
         with pytest.raises(CliError):
             parse_gaps("x")
         with pytest.raises(CliError):
@@ -1367,6 +1429,84 @@ class TestRunOnGeneratedInput:
         assert "Traceback" not in err
         if code == 1:
             assert any(line.startswith("error: ") for line in err.splitlines())
+
+
+# ── any export content: exit 0 or 1, never a traceback ───────────────────────
+
+_INDEX_ROWS = [(f"IDX:{year}{i}", year, TITLES[year][i], POOLS[year])
+               for year in POOLS for i in range(3)]
+_MEDLINE_ROWS = [(f"9{year}{i}", year, TITLES[year][i]) for year in POOLS for i in range(3)]
+_EXPORT_INSERTS = ["\ufeff", "\0", "\x01", "\x1c\x7f", "\x0b\x0c", "\r", "#", "|", "\\",
+                   "ER\n", "PY ", "CR ", "TI  - ", "PMID- ", "   ", "9" * 5000]
+_COMMANDS_AFTER_INGEST = [
+    ["summary"], ["rsi", "--thresholds", "3/2,2/2", "--gaps", "1"],
+    ["core-refs", "--thresholds", "3/2"], ["words", "--years", "1970:1972"],
+    ["phrase", "--head", "virus", "--stem", "gr"],
+]
+
+
+def _record_slice(rows: int):
+    return st.integers(0, rows - 1).flatmap(
+        lambda lo: st.tuples(st.just(lo), st.integers(lo + 1, rows)))
+
+
+@st.composite
+def export_edits(draw):
+    """A whole-record slice of each seed export, then 1-3 edits, each
+    ``(file, line, edit)``: the line number is taken modulo the file's line
+    count, and an edit deletes the line, duplicates it, or inserts a text at
+    a column (cut to the line's length)."""
+    edit = st.one_of(st.sampled_from(["delete", "duplicate"]),
+                     st.tuples(st.integers(0, 40), st.sampled_from(_EXPORT_INSERTS)))
+    edits = draw(st.lists(st.tuples(st.sampled_from(["index", "medline"]),
+                                    st.integers(0, 80), edit), min_size=1, max_size=3))
+    return draw(_record_slice(len(_INDEX_ROWS))), draw(_record_slice(len(_MEDLINE_ROWS))), edits
+
+
+def _edited_exports(case) -> dict[str, str]:
+    (index_lo, index_hi), (medline_lo, medline_hi), edits = case
+    lines = {
+        "index": index_export_text(_INDEX_ROWS[index_lo:index_hi]).splitlines(keepends=True),
+        "medline": medline_export_text(_MEDLINE_ROWS[medline_lo:medline_hi])
+        .splitlines(keepends=True),
+    }
+    for name, line, edit in edits:
+        text = lines[name]
+        if not text:
+            continue
+        i = line % len(text)
+        if edit == "delete":
+            del text[i]
+        elif edit == "duplicate":
+            text.insert(i, text[i])
+        else:
+            column, insert = edit
+            text[i] = text[i][:column] + insert + text[i][column:]
+    return {name: "".join(text) for name, text in lines.items()}
+
+
+class TestRunOnEditedExports:
+    @settings(max_examples=100, deadline=None)
+    @given(export_edits())
+    # A 5,001-digit volume in the first CR entry: "..., J ONE, V99...91, P1".
+    @example(((0, 9), (0, 9), [("index", 6, (27, "9" * 5000))]))
+    @example(((0, 9), (0, 9), [("index", 0, (0, "\ufeff")), ("medline", 0, (0, "\ufeff"))]))
+    def test_exit_code_is_0_or_1_and_an_error_is_named(self, case):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            paths = {}
+            for name, text in _edited_exports(case).items():
+                paths[name] = root / f"{name}.txt"
+                paths[name].write_text(text, encoding="utf-8", newline="")
+            runs = [["ingest", "--index", str(paths["index"]),
+                     "--medline", str(paths["medline"])], *_COMMANDS_AFTER_INGEST]
+            for argv in runs:
+                code, err = _run_quietly([*argv, "--cache", str(root / "cache.tsv"),
+                                          "--out-dir", str(root / "out")])
+                assert code in (0, 1), argv
+                assert "Traceback" not in err
+                if code == 1:
+                    assert any(line.startswith("error: ") for line in err.splitlines()), argv
 
 
 # ── a config value reads as its flag's text ──────────────────────────────────

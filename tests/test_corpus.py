@@ -188,6 +188,18 @@ class TestCacheRoundTrip:
         assert path.read_text(encoding="utf-8").startswith("#")
         assert len(read_cache(path)) == 1
 
+    def test_blank_and_comment_lines_after_the_header_skipped(self, tmp_path):
+        corpus = build_corpus([mkrec("a", refs=["X, 1960, J"], title="T", year=1970),
+                               mkrec("b", title="U", year=1971)])
+        path = tmp_path / "c.tsv"
+        write_cache(corpus, path)
+        header, *rows = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        padded = tmp_path / "padded.tsv"
+        padded.write_text("".join([header, "\n", "# a note\n", rows[0], "#\n", "\n",
+                                   *rows[1:]]), encoding="utf-8")
+        assert read_cache(padded) == read_cache(path)
+        assert read_cache(padded, refs=False) == read_cache(path, refs=False)
+
     def test_wrong_column_count_rejected(self, tmp_path):
         path = tmp_path / "c.tsv"
         path.write_text("one\ttwo\tthree\n", encoding="utf-8")

@@ -204,6 +204,8 @@ class TestParsersMatchOracle:
     @example(["UT X\r", "ER\r\n", "   \n"])
     @example(["UT \nX\n", "ER\n"])
     @example(["UT X\n \n", "ER\n"])
+    @example(["UT X\n\n", "ER\n\n"])
+    @example(["UT X\n\r", "PY 1970\t\n\n", "ER\n"])
     def test_citation_index(self, lines):
         for stream in _streams(lines):
             assert _outcome(parse_citation_index_export, stream()) == _outcome(

@@ -45,11 +45,9 @@ class TestTextHelpers:
     def test_percent_text(self):
         assert percent_text(66.66666) == "66.67"
         assert percent_text(0.0) == "0.00"
-        assert percent_text(None) == "-"
 
     def test_cosine_text(self):
         assert cosine_text(0.5) == "0.5000"
-        assert cosine_text(None) == "-"
 
 
 class TestRenderTable:

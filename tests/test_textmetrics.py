@@ -191,6 +191,11 @@ class TestCosinePairs:
 
 
 class TestNewCowordPairs:
+    def test_negative_min_percent_rejected(self, s2_former_slice, s2_slice, s2_stop):
+        with pytest.raises(ValueError, match="min_percent must be >= 0"):
+            new_coword_pairs(s2_former_slice, s2_slice, s2_stop,
+                             min_cosine=0.25, min_percent=-1.0)
+
     def test_s2_new_pairs(self, s2_former_slice, s2_slice, s2_stop):
         fresh = new_coword_pairs(s2_former_slice, s2_slice, s2_stop,
                                  min_cosine=0.25, min_percent=1.0)
@@ -228,20 +233,22 @@ class TestNewCowordPairs:
                               mkrec("l2", title="alpha beta", year=1971),
                               mkrec("l3", title="alpha gamma", year=1971),
                               mkrec("l4", title="delta epsilon", year=1971)]).slice(1971)
-        scored = []
-        original = textmetrics._pairs_at_cosine
+        counted = []
+        original = textmetrics._term_pairs
 
-        def spy(df, co, min_cosine, skip=frozenset()):
-            scored.append((set(co), set(skip)))
-            return original(df, co, min_cosine, skip)
+        def spy(token_sets):
+            token_sets = [set(tokens) for tokens in token_sets]
+            counted.append(token_sets)
+            return original(token_sets)
 
-        monkeypatch.setattr(textmetrics, "_pairs_at_cosine", spy)
+        monkeypatch.setattr(textmetrics, "_term_pairs", spy)
         # alpha (3 of 4) and beta (2 of 4) reach 50 %; gamma, delta, epsilon do not
         fresh = new_coword_pairs(former, later, EMPTY_STOP, min_cosine=0.0, min_percent=50.0)
         assert [(p.term_a, p.term_b, p.co_doc_freq) for p in fresh] == [("alpha", "beta", 2)]
-        [(counted, former_pairs)] = scored
-        assert counted == {("alpha", "beta")}
-        assert former_pairs == set()
+        [former_sets, later_sets] = counted
+        assert all(tokens <= {"alpha", "beta"} for tokens in former_sets + later_sets)
+        assert set(original(former_sets)) == set()
+        assert set(original(later_sets)) == {("alpha", "beta")}
 
 
 class TestPhraseTrend:
