@@ -67,9 +67,9 @@ def _user_file(action: str, path: Path, missing: str = ""):
     ``OSError``; the file the system names can differ from ``path`` (a
     parent that is not a directory). When a temp file fails to replace
     ``path``, the file named is the target, not the temp file."""
-    if missing and not path.exists():
-        raise CliError(missing)
     try:
+        if missing and not path.exists():  # exists() raises on a name too long
+            raise CliError(missing)
         yield
     except UnicodeDecodeError as exc:
         raise CliError(f"{path}: not UTF-8 text ({exc})") from exc

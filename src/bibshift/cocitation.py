@@ -7,11 +7,12 @@ for a year under a threshold pair when its citation count reaches
 ``cite_min`` and it is co-cited at least ``cocite_min`` times with some
 other reference that itself reaches ``cite_min``.
 
-Core sets are counted on ints: each distinct reference of the corpus gets
-an id once, in one pass over the records that cite anything, and citation
-and co-citation counts run on those ids. Only each year's candidates are
-ordered by ``RefKey.sort_key``, and ``RefKey`` sets are built only for the
-result.
+``core_sets`` gives each distinct reference of the corpus an int id once,
+in one pass over the records that cite anything, then runs
+``core_references`` once per year; it counts that year's id rows with
+``citation_counts`` and ``cocitation_counts``, which take rows of any
+hashable items. Only each year's candidates are ordered by
+``RefKey.sort_key``, and ``RefKey`` sets are built only for the result.
 """
 from __future__ import annotations
 
@@ -61,27 +62,13 @@ class CoreRefSet:
         return len(self.members)
 
 
-def citation_counts(sl: YearSlice) -> dict[RefKey, int]:
-    """Number of distinct papers in the slice citing each reference."""
-    counts: Counter[RefKey] = Counter()
-    for record in sl.records:
-        counts.update(record.cited_refs)
-    return dict(counts)
+def citation_counts(rows: Iterable[Iterable[Hashable]]) -> Counter:
+    """Number of rows holding each item."""
+    return Counter(chain.from_iterable(rows))
 
 
-def cocitation_counts(
-    sl: YearSlice, candidates: Iterable[RefKey]
-) -> dict[tuple[RefKey, RefKey], int]:
-    """Number of papers citing both members, for pairs drawn from
-    ``candidates``, each pair's members in ``RefKey.sort_key`` order. Pairs
-    never cited together are omitted."""
-    ordered = sorted(set(candidates), key=RefKey.sort_key)
-    counts = _pair_counts((record.cited_refs for record in sl.records), ordered)
-    return {(ordered[a], ordered[b]): n for (a, b), n in counts.items()}
-
-
-def _pair_counts(rows: Iterable[Iterable[Hashable]],
-                 ordered: Sequence[Hashable]) -> Counter[tuple[int, int]]:
+def cocitation_counts(rows: Iterable[Iterable[Hashable]],
+                      ordered: Sequence[Hashable]) -> Counter[tuple[int, int]]:
     """For each pair of ``ordered`` items, the number of rows holding both,
     keyed by the items' positions in ``ordered``, lower first."""
     position = {item: p for p, item in enumerate(ordered)}
@@ -90,6 +77,34 @@ def _pair_counts(rows: Iterable[Iterable[Hashable]],
         held = sorted([position[item] for item in row if item in position])
         counts.update(combinations(held, 2))
     return counts
+
+
+def core_references(year: int, rows: Sequence[Iterable[Hashable]], keys: Sequence[RefKey],
+                    thresholds: Sequence[ThresholdPair]) -> list[CoreRefSet]:
+    """One core set per threshold pair from a single count of one year's
+    rows, where ``keys[item]`` is the ``RefKey`` of a row item.
+
+    Pairs are counted among the references that reach the lowest
+    ``cite_min``; each threshold pair then keeps the pairs whose count
+    reaches its ``cocite_min`` and whose members both reach its ``cite_min``.
+    An empty core is a legitimate outcome for sparse years.
+    """
+    cites = citation_counts(rows)
+    floor = min(t.cite_min for t in thresholds)
+    ordered = sorted((i for i, n in cites.items() if n >= floor),
+                     key=lambda i: keys[i].sort_key())
+    pairs = cocitation_counts(rows, ordered)
+    counts = [cites[i] for i in ordered]  # citation count by position
+    cores = []
+    for t in thresholds:
+        cite_min, cocite_min = t.cite_min, t.cocite_min
+        positions = set(chain.from_iterable(
+            pair for pair, n in pairs.items()
+            if n >= cocite_min and counts[pair[0]] >= cite_min and counts[pair[1]] >= cite_min
+        ))
+        members = frozenset(keys[ordered[p]] for p in positions)
+        cores.append(CoreRefSet(year=year, thresholds=t, members=members))
+    return cores
 
 
 def core_sets(
@@ -102,18 +117,9 @@ def core_sets(
     years = corpus.years()
     keys, rows_by_year = _ref_ids(corpus.slice(year) for year in years)
     for year, rows in zip(years, rows_by_year):
-        for core in _year_cores(year, rows, keys, unique):
+        for core in core_references(year, rows, keys, unique):
             by_threshold[core.thresholds].append(core)
     return by_threshold
-
-
-def core_references(sl: YearSlice, thresholds: ThresholdPair) -> CoreRefSet:
-    """Core references of one year slice under one threshold pair.
-
-    An empty result is a legitimate outcome for sparse years.
-    """
-    keys, (rows,) = _ref_ids([sl])
-    return _year_cores(sl.year, rows, keys, [thresholds])[0]
 
 
 def _ref_ids(slices: Iterable[YearSlice]) -> tuple[list[RefKey], list[list[list[int]]]]:
@@ -126,33 +132,6 @@ def _ref_ids(slices: Iterable[YearSlice]) -> tuple[list[RefKey], list[list[list[
         for sl in slices
     ]
     return list(ids), rows
-
-
-def _year_cores(year: int, rows: list[list[int]], keys: Sequence[RefKey],
-                thresholds: Sequence[ThresholdPair]) -> list[CoreRefSet]:
-    """One core set per threshold pair from a single count of one year's
-    id rows.
-
-    Pairs are counted among the references that reach the lowest
-    ``cite_min``; each threshold pair then keeps the pairs whose count
-    reaches its ``cocite_min`` and whose members both reach its ``cite_min``.
-    """
-    cites = Counter(chain.from_iterable(rows))
-    floor = min(t.cite_min for t in thresholds)
-    ordered = sorted((i for i, n in cites.items() if n >= floor),
-                     key=lambda i: keys[i].sort_key())
-    pairs = _pair_counts(rows, ordered)
-    counts = [cites[i] for i in ordered]  # citation count by position
-    cores = []
-    for t in thresholds:
-        cite_min, cocite_min = t.cite_min, t.cocite_min
-        positions = set(chain.from_iterable(
-            pair for pair, n in pairs.items()
-            if n >= cocite_min and counts[pair[0]] >= cite_min and counts[pair[1]] >= cite_min
-        ))
-        members = frozenset(keys[ordered[p]] for p in positions)
-        cores.append(CoreRefSet(year=year, thresholds=t, members=members))
-    return cores
 
 
 def distinct_ref_count(sl: YearSlice) -> int:

@@ -1,5 +1,5 @@
-"""Title-word analysis: document frequencies, new-word detection, new co-word
-pairs scored by cosine, and stem-anchored phrase trends.
+"""Title-word analysis: new-word detection by document frequency, new
+co-word pairs scored by cosine, and stem-anchored phrase trends.
 
 Tokenization case-folds, splits on any non-alphanumeric character, and
 drops pure-digit and single-character tokens plus stop words. Counting is
@@ -78,7 +78,8 @@ def parse_stopwords(lines, source_path: str) -> StopWordList:
 
 
 def load_stopwords(path) -> StopWordList:
-    with open(path, encoding="utf-8") as fh:
+    # utf-8-sig drops the byte-order mark that starts some saved lists.
+    with open(path, encoding="utf-8-sig") as fh:
         return parse_stopwords(fh, source_path=str(path))
 
 
@@ -103,43 +104,31 @@ def tokenize_title(title: str, stop: StopWordList) -> frozenset[str]:
     )
 
 
-def _doc_freq_map(sl: YearSlice, stop: StopWordList) -> Counter:
-    counts: Counter[str] = Counter()
-    for record in sl.records:
-        counts.update(tokenize_title(record.title, stop))
-    return counts
-
-
 def _term_pairs(token_sets):
     """Every term pair of every set, lexicographically ordered in the pair."""
     return chain.from_iterable(combinations(sorted(tokens), 2) for tokens in token_sets)
-
-
-def doc_frequencies(sl: YearSlice, stop: StopWordList) -> list[TermStats]:
-    """Per-term record counts, most frequent first (ties alphabetical)."""
-    counts = _doc_freq_map(sl, stop)
-    total = len(sl)
-    stats = [
-        TermStats(term=term, year=sl.year, doc_freq=df, percent=100.0 * df / total)
-        for term, df in counts.items()
-    ]
-    stats.sort(key=lambda s: (-s.doc_freq, s.term))
-    return stats
 
 
 def new_terms(
     former: YearSlice, later: YearSlice, stop: StopWordList, min_percent: float
 ) -> list[TermStats]:
     """Later-year terms absent from the former year, at or above
-    ``min_percent`` of the later slice; most frequent first."""
+    ``min_percent`` of the later slice; most frequent first (ties
+    alphabetical)."""
     if min_percent < 0:
         raise ValueError(f"min_percent must be >= 0, got {min_percent}")
-    former_terms = set(_doc_freq_map(former, stop))
-    return [
-        s
-        for s in doc_frequencies(later, stop)
-        if s.percent >= min_percent and s.term not in former_terms
-    ]
+    total = len(later)
+    df = Counter(chain.from_iterable(
+        tokenize_title(record.title, stop) for record in later.records))
+    former_terms = set(chain.from_iterable(
+        tokenize_title(record.title, stop) for record in former.records))
+    stats = []
+    for term, n in df.items():
+        percent = 100.0 * n / total
+        if percent >= min_percent and term not in former_terms:
+            stats.append(TermStats(term=term, year=later.year, doc_freq=n, percent=percent))
+    stats.sort(key=lambda s: (-s.doc_freq, s.term))
+    return stats
 
 
 def new_coword_pairs(

@@ -2,11 +2,11 @@ from pathlib import Path
 
 import pytest
 
-from bibshift.cocitation import core_sets
+from bibshift.cocitation import CoreRefSet, ThresholdPair, cocitation_counts, core_sets
 from bibshift.records import BibRecord, Source, YearSlice, build_corpus
-from bibshift.refkey import parse_cited_ref
+from bibshift.refkey import RefKey, parse_cited_ref
 from bibshift.stability import rsi_series
-from bibshift.textmetrics import StopWordList, new_coword_pairs
+from bibshift.textmetrics import StopWordList, TermStats, new_coword_pairs, new_terms
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -28,6 +28,32 @@ def mkrec(record_id, refs=(), title="", year=1970, source=Source.CITATION_INDEX)
 def corpus_series(corpus, thresholds, gap):
     """The RSI series of ``corpus`` under one threshold pair."""
     return rsi_series(core_sets(corpus, [thresholds])[thresholds], gap)
+
+
+def cited_rows(sl: YearSlice) -> list[frozenset[RefKey]]:
+    """The cited references of each record of ``sl``, as counting rows."""
+    return [record.cited_refs for record in sl.records]
+
+
+def ref_pair_counts(sl: YearSlice, candidates) -> dict[tuple[RefKey, RefKey], int]:
+    """``cocitation_counts`` of ``sl`` over ``candidates``, each pair keyed by
+    its members in ``RefKey.sort_key`` order."""
+    ordered = sorted(set(candidates), key=RefKey.sort_key)
+    counts = cocitation_counts(cited_rows(sl), ordered)
+    return {(ordered[a], ordered[b]): n for (a, b), n in counts.items()}
+
+
+def slice_core(sl: YearSlice, thresholds: ThresholdPair) -> CoreRefSet:
+    """The core set of ``sl`` under one threshold pair: ``core_sets`` on a
+    corpus of that one year."""
+    [core] = core_sets(build_corpus(sl.records, (sl.year, sl.year)), [thresholds])[thresholds]
+    return core
+
+
+def term_stats(sl: YearSlice, stop: StopWordList) -> list[TermStats]:
+    """Every term of ``sl`` with its document frequency: its new terms
+    against an empty former year, with no percent floor."""
+    return new_terms(YearSlice(year=sl.year - 1), sl, stop, 0.0)
 
 
 def coword_pairs(sl: YearSlice, stop: StopWordList, min_cosine: float):

@@ -11,30 +11,27 @@ import random
 import time
 
 from bibshift.cli import run
-from bibshift.cocitation import (
-    CoreRefSet,
-    ThresholdPair,
-    citation_counts,
-    cocitation_counts,
-    core_references,
-)
+from bibshift.cocitation import CoreRefSet, ThresholdPair, citation_counts
 from bibshift.records import build_corpus
 from bibshift.refkey import parse_cited_ref
 from bibshift.reports import rsi_matrix
 from bibshift.stability import format_rsi, groove_detect, rsi
 from bibshift.textmetrics import (
     StopWordList,
-    doc_frequencies,
     new_coword_pairs,
     new_terms,
     phrase_trend,
 )
 from conftest import (
     DATA_DIR,
+    cited_rows,
     corpus_series,
     coword_pairs,
     mkrec,
     mkref,
+    ref_pair_counts,
+    slice_core,
+    term_stats,
     write_index_export,
     write_medline_export,
 )
@@ -143,8 +140,8 @@ def test_criterion_02_undefined_cell_renders_dashes():
 
     thresholds = ThresholdPair(3, 2)
     problems = []
-    sizes = (len(core_references(corpus.slice(1966), thresholds)),
-             len(core_references(corpus.slice(1967), thresholds)))
+    sizes = (len(slice_core(corpus.slice(1966), thresholds)),
+             len(slice_core(corpus.slice(1967), thresholds)))
     if sizes != (3, 0):
         problems.append(f"core sizes {sizes} != (3, 0)")
 
@@ -176,7 +173,7 @@ def test_criterion_03_core_sets_match_brute_force():
     for case in range(1000):
         sl = random_slice(rng)
         thresholds = ThresholdPair(rng.randint(1, 6), rng.randint(1, 6))
-        fast = core_references(sl, thresholds).members
+        fast = slice_core(sl, thresholds).members
         slow = brute_core_refs(sl, thresholds)
         if fast != slow:
             problems.append(f"case {case} under {thresholds}: {len(fast)} vs {len(slow)}")
@@ -196,10 +193,10 @@ def test_criterion_04_threshold_monotonicity_and_pair_bound():
         loose = ThresholdPair(rng.randint(1, 6), rng.randint(1, 6))
         tight = ThresholdPair(loose.cite_min + rng.randint(0, 3),
                               loose.cocite_min + rng.randint(0, 3))
-        if not core_references(sl, tight).members <= core_references(sl, loose).members:
+        if not slice_core(sl, tight).members <= slice_core(sl, loose).members:
             problems.append(f"case {case}: core({tight}) escaped core({loose})")
-        cites = citation_counts(sl)
-        for (a, b), co in cocitation_counts(sl, set(cites)).items():
+        cites = citation_counts(cited_rows(sl))
+        for (a, b), co in ref_pair_counts(sl, cites).items():
             if co > min(cites[a], cites[b]):
                 problems.append(f"case {case}: cocite {co} exceeds cite counts")
                 break
@@ -368,7 +365,7 @@ def test_criterion_09_text_metrics_match_brute_force():
         mkrec("T2", title="REVERSE TRANSCRIPTION IN MICE", year=1971),
     ]).slice(1971)
     s2_stop = StopWordList(words=frozenset({"of", "in"}), source_path="<s2>")
-    s2_df = {s.term: s.doc_freq for s in doc_frequencies(s2, s2_stop)}
+    s2_df = {s.term: s.doc_freq for s in term_stats(s2, s2_stop)}
     if s2_df != brute_doc_freq(s2, {"of", "in"}):
         problems.append("fixture slice: doc frequencies diverge from oracle")
 
@@ -381,9 +378,9 @@ def test_criterion_09_text_metrics_match_brute_force():
         min_cosine = rng.choice([0.0, 0.25, 0.5])
         min_percent = rng.choice([0.0, 1.0, 10.0])
 
-        got_df = {s.term: s.doc_freq for s in doc_frequencies(later, stop)}
+        got_df = {s.term: s.doc_freq for s in term_stats(later, stop)}
         if got_df != brute_doc_freq(later, stop_words):
-            problems.append(f"case {case}: doc_frequencies")
+            problems.append(f"case {case}: document frequencies")
 
         got_pairs = {
             (p.term_a, p.term_b): (p.co_doc_freq, p.cosine)

@@ -379,6 +379,20 @@ class TestWords:
         text = (tmp_path / "out" / "words_1971-1972.tsv").read_text(encoding="utf-8")
         assert "reverse" not in text.replace(f"# stopwords={stop}", "")
 
+    def test_a_byte_order_mark_in_the_stopword_file_is_ignored(self, tmp_path):
+        cache = ingest(tmp_path)
+        stop = tmp_path / "stop.txt"
+        outcomes = []
+        for bom in (b"", codecs.BOM_UTF8):
+            # The first word is the one a kept mark would hide.
+            stop.write_bytes(bom + b"reverse\nassay\n")
+            out = tmp_path / f"out{len(bom)}"
+            assert _run_quietly(["words", "--cache", str(cache), "--out-dir", str(out),
+                                 "--years", "1971:1972", "--stopwords", str(stop)]) == (0, "")
+            outcomes.append(_reports(out))
+        assert outcomes[0] == outcomes[1]
+        assert b"reverse" not in outcomes[0]["words_1971-1972.tsv"]
+
     def test_missing_stopword_file(self, tmp_path, capsys):
         cache = ingest(tmp_path)
         assert run(["words", *base_args(tmp_path, cache),
@@ -1140,6 +1154,20 @@ class TestUnreadableFiles:
         assert run(["ingest", "--index", str(tmp_path),
                     "--cache", str(tmp_path / "c.tsv")]) == 1
         self.assert_error(capsys, f"error: cannot read input file {tmp_path}")
+
+    @pytest.mark.parametrize("argv,what", [
+        (["summary", "--cache"], "cache"),
+        (["ingest", "--medline"], "input file"),
+        (["ingest", "--index"], "input file"),
+        (["words", "--years", "1971:1972", "--stopwords"], "stop-word file"),
+        (["summary", "--config"], "config file"),
+    ], ids=["cache", "medline", "index", "stopwords", "config"])
+    def test_a_file_name_too_long_is_an_error(self, tmp_path, capsys, argv, what):
+        cache = ingest(tmp_path)
+        capsys.readouterr()
+        name = tmp_path / ("a" * 300)  # longer than a file system allows a name
+        assert run([argv[0], *base_args(tmp_path, cache), *argv[1:], str(name)]) == 1
+        self.assert_error(capsys, f"error: cannot read {what} {name}", "File name too long")
 
 
 def test_module_runs_the_cli(tmp_path):

@@ -6,13 +6,12 @@ from hypothesis import given, settings, strategies as st
 from bibshift.cocitation import (
     ThresholdPair,
     citation_counts,
-    cocitation_counts,
     core_references,
     core_sets,
     distinct_ref_count,
 )
 from bibshift.records import build_corpus
-from conftest import mkrec, mkref
+from conftest import cited_rows, mkrec, mkref, ref_pair_counts, slice_core
 from oracles import brute_citation_counts, brute_cocitation_counts, brute_core_refs
 
 
@@ -41,49 +40,49 @@ class TestThresholdPair:
 
 class TestCitationCounts:
     def test_s1_counts(self, s1_slice, s1_refs):
-        counts = citation_counts(s1_slice)
+        counts = citation_counts(cited_rows(s1_slice))
         assert counts[s1_refs["R1"]] == 4
         assert counts[s1_refs["R2"]] == 3
         assert counts[s1_refs["R3"]] == 3
 
     def test_no_refs_yields_empty_map(self):
         sl = build_corpus([mkrec("m", year=1970)]).slice(1970)
-        assert citation_counts(sl) == {}
+        assert citation_counts(cited_rows(sl)) == {}
 
     def test_single_paper_single_ref(self):
         sl = build_corpus([mkrec("p", refs=["R1, 1960, J"])]).slice(1970)
-        assert list(citation_counts(sl).values()) == [1]
+        assert list(citation_counts(cited_rows(sl)).values()) == [1]
 
 
 class TestCocitationCounts:
     def test_s1_pairs(self, s1_slice, s1_refs):
         r = s1_refs
-        counts = cocitation_counts(s1_slice, r.values())
+        counts = ref_pair_counts(s1_slice, r.values())
         assert counts[(r["R1"], r["R2"])] == 3
         assert counts[(r["R1"], r["R3"])] == 2
         assert counts[(r["R2"], r["R3"])] == 1
         assert len(counts) == 3
 
     def test_single_candidate_has_no_pairs(self, s1_slice, s1_refs):
-        assert cocitation_counts(s1_slice, [s1_refs["R1"]]) == {}
+        assert ref_pair_counts(s1_slice, [s1_refs["R1"]]) == {}
 
     def test_restricting_candidates_restricts_pairs(self, s1_slice, s1_refs):
         r = s1_refs
-        counts = cocitation_counts(s1_slice, [r["R2"], r["R1"]])
+        counts = ref_pair_counts(s1_slice, [r["R2"], r["R1"]])
         assert counts == {(r["R1"], r["R2"]): 3}
 
 
 class TestCoreReferences:
     def test_s1_thresholds_3_2(self, s1_slice, s1_refs):
-        core = core_references(s1_slice, ThresholdPair(3, 2))
+        core = slice_core(s1_slice, ThresholdPair(3, 2))
         assert core.members == frozenset(s1_refs.values())
 
     def test_s1_thresholds_3_3_drops_r3(self, s1_slice, s1_refs):
-        core = core_references(s1_slice, ThresholdPair(3, 3))
+        core = slice_core(s1_slice, ThresholdPair(3, 3))
         assert core.members == frozenset({s1_refs["R1"], s1_refs["R2"]})
 
     def test_s1_thresholds_5_1_empty(self, s1_slice):
-        assert core_references(s1_slice, ThresholdPair(5, 1)).members == frozenset()
+        assert slice_core(s1_slice, ThresholdPair(5, 1)).members == frozenset()
 
     def test_partner_must_itself_qualify(self):
         # X is cited twice and co-cited twice with Y, but Y is cited only
@@ -95,11 +94,18 @@ class TestCoreReferences:
             mkrec("p3", refs=["X, 1960, J", "Z, 1962, J"]),
         ]
         sl = build_corpus(records).slice(1970)
-        core = core_references(sl, ThresholdPair(3, 2))
+        core = slice_core(sl, ThresholdPair(3, 2))
         assert core.members == frozenset()
 
+    def test_refkey_rows_give_the_core_of_the_id_rows(self, s1_slice):
+        thresholds = [ThresholdPair(3, 2), ThresholdPair(3, 3)]
+        rows = cited_rows(s1_slice)
+        keys = {ref: ref for row in rows for ref in row}
+        cores = core_references(1970, rows, keys, thresholds)
+        assert cores == [slice_core(s1_slice, t) for t in thresholds]
+
     def test_year_and_thresholds_recorded(self, s1_slice):
-        core = core_references(s1_slice, ThresholdPair(3, 2))
+        core = slice_core(s1_slice, ThresholdPair(3, 2))
         assert core.year == 1970
         assert core.thresholds == ThresholdPair(3, 2)
 
@@ -137,9 +143,9 @@ class TestProperties:
     @settings(max_examples=150, deadline=None)
     @given(random_slice())
     def test_counts_match_brute_force(self, sl):
-        assert citation_counts(sl) == brute_citation_counts(sl)
-        cites = citation_counts(sl)
-        assert cocitation_counts(sl, cites) == brute_cocitation_counts(sl, cites)
+        assert citation_counts(cited_rows(sl)) == brute_citation_counts(sl)
+        cites = citation_counts(cited_rows(sl))
+        assert ref_pair_counts(sl, cites) == brute_cocitation_counts(sl, cites)
 
     @settings(max_examples=150, deadline=None)
     @given(random_slice(),
@@ -147,13 +153,13 @@ class TestProperties:
            st.integers(min_value=1, max_value=5))
     def test_core_matches_brute_force(self, sl, cite_min, cocite_min):
         t = ThresholdPair(cite_min, min(cocite_min, cite_min))
-        assert core_references(sl, t).members == brute_core_refs(sl, t)
+        assert slice_core(sl, t).members == brute_core_refs(sl, t)
 
     @settings(max_examples=150, deadline=None)
     @given(random_slice())
     def test_pair_count_bounded_by_member_counts(self, sl):
-        cites = citation_counts(sl)
-        for (a, b), n in cocitation_counts(sl, cites).items():
+        cites = citation_counts(cited_rows(sl))
+        for (a, b), n in ref_pair_counts(sl, cites).items():
             assert n <= min(cites[a], cites[b])
 
     @settings(max_examples=150, deadline=None)
@@ -167,7 +173,7 @@ class TestProperties:
         # cap keeps cocite_min <= cite_min and tight still >= loose componentwise
         tight = ThresholdPair(cite_min + dc, min(cocite_min + dcc, cite_min + dc))
         loose = ThresholdPair(cite_min, cocite_min)
-        assert core_references(sl, tight).members <= core_references(sl, loose).members
+        assert slice_core(sl, tight).members <= slice_core(sl, loose).members
 
 
 @st.composite

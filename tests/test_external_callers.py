@@ -1,8 +1,9 @@
 """Callers outside ``src/`` that no other test runs: the README's Library
 example, the tables of functions the benchmark's tracer wraps, and the
 names through which ``ingest`` and the title commands reach the layers the
-tracer times. Also a guard that every public name in ``src/`` has one of
-these callers or a caller in ``src/``."""
+tracer times. Also guards that every public name in ``src/`` has one of
+these callers or a caller in ``src/``, and that the commands call every
+function the tracer wraps."""
 import ast
 import contextlib
 import io
@@ -109,18 +110,19 @@ def test_every_public_name_has_a_caller():
     assert dead == []
 
 
+def _counting(calls: dict[str, int], label: str, original):
+    """``original``, counting each call in ``calls[label]``."""
+    def wrapper(*args, **kwargs):
+        calls[label] += 1
+        return original(*args, **kwargs)
+    return wrapper
+
+
 def _count_calls(monkeypatch, module, names) -> dict[str, int]:
     """Calls made to each of ``names`` through ``module``'s binding."""
     calls = dict.fromkeys(names, 0)
-
-    def counting(name, original):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-        return wrapper
-
     for name in names:
-        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        monkeypatch.setattr(module, name, _counting(calls, name, getattr(module, name)))
     return calls
 
 
@@ -165,3 +167,49 @@ def test_title_commands_call_each_traced_layer_through_the_cli_binding(
         assert run([*command, "--cache", str(cache), "--out-dir", str(tmp_path / "out")]) == 0
     assert analysis_calls == {analysis: len(Source)}
     assert table_calls == {table: 1}
+
+
+def test_the_commands_call_every_function_the_tracer_wraps(tmp_path, monkeypatch):
+    """Each wrapped function, replaced in every ``bibshift`` namespace that
+    binds it (as the tracer does), runs in some command; a traced layer no
+    command reaches would read 0 in every trace without a warning."""
+    modules = [module for name, module in sys.modules.items()
+               if module is not None and (name == "bibshift" or name.startswith("bibshift."))]
+    calls = {}
+    for table in _tracer_tables().values():
+        for module_name, names in table.items():
+            for name in names:
+                label = f"{module_name}.{name}"
+                calls[label] = 0
+                original = getattr(sys.modules[f"bibshift.{module_name}"], name)
+                wrapper = _counting(calls, label, original)
+                for module in modules:
+                    for attr, value in list(vars(module).items()):
+                        if value is original:
+                            monkeypatch.setattr(module, attr, wrapper)
+
+    pool = ["KAPLAN A, 1950, J ONE, V1, P1", "LODGE B, 1951, J TWO, V2, P2"]
+    titles = ["reverse transcriptase assay", "virus growth study", "tumor virus notes"]
+    write_index_export(tmp_path / "index.txt", [
+        (f"IDX:{year}{i}", year, title, pool)
+        for year in (1970, 1971, 1972) for i, title in enumerate(titles)])
+    write_medline_export(tmp_path / "medline.txt", [
+        (f"{year}{i}", year, title) for year in (1970, 1971, 1972)
+        for i, title in enumerate(titles)])
+    (tmp_path / "stop.txt").write_text("virus\n", encoding="utf-8")
+    files = ["--cache", str(tmp_path / "cache.tsv"), "--out-dir", str(tmp_path / "out")]
+    commands = [
+        ["ingest", "--index", str(tmp_path / "index.txt"),
+         "--medline", str(tmp_path / "medline.txt")],
+        ["summary"],
+        ["rsi", "--thresholds", "2/1", "--gaps", "1"],
+        ["core-refs", "--thresholds", "2/1"],
+        ["words", "--years", "1970:1972"],
+        ["words", "--years", "1970:1972", "--stopwords", str(tmp_path / "stop.txt")],
+        ["cowords", "--years", "1970:1972"],
+        ["phrase", "--head", "reverse", "--stem", "transcr"],
+    ]
+    with contextlib.redirect_stdout(io.StringIO()):
+        for argv in commands:
+            assert run([*argv, *files]) == 0, argv
+    assert [label for label, n in calls.items() if n == 0] == []

@@ -1,6 +1,6 @@
 from fractions import Fraction
 
-from bibshift.cocitation import ThresholdPair, core_references
+from bibshift.cocitation import ThresholdPair, core_sets
 from bibshift.records import Source, build_corpus
 from bibshift.reports import (
     core_membership_table,
@@ -20,7 +20,7 @@ from bibshift.reports import (
 )
 from bibshift.stability import GrooveReport, SeriesMinimum, groove_detect
 from bibshift.textmetrics import CoWordPair, PhrasePoint, TermStats
-from conftest import corpus_series, mkrec
+from conftest import corpus_series, mkrec, slice_core
 
 T = ThresholdPair(3, 2)
 CFG = [("command", "test"), ("thresholds", "3/2")]
@@ -88,7 +88,7 @@ class TestSummaryTable:
 class TestCitationTables:
     def test_core_membership_sorted(self):
         corpus = pool_corpus({1970: ["B, 1960", "A, 1950"]})
-        cores = [core_references(corpus.slice(1970), T)]
+        cores = [slice_core(corpus.slice(1970), T)]
         text = core_membership_table(cores, CFG)
         lines = text.splitlines()
         assert lines[3] == "1970\t3/2\tA, 1950"
@@ -96,7 +96,7 @@ class TestCitationTables:
 
     def test_core_size_matrix_fills_missing_years_with_zero(self):
         corpus = pool_corpus({1970: ["A, 1950", "B, 1960"]}, (1970, 1971))
-        cores = {T: [core_references(corpus.slice(y), T) for y in corpus.years()]}
+        cores = core_sets(corpus, [T])
         text = core_size_matrix(cores, corpus.years(), CFG)
         lines = text.splitlines()
         assert lines[2] == "thresholds\t1970\t1971"

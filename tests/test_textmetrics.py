@@ -8,7 +8,6 @@ from bibshift.records import build_corpus
 from bibshift.textmetrics import (
     StopWordList,
     default_stopwords,
-    doc_frequencies,
     load_stopwords,
     new_coword_pairs,
     new_terms,
@@ -17,7 +16,7 @@ from bibshift.textmetrics import (
     title_token_sequence,
     tokenize_title,
 )
-from conftest import coword_pairs, mkrec
+from conftest import coword_pairs, mkrec, term_stats
 from oracles import (
     brute_co_doc_freq,
     brute_doc_freq,
@@ -80,7 +79,7 @@ class TestTokenize:
 
 class TestDocFrequencies:
     def test_s2_counts_and_percent(self, s2_slice, s2_stop):
-        stats = doc_frequencies(s2_slice, s2_stop)
+        stats = term_stats(s2_slice, s2_stop)
         by_term = {s.term: s for s in stats}
         assert {t: s.doc_freq for t, s in by_term.items()} == {
             "reverse": 2, "avian": 2, "virus": 2,
@@ -91,7 +90,7 @@ class TestDocFrequencies:
         assert all(s.year == 1971 for s in stats)
 
     def test_sorted_by_freq_then_term(self, s2_slice, s2_stop):
-        stats = doc_frequencies(s2_slice, s2_stop)
+        stats = term_stats(s2_slice, s2_stop)
         assert [s.term for s in stats[:3]] == ["avian", "reverse", "virus"]
         assert [s.doc_freq for s in stats] == sorted(
             (s.doc_freq for s in stats), reverse=True
@@ -99,12 +98,12 @@ class TestDocFrequencies:
 
     def test_empty_slice(self):
         sl = build_corpus([mkrec("a", year=1971)], (1970, 1971)).slice(1970)
-        assert doc_frequencies(sl, EMPTY_STOP) == []
+        assert term_stats(sl, EMPTY_STOP) == []
 
     def test_identical_titles_reach_hundred_percent(self):
         records = [mkrec(f"r{i}", title="Same words here", year=1970) for i in range(4)]
         sl = build_corpus(records).slice(1970)
-        for s in doc_frequencies(sl, EMPTY_STOP):
+        for s in term_stats(sl, EMPTY_STOP):
             assert s.doc_freq == 4
             assert s.percent == 100.0
 
@@ -114,7 +113,7 @@ class TestDocFrequencies:
             mkrec("b", title="", year=1970),
         ]
         sl = build_corpus(records).slice(1970)
-        [s] = doc_frequencies(sl, EMPTY_STOP)
+        [s] = term_stats(sl, EMPTY_STOP)
         assert s.percent == 50.0
 
 
@@ -361,7 +360,7 @@ class TestOracleProperties:
         stop = StopWordList(words=frozenset(stop_words), source_path="<p>")
         records = [mkrec(f"r{i}", title=t, year=1970) for i, t in enumerate(titles)]
         sl = build_corpus(records).slice(1970)
-        got = {s.term: s.doc_freq for s in doc_frequencies(sl, stop)}
+        got = {s.term: s.doc_freq for s in term_stats(sl, stop)}
         assert got == brute_doc_freq(sl, set(stop_words))
 
     @settings(max_examples=120, deadline=None)
@@ -432,7 +431,7 @@ class TestOracleProperties:
         assert tokenize_title("x² ²² ٣٣", EMPTY_STOP) == {"x²", "²²"}
 
     def test_no_stop_words_in_any_output(self, s2_slice, s2_stop):
-        for s in doc_frequencies(s2_slice, s2_stop):
+        for s in term_stats(s2_slice, s2_stop):
             assert s.term not in s2_stop.words
         for p in coword_pairs(s2_slice, s2_stop, 0.0):
             assert p.term_a not in s2_stop.words
