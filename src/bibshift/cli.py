@@ -374,14 +374,6 @@ def _require_year_pair(cfg: RunConfig, corpus: Corpus) -> tuple[int, int]:
     return former, later
 
 
-def _distinct_refs(corpus: Corpus) -> tuple[dict[int, int], int]:
-    by_year = {year: distinct_ref_count(corpus.slice(year)) for year in corpus.years()}
-    union = set()
-    for record in corpus.records():
-        union.update(record.cited_refs)
-    return by_year, len(union)
-
-
 # ── commands ──────────────────────────────────────────────────────────────────
 
 def _parse_export(path: Optional[Path], parser) -> ParseResult:
@@ -434,7 +426,7 @@ def cmd_ingest(cfg: RunConfig, written: list[Path]) -> list[str]:
         ("linkage_coverage", linkage_text),
     ] + [("warning", w) for w in warnings]
 
-    by_year, total = _distinct_refs(corpus)
+    by_year, total = distinct_ref_count(corpus)
     _write(cfg, "ingest_report.tsv", reports.summary_table(corpus, by_year, total, config),
            written)
     # The cache goes last, so a failed ingest leaves the earlier cache (or none).
@@ -448,7 +440,7 @@ def cmd_ingest(cfg: RunConfig, written: list[Path]) -> list[str]:
 def cmd_summary(cfg: RunConfig, written: list[Path]) -> None:
     corpus = _load_corpus(cfg)
     config = [("command", "summary"), ("years", _years_text(corpus))]
-    by_year, total = _distinct_refs(corpus)
+    by_year, total = distinct_ref_count(corpus)
     _write(cfg, "summary.tsv", reports.summary_table(corpus, by_year, total, config),
            written)
 

@@ -134,9 +134,16 @@ def _ref_ids(slices: Iterable[YearSlice]) -> tuple[list[RefKey], list[list[list[
     return list(ids), rows
 
 
-def distinct_ref_count(sl: YearSlice) -> int:
-    refs: set[RefKey] = set()
-    for record in sl.records:
-        refs.update(record.cited_refs)
-    return len(refs)
-
+def distinct_ref_count(corpus: Corpus) -> tuple[dict[int, int], int]:
+    """The number of distinct references cited in each year of the corpus,
+    and in the whole corpus: one walk of the records' references builds each
+    year's set, and the total is the size of their union."""
+    by_year: dict[int, set[RefKey]] = {}
+    for year in corpus.years():
+        refs = by_year[year] = set()
+        for record in corpus.slice(year).records:
+            # Merging a frozenset reuses its stored hashes; RefKey.__hash__
+            # is Python code.
+            refs.update(record.cited_refs)
+    return ({year: len(refs) for year, refs in by_year.items()},
+            len(set().union(*by_year.values())))

@@ -19,7 +19,10 @@ MEDLINE export layout:
 
 Both parsers keep records that lack a title or year and report them as
 MissingField entries instead of dropping them; structurally broken input
-raises MalformedRecord with the offending line number.
+raises MalformedRecord with the offending line number. Within one file, a
+record equal in every field to an earlier record of its id is dropped with
+its missing-field entries (one warning counts the drops), and one that
+differs gets the id suffix ``#2``, ``#3``, ... with a warning each.
 
 Both read a line by its fixed columns first. A citation-index line is a
 tag line when its first two characters are a tag (``[A-Z][A-Z0-9]``) and
@@ -38,11 +41,11 @@ value, or a bare tag followed by nothing but whitespace.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .refkey import RefKey, parse_cited_ref
-from .records import BibRecord, Source
+from .records import NO_REFS, BibRecord, Source
 
 _INDEX_TAG_RE = re.compile(r"^([A-Z][A-Z0-9])(?: (.*)|\s*)$")
 _MEDLINE_TAG_RE = re.compile(r"^([A-Z0-9]{1,4})\s*- ?(.*)$")
@@ -72,6 +75,7 @@ class ParseResult:
     records: list[BibRecord] = field(default_factory=list)
     missing: list[MissingField] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
+    dropped: int = 0  # records dropped as exact duplicates of an earlier one
 
 
 def parse_citation_index_export(stream: Iterable[str]) -> ParseResult:
@@ -81,6 +85,7 @@ def parse_citation_index_export(stream: Iterable[str]) -> ParseResult:
     values: Optional[list[str]] = None  # values of the field being continued
     last_field_line = 0
     keys: dict[str, RefKey] = {}  # raw reference string -> parsed key
+    seen: dict[str, tuple[BibRecord, ...]] = {}  # record id -> its distinct records
 
     for line_number, raw_line in enumerate(stream, start=1):
         # The usual shapes, told apart by their first columns.
@@ -110,7 +115,7 @@ def parse_citation_index_export(stream: Iterable[str]) -> ParseResult:
             value = (m.group(2) or "").strip()
         if tag == END_OF_RECORD:
             if fields:
-                _finish_record(fields, result, Source.CITATION_INDEX, "UT", "PY",
+                _finish_record(fields, result, seen, Source.CITATION_INDEX, "UT", "PY",
                                _cited_refs(fields.get("CR", ()), keys))
                 fields = {}
             values = None
@@ -124,7 +129,7 @@ def parse_citation_index_export(stream: Iterable[str]) -> ParseResult:
 
     if fields:
         raise MalformedRecord(last_field_line, "record block without end-of-record tag")
-    _ensure_unique_ids(result)
+    _note_dropped(result)
     return result
 
 
@@ -139,7 +144,7 @@ def _cited_refs(cited: Sequence[str], keys: dict[str, RefKey]) -> frozenset[RefK
                 continue
             key = keys[entry] = parse_cited_ref(entry)
         refs.append(key)
-    return frozenset(refs)
+    return frozenset(refs) if refs else NO_REFS
 
 
 def parse_medline_export(stream: Iterable[str]) -> ParseResult:
@@ -148,6 +153,7 @@ def parse_medline_export(stream: Iterable[str]) -> ParseResult:
     fields: dict[str, list[str]] = {}
     values: Optional[list[str]] = None  # values of the field being continued
     tags: dict[str, str] = {}  # "TI  - " -> "TI", for each tag column seen
+    seen: dict[str, tuple[BibRecord, ...]] = {}  # record id -> its distinct records
 
     for line_number, raw_line in enumerate(stream, start=1):
         # The usual shapes, told apart by their first columns.
@@ -174,7 +180,7 @@ def parse_medline_export(stream: Iterable[str]) -> ParseResult:
         line = raw_line.rstrip("\n").rstrip("\r")
         if not line.strip():
             if fields:
-                _finish_record(fields, result, Source.MEDLINE, "PMID", "DP")
+                _finish_record(fields, result, seen, Source.MEDLINE, "PMID", "DP")
                 fields = {}
             values = None
             continue
@@ -190,19 +196,23 @@ def parse_medline_export(stream: Iterable[str]) -> ParseResult:
         values.append(m.group(2).strip())
 
     if fields:
-        _finish_record(fields, result, Source.MEDLINE, "PMID", "DP")
-    _ensure_unique_ids(result)
+        _finish_record(fields, result, seen, Source.MEDLINE, "PMID", "DP")
+    _note_dropped(result)
     return result
 
 
-def _finish_record(fields: dict[str, list[str]], result: ParseResult, source: Source,
-                   id_tag: str, year_tag: str,
-                   cited_refs: frozenset[RefKey] = frozenset()) -> None:
+def _finish_record(fields: dict[str, list[str]], result: ParseResult,
+                   seen: dict[str, tuple[BibRecord, ...]], source: Source, id_tag: str,
+                   year_tag: str, cited_refs: frozenset[RefKey] = NO_REFS) -> None:
     """Append the record of one field block to ``result``, noting a missing
-    id (given an ``anon:`` id), title or year in that order."""
+    id (given an ``anon:`` id numbering the block in its file), title or
+    year in that order. ``seen`` holds the distinct records of each id so
+    far: a record equal to one of them is dropped with its notes, and one
+    that differs is renamed ``<id>#<n>`` so ids stay unique in the file."""
+    notes_from = len(result.missing)
     record_id = " ".join(filter(None, fields.get(id_tag, ()))).strip()
     if not record_id:
-        record_id = f"anon:{len(result.records) + 1}"
+        record_id = f"anon:{len(result.records) + result.dropped + 1}"
         result.missing.append(MissingField(record_id, id_tag))
 
     title = " ".join(filter(None, fields.get("TI", ()))).strip()
@@ -213,15 +223,20 @@ def _finish_record(fields: dict[str, list[str]], result: ParseResult, source: So
     if year is None:
         result.missing.append(MissingField(record_id, year_tag))
 
-    result.records.append(
-        BibRecord(
-            record_id=record_id,
-            source=source,
-            title=title,
-            pub_year=year,
-            cited_refs=cited_refs,
-        )
-    )
+    record = BibRecord(record_id, source, title, year, cited_refs)
+    same_id = seen.get(record_id)
+    if same_id is None:
+        seen[record_id] = (record,)
+    elif record in same_id:
+        result.dropped += 1
+        del result.missing[notes_from:]
+        return
+    else:
+        seen[record_id] = same_id = (*same_id, record)
+        new_id = f"{record_id}#{len(same_id)}"
+        result.warnings.append(f"duplicate record id {record_id!r} renamed to {new_id!r}")
+        record = record._replace(record_id=new_id)
+    result.records.append(record)
 
 
 def _parse_year(text: str) -> Optional[int]:
@@ -230,18 +245,10 @@ def _parse_year(text: str) -> Optional[int]:
     return int(digits) if len(digits) == 4 and digits.isdecimal() else None
 
 
-def _ensure_unique_ids(result: ParseResult) -> None:
-    """Suffix duplicate record ids so ids stay unique within one file."""
-    seen: dict[str, int] = {}
-    for i, record in enumerate(result.records):
-        count = seen.get(record.record_id, 0)
-        seen[record.record_id] = count + 1
-        if count:
-            new_id = f"{record.record_id}#{count + 1}"
-            result.warnings.append(
-                f"duplicate record id {record.record_id!r} renamed to {new_id!r}"
-            )
-            result.records[i] = replace(record, record_id=new_id)
+def _note_dropped(result: ParseResult) -> None:
+    if result.dropped:
+        result.warnings.append(f"dropped {result.dropped} duplicate record(s), each equal "
+                               "in every field to an earlier record of its id")
 
 
 # ── record linkage ────────────────────────────────────────────────────────────

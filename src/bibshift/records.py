@@ -1,5 +1,9 @@
 """Bibliographic record model, year-sliced corpus, and the corpus cache.
 
+A record is a ``NamedTuple``: immutable, hashable, equal field by field, and
+built at tuple cost, since every command builds one per cache line. Every
+record that cites nothing shares the one empty set ``NO_REFS``.
+
 The cache is a line-delimited TSV: one record per line with columns
 ``record_id``, ``source``, ``year``, ``title``, ``cited_refs``. The last
 column joins the raw cited-reference strings with ``|``; backslash escapes
@@ -20,7 +24,7 @@ import enum
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .refkey import RefKey, parse_cited_ref
 
@@ -34,9 +38,14 @@ class Source(enum.Enum):
     MEDLINE = "medline"
 
 
-@dataclass(frozen=True)
-class BibRecord:
-    """One bibliographic record from either export format.
+# A cache cell names a source; a dict lookup is cheaper than ``Source[...]``.
+_SOURCE_BY_NAME = dict(Source.__members__)
+NO_REFS: frozenset[RefKey] = frozenset()
+
+
+class BibRecord(NamedTuple):
+    """One bibliographic record from either export format, as a
+    ``NamedTuple`` (``_replace`` gives a changed copy).
 
     ``pub_year`` is None when the source record carried no usable year;
     such records are excluded (and counted) when a corpus is built.
@@ -47,7 +56,7 @@ class BibRecord:
     source: Source
     title: str
     pub_year: Optional[int]
-    cited_refs: frozenset[RefKey] = frozenset()
+    cited_refs: frozenset[RefKey] = NO_REFS
 
 
 @dataclass(frozen=True)
@@ -262,32 +271,26 @@ def read_cache(path: str | os.PathLike, refs: bool = True) -> list[BibRecord]:
             if len(cells) != 5:
                 raise ValueError(f"{path}:{lineno}: expected 5 cache columns, got {len(cells)}")
             record_id, source_name, year_text, title, refs_cell = cells
-            try:
-                source = Source[source_name]
-            except KeyError:
+            source = _SOURCE_BY_NAME.get(source_name)
+            if source is None:
                 raise ValueError(f"{path}:{lineno}: unknown source {source_name!r} (want one "
-                                 f"of {', '.join(Source.__members__)})") from None
+                                 f"of {', '.join(Source.__members__)})")
             # 1-4 ASCII digits, as ingest writes a year; int() alone would also
             # take "1_970" or "+2000000", a year no export can hold.
             if not (len(year_text) <= 4 and year_text.isascii() and year_text.isdigit()):
                 raise ValueError(f"{path}:{lineno}: year {year_text!r} is not a whole "
                                  f"number in 0-{MAX_YEAR}")
-            cited = []
-            if refs:
+            cited = NO_REFS
+            if refs and refs_cell:
+                cited_keys = []
                 for part in refs_cell.split("|"):
                     if not part:
                         continue
                     key = keys.get(part)
                     if key is None:
                         key = keys[part] = parse_cited_ref(_unescape(part))
-                    cited.append(key)
-            records.append(
-                BibRecord(
-                    record_id=_unescape(record_id),
-                    source=source,
-                    title=_unescape(title),
-                    pub_year=int(year_text),
-                    cited_refs=frozenset(cited),
-                )
-            )
+                    cited_keys.append(key)
+                cited = frozenset(cited_keys)
+            records.append(BibRecord(_unescape(record_id), source, _unescape(title),
+                                     int(year_text), cited))
     return records

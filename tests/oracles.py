@@ -6,7 +6,6 @@ data types.
 """
 import math
 import re
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional
@@ -228,7 +227,7 @@ _LEADING_YEAR_RE = re.compile(r"^(\d{4})")
 
 
 def brute_parse_citation_index_export(stream) -> ParseResult:
-    result = ParseResult()
+    blocks = []
     fields = {}
     current_tag = None
     open_record = False
@@ -237,7 +236,7 @@ def brute_parse_citation_index_export(stream) -> ParseResult:
     def flush():
         nonlocal fields, current_tag, open_record
         if fields:
-            _brute_finish_index_record(fields, result)
+            _brute_finish_index_record(fields, blocks)
         fields = {}
         current_tag = None
         open_record = False
@@ -270,39 +269,39 @@ def brute_parse_citation_index_export(stream) -> ParseResult:
 
     if open_record:
         raise MalformedRecord(last_field_line, "record block without end-of-record tag")
-    _brute_unique_ids(result)
-    return result
+    return _brute_unique_ids(blocks)
 
 
-def _brute_finish_index_record(fields, result) -> None:
+def _brute_finish_index_record(fields, blocks) -> None:
+    notes = []
     record_id = " ".join(v for v in fields.get("UT", []) if v).strip()
     if not record_id:
-        record_id = f"anon:{len(result.records) + 1}"
-        result.missing.append(MissingField(record_id, "UT"))
+        record_id = f"anon:{len(blocks) + 1}"
+        notes.append(MissingField(record_id, "UT"))
     title = " ".join(v for v in fields.get("TI", []) if v).strip()
     if not title:
-        result.missing.append(MissingField(record_id, "TI"))
+        notes.append(MissingField(record_id, "TI"))
     year = _brute_year(" ".join(fields.get("PY", [])))
     if year is None:
-        result.missing.append(MissingField(record_id, "PY"))
+        notes.append(MissingField(record_id, "PY"))
     refs = []
     for value in fields.get("CR", []):
         for entry in value.split(";"):
             if entry.strip():
                 refs.append(brute_parse_cited_ref(entry))
-    result.records.append(BibRecord(record_id=record_id, source=Source.CITATION_INDEX,
-                                    title=title, pub_year=year, cited_refs=frozenset(refs)))
+    blocks.append((BibRecord(record_id=record_id, source=Source.CITATION_INDEX, title=title,
+                             pub_year=year, cited_refs=frozenset(refs)), notes))
 
 
 def brute_parse_medline_export(stream) -> ParseResult:
-    result = ParseResult()
+    blocks = []
     fields = {}
     current_tag = None
 
     def flush():
         nonlocal fields, current_tag
         if fields:
-            _brute_finish_medline_record(fields, result)
+            _brute_finish_medline_record(fields, blocks)
         fields = {}
         current_tag = None
 
@@ -324,23 +323,23 @@ def brute_parse_medline_export(stream) -> ParseResult:
         current_tag = tag
 
     flush()
-    _brute_unique_ids(result)
-    return result
+    return _brute_unique_ids(blocks)
 
 
-def _brute_finish_medline_record(fields, result) -> None:
+def _brute_finish_medline_record(fields, blocks) -> None:
+    notes = []
     record_id = " ".join(v for v in fields.get("PMID", []) if v).strip()
     if not record_id:
-        record_id = f"anon:{len(result.records) + 1}"
-        result.missing.append(MissingField(record_id, "PMID"))
+        record_id = f"anon:{len(blocks) + 1}"
+        notes.append(MissingField(record_id, "PMID"))
     title = " ".join(v for v in fields.get("TI", []) if v).strip()
     if not title:
-        result.missing.append(MissingField(record_id, "TI"))
+        notes.append(MissingField(record_id, "TI"))
     year = _brute_year(" ".join(fields.get("DP", [])))
     if year is None:
-        result.missing.append(MissingField(record_id, "DP"))
-    result.records.append(BibRecord(record_id=record_id, source=Source.MEDLINE,
-                                    title=title, pub_year=year, cited_refs=frozenset()))
+        notes.append(MissingField(record_id, "DP"))
+    blocks.append((BibRecord(record_id=record_id, source=Source.MEDLINE, title=title,
+                             pub_year=year, cited_refs=frozenset()), notes))
 
 
 def _brute_year(text: str) -> Optional[int]:
@@ -348,17 +347,30 @@ def _brute_year(text: str) -> Optional[int]:
     return int(m.group(1)) if m else None
 
 
-def _brute_unique_ids(result: ParseResult) -> None:
-    seen = {}
-    for i, record in enumerate(result.records):
-        count = seen.get(record.record_id, 0)
-        seen[record.record_id] = count + 1
-        if count:
-            new_id = f"{record.record_id}#{count + 1}"
+def _brute_unique_ids(blocks) -> ParseResult:
+    """The parse result of a file's (record, missing-field notes) blocks: a
+    block whose record equals that of an earlier block with the same id is
+    dropped, notes and all; a record differing from every earlier one of its
+    id takes the suffix #n, n counting the distinct records of that id."""
+    result = ParseResult()
+    for i, (record, notes) in enumerate(blocks):
+        earlier = [r for r, _ in blocks[:i] if r.record_id == record.record_id]
+        if record in earlier:
+            result.dropped += 1
+            continue
+        result.missing += notes
+        distinct = [r for j, r in enumerate(earlier) if r not in earlier[:j]]
+        if distinct:
+            new_id = f"{record.record_id}#{len(distinct) + 1}"
             result.warnings.append(
                 f"duplicate record id {record.record_id!r} renamed to {new_id!r}"
             )
-            result.records[i] = replace(record, record_id=new_id)
+            record = record._replace(record_id=new_id)
+        result.records.append(record)
+    if result.dropped:
+        result.warnings.append(f"dropped {result.dropped} duplicate record(s), each equal "
+                               "in every field to an earlier record of its id")
+    return result
 
 
 def brute_link_counts(medline, index) -> tuple[int, int, int]:

@@ -207,6 +207,31 @@ class TestIngest:
         assert cache.read_bytes() == before
         assert not fresh.exists()
 
+    def test_a_concatenated_export_counts_each_record_once(self, tmp_path):
+        index_path, medline_path = seed_exports(tmp_path)
+        outs = {}
+        for copies in (1, 2):
+            for path in (index_path, medline_path):
+                doubled = tmp_path / f"{copies}{path.name}"
+                # A blank line ends the last MEDLINE record of each copy.
+                doubled.write_text("\n".join([path.read_text(encoding="utf-8")] * copies),
+                                   encoding="utf-8")
+            out = outs[copies] = tmp_path / f"out{copies}"
+            cache = out / "cache.tsv"
+            code, err = _run_quietly([
+                "ingest", "--index", str(tmp_path / f"{copies}index.txt"),
+                "--medline", str(tmp_path / f"{copies}medline.txt"), *base_args(out, cache)])
+            assert code == 0
+            assert _run_quietly(["summary", *base_args(out, cache)]) == (0, "")
+        dropped = "dropped 9 duplicate record(s), each equal in every field to an " \
+                  "earlier record of its id"
+        assert err == f"warning: {dropped}\n" * 2
+        single, doubled = _reports(outs[1] / "out"), _reports(outs[2] / "out")
+        assert doubled["summary.tsv"] == single["summary.tsv"]
+        assert (outs[2] / "cache.tsv").read_bytes() == (outs[1] / "cache.tsv").read_bytes()
+        assert doubled["ingest_report.tsv"].decode("utf-8").replace(
+            f"# warning={dropped}\n", "") == single["ingest_report.tsv"].decode("utf-8")
+
     def test_title_less_records_never_link(self, tmp_path, capsys):
         index_path, medline_path = tmp_path / "index.txt", tmp_path / "medline.txt"
         index_path.write_text("PT J\nPY 1970\nUT IDX:1\nER\n"

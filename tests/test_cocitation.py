@@ -112,16 +112,21 @@ class TestCoreReferences:
 
 class TestDistinctRefCount:
     def test_s1(self, s1_slice):
-        assert distinct_ref_count(s1_slice) == 3
+        assert distinct_ref_count(build_corpus(s1_slice.records)) == ({1970: 3}, 3)
 
     def test_empty_slice(self):
-        sl = build_corpus([mkrec("a", year=1971)], (1970, 1971)).slice(1970)
-        assert distinct_ref_count(sl) == 0
+        corpus = build_corpus([mkrec("a", year=1971)], (1970, 1971))
+        assert distinct_ref_count(corpus) == ({1970: 0, 1971: 0}, 0)
 
     def test_identical_sets_count_once(self):
         refs = ["A, 1960, J", "B, 1961, J"]
-        sl = build_corpus([mkrec("p1", refs=refs), mkrec("p2", refs=refs)]).slice(1970)
-        assert distinct_ref_count(sl) == 2
+        corpus = build_corpus([mkrec("p1", refs=refs), mkrec("p2", refs=refs)])
+        assert distinct_ref_count(corpus) == ({1970: 2}, 2)
+
+    def test_total_counts_a_reference_of_several_years_once(self):
+        corpus = build_corpus([mkrec("p1", refs=["A, 1960, J", "B, 1961, J"], year=1970),
+                               mkrec("p2", refs=["B, 1961, J", "C, 1962, J"], year=1972)])
+        assert distinct_ref_count(corpus) == ({1970: 2, 1971: 0, 1972: 2}, 3)
 
 
 # random small corpora for property checks

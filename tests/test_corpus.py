@@ -1,7 +1,7 @@
 import os
+import re
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -18,7 +18,37 @@ from bibshift.records import (
     split_by_source,
     write_cache,
 )
+from bibshift.refkey import parse_cited_ref
 from conftest import mkrec
+
+
+class TestBibRecord:
+    def record(self):
+        return BibRecord("p1", Source.CITATION_INDEX, "virus assay", 1970,
+                         frozenset([parse_cited_ref("X, 1960, J")]))
+
+    def test_rejects_attribute_assignment(self):
+        record = self.record()
+        with pytest.raises(AttributeError):
+            record.title = "other"
+        assert record.title == "virus assay"
+
+    def test_is_hashable(self):
+        assert len({self.record(), self.record()}) == 1
+
+    def test_equals_the_record_built_by_keyword(self):
+        assert self.record() == BibRecord(
+            record_id="p1", source=Source.CITATION_INDEX, title="virus assay",
+            pub_year=1970, cited_refs=frozenset([parse_cited_ref("X, 1960, J")]))
+
+    def test_replace_gives_a_new_record(self):
+        record = self.record()
+        renamed = record._replace(record_id="p1#2")
+        assert renamed.record_id == "p1#2" and record.record_id == "p1"
+        assert renamed[1:] == record[1:]
+
+    def test_cites_nothing_by_default(self):
+        assert BibRecord("m1", Source.MEDLINE, "tumor", 1971).cited_refs == frozenset()
 
 
 class TestBuildCorpus:
@@ -273,7 +303,7 @@ class TestCacheWithoutReferences:
         full = read_cache(path)
         assert any(record.cited_refs for record in full)
         assert read_cache(path, refs=False) == [
-            replace(record, cited_refs=frozenset()) for record in full]
+            record._replace(cited_refs=frozenset()) for record in full]
 
     @pytest.mark.parametrize("edit,message", [
         pytest.param(lambda text: text.split("\n", 1)[1], r":1: not a bibshift cache",
@@ -290,6 +320,22 @@ class TestCacheWithoutReferences:
         path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
         with pytest.raises(ValueError, match=message):
             read_cache(path, refs=False)
+
+    @pytest.mark.parametrize("refs", [True, False])
+    @pytest.mark.parametrize("cell", ["BOGUS", "medline", "MEDLINE ", " MEDLINE", "Medline",
+                                      "CITATION_INDEX\x00", ""])
+    def test_a_source_cell_must_be_a_member_name(self, tmp_path, cell, refs):
+        path = self.write(tmp_path)
+        text = path.read_text(encoding="utf-8").replace("\tMEDLINE\t", f"\t{cell}\t")
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(
+                f":3: unknown source {cell!r} (want one of CITATION_INDEX, MEDLINE)")):
+            read_cache(path, refs=refs)
+
+    def test_empty_reference_cells_share_one_set(self, tmp_path):
+        path = self.write(tmp_path)
+        full, bare = read_cache(path), read_cache(path, refs=False)
+        assert full[1].cited_refs is bare[0].cited_refs is bare[1].cited_refs
 
 
 class TestCacheCutShort:

@@ -2,8 +2,9 @@
 example, the tables of functions the benchmark's tracer wraps, and the
 names through which ``ingest`` and the title commands reach the layers the
 tracer times. Also guards that every public name in ``src/`` has one of
-these callers or a caller in ``src/``, and that the commands call every
-function the tracer wraps."""
+these callers or a caller in ``src/``, that the commands call every
+function the tracer wraps, and that no module imports a name it never
+reads."""
 import ast
 import contextlib
 import io
@@ -108,6 +109,37 @@ def test_every_public_name_has_a_caller():
             for name in _public_top_level_names(tree)
             if name not in used and (module, name) not in wrapped]
     assert dead == []
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Each name an import statement of ``tree`` binds that no expression
+    of ``tree`` reads, with the line of its import."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in read]
+
+
+@pytest.mark.parametrize("path", [
+    *sorted((ROOT / "src" / "bibshift").glob("*.py")), *sorted((ROOT / "tests").glob("*.py"))
+], ids=lambda path: f"{path.parent.name}/{path.name}")
+def test_no_module_imports_a_name_it_never_reads(path):
+    """No linter runs on this code, so an import left behind by an edit
+    would stay unnoticed."""
+    assert _unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_the_unused_import_guard_sees_each_kind_of_import():
+    tree = ast.parse("from __future__ import annotations\n"
+                     "import os.path\nimport re as regex\nfrom a import b, c as d\n"
+                     "from e import f\nf(os)\n")
+    assert _unused_imports(tree) == ["regex (line 3)", "b (line 4)", "d (line 4)"]
 
 
 def _counting(calls: dict[str, int], label: str, original):

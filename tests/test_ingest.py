@@ -142,6 +142,45 @@ class TestMedlineParser:
         assert any(m.field == "DP" for m in result.missing)
 
 
+class TestDuplicateRecords:
+    DROPPED = ("dropped {} duplicate record(s), each equal in every field to an earlier "
+               "record of its id")
+
+    def test_an_exact_copy_is_dropped_with_its_notes(self):
+        block = "PMID- 7\nTI  - A\n\n"
+        result = parse_medline_text(block + block)
+        assert [r.record_id for r in result.records] == ["7"]
+        assert [(m.record_id, m.field) for m in result.missing] == [("7", "DP")]
+        assert result.dropped == 1 and result.warnings == [self.DROPPED.format(1)]
+
+    def test_a_record_differing_only_in_its_references_is_renamed(self):
+        result = parse_index_text("UT X\nPY 1970\nCR A, 1960\nER\n"
+                                  "UT X\nPY 1970\nCR B, 1961\nER\n")
+        assert [r.record_id for r in result.records] == ["X", "X#2"]
+        assert result.dropped == 0
+        assert result.warnings == ["duplicate record id 'X' renamed to 'X#2'"]
+
+    def test_a_copy_of_a_renamed_record_is_dropped_too(self):
+        a, b, c = ("UT X\nTI A\nPY 1970\nER\n", "UT X\nTI B\nPY 1970\nER\n",
+                   "UT X\nTI C\nPY 1970\nER\n")
+        result = parse_index_text(a + b + a + b + c)
+        assert [(r.record_id, r.title) for r in result.records] == [
+            ("X", "A"), ("X#2", "B"), ("X#3", "C")]
+        assert result.dropped == 2
+        assert result.warnings[-1] == self.DROPPED.format(2)
+
+    def test_an_anonymous_id_numbers_the_block_in_its_file(self):
+        result = parse_index_text("UT X\nER\nUT X\nER\nTI A\nER\n")
+        assert [r.record_id for r in result.records] == ["X", "anon:3"]
+
+    def test_a_doubled_export_parses_as_the_single_one(self, data_dir):
+        text = (data_dir / "citation_index_3records.txt").read_text(encoding="utf-8")
+        single, doubled = parse_index_text(text), parse_index_text(text + text)
+        assert doubled.records == single.records and doubled.missing == single.missing
+        assert doubled.dropped == len(single.records)
+        assert doubled.warnings == single.warnings + [self.DROPPED.format(len(single.records))]
+
+
 # ── parsers against the regex-per-line oracles ──────────────────────────────
 
 _ENDINGS = st.sampled_from(["\n", "\n", "\n", "\r\n", "\r", "", " \n", "\t\r\n"])
@@ -206,6 +245,8 @@ class TestParsersMatchOracle:
     @example(["UT X\n \n", "ER\n"])
     @example(["UT X\n\n", "ER\n\n"])
     @example(["UT X\n\r", "PY 1970\t\n\n", "ER\n"])
+    @example(["UT X\n", "ER\n", "TI A\n", "ER\n", "UT X\n", "ER\n", "UT X\n", "TI A\n",
+              "ER\n", "TI A\n", "ER\n", "UT X\n", "ER\n"])
     def test_citation_index(self, lines):
         for stream in _streams(lines):
             assert _outcome(parse_citation_index_export, stream()) == _outcome(
@@ -217,6 +258,8 @@ class TestParsersMatchOracle:
     @example(["TI -x\n", "PMID-\n", "T   - y\n", "TI  - A\nB\n"])
     @example(["PMID- 1\n", "TI  - \nA\n"])
     @example(["PMID- 1\n", "TI- - A\n", "TI\t - B\n"])
+    @example(["PMID- 1\n", "\n", "TI  - A\n", "\n", "PMID- 1\n", "\n", "PMID- 1\n",
+              "TI  - A\n", "\n", "TI  - A\n", "\n", "PMID- 1\n"])
     def test_medline(self, lines):
         for stream in _streams(lines):
             assert _outcome(parse_medline_export, stream()) == _outcome(

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from bibshift.cocitation import CoreRefSet, ThresholdPair, core_sets
 from bibshift.records import build_corpus
