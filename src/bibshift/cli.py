@@ -342,8 +342,7 @@ def _load_stopwords(cfg: RunConfig) -> StopWordList:
 
 
 def _years_text(corpus: Corpus) -> str:
-    lo, hi = corpus.year_range
-    return f"{lo}:{hi}"
+    return f"{min(corpus)}:{max(corpus)}"
 
 
 def _thresholds_text(cfg: RunConfig) -> str:
@@ -362,14 +361,14 @@ def _require_year_pair(cfg: RunConfig, corpus: Corpus) -> tuple[int, int]:
     if cfg.years is None:
         raise CliError(f"{cfg.command} needs --years FORMER:LATER")
     former, later = cfg.years
-    known = {y for y in corpus.years() if len(corpus.slice(y))}
+    known = [year for year, records in corpus.items() if records]
     missing = [y for y in (former, later) if y not in known]
     if former == later:
         raise CliError(f"year pair {former}:{later} compares a year with itself")
     if missing:
         raise CliError(
             f"year pair {former}:{later} not covered by the corpus "
-            f"(available years: {', '.join(str(y) for y in sorted(known))})"
+            f"(available years: {', '.join(map(str, known))})"
         )
     return former, later
 
@@ -405,8 +404,8 @@ def cmd_ingest(cfg: RunConfig, written: list[Path]) -> list[str]:
     except EmptyCorpus as exc:
         raise CliError(f"cannot build corpus: {exc}") from exc
 
+    kept = [record for year_records in corpus.values() for record in year_records]
     if cfg.index is not None and cfg.medline is not None:
-        kept = list(corpus.records())
         linkage = link_records(
             [r for r in kept if r.source is Source.MEDLINE],
             [r for r in kept if r.source is Source.CITATION_INDEX],
@@ -415,14 +414,14 @@ def cmd_ingest(cfg: RunConfig, written: list[Path]) -> list[str]:
     else:
         linkage_text = "not applicable"
 
-    report = corpus.build_report
+    missing_year = sum(record.pub_year is None for record in records)
     config = [
         ("command", "ingest"),
         ("years", _years_text(corpus)),
-        ("total_input", str(report.total_input)),
-        ("kept", str(report.kept)),
-        ("excluded_missing_year", str(report.excluded_missing_year)),
-        ("excluded_out_of_range", str(report.excluded_out_of_range)),
+        ("total_input", str(len(records))),
+        ("kept", str(len(kept))),
+        ("excluded_missing_year", str(missing_year)),
+        ("excluded_out_of_range", str(len(records) - len(kept) - missing_year)),
         ("linkage_coverage", linkage_text),
     ] + [("warning", w) for w in warnings]
 
@@ -447,7 +446,6 @@ def cmd_summary(cfg: RunConfig, written: list[Path]) -> None:
 
 def cmd_core_refs(cfg: RunConfig, written: list[Path]) -> None:
     corpus = _load_corpus(cfg)
-    years = corpus.years()
     by_threshold = core_sets(corpus, cfg.thresholds)
 
     config = [
@@ -458,7 +456,7 @@ def cmd_core_refs(cfg: RunConfig, written: list[Path]) -> None:
     flat = [core for t in cfg.thresholds for core in by_threshold[t]]
     _write(cfg, "core_refs.tsv", reports.core_membership_table(flat, config), written)
     _write(cfg, "core_sizes.tsv",
-           reports.core_size_matrix(by_threshold, years, config), written)
+           reports.core_size_matrix(by_threshold, list(corpus), config), written)
 
 
 def cmd_rsi(cfg: RunConfig, written: list[Path]) -> None:
@@ -494,7 +492,7 @@ def cmd_words(cfg: RunConfig, written: list[Path]) -> None:
     stop = _load_stopwords(cfg)
     former, later = _require_year_pair(cfg, corpus)
     per_source = {
-        source: new_terms(part.slice(former), part.slice(later), stop, cfg.min_percent)
+        source: new_terms(part[former], part[later], stop, cfg.min_percent)
         for source, part in split_by_source(corpus).items()
     }
     config = [
@@ -512,7 +510,7 @@ def cmd_cowords(cfg: RunConfig, written: list[Path]) -> None:
     stop = _load_stopwords(cfg)
     former, later = _require_year_pair(cfg, corpus)
     per_source = {
-        source: new_coword_pairs(part.slice(former), part.slice(later), stop,
+        source: new_coword_pairs(part[former], part[later], stop,
                                  cfg.min_cosine, cfg.min_percent)
         for source, part in split_by_source(corpus).items()
     }
@@ -542,7 +540,7 @@ def cmd_phrase(cfg: RunConfig, written: list[Path]) -> None:
         ("stem", cfg.stem),
     ]
     _write(cfg, f"phrase_{cfg.head}_{cfg.stem}.tsv",
-           reports.phrase_table(per_source, corpus.years(), config), written)
+           reports.phrase_table(per_source, list(corpus), config), written)
     _write(cfg, f"phrase_series_{cfg.head}_{cfg.stem}.tsv",
            reports.phrase_series(sum_phrase_trends(corpus, per_source.values()), config),
            written)

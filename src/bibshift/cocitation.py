@@ -7,12 +7,13 @@ for a year under a threshold pair when its citation count reaches
 ``cite_min`` and it is co-cited at least ``cocite_min`` times with some
 other reference that itself reaches ``cite_min``.
 
-``core_sets`` gives each distinct reference of the corpus an int id once,
-in one pass over the records that cite anything, then runs
-``core_references`` once per year; it counts that year's id rows with
-``citation_counts`` and ``cocitation_counts``, which take rows of any
-hashable items. Only each year's candidates are ordered by
-``RefKey.sort_key``, and ``RefKey`` sets are built only for the result.
+``core_sets`` walks the corpus dict's years in order. It gives each
+distinct reference of the corpus an int id once, in one pass over the
+records that cite anything, then runs ``core_references`` once per year;
+it counts that year's id rows with ``citation_counts`` and
+``cocitation_counts``, which take rows of any hashable items. Only each
+year's candidates are ordered by ``RefKey.sort_key``, and ``RefKey`` sets
+are built only for the result.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from itertools import chain, combinations
 from typing import Hashable, Iterable, Sequence
 
 from .refkey import RefKey
-from .records import Corpus, YearSlice
+from .records import BibRecord, Corpus
 
 
 @dataclass(frozen=True)
@@ -47,9 +48,10 @@ class ThresholdPair:
     def parse(cls, text: str) -> "ThresholdPair":
         cite, _, cocite = text.partition("/")
         try:
-            return cls(cite_min=int(cite), cocite_min=int(cocite))
+            cite_min, cocite_min = int(cite), int(cocite)
         except ValueError as exc:
             raise ValueError(f"cannot parse threshold pair {text!r} (want N/M)") from exc
+        return cls(cite_min=cite_min, cocite_min=cocite_min)
 
 
 @dataclass(frozen=True)
@@ -114,22 +116,23 @@ def core_sets(
     pair. Each year is counted once for all the pairs."""
     unique = list(dict.fromkeys(thresholds))
     by_threshold: dict[ThresholdPair, list[CoreRefSet]] = {t: [] for t in unique}
-    years = corpus.years()
-    keys, rows_by_year = _ref_ids(corpus.slice(year) for year in years)
-    for year, rows in zip(years, rows_by_year):
+    keys, rows_by_year = _ref_ids(corpus.values())
+    for year, rows in zip(corpus, rows_by_year):
         for core in core_references(year, rows, keys, unique):
             by_threshold[core.thresholds].append(core)
     return by_threshold
 
 
-def _ref_ids(slices: Iterable[YearSlice]) -> tuple[list[RefKey], list[list[list[int]]]]:
-    """Give each distinct reference of the slices an int id: the keys in id
-    order, and per slice the ids cited by each record that cites anything."""
+def _ref_ids(groups: Iterable[Iterable[BibRecord]]
+             ) -> tuple[list[RefKey], list[list[list[int]]]]:
+    """Give each distinct reference of the record groups an int id: the keys
+    in id order, and per group the ids cited by each record that cites
+    anything."""
     ids: dict[RefKey, int] = {}
     rows = [
         [[ids.setdefault(ref, len(ids)) for ref in record.cited_refs]
-         for record in sl.records if record.cited_refs]
-        for sl in slices
+         for record in records if record.cited_refs]
+        for records in groups
     ]
     return list(ids), rows
 
@@ -139,9 +142,9 @@ def distinct_ref_count(corpus: Corpus) -> tuple[dict[int, int], int]:
     and in the whole corpus: one walk of the records' references builds each
     year's set, and the total is the size of their union."""
     by_year: dict[int, set[RefKey]] = {}
-    for year in corpus.years():
+    for year, records in corpus.items():
         refs = by_year[year] = set()
-        for record in corpus.slice(year).records:
+        for record in records:
             # Merging a frozenset reuses its stored hashes; RefKey.__hash__
             # is Python code.
             refs.update(record.cited_refs)

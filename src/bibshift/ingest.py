@@ -22,7 +22,10 @@ MissingField entries instead of dropping them; structurally broken input
 raises MalformedRecord with the offending line number. Within one file, a
 record equal in every field to an earlier record of its id is dropped with
 its missing-field entries (one warning counts the drops), and one that
-differs gets the id suffix ``#2``, ``#3``, ... with a warning each.
+differs gets the id suffix ``#2``, ``#3``, ... with a warning each. An
+id-less record gets the id ``anon:N``, N numbering its block, and is
+dropped the same way when it equals an earlier id-less record but for
+that id.
 
 Both read a line by its fixed columns first. A citation-index line is a
 tag line when its first two characters are a tag (``[A-Z][A-Z0-9]``) and
@@ -85,7 +88,7 @@ def parse_citation_index_export(stream: Iterable[str]) -> ParseResult:
     values: Optional[list[str]] = None  # values of the field being continued
     last_field_line = 0
     keys: dict[str, RefKey] = {}  # raw reference string -> parsed key
-    seen: dict[str, tuple[BibRecord, ...]] = {}  # record id -> its distinct records
+    seen: dict[str | tuple, tuple[BibRecord, ...]] = {}  # see _finish_record
 
     for line_number, raw_line in enumerate(stream, start=1):
         # The usual shapes, told apart by their first columns.
@@ -153,7 +156,7 @@ def parse_medline_export(stream: Iterable[str]) -> ParseResult:
     fields: dict[str, list[str]] = {}
     values: Optional[list[str]] = None  # values of the field being continued
     tags: dict[str, str] = {}  # "TI  - " -> "TI", for each tag column seen
-    seen: dict[str, tuple[BibRecord, ...]] = {}  # record id -> its distinct records
+    seen: dict[str | tuple, tuple[BibRecord, ...]] = {}  # see _finish_record
 
     for line_number, raw_line in enumerate(stream, start=1):
         # The usual shapes, told apart by their first columns.
@@ -202,17 +205,20 @@ def parse_medline_export(stream: Iterable[str]) -> ParseResult:
 
 
 def _finish_record(fields: dict[str, list[str]], result: ParseResult,
-                   seen: dict[str, tuple[BibRecord, ...]], source: Source, id_tag: str,
-                   year_tag: str, cited_refs: frozenset[RefKey] = NO_REFS) -> None:
+                   seen: dict[str | tuple, tuple[BibRecord, ...]], source: Source,
+                   id_tag: str, year_tag: str,
+                   cited_refs: frozenset[RefKey] = NO_REFS) -> None:
     """Append the record of one field block to ``result``, noting a missing
     id (given an ``anon:`` id numbering the block in its file), title or
     year in that order. ``seen`` holds the distinct records of each id so
-    far: a record equal to one of them is dropped with its notes, and one
-    that differs is renamed ``<id>#<n>`` so ids stay unique in the file."""
+    far, and each id-less record under its other fields as well. A record
+    equal to an earlier one of its id, or an id-less record equal to an
+    earlier id-less one but for the ``anon:`` id, is dropped with its notes;
+    one that differs is renamed ``<id>#<n>`` so ids stay unique in the file."""
     notes_from = len(result.missing)
-    record_id = " ".join(filter(None, fields.get(id_tag, ()))).strip()
-    if not record_id:
-        record_id = f"anon:{len(result.records) + result.dropped + 1}"
+    ident = " ".join(filter(None, fields.get(id_tag, ()))).strip()
+    record_id = ident or f"anon:{len(result.records) + result.dropped + 1}"
+    if not ident:
         result.missing.append(MissingField(record_id, id_tag))
 
     title = " ".join(filter(None, fields.get("TI", ()))).strip()
@@ -225,12 +231,17 @@ def _finish_record(fields: dict[str, list[str]], result: ParseResult,
 
     record = BibRecord(record_id, source, title, year, cited_refs)
     same_id = seen.get(record_id)
-    if same_id is None:
-        seen[record_id] = (record,)
-    elif record in same_id:
+    if ident:
+        copy = same_id is not None and record in same_id
+    else:  # compared by its other fields, which key it in ``seen`` too
+        copy = record[1:] in seen
+        seen[record[1:]] = (record,)
+    if copy:
         result.dropped += 1
         del result.missing[notes_from:]
         return
+    if same_id is None:
+        seen[record_id] = (record,)
     else:
         seen[record_id] = same_id = (*same_id, record)
         new_id = f"{record_id}#{len(same_id)}"

@@ -1,30 +1,32 @@
-"""Bibliographic record model, year-sliced corpus, and the corpus cache.
+"""Bibliographic record model, the corpus, and the corpus cache.
 
 A record is a ``NamedTuple``: immutable, hashable, equal field by field, and
 built at tuple cost, since every command builds one per cache line. Every
-record that cites nothing shares the one empty set ``NO_REFS``.
+record that cites nothing shares the one empty set ``NO_REFS``. A corpus is
+a plain dict (``Corpus``) from each year, first to last, to that year's
+records; ``build_corpus`` is its one producer.
 
 The cache is a line-delimited TSV: one record per line with columns
 ``record_id``, ``source``, ``year``, ``title``, ``cited_refs``. The last
 column joins the raw cited-reference strings with ``|``; backslash escapes
 (backslash, tab, newline, carriage return, ``#``, and ``|`` as ``\\p``) keep
 every field tab-, separator-, and comment-safe, so a cache file round-trips
-byte-identically. The first line must be ``CACHE_HEADER``; later lines
-starting with ``#`` are comment lines and are skipped on read. The file
-always ends with a newline, so a last line without one marks a cut file and
-is rejected. The cache is written through a temp file that replaces the old
-one only once complete (``write_text_atomic``); each distinct raw reference
-is escaped once per write. A reader
-that needs only titles can leave the reference column unparsed
-(``read_cache(path, refs=False)``).
+byte-identically, and any other escape is rejected on read. The first line
+must be ``CACHE_HEADER``; later lines starting with ``#`` are comment lines
+and are skipped on read. The file always ends with a newline, so a last
+line without one marks a cut file and is rejected. The cache is written
+through a temp file that replaces the old one only once complete
+(``write_text_atomic``); each distinct raw reference is escaped once per
+write. A reader that needs only titles can leave the reference column
+unparsed (``read_cache(path, refs=False)``).
 """
 from __future__ import annotations
 
 import enum
 import os
-from dataclasses import dataclass, field
+import re
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .refkey import RefKey, parse_cited_ref
 
@@ -59,68 +61,27 @@ class BibRecord(NamedTuple):
     cited_refs: frozenset[RefKey] = NO_REFS
 
 
-@dataclass(frozen=True)
-class YearSlice:
-    year: int
-    records: tuple[BibRecord, ...] = ()
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-
-@dataclass(frozen=True)
-class BuildReport:
-    total_input: int
-    kept: int
-    excluded_out_of_range: int
-    excluded_missing_year: int
-
-
 class EmptyCorpus(Exception):
     """No record survived the year filter."""
 
 
-@dataclass(frozen=True)
-class Corpus:
-    """Records partitioned by publication year.
-
-    Every year of ``year_range`` has a slice (possibly empty), so that
-    interval analyses can compare any two in-range years.
-    """
-
-    slices: dict[int, YearSlice]
-    year_range: tuple[int, int]
-    build_report: BuildReport = field(default=BuildReport(0, 0, 0, 0), compare=False)
-
-    def years(self) -> list[int]:
-        lo, hi = self.year_range
-        return list(range(lo, hi + 1))
-
-    def slice(self, year: int) -> YearSlice:
-        return self.slices.get(year, YearSlice(year=year))
-
-    def records(self) -> Iterator[BibRecord]:
-        for year in self.years():
-            yield from self.slice(year).records
-
-    @property
-    def total_records(self) -> int:
-        return sum(len(s) for s in self.slices.values())
+# Records by publication year: every year from the first to the last, in
+# ascending order and possibly empty, so that interval analyses can compare
+# any two years; each year's records in input order.
+Corpus = dict[int, tuple[BibRecord, ...]]
 
 
 def build_corpus(
     records: Iterable[BibRecord],
     year_range: Optional[tuple[int, int]] = None,
 ) -> Corpus:
-    """Partition records into year slices, filtering to ``year_range``.
+    """Group records by year, filtering to ``year_range``.
 
     Records without a year are always excluded; when ``year_range`` is None
-    it is derived from the data. Raises EmptyCorpus when nothing survives.
+    it is derived from the data. Raises EmptyCorpus when nothing survives,
+    and ValueError when the range is reversed.
     """
-    records = list(records)
     dated = [r for r in records if r.pub_year is not None]
-    missing_year = len(records) - len(dated)
-
     if year_range is None:
         if not dated:
             raise EmptyCorpus("no record carries a publication year")
@@ -131,42 +92,25 @@ def build_corpus(
         raise ValueError(f"invalid year range {lo}:{hi}")
 
     by_year: dict[int, list[BibRecord]] = {year: [] for year in range(lo, hi + 1)}
-    out_of_range = 0
     for record in dated:
         if lo <= record.pub_year <= hi:
             by_year[record.pub_year].append(record)
-        else:
-            out_of_range += 1
-
-    kept = len(dated) - out_of_range
-    if kept == 0:
+    if not any(by_year.values()):
         raise EmptyCorpus(f"no record falls inside the year range {lo}:{hi}")
-
-    slices = {year: YearSlice(year=year, records=tuple(recs)) for year, recs in by_year.items()}
-    report = BuildReport(
-        total_input=len(records),
-        kept=kept,
-        excluded_out_of_range=out_of_range,
-        excluded_missing_year=missing_year,
-    )
-    return Corpus(slices=slices, year_range=(lo, hi), build_report=report)
+    return {year: tuple(recs) for year, recs in by_year.items()}
 
 
 def split_by_source(corpus: Corpus) -> dict[Source, Corpus]:
     """The corpus split by record source: one part per source present, in
     ``Source`` order. Each part keeps every year of the corpus, empty or
-    not, and its build report."""
+    not."""
     parts = {}
     for source in Source:
         # Sources compare by identity; hashing an Enum member runs Python code.
-        slices = {
-            year: YearSlice(year=year, records=tuple(
-                r for r in corpus.slice(year).records if r.source is source))
-            for year in corpus.years()
-        }
-        if any(sl.records for sl in slices.values()):
-            parts[source] = Corpus(slices=slices, year_range=corpus.year_range,
-                                   build_report=corpus.build_report)
+        part = {year: tuple(r for r in records if r.source is source)
+                for year, records in corpus.items()}
+        if any(part.values()):
+            parts[source] = part
     return parts
 
 
@@ -180,18 +124,24 @@ def _escape(text: str) -> str:
             .replace("\r", "\\r").replace("|", "\\p").replace("#", "\\#"))
 
 
+_UNESCAPED = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r", "p": "|", "#": "#"}
+_ESCAPE_RE = re.compile(r"\\(.?)", re.S)
+
+
+def _unescape_one(match: re.Match) -> str:
+    text = _UNESCAPED.get(match.group(1))
+    if text is None:
+        raise ValueError(f"bad escape {match.group()!r} (a cache escapes only "
+                         "backslash, tab, newline, carriage return, | and #)")
+    return text
+
+
 def _unescape(text: str) -> str:
+    """The text of an escaped cache cell. An escape that ``_escape`` never
+    writes, a lone trailing backslash included, raises ValueError."""
     if "\\" not in text:
         return text
-    out: list[str] = []
-    it = iter(text)
-    for ch in it:
-        if ch != "\\":
-            out.append(ch)
-            continue
-        nxt = next(it, "")
-        out.append({"\\": "\\", "t": "\t", "n": "\n", "r": "\r", "p": "|"}.get(nxt, nxt))
-    return "".join(out)
+    return _ESCAPE_RE.sub(_unescape_one, text)
 
 
 def write_text_atomic(path: str | os.PathLike, text: str) -> None:
@@ -214,13 +164,13 @@ def write_text_atomic(path: str | os.PathLike, text: str) -> None:
 
 def write_cache(corpus: Corpus, path: str | os.PathLike) -> None:
     """Write the corpus as a TSV cache. Deterministic: years ascending,
-    records in slice order, cited refs in ``RefKey.sort_key`` order. Each
-    distinct raw reference is escaped once per write."""
+    each year's records in order, cited refs in ``RefKey.sort_key`` order.
+    Each distinct raw reference is escaped once per write."""
     lines = [CACHE_HEADER]
     escaped: dict[str, str] = {}  # raw reference -> its escaped cache text
-    for year in corpus.years():
+    for year, records in corpus.items():
         year_text = str(year)
-        for record in corpus.slice(year).records:
+        for record in records:
             cells = []
             for key in sorted(record.cited_refs, key=RefKey.sort_key):
                 cell = escaped.get(key.raw)
@@ -247,11 +197,13 @@ def read_cache(path: str | os.PathLike, refs: bool = True) -> list[BibRecord]:
     Each distinct reference cell is parsed once per call; records that
     repeat a spelling share its key. With ``refs`` false, for callers that
     read only titles, every line is still split and its column count,
-    source and year checked, but the cited-reference column is never parsed
-    and every record's ``cited_refs`` is empty. Parsing a reference never
-    fails, so skipping the column rejects no cache that reading it accepts.
-    A file whose last line lacks its newline was cut short and is rejected,
-    and so is a year cell that is not a whole number in 0-``MAX_YEAR``.
+    source, year and escapes checked, but the cited-reference column is
+    never parsed and every record's ``cited_refs`` is empty. Parsing a
+    reference never fails, so skipping the column rejects no cache that
+    reading it accepts. A file whose last line lacks its newline was cut
+    short and is rejected, and so is a year cell that is not a whole number
+    in 0-``MAX_YEAR`` and a cell holding an escape that ``write_cache``
+    never writes.
     """
     records: list[BibRecord] = []
     keys: dict[str, RefKey] = {}  # escaped reference cell -> parsed key
@@ -280,17 +232,22 @@ def read_cache(path: str | os.PathLike, refs: bool = True) -> list[BibRecord]:
             if not (len(year_text) <= 4 and year_text.isascii() and year_text.isdigit()):
                 raise ValueError(f"{path}:{lineno}: year {year_text!r} is not a whole "
                                  f"number in 0-{MAX_YEAR}")
-            cited = NO_REFS
-            if refs and refs_cell:
-                cited_keys = []
-                for part in refs_cell.split("|"):
-                    if not part:
-                        continue
-                    key = keys.get(part)
-                    if key is None:
-                        key = keys[part] = parse_cited_ref(_unescape(part))
-                    cited_keys.append(key)
-                cited = frozenset(cited_keys)
-            records.append(BibRecord(_unescape(record_id), source, _unescape(title),
-                                     int(year_text), cited))
+            try:
+                cited = NO_REFS
+                if refs and refs_cell:
+                    cited_keys = []
+                    for part in refs_cell.split("|"):
+                        if not part:
+                            continue
+                        key = keys.get(part)
+                        if key is None:
+                            key = keys[part] = parse_cited_ref(_unescape(part))
+                        cited_keys.append(key)
+                    cited = frozenset(cited_keys)
+                elif "\\" in refs_cell:
+                    _unescape(refs_cell)  # reject what reading the references would
+                records.append(BibRecord(_unescape(record_id), source, _unescape(title),
+                                         int(year_text), cited))
+            except ValueError as exc:  # a bad escape
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     return records

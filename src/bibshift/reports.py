@@ -58,11 +58,10 @@ def summary_table(corpus: Corpus, distinct_refs_by_year: dict[int, int],
                "total_records", "distinct_cited_refs"]
     rows = []
     totals = {source: 0 for source in Source}
-    for year in corpus.years():
-        sl = corpus.slice(year)
+    for year, records in corpus.items():
         # One read of the records; list.count then compares by identity in
         # C (a Counter would call Enum's Python-level __hash__ per record).
-        sources = [record.source for record in sl.records]
+        sources = [record.source for record in records]
         per_source = {source: sources.count(source) for source in Source}
         for source, n in per_source.items():
             totals[source] += n
@@ -70,14 +69,14 @@ def summary_table(corpus: Corpus, distinct_refs_by_year: dict[int, int],
             year,
             per_source[Source.CITATION_INDEX],
             per_source[Source.MEDLINE],
-            len(sl),
+            len(records),
             distinct_refs_by_year[year],
         ])
     rows.append([
         "TOTAL",
         totals[Source.CITATION_INDEX],
         totals[Source.MEDLINE],
-        corpus.total_records,
+        sum(totals.values()),
         distinct_refs_total,
     ])
     return render_table(config, columns, rows)

@@ -5,13 +5,15 @@ Tokenization case-folds, splits on any non-alphanumeric character, and
 drops pure-digit and single-character tokens plus stop words. Counting is
 binary per record: a title contributes at most 1 to a term's document
 frequency no matter how often it repeats the word. Percent values use the
-full slice size as denominator, including records whose titles tokenize
-to nothing.
+number of the year's records as denominator, including records whose
+titles tokenize to nothing. ``new_terms`` and ``new_coword_pairs`` take the
+former and the later year's records; ``phrase_trend`` takes a corpus (one
+source's part, say) and walks its years in order.
 
 Phrase trends deliberately use the raw ordered token sequence (stop words
 kept) so that adjacency is judged on the title as written.
 
-Each query tokenises each title of its slices at most once.
+Each query tokenises each title it is given at most once.
 ``new_coword_pairs`` counts pairs, in both years, only among the later
 terms whose own share reaches ``min_percent``: a pair's share never exceeds
 either member's, so no pair holding another term can pass the floor, and
@@ -31,8 +33,9 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations
 from pathlib import Path
+from typing import Sequence
 
-from .records import Corpus, YearSlice
+from .records import BibRecord, Corpus
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -46,7 +49,6 @@ class StopWordList:
 @dataclass(frozen=True)
 class TermStats:
     term: str
-    year: int
     doc_freq: int
     percent: float
 
@@ -110,30 +112,31 @@ def _term_pairs(token_sets):
 
 
 def new_terms(
-    former: YearSlice, later: YearSlice, stop: StopWordList, min_percent: float
+    former: Sequence[BibRecord], later: Sequence[BibRecord], stop: StopWordList,
+    min_percent: float,
 ) -> list[TermStats]:
-    """Later-year terms absent from the former year, at or above
-    ``min_percent`` of the later slice; most frequent first (ties
+    """Terms of the later year's records absent from the former year's, at
+    or above ``min_percent`` of the later records; most frequent first (ties
     alphabetical)."""
     if min_percent < 0:
         raise ValueError(f"min_percent must be >= 0, got {min_percent}")
     total = len(later)
     df = Counter(chain.from_iterable(
-        tokenize_title(record.title, stop) for record in later.records))
+        tokenize_title(record.title, stop) for record in later))
     former_terms = set(chain.from_iterable(
-        tokenize_title(record.title, stop) for record in former.records))
+        tokenize_title(record.title, stop) for record in former))
     stats = []
     for term, n in df.items():
         percent = 100.0 * n / total
         if percent >= min_percent and term not in former_terms:
-            stats.append(TermStats(term=term, year=later.year, doc_freq=n, percent=percent))
+            stats.append(TermStats(term=term, doc_freq=n, percent=percent))
     stats.sort(key=lambda s: (-s.doc_freq, s.term))
     return stats
 
 
 def new_coword_pairs(
-    former: YearSlice,
-    later: YearSlice,
+    former: Sequence[BibRecord],
+    later: Sequence[BibRecord],
     stop: StopWordList,
     min_cosine: float,
     min_percent: float,
@@ -146,13 +149,13 @@ def new_coword_pairs(
     if not 0 <= min_cosine <= 1:
         raise ValueError(f"min_cosine must be in [0,1], got {min_cosine}")
     total = len(later)
-    later_sets = [tokenize_title(record.title, stop) for record in later.records]
+    later_sets = [tokenize_title(record.title, stop) for record in later]
     df = Counter(chain.from_iterable(later_sets))
     # A pair's co_doc_freq is at most either member's df, and the percent is
     # monotone in it: a pair holding a term outside keep cannot pass.
     keep = frozenset(t for t, n in df.items() if 100.0 * n / total >= min_percent)
     later_sets = [tokens & keep for tokens in later_sets]
-    former_sets = (tokenize_title(record.title, stop) & keep for record in former.records)
+    former_sets = (tokenize_title(record.title, stop) & keep for record in former)
     former_pairs = set(_term_pairs(former_sets))
     pairs = []
     for (a, b), n in Counter(_term_pairs(later_sets)).items():
@@ -180,10 +183,9 @@ def phrase_trend(corpus: Corpus, head: str, stem_prefix: str) -> list[PhrasePoin
     head = head.casefold()
     stem_prefix = stem_prefix.casefold()
     points = []
-    for year in corpus.years():
-        sl = corpus.slice(year)
+    for year, records in corpus.items():
         hits = 0
-        for record in sl.records:
+        for record in records:
             if head not in record.title.casefold():
                 continue
             seq = title_token_sequence(record.title)
@@ -192,7 +194,7 @@ def phrase_trend(corpus: Corpus, head: str, stem_prefix: str) -> list[PhrasePoin
                 for i in range(len(seq) - 1)
             ):
                 hits += 1
-        points.append(_phrase_point(year, hits, len(sl)))
+        points.append(_phrase_point(year, hits, len(records)))
     return points
 
 
@@ -201,7 +203,6 @@ def sum_phrase_trends(corpus: Corpus, trends) -> list[PhrasePoint]:
     disjoint parts of it (e.g. one per source) that together cover it."""
     trends = list(trends)
     return [
-        _phrase_point(year, sum(trend[i].doc_freq for trend in trends),
-                      len(corpus.slice(year)))
-        for i, year in enumerate(corpus.years())
+        _phrase_point(year, sum(trend[i].doc_freq for trend in trends), len(records))
+        for i, (year, records) in enumerate(corpus.items())
     ]

@@ -3,7 +3,7 @@ from pathlib import Path
 import pytest
 
 from bibshift.cocitation import CoreRefSet, ThresholdPair, cocitation_counts, core_sets
-from bibshift.records import BibRecord, Source, YearSlice, build_corpus
+from bibshift.records import BibRecord, Source, build_corpus
 from bibshift.refkey import RefKey, parse_cited_ref
 from bibshift.stability import rsi_series
 from bibshift.textmetrics import StopWordList, TermStats, new_coword_pairs, new_terms
@@ -30,12 +30,13 @@ def corpus_series(corpus, thresholds, gap):
     return rsi_series(core_sets(corpus, [thresholds])[thresholds], gap)
 
 
-def cited_rows(sl: YearSlice) -> list[frozenset[RefKey]]:
-    """The cited references of each record of ``sl``, as counting rows."""
-    return [record.cited_refs for record in sl.records]
+def cited_rows(sl) -> list[frozenset[RefKey]]:
+    """The cited references of each record of ``sl`` (one year's records),
+    as counting rows."""
+    return [record.cited_refs for record in sl]
 
 
-def ref_pair_counts(sl: YearSlice, candidates) -> dict[tuple[RefKey, RefKey], int]:
+def ref_pair_counts(sl, candidates) -> dict[tuple[RefKey, RefKey], int]:
     """``cocitation_counts`` of ``sl`` over ``candidates``, each pair keyed by
     its members in ``RefKey.sort_key`` order."""
     ordered = sorted(set(candidates), key=RefKey.sort_key)
@@ -43,23 +44,24 @@ def ref_pair_counts(sl: YearSlice, candidates) -> dict[tuple[RefKey, RefKey], in
     return {(ordered[a], ordered[b]): n for (a, b), n in counts.items()}
 
 
-def slice_core(sl: YearSlice, thresholds: ThresholdPair) -> CoreRefSet:
-    """The core set of ``sl`` under one threshold pair: ``core_sets`` on a
-    corpus of that one year."""
-    [core] = core_sets(build_corpus(sl.records, (sl.year, sl.year)), [thresholds])[thresholds]
+def slice_core(sl, thresholds: ThresholdPair) -> CoreRefSet:
+    """The core set of ``sl`` (one year's records) under one threshold pair:
+    ``core_sets`` on a corpus of that one year."""
+    [core] = core_sets(build_corpus(sl), [thresholds])[thresholds]
     return core
 
 
-def term_stats(sl: YearSlice, stop: StopWordList) -> list[TermStats]:
-    """Every term of ``sl`` with its document frequency: its new terms
-    against an empty former year, with no percent floor."""
-    return new_terms(YearSlice(year=sl.year - 1), sl, stop, 0.0)
+def term_stats(sl, stop: StopWordList) -> list[TermStats]:
+    """Every term of ``sl`` (one year's records) with its document
+    frequency: its new terms against an empty former year, with no percent
+    floor."""
+    return new_terms((), sl, stop, 0.0)
 
 
-def coword_pairs(sl: YearSlice, stop: StopWordList, min_cosine: float):
-    """Every co-word pair of ``sl`` at ``min_cosine``: its new pairs against
-    an empty former year, with no percent floor."""
-    return new_coword_pairs(YearSlice(year=sl.year - 1), sl, stop, min_cosine, 0.0)
+def coword_pairs(sl, stop: StopWordList, min_cosine: float):
+    """Every co-word pair of ``sl`` (one year's records) at ``min_cosine``:
+    its new pairs against an empty former year, with no percent floor."""
+    return new_coword_pairs((), sl, stop, min_cosine, 0.0)
 
 
 @pytest.fixture(scope="session")
@@ -73,7 +75,7 @@ def s1_refs():
 
 
 @pytest.fixture
-def s1_slice(s1_refs) -> YearSlice:
+def s1_slice(s1_refs) -> tuple[BibRecord, ...]:
     """Five papers citing {R1,R2}, {R1,R2}, {R1,R2,R3}, {R1,R3}, {R3}."""
     r = s1_refs
     cited = [
@@ -84,7 +86,7 @@ def s1_slice(s1_refs) -> YearSlice:
         ("P5", [r["R3"]]),
     ]
     records = [mkrec(pid, refs) for pid, refs in cited]
-    return build_corpus(records).slice(1970)
+    return build_corpus(records)[1970]
 
 
 S2_TITLES = (
@@ -100,20 +102,20 @@ def s2_stop() -> StopWordList:
 
 
 @pytest.fixture
-def s2_slice() -> YearSlice:
+def s2_slice() -> tuple[BibRecord, ...]:
     records = [
         mkrec(f"T{i}", title=title, year=1971) for i, title in enumerate(S2_TITLES)
     ]
-    return build_corpus(records).slice(1971)
+    return build_corpus(records)[1971]
 
 
 @pytest.fixture
-def s2_former_slice() -> YearSlice:
+def s2_former_slice() -> tuple[BibRecord, ...]:
     """S2 without its third title, one year earlier."""
     records = [
         mkrec(f"T{i}", title=title, year=1970) for i, title in enumerate(S2_TITLES[:2])
     ]
-    return build_corpus(records).slice(1970)
+    return build_corpus(records)[1970]
 
 
 # ── export-file builders (shared by CLI and acceptance tests) ────────────────

@@ -12,33 +12,33 @@ from typing import Optional
 
 from bibshift.cocitation import ThresholdPair
 from bibshift.ingest import MalformedRecord, MissingField, ParseResult
-from bibshift.records import BibRecord, Source, YearSlice
+from bibshift.records import BibRecord, Source
 from bibshift.refkey import RefKey
 
 
-def brute_citation_counts(sl: YearSlice) -> dict:
+def brute_citation_counts(records) -> dict:
     counts = {}
-    for record in sl.records:
+    for record in records:
         for ref in record.cited_refs:
             counts[ref] = counts.get(ref, 0) + 1
     return counts
 
 
-def brute_cocitation_counts(sl: YearSlice, candidates) -> dict:
+def brute_cocitation_counts(records, candidates) -> dict:
     candidates = set(candidates)
     counts = {}
-    for record in sl.records:
+    for record in records:
         cited = [r for r in record.cited_refs if r in candidates]
         for a, b in combinations(sorted(cited, key=lambda k: k.sort_key()), 2):
             counts[(a, b)] = counts.get((a, b), 0) + 1
     return counts
 
 
-def brute_core_refs(sl: YearSlice, thresholds: ThresholdPair) -> frozenset:
+def brute_core_refs(records, thresholds: ThresholdPair) -> frozenset:
     """Enumerates every reference pair per paper, then filters literally."""
-    cites = brute_citation_counts(sl)
+    cites = brute_citation_counts(records)
     pair_counts = {}
-    for record in sl.records:
+    for record in records:
         for a, b in combinations(sorted(record.cited_refs, key=lambda k: k.sort_key()), 2):
             pair_counts[(a, b)] = pair_counts.get((a, b), 0) + 1
 
@@ -92,35 +92,35 @@ def brute_tokens(title: str, stop_words: set) -> set:
     return tokens
 
 
-def brute_doc_freq(sl: YearSlice, stop_words: set) -> dict:
+def brute_doc_freq(records, stop_words: set) -> dict:
     counts = {}
-    for record in sl.records:
+    for record in records:
         for token in brute_tokens(record.title, stop_words):
             counts[token] = counts.get(token, 0) + 1
     return counts
 
 
-def brute_co_doc_freq(sl: YearSlice, stop_words: set) -> dict:
+def brute_co_doc_freq(records, stop_words: set) -> dict:
     counts = {}
-    for record in sl.records:
+    for record in records:
         for a, b in combinations(sorted(brute_tokens(record.title, stop_words)), 2):
             counts[(a, b)] = counts.get((a, b), 0) + 1
     return counts
 
 
-def brute_new_terms(former: YearSlice, later: YearSlice, stop_words: set,
+def brute_new_terms(former, later, stop_words: set,
                     min_percent: float) -> dict:
     """New later-year terms and their percentages, recomputed literally."""
     former_terms = set(brute_doc_freq(former, stop_words))
     out = {}
     for term, df in brute_doc_freq(later, stop_words).items():
-        percent = 100.0 * df / len(later.records)
+        percent = 100.0 * df / len(later)
         if term not in former_terms and percent >= min_percent:
             out[term] = (df, percent)
     return out
 
 
-def brute_new_coword_pairs(former: YearSlice, later: YearSlice, stop_words: set,
+def brute_new_coword_pairs(former, later, stop_words: set,
                            min_cosine: float, min_percent: float) -> dict:
     """New later-year co-word pairs passing both floors, recomputed literally."""
     former_pairs = set(brute_co_doc_freq(former, stop_words))
@@ -130,7 +130,7 @@ def brute_new_coword_pairs(former: YearSlice, later: YearSlice, stop_words: set,
         if (a, b) in former_pairs:
             continue
         cosine = co / math.sqrt(df[a] * df[b])
-        percent = 100.0 * co / len(later.records)
+        percent = 100.0 * co / len(later)
         if cosine >= min_cosine and percent >= min_percent:
             out[(a, b)] = (co, cosine, percent)
     return out
@@ -349,15 +349,23 @@ def _brute_year(text: str) -> Optional[int]:
 
 def _brute_unique_ids(blocks) -> ParseResult:
     """The parse result of a file's (record, missing-field notes) blocks: a
-    block whose record equals that of an earlier block with the same id is
-    dropped, notes and all; a record differing from every earlier one of its
-    id takes the suffix #n, n counting the distinct records of that id."""
+    block whose record equals a kept earlier record with the same id, or an
+    id-less block (one noted for a missing UT or PMID) whose record equals a
+    kept earlier id-less record in every field but the id, is dropped, notes
+    and all; a record differing from every earlier one of its id takes the
+    suffix #n, n counting the distinct records of that id."""
     result = ParseResult()
-    for i, (record, notes) in enumerate(blocks):
-        earlier = [r for r, _ in blocks[:i] if r.record_id == record.record_id]
-        if record in earlier:
+    kept = []  # (record before any renaming, id-less?) of each kept block
+    for record, notes in blocks:
+        idless = any(note.field in ("UT", "PMID") for note in notes)
+        earlier = [r for r, _ in kept if r.record_id == record.record_id]
+        if record in earlier or (idless and any(
+                other_idless and (r.source, r.title, r.pub_year, r.cited_refs)
+                == (record.source, record.title, record.pub_year, record.cited_refs)
+                for r, other_idless in kept)):
             result.dropped += 1
             continue
+        kept.append((record, idless))
         result.missing += notes
         distinct = [r for j, r in enumerate(earlier) if r not in earlier[:j]]
         if distinct:

@@ -140,8 +140,8 @@ def test_criterion_02_undefined_cell_renders_dashes():
 
     thresholds = ThresholdPair(3, 2)
     problems = []
-    sizes = (len(slice_core(corpus.slice(1966), thresholds)),
-             len(slice_core(corpus.slice(1967), thresholds)))
+    sizes = (len(slice_core(corpus[1966], thresholds)),
+             len(slice_core(corpus[1967], thresholds)))
     if sizes != (3, 0):
         problems.append(f"core sizes {sizes} != (3, 0)")
 
@@ -163,7 +163,7 @@ def random_slice(rng: random.Random, max_papers: int = 50, max_refs: int = 30):
     for p in range(rng.randint(1, max_papers)):
         cited = rng.sample(refs, rng.randint(0, min(len(refs), 12)))
         records.append(mkrec(f"p{p}", refs=cited, year=1970))
-    return build_corpus(records).slice(1970)
+    return build_corpus(records)[1970]
 
 
 def test_criterion_03_core_sets_match_brute_force():
@@ -290,7 +290,7 @@ def boundary_slice(co_both: int):
         + [mkrec(f"a{i}", title="alpha", year=1970) for i in range(solo)]
         + [mkrec(f"b{i}", title="beta", year=1970) for i in range(solo)]
     )
-    return build_corpus(records).slice(1970)
+    return build_corpus(records)[1970]
 
 
 def test_criterion_07_cosine_angle_and_boundary():
@@ -353,7 +353,7 @@ def random_text_slice(rng: random.Random, year: int):
         )
         for i in range(rng.randint(1, 12))
     ]
-    return build_corpus(records, (year, year)).slice(year)
+    return build_corpus(records, (year, year))[year]
 
 
 def test_criterion_09_text_metrics_match_brute_force():
@@ -363,7 +363,7 @@ def test_criterion_09_text_metrics_match_brute_force():
         mkrec("T0", title="REVERSE TRANSCRIPTASE OF AVIAN VIRUS", year=1971),
         mkrec("T1", title="AVIAN TUMOR VIRUS STUDIES", year=1971),
         mkrec("T2", title="REVERSE TRANSCRIPTION IN MICE", year=1971),
-    ]).slice(1971)
+    ])[1971]
     s2_stop = StopWordList(words=frozenset({"of", "in"}), source_path="<s2>")
     s2_df = {s.term: s.doc_freq for s in term_stats(s2, s2_stop)}
     if s2_df != brute_doc_freq(s2, {"of", "in"}):

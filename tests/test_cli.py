@@ -29,7 +29,6 @@ from bibshift.cocitation import ThresholdPair
 from bibshift.records import (
     CACHE_HEADER,
     Source,
-    YearSlice,
     build_corpus,
     read_cache,
     write_cache,
@@ -123,6 +122,15 @@ class TestIngest:
         assert f"wrote {cache}" in out
         assert "ingest_report.tsv" in out
         assert cache.read_text(encoding="utf-8").startswith(CACHE_HEADER)
+
+    def test_excluded_records_counted_by_reason(self, tmp_path):
+        rows = [(f"r{i}", 1966 + i, f"title {i}", []) for i in range(10)]
+        write_index_export(tmp_path / "index.txt", rows + [("undated", None, "t", [])])
+        assert run(["ingest", "--index", str(tmp_path / "index.txt"), "--years", "1969:1975",
+                    *base_args(tmp_path, tmp_path / "cache.tsv")]) == 0
+        text = (tmp_path / "out" / "ingest_report.tsv").read_text(encoding="utf-8")
+        assert ("# total_input=11\n# kept=7\n# excluded_missing_year=1\n"
+                "# excluded_out_of_range=3\n") in text
 
     def test_report_counts_and_linkage(self, tmp_path):
         ingest(tmp_path)
@@ -578,7 +586,7 @@ class TestPhraseMatchesOracle:
         records = [mkrec(f"r{i}", title=t, year=y, source=s)
                    for i, (t, y, s) in enumerate(rows)]
         corpus = build_corpus(records)
-        years = corpus.years()
+        years = list(corpus)
         with tempfile.TemporaryDirectory() as tmp:
             cache, out = Path(tmp) / "c.tsv", Path(tmp) / "out"
             write_cache(corpus, cache)
@@ -660,8 +668,8 @@ class TestReferenceReportsMatchOracle:
         threshold_text, gap_text = ",".join(map(str, thresholds)), ",".join(map(str, gaps))
         # A repeated threshold pair or gap counts once.
         thresholds, gaps = list(dict.fromkeys(thresholds)), list(dict.fromkeys(gaps))
-        years = corpus.years()
-        brute = {(t, y): brute_core_refs(corpus.slice(y), t) for t in thresholds for y in years}
+        years = list(corpus)
+        brute = {(t, y): brute_core_refs(corpus[y], t) for t in thresholds for y in years}
         with tempfile.TemporaryDirectory() as tmp:
             cache, out = Path(tmp) / "c.tsv", Path(tmp) / "out"
             write_cache(corpus, cache)
@@ -811,9 +819,8 @@ class TestTitleAndSummaryReportsMatchOracle:
              str(len(rows)), str(len(set().union(*distinct.values())))],
         ]
 
-        def part(year: int, source: Source) -> YearSlice:
-            return YearSlice(year, tuple(r for r in records
-                                         if r.pub_year == year and r.source is source))
+        def part(year: int, source: Source) -> list:
+            return [r for r in records if r.pub_year == year and r.source is source]
 
         for former, later in _COMPARED_PAIRS.values():
             terms = {s: brute_new_terms(part(former, s), part(later, s), stop, min_percent)
@@ -1047,7 +1054,7 @@ class TestPhraseValuesThatCanNeverMatch:
         records = [mkrec(f"r{i}", title=t, year=y, source=s)
                    for i, (t, y, s) in enumerate(rows)]
         corpus = build_corpus(records)
-        points = brute_phrase_points(records, corpus.years(), head, stem)
+        points = brute_phrase_points(records, list(corpus), head, stem)
         assert all(hits == 0 for _, hits, _ in points)
         with tempfile.TemporaryDirectory() as tmp:
             cache, out = Path(tmp) / "c.tsv", Path(tmp) / "out"
@@ -1098,6 +1105,31 @@ class TestBadCache:
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot build corpus from {cache}: {cache}:2: "
                               f"year {year!r} is not a whole number in 0-9999")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", [["summary"], ["words", "--years", "1970:1971"]],
+                             ids=["summary", "words"])
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda text: text.replace("\tvirus\t", "\tvir\\qus\t"), id="title-q"),
+        pytest.param(lambda text: text.replace("\tvirus\t", "\tvirus\\\t"), id="title-lone"),
+        pytest.param(lambda text: text.replace("J\n", "J\\q\n"), id="refs-q"),
+        pytest.param(lambda text: text.replace("J\n", "J\\\n"), id="refs-lone"),
+        pytest.param(lambda text: text.replace("\na\t", "\n\\a\t"), id="id-a"),
+    ])
+    def test_an_escape_the_cache_never_writes_is_an_error(self, tmp_path, capsys, command,
+                                                         edit):
+        # The refs column is checked too where it is never parsed (words).
+        corpus = build_corpus([mkrec("a", refs=["X, 1960, J"], title="virus", year=1970),
+                               mkrec("b", title="tumor", year=1971)])
+        cache = tmp_path / "c.tsv"
+        write_cache(corpus, cache)
+        text = cache.read_text(encoding="utf-8")
+        cache.write_text(edit(text), encoding="utf-8")
+        assert cache.read_text(encoding="utf-8") != text
+        assert run([*command, *base_args(tmp_path, cache)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot build corpus from {cache}: {cache}:2: bad escape ")
+        assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
     def test_years_0_and_9999_load(self, tmp_path):
@@ -1299,6 +1331,13 @@ class TestArgHelpers:
         with pytest.raises(CliError):
             parse_thresholds("15-11")
         assert parse_thresholds("15/11,10/8,15/11") == parse_thresholds("15/11,10/8")
+
+    @pytest.mark.parametrize("text", ["0/1", "3/0", "-1/2"])
+    def test_a_threshold_below_one_names_the_bound(self, tmp_path, capsys, text):
+        cache = ingest(tmp_path)
+        capsys.readouterr()
+        assert run(["rsi", *base_args(tmp_path, cache), "--thresholds", f"15/11,{text}"]) == 1
+        assert capsys.readouterr().err == f"error: thresholds must be >= 1, got {text}\n"
 
     def test_parse_gaps(self):
         assert parse_gaps("1,2") == (1, 2)

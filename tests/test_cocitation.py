@@ -34,7 +34,12 @@ class TestThresholdPair:
 
     @pytest.mark.parametrize("text", ["15", "a/b", "15/", "/8"])
     def test_unparseable_text_rejected(self, text):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"cannot parse threshold pair '{text}'"):
+            ThresholdPair.parse(text)
+
+    @pytest.mark.parametrize("text", ["0/1", "3/0", "-1/2"])
+    def test_parsed_values_below_one_name_the_bound(self, text):
+        with pytest.raises(ValueError, match=f"^thresholds must be >= 1, got {text}$"):
             ThresholdPair.parse(text)
 
 
@@ -46,11 +51,11 @@ class TestCitationCounts:
         assert counts[s1_refs["R3"]] == 3
 
     def test_no_refs_yields_empty_map(self):
-        sl = build_corpus([mkrec("m", year=1970)]).slice(1970)
+        sl = build_corpus([mkrec("m", year=1970)])[1970]
         assert citation_counts(cited_rows(sl)) == {}
 
     def test_single_paper_single_ref(self):
-        sl = build_corpus([mkrec("p", refs=["R1, 1960, J"])]).slice(1970)
+        sl = build_corpus([mkrec("p", refs=["R1, 1960, J"])])[1970]
         assert list(citation_counts(cited_rows(sl)).values()) == [1]
 
 
@@ -93,7 +98,7 @@ class TestCoreReferences:
             mkrec("p2", refs=["X, 1960, J", "Y, 1961, J"]),
             mkrec("p3", refs=["X, 1960, J", "Z, 1962, J"]),
         ]
-        sl = build_corpus(records).slice(1970)
+        sl = build_corpus(records)[1970]
         core = slice_core(sl, ThresholdPair(3, 2))
         assert core.members == frozenset()
 
@@ -112,7 +117,7 @@ class TestCoreReferences:
 
 class TestDistinctRefCount:
     def test_s1(self, s1_slice):
-        assert distinct_ref_count(build_corpus(s1_slice.records)) == ({1970: 3}, 3)
+        assert distinct_ref_count(build_corpus(s1_slice)) == ({1970: 3}, 3)
 
     def test_empty_slice(self):
         corpus = build_corpus([mkrec("a", year=1971)], (1970, 1971))
@@ -141,7 +146,7 @@ def random_slice(draw):
         papers.append(mkrec(f"p{p}", refs=cited))
     if not papers:
         papers = [mkrec("pad", refs=[])]
-    return build_corpus(papers).slice(1970)
+    return build_corpus(papers)[1970]
 
 
 class TestProperties:
@@ -210,10 +215,10 @@ class TestCoreSets:
         cores = core_sets(corpus, thresholds)
         assert list(cores) == list(dict.fromkeys(thresholds))
         for t in thresholds:
-            assert [c.year for c in cores[t]] == corpus.years()
+            assert [c.year for c in cores[t]] == list(corpus)
             for core in cores[t]:
                 assert core.thresholds == t
-                assert core.members == brute_core_refs(corpus.slice(core.year), t)
+                assert core.members == brute_core_refs(corpus[core.year], t)
 
     def test_lower_cite_min_candidates_do_not_leak_upwards(self):
         # Y reaches cite_min 2 but not 3: it is a co-citation candidate

@@ -55,43 +55,48 @@ class TestBuildCorpus:
     def test_partitions_by_year(self):
         records = [mkrec(f"r{y}{i}", year=y) for y in (1970, 1971) for i in range(3)]
         corpus = build_corpus(records)
-        assert corpus.year_range == (1970, 1971)
-        assert len(corpus.slice(1970)) == 3
-        assert len(corpus.slice(1971)) == 3
-        assert corpus.total_records == 6
+        assert list(corpus) == [1970, 1971]
+        assert len(corpus[1970]) == 3
+        assert len(corpus[1971]) == 3
+        assert sum(map(len, corpus.values())) == 6
 
     def test_slice_counts_sum_to_total(self):
         records = [mkrec(f"r{i}", year=1966 + i % 10) for i in range(25)]
         corpus = build_corpus(records)
-        assert sum(len(corpus.slice(y)) for y in corpus.years()) == corpus.total_records
+        assert sum(len(corpus[y]) for y in corpus) == len(records)
 
-    def test_range_filter_counts_exclusions(self):
+    def test_range_filter_keeps_only_years_in_range(self):
         records = [mkrec(f"r{i}", year=1966 + i) for i in range(10)]
         corpus = build_corpus(records, (1969, 1975))
-        assert corpus.years() == list(range(1969, 1976))
-        assert corpus.build_report.excluded_out_of_range == 3
-        assert corpus.total_records == 7
+        assert list(corpus) == list(range(1969, 1976))
+        assert [r for recs in corpus.values() for r in recs] == records[3:]
 
-    def test_missing_year_excluded_and_counted(self):
+    def test_missing_year_excluded(self):
         records = [mkrec("a", year=1970), mkrec("b", year=None)]
-        corpus = build_corpus(records)
-        assert corpus.total_records == 1
-        assert corpus.build_report.excluded_missing_year == 1
+        assert build_corpus(records) == {1970: (records[0],)}
 
     def test_every_record_in_exactly_its_year_slice(self):
         records = [mkrec(f"r{i}", year=1970 + i % 3) for i in range(9)]
         corpus = build_corpus(records)
-        for year in corpus.years():
-            assert all(r.pub_year == year for r in corpus.slice(year).records)
+        for year, recs in corpus.items():
+            assert all(r.pub_year == year for r in recs)
 
     def test_in_range_year_without_records_has_empty_slice(self):
         corpus = build_corpus([mkrec("a", year=1970)], (1969, 1971))
-        assert len(corpus.slice(1969)) == 0
-        assert corpus.slice(1969).year == 1969
+        assert corpus[1969] == ()
+        assert list(corpus) == [1969, 1970, 1971]
 
     def test_single_year(self):
         corpus = build_corpus([mkrec("a", year=1970)])
-        assert corpus.years() == [1970]
+        assert list(corpus) == [1970]
+
+    def test_years_ascend_and_each_keeps_input_order(self):
+        records = [mkrec("c", year=1972), mkrec("a", year=1970), mkrec("d", year=1972),
+                   mkrec("b", year=1970)]
+        corpus = build_corpus(records)
+        assert corpus == {1970: (records[1], records[3]), 1971: (),
+                          1972: (records[0], records[2])}
+        assert list(corpus) == [1970, 1971, 1972]
 
     def test_nothing_survives_raises(self):
         with pytest.raises(EmptyCorpus):
@@ -127,14 +132,14 @@ class TestSplitBySource:
         corpus = build_corpus(records, (1969, 1975))
         parts = split_by_source(corpus)
         for source, part in parts.items():
-            assert part.year_range == corpus.year_range
-            assert part.build_report == corpus.build_report
-            assert sorted(part.slices) == corpus.years()
-            for year in corpus.years():
-                assert part.slice(year).records == tuple(
-                    r for r in corpus.slice(year).records if r.source is source)
-        assert [r.record_id for r in parts[Source.CITATION_INDEX].records()] == ["i70", "i72"]
-        assert [r.record_id for r in parts[Source.MEDLINE].records()] == ["m70", "m74"]
+            assert list(part) == list(corpus)
+            for year, recs in corpus.items():
+                assert part[year] == tuple(r for r in recs if r.source is source)
+
+        def ids(part):
+            return [r.record_id for recs in part.values() for r in recs]
+        assert ids(parts[Source.CITATION_INDEX]) == ["i70", "i72"]
+        assert ids(parts[Source.MEDLINE]) == ["m70", "m74"]
 
     def test_an_absent_source_is_omitted(self):
         corpus = build_corpus([mkrec("m", year=1970, source=Source.MEDLINE)])
@@ -201,10 +206,10 @@ class TestCacheRoundTrip:
         path = tmp_path_factory.mktemp("cache") / "c.tsv"
         write_cache(corpus, path)
         loaded = build_corpus(read_cache(path))
-        assert loaded.year_range == corpus.year_range
-        for year in corpus.years():
-            original = {r.record_id: r for r in corpus.slice(year).records}
-            recovered = {r.record_id: r for r in loaded.slice(year).records}
+        assert list(loaded) == list(corpus)
+        for year, recs in corpus.items():
+            original = {r.record_id: r for r in recs}
+            recovered = {r.record_id: r for r in loaded[year]}
             assert recovered.keys() == original.keys()
             for rid, rec in original.items():
                 assert recovered[rid].title == rec.title

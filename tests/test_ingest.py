@@ -173,6 +173,28 @@ class TestDuplicateRecords:
         result = parse_index_text("UT X\nER\nUT X\nER\nTI A\nER\n")
         assert [r.record_id for r in result.records] == ["X", "anon:3"]
 
+    @pytest.mark.parametrize("parse,block,id_tag", [
+        (parse_index_text, "TI A\nPY 1970\nCR X, 1960, J\nER\n", "UT"),
+        (parse_medline_text, "TI  - A\nDP  - 1970\n\n", "PMID"),
+    ], ids=["index", "medline"])
+    def test_a_copy_of_an_id_less_record_is_dropped(self, parse, block, id_tag):
+        result = parse(block + block)
+        assert [r.record_id for r in result.records] == ["anon:1"]
+        assert [(m.record_id, m.field) for m in result.missing] == [("anon:1", id_tag)]
+        assert result.dropped == 1 and result.warnings == [self.DROPPED.format(1)]
+
+    def test_id_less_records_are_compared_with_id_less_ones_only(self):
+        # anon:N still numbers the blocks, dropped ones included; a differing
+        # id-less record is kept, not renamed, and a record with an id is
+        # never a copy of an id-less one.
+        a, b = "TI A\nPY 1970\nER\n", "TI B\nPY 1970\nER\n"
+        result = parse_index_text(a + b + a + "UT anon:1\nTI C\nPY 1970\nER\n" + b + a)
+        assert [(r.record_id, r.title) for r in result.records] == [
+            ("anon:1", "A"), ("anon:2", "B"), ("anon:1#2", "C")]
+        assert result.dropped == 3
+        assert result.warnings == ["duplicate record id 'anon:1' renamed to 'anon:1#2'",
+                                   self.DROPPED.format(3)]
+
     def test_a_doubled_export_parses_as_the_single_one(self, data_dir):
         text = (data_dir / "citation_index_3records.txt").read_text(encoding="utf-8")
         single, doubled = parse_index_text(text), parse_index_text(text + text)

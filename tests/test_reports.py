@@ -88,7 +88,7 @@ class TestSummaryTable:
 class TestCitationTables:
     def test_core_membership_sorted(self):
         corpus = pool_corpus({1970: ["B, 1960", "A, 1950"]})
-        cores = [slice_core(corpus.slice(1970), T)]
+        cores = [slice_core(corpus[1970], T)]
         text = core_membership_table(cores, CFG)
         lines = text.splitlines()
         assert lines[3] == "1970\t3/2\tA, 1950"
@@ -97,7 +97,7 @@ class TestCitationTables:
     def test_core_size_matrix_fills_missing_years_with_zero(self):
         corpus = pool_corpus({1970: ["A, 1950", "B, 1960"]}, (1970, 1971))
         cores = core_sets(corpus, [T])
-        text = core_size_matrix(cores, corpus.years(), CFG)
+        text = core_size_matrix(cores, list(corpus), CFG)
         lines = text.splitlines()
         assert lines[2] == "thresholds\t1970\t1971"
         assert lines[3] == "3/2\t2\t0"
@@ -171,10 +171,10 @@ class TestWordTables:
     def test_words_merge_with_dash_for_missing_source(self):
         per_source = {
             Source.CITATION_INDEX: [
-                TermStats("transcription", 1971, 2, 40.0),
-                TermStats("mice", 1971, 1, 20.0),
+                TermStats("transcription", 2, 40.0),
+                TermStats("mice", 1, 20.0),
             ],
-            Source.MEDLINE: [TermStats("transcription", 1971, 3, 60.0)],
+            Source.MEDLINE: [TermStats("transcription", 3, 60.0)],
         }
         text = words_table(per_source, CFG)
         lines = text.splitlines()
@@ -186,8 +186,8 @@ class TestWordTables:
     def test_words_ordered_by_best_percent_then_term(self):
         per_source = {
             Source.CITATION_INDEX: [
-                TermStats("beta", 1971, 1, 50.0),
-                TermStats("alpha", 1971, 1, 50.0),
+                TermStats("beta", 1, 50.0),
+                TermStats("alpha", 1, 50.0),
             ],
         }
         text = words_table(per_source, CFG)

@@ -87,7 +87,6 @@ class TestDocFrequencies:
             "transcription": 1, "mice": 1,
         }
         assert by_term["reverse"].percent == pytest.approx(200 / 3)
-        assert all(s.year == 1971 for s in stats)
 
     def test_sorted_by_freq_then_term(self, s2_slice, s2_stop):
         stats = term_stats(s2_slice, s2_stop)
@@ -97,12 +96,12 @@ class TestDocFrequencies:
         )
 
     def test_empty_slice(self):
-        sl = build_corpus([mkrec("a", year=1971)], (1970, 1971)).slice(1970)
+        sl = build_corpus([mkrec("a", year=1971)], (1970, 1971))[1970]
         assert term_stats(sl, EMPTY_STOP) == []
 
     def test_identical_titles_reach_hundred_percent(self):
         records = [mkrec(f"r{i}", title="Same words here", year=1970) for i in range(4)]
-        sl = build_corpus(records).slice(1970)
+        sl = build_corpus(records)[1970]
         for s in term_stats(sl, EMPTY_STOP):
             assert s.doc_freq == 4
             assert s.percent == 100.0
@@ -112,7 +111,7 @@ class TestDocFrequencies:
             mkrec("a", title="virus", year=1970),
             mkrec("b", title="", year=1970),
         ]
-        sl = build_corpus(records).slice(1970)
+        sl = build_corpus(records)[1970]
         [s] = term_stats(sl, EMPTY_STOP)
         assert s.percent == 50.0
 
@@ -137,10 +136,10 @@ class TestNewTerms:
         former = build_corpus(
             [mkrec("a", title="whisper of transcription", year=1970)]
             + [mkrec(f"f{i}", title="other text", year=1970) for i in range(9)]
-        ).slice(1970)
+        )[1970]
         later = build_corpus(
             [mkrec(f"l{i}", title="transcription study", year=1971) for i in range(5)]
-        ).slice(1971)
+        )[1971]
         fresh = new_terms(former, later, s2_stop, min_percent=1.0)
         # present in 10% of former papers, so not new at any later frequency
         assert "transcription" not in {s.term for s in fresh}
@@ -179,7 +178,7 @@ class TestCosinePairs:
                    mkrec("b", title="alpha beta", year=1970),
                    mkrec("c", title="alpha gamma", year=1970),
                    mkrec("d", title="beta delta", year=1970)]
-        sl = build_corpus(records).slice(1970)
+        sl = build_corpus(records)[1970]
         # cosine(alpha, beta) = 2/sqrt(3*3) = 2/3
         pairs = coword_pairs(sl, EMPTY_STOP, min_cosine=2 / 3)
         assert {(p.term_a, p.term_b) for p in pairs} == {("alpha", "beta")}
@@ -227,11 +226,11 @@ class TestNewCowordPairs:
 
     def test_no_pair_with_a_term_below_the_floor_is_counted(self, monkeypatch):
         former = build_corpus([mkrec("f1", title="alpha gamma", year=1970),
-                               mkrec("f2", title="beta delta", year=1970)]).slice(1970)
+                               mkrec("f2", title="beta delta", year=1970)])[1970]
         later = build_corpus([mkrec("l1", title="alpha beta", year=1971),
                               mkrec("l2", title="alpha beta", year=1971),
                               mkrec("l3", title="alpha gamma", year=1971),
-                              mkrec("l4", title="delta epsilon", year=1971)]).slice(1971)
+                              mkrec("l4", title="delta epsilon", year=1971)])[1971]
         counted = []
         original = textmetrics._term_pairs
 
@@ -267,7 +266,7 @@ class TestPhraseTrend:
         return build_corpus(records)
 
     def test_s2_single_year_count(self, s2_slice):
-        corpus = build_corpus(list(s2_slice.records))
+        corpus = build_corpus(list(s2_slice))
         [point] = phrase_trend(corpus, "reverse", "transcr")
         assert point.doc_freq == 2
         assert point.percent == pytest.approx(200 / 3)
@@ -335,7 +334,7 @@ _title = st.text(
 
 def _slice(titles, year):
     records = [mkrec(f"r{year}-{i}", title=t, year=year) for i, t in enumerate(titles)]
-    return build_corpus(records).slice(year)
+    return build_corpus(records)[year]
 
 
 @st.composite
@@ -359,7 +358,7 @@ class TestOracleProperties:
     def test_doc_freq_matches_brute_force(self, titles, stop_words):
         stop = StopWordList(words=frozenset(stop_words), source_path="<p>")
         records = [mkrec(f"r{i}", title=t, year=1970) for i, t in enumerate(titles)]
-        sl = build_corpus(records).slice(1970)
+        sl = build_corpus(records)[1970]
         got = {s.term: s.doc_freq for s in term_stats(sl, stop)}
         assert got == brute_doc_freq(sl, set(stop_words))
 
@@ -367,7 +366,7 @@ class TestOracleProperties:
     @given(st.lists(_title, min_size=1, max_size=8))
     def test_cosine_matches_brute_force(self, titles):
         records = [mkrec(f"r{i}", title=t, year=1970) for i, t in enumerate(titles)]
-        sl = build_corpus(records).slice(1970)
+        sl = build_corpus(records)[1970]
         df = brute_doc_freq(sl, set())
         co = brute_co_doc_freq(sl, set())
         got = {(p.term_a, p.term_b): p for p in coword_pairs(sl, EMPTY_STOP, 0.0)}
@@ -382,16 +381,16 @@ class TestOracleProperties:
     def test_new_terms_matches_set_difference(self, former_titles, later_titles):
         former = build_corpus(
             [mkrec(f"f{i}", title=t, year=1970) for i, t in enumerate(former_titles)]
-        ).slice(1970)
+        )[1970]
         later = build_corpus(
             [mkrec(f"l{i}", title=t, year=1971) for i, t in enumerate(later_titles)]
-        ).slice(1971)
+        )[1971]
         fresh = {s.term for s in new_terms(former, later, EMPTY_STOP, 0.0)}
         former_tokens = set()
-        for r in former.records:
+        for r in former:
             former_tokens |= brute_tokens(r.title, set())
         later_tokens = set()
-        for r in later.records:
+        for r in later:
             later_tokens |= brute_tokens(r.title, set())
         assert fresh == later_tokens - former_tokens
 
@@ -400,7 +399,7 @@ class TestOracleProperties:
            st.floats(min_value=0, max_value=1))
     def test_raising_floors_never_adds_results(self, titles, min_cosine):
         records = [mkrec(f"r{i}", title=t, year=1970) for i, t in enumerate(titles)]
-        sl = build_corpus(records).slice(1970)
+        sl = build_corpus(records)[1970]
         base = {(p.term_a, p.term_b) for p in coword_pairs(sl, EMPTY_STOP, 0.0)}
         tightened = {(p.term_a, p.term_b) for p in coword_pairs(sl, EMPTY_STOP, min_cosine)}
         assert tightened <= base
