@@ -19,9 +19,8 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from . import reports
 from .cocitation import ThresholdPair, core_sets, distinct_ref_count
@@ -77,24 +76,6 @@ def _user_file(action: str, path: Path, missing: str = ""):
         name = exc.filename2 or exc.filename
         reason = f"{name}: {exc.strerror}" if name else str(exc)
         raise CliError(f"cannot {action} {path} ({reason})") from exc
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    cache: Path
-    out_dir: Path
-    years: Optional[tuple[int, int]]
-    thresholds: tuple[ThresholdPair, ...]
-    gaps: tuple[int, ...]
-    min_percent: float
-    min_cosine: float
-    stopwords: Optional[Path]
-    workers: int
-    index: Optional[Path] = None
-    medline: Optional[Path] = None
-    head: Optional[str] = None
-    stem: Optional[str] = None
 
 
 # ── argument handling ─────────────────────────────────────────────────────────
@@ -191,8 +172,7 @@ def _name_part(name: str, value: str) -> str:
     return value
 
 
-@dataclass(frozen=True)
-class _Setting:
+class _Setting(NamedTuple):
     """One setting: the flag ``--name`` (``_`` written ``-``) on ``commands``
     (``None``: every command) and the config-file key ``name``. ``help`` may
     name ``{default}``. The flag's text, or a config value read as that
@@ -296,8 +276,9 @@ def _config_value(name: str, setting: _Setting, value):
                        f"(invalid {setting.type.__name__} value)") from exc
 
 
-def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Each setting from its flag, else the config file, else its default."""
+def resolve_config(args: argparse.Namespace) -> argparse.Namespace:
+    """The command and each setting: from its flag, else the config file,
+    else its default."""
     file_cfg = _load_config_file(args.config)
     values = {}
     for name, setting in _SETTINGS.items():
@@ -314,12 +295,12 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
                 print(f"warning: cocite_min {t.cocite_min} exceeds cite_min {t.cite_min}; "
                       "the co-citation threshold can never bind above the citation count",
                       file=sys.stderr)
-    return RunConfig(command=args.command, **values)
+    return argparse.Namespace(command=args.command, **values)
 
 
 # ── shared helpers ────────────────────────────────────────────────────────────
 
-def _load_corpus(cfg: RunConfig, full: bool = False, refs: bool = True) -> Corpus:
+def _load_corpus(cfg: argparse.Namespace, full: bool = False, refs: bool = True) -> Corpus:
     """Corpus from the cache; ``full`` ignores the --years restriction
     (words/cowords read --years as the compared pair, not a filter), and
     ``refs`` false leaves every record's cited references empty (for the
@@ -333,7 +314,7 @@ def _load_corpus(cfg: RunConfig, full: bool = False, refs: bool = True) -> Corpu
             raise CliError(f"cannot build corpus from {cfg.cache}: {exc}") from exc
 
 
-def _load_stopwords(cfg: RunConfig) -> StopWordList:
+def _load_stopwords(cfg: argparse.Namespace) -> StopWordList:
     if cfg.stopwords is None:
         return default_stopwords()
     with _user_file("read stop-word file", cfg.stopwords,
@@ -345,11 +326,11 @@ def _years_text(corpus: Corpus) -> str:
     return f"{min(corpus)}:{max(corpus)}"
 
 
-def _thresholds_text(cfg: RunConfig) -> str:
+def _thresholds_text(cfg: argparse.Namespace) -> str:
     return ",".join(str(t) for t in cfg.thresholds)
 
 
-def _write(cfg: RunConfig, name: str, text: str, written: list[Path]) -> None:
+def _write(cfg: argparse.Namespace, name: str, text: str, written: list[Path]) -> None:
     path = cfg.out_dir / name
     with _user_file("write report", path):
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
@@ -357,7 +338,7 @@ def _write(cfg: RunConfig, name: str, text: str, written: list[Path]) -> None:
     written.append(path)
 
 
-def _require_year_pair(cfg: RunConfig, corpus: Corpus) -> tuple[int, int]:
+def _require_year_pair(cfg: argparse.Namespace, corpus: Corpus) -> tuple[int, int]:
     if cfg.years is None:
         raise CliError(f"{cfg.command} needs --years FORMER:LATER")
     former, later = cfg.years
@@ -387,7 +368,7 @@ def _parse_export(path: Optional[Path], parser) -> ParseResult:
             raise CliError(f"{path}: {exc}") from exc
 
 
-def cmd_ingest(cfg: RunConfig, written: list[Path]) -> list[str]:
+def cmd_ingest(cfg: argparse.Namespace, written: list[Path]) -> list[str]:
     if cfg.index is None and cfg.medline is None:
         raise CliError("ingest needs at least one input file (--index and/or --medline)")
 
@@ -436,7 +417,7 @@ def cmd_ingest(cfg: RunConfig, written: list[Path]) -> list[str]:
     return warnings
 
 
-def cmd_summary(cfg: RunConfig, written: list[Path]) -> None:
+def cmd_summary(cfg: argparse.Namespace, written: list[Path]) -> None:
     corpus = _load_corpus(cfg)
     config = [("command", "summary"), ("years", _years_text(corpus))]
     by_year, total = distinct_ref_count(corpus)
@@ -444,7 +425,7 @@ def cmd_summary(cfg: RunConfig, written: list[Path]) -> None:
            written)
 
 
-def cmd_core_refs(cfg: RunConfig, written: list[Path]) -> None:
+def cmd_core_refs(cfg: argparse.Namespace, written: list[Path]) -> None:
     corpus = _load_corpus(cfg)
     by_threshold = core_sets(corpus, cfg.thresholds)
 
@@ -459,7 +440,7 @@ def cmd_core_refs(cfg: RunConfig, written: list[Path]) -> None:
            reports.core_size_matrix(by_threshold, list(corpus), config), written)
 
 
-def cmd_rsi(cfg: RunConfig, written: list[Path]) -> None:
+def cmd_rsi(cfg: argparse.Namespace, written: list[Path]) -> None:
     corpus = _load_corpus(cfg)
     cores = core_sets(corpus, cfg.thresholds)
     # Every gap's results come first, so a gap that fails writes no report.
@@ -487,7 +468,7 @@ def cmd_rsi(cfg: RunConfig, written: list[Path]) -> None:
                reports.rsi_matrix(series_list, groove, config), written)
 
 
-def cmd_words(cfg: RunConfig, written: list[Path]) -> None:
+def cmd_words(cfg: argparse.Namespace, written: list[Path]) -> None:
     corpus = _load_corpus(cfg, full=True, refs=False)
     stop = _load_stopwords(cfg)
     former, later = _require_year_pair(cfg, corpus)
@@ -505,7 +486,7 @@ def cmd_words(cfg: RunConfig, written: list[Path]) -> None:
            reports.words_table(per_source, config), written)
 
 
-def cmd_cowords(cfg: RunConfig, written: list[Path]) -> None:
+def cmd_cowords(cfg: argparse.Namespace, written: list[Path]) -> None:
     corpus = _load_corpus(cfg, full=True, refs=False)
     stop = _load_stopwords(cfg)
     former, later = _require_year_pair(cfg, corpus)
@@ -525,7 +506,7 @@ def cmd_cowords(cfg: RunConfig, written: list[Path]) -> None:
            reports.cowords_table(per_source, config), written)
 
 
-def cmd_phrase(cfg: RunConfig, written: list[Path]) -> None:
+def cmd_phrase(cfg: argparse.Namespace, written: list[Path]) -> None:
     if not cfg.head or not cfg.stem:
         raise CliError("phrase needs --head and --stem")
     corpus = _load_corpus(cfg, refs=False)
@@ -568,10 +549,39 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
                 print(f"warning: {warning}", file=sys.stderr)
         for path in written:
             print(f"wrote {path}")
+        sys.stdout.flush()
     except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _fail(str(exc))
+    except OSError as exc:  # stdout or stderr failed, e.g. on a full device
+        return _fail(f"cannot write output ({exc})")
     return 0
+
+
+def _fail(message: str) -> int:
+    """Print ``error: message`` if stderr still works, and return exit code
+    1. A standard stream that cannot flush is pointed at ``os.devnull``, as
+    the SIGPIPE note of Python's ``signal`` docs shows, so the flush at exit
+    cannot fail again and turn exit code 1 into 120."""
+    try:
+        print(f"error: {message}", file=sys.stderr)
+    except OSError:
+        pass  # stderr failed too: the exit code alone reports the error
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except OSError:
+            _to_devnull(stream)
+    return 1
+
+
+def _to_devnull(stream) -> None:
+    try:
+        fd = stream.fileno()
+    except (AttributeError, OSError, ValueError):
+        return  # no file descriptor, so nothing flushes it at exit
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def main() -> None:

@@ -18,34 +18,37 @@ are built only for the result.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, combinations
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, NamedTuple, Sequence
 
 from .refkey import RefKey
 from .records import BibRecord, Corpus
 
 
-@dataclass(frozen=True)
-class ThresholdPair:
+class _Thresholds(NamedTuple):
+    cite_min: int
+    cocite_min: int
+
+
+class ThresholdPair(_Thresholds):
     """Citation / co-citation thresholds, written ``cite/cocite`` (e.g. 15/11).
 
     A ``cocite_min`` above ``cite_min`` is allowed: a pair count can never
     exceed either member's citation count, so such a pair behaves like
     ``cocite_min == cite_min``. The CLI warns about it."""
 
-    cite_min: int
-    cocite_min: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.cite_min < 1 or self.cocite_min < 1:
-            raise ValueError(f"thresholds must be >= 1, got {self}")
+    def __new__(cls, cite_min: int, cocite_min: int) -> ThresholdPair:
+        if cite_min < 1 or cocite_min < 1:
+            raise ValueError(f"thresholds must be >= 1, got {cite_min}/{cocite_min}")
+        return tuple.__new__(cls, (cite_min, cocite_min))
 
     def __str__(self) -> str:
         return f"{self.cite_min}/{self.cocite_min}"
 
     @classmethod
-    def parse(cls, text: str) -> "ThresholdPair":
+    def parse(cls, text: str) -> ThresholdPair:
         cite, _, cocite = text.partition("/")
         try:
             cite_min, cocite_min = int(cite), int(cocite)
@@ -54,14 +57,10 @@ class ThresholdPair:
         return cls(cite_min=cite_min, cocite_min=cocite_min)
 
 
-@dataclass(frozen=True)
-class CoreRefSet:
+class CoreRefSet(NamedTuple):
     year: int
     thresholds: ThresholdPair
     members: frozenset[RefKey]
-
-    def __len__(self) -> int:
-        return len(self.members)
 
 
 def citation_counts(rows: Iterable[Iterable[Hashable]]) -> Counter:
@@ -145,8 +144,7 @@ def distinct_ref_count(corpus: Corpus) -> tuple[dict[int, int], int]:
     for year, records in corpus.items():
         refs = by_year[year] = set()
         for record in records:
-            # Merging a frozenset reuses its stored hashes; RefKey.__hash__
-            # is Python code.
+            # Merging a frozenset reuses its stored hashes.
             refs.update(record.cited_refs)
     return ({year: len(refs) for year, refs in by_year.items()},
             len(set().union(*by_year.values())))

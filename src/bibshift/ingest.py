@@ -44,8 +44,8 @@ value, or a bare tag followed by nothing but whitespace.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from types import SimpleNamespace
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .refkey import RefKey, parse_cited_ref
 from .records import NO_REFS, BibRecord, Source
@@ -67,18 +67,18 @@ class MalformedRecord(Exception):
         self.line_number = line_number
 
 
-@dataclass(frozen=True)
-class MissingField:
+class MissingField(NamedTuple):
     record_id: str
     field: str
 
 
-@dataclass
-class ParseResult:
-    records: list[BibRecord] = field(default_factory=list)
-    missing: list[MissingField] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
-    dropped: int = 0  # records dropped as exact duplicates of an earlier one
+class ParseResult(SimpleNamespace):
+    """What a parser found, filled in as it reads: the records, their
+    missing fields, warnings, and the number of records ``dropped`` as
+    exact duplicates of an earlier one. Equal when every field is."""
+
+    def __init__(self) -> None:
+        super().__init__(records=[], missing=[], warnings=[], dropped=0)
 
 
 def parse_citation_index_export(stream: Iterable[str]) -> ParseResult:
@@ -280,8 +280,7 @@ def normalize_title(title: str) -> str:
     return _TITLE_PUNCT_RE.sub(" ", folded).strip()
 
 
-@dataclass(frozen=True)
-class LinkageResult:
+class LinkageResult(NamedTuple):
     """Outcome of matching MEDLINE records against citation-index records.
 
     ``coverage`` is matched / total MEDLINE records, or None when there were

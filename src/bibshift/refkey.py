@@ -12,46 +12,38 @@ segments of the form ``V<digits>`` / ``P<digits>`` are taken as volume /
 first page wherever they occur ("digits" are Unicode decimal digits, as
 ``str.isdecimal`` and ``\\d`` define them). Anything else (DOIs, trailing
 junk, a digit run longer than ``int()`` converts) survives only in ``raw``.
-Two keys are equal when their normalized component tuples are equal; the
-raw spelling never takes part in equality or hashing. Each key hashes its
-components once, when it is built.
+A key is a ``NamedTuple`` of the normalized components, so two keys are
+equal, and hash alike, when those are equal; the raw spelling is kept
+outside the tuple and never takes part in equality or hashing.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 
-@dataclass(frozen=True)
-class RefKey:
-    """Identity of one cited reference.
+class _Components(NamedTuple):
+    author: str
+    year: Optional[int]
+    source_abbrev: Optional[str]
+    volume: Optional[int]
+    first_page: Optional[int]
 
-    Equality and hashing use only the normalized components; ``raw``
-    preserves the original string for provenance and caching.
+
+class RefKey(_Components):
+    """Identity of one cited reference: a tuple of the normalized
+    components, so equality and hashing use only those.
+
+    ``raw`` preserves the original string for provenance and caching; it
+    is an attribute outside the tuple.
     """
 
-    author: str
-    year: Optional[int] = None
-    source_abbrev: Optional[str] = None
-    volume: Optional[int] = None
-    first_page: Optional[int] = None
-    raw: str = field(default="", compare=False)
-
-    def __post_init__(self):
-        # The value the generated __hash__ would give, computed once: keys
-        # are hashed on every lookup in the citation and co-citation counts.
-        object.__setattr__(self, "_hash", hash(
-            (self.author, self.year, self.source_abbrev, self.volume, self.first_page)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # Rebuild through __init__: a str hash is only valid in the process
-        # that computed it.
-        return (RefKey, (self.author, self.year, self.source_abbrev, self.volume,
-                         self.first_page, self.raw))
+    def __new__(cls, author: str, year: Optional[int] = None,
+                source_abbrev: Optional[str] = None, volume: Optional[int] = None,
+                first_page: Optional[int] = None, raw: str = "") -> RefKey:
+        key = tuple.__new__(cls, (author, year, source_abbrev, volume, first_page))
+        key.raw = raw
+        return key
 
     def canonical(self) -> str:
         """Canonical spelling rebuilt from the components.

@@ -99,7 +99,7 @@ def core_size_matrix(cores_by_threshold: dict[ThresholdPair, Sequence[CoreRefSet
     columns = ["thresholds"] + [str(year) for year in years]
     rows = []
     for thresholds, cores in cores_by_threshold.items():
-        sizes = {core.year: len(core) for core in cores}
+        sizes = {core.year: len(core.members) for core in cores}
         rows.append([str(thresholds)] + [sizes.get(year, 0) for year in years])
     return render_table(config, columns, rows)
 

@@ -14,9 +14,8 @@ interval, that interval is flagged as a consensus shift candidate.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .cocitation import CoreRefSet, ThresholdPair
 
@@ -35,8 +34,7 @@ class NoDefinedPoints(ValueError):
     """Every point in a series is undefined; no minimum exists."""
 
 
-@dataclass(frozen=True)
-class RsiPoint:
+class RsiPoint(NamedTuple):
     former_year: int
     later_year: int
     n_former: int
@@ -53,22 +51,19 @@ class RsiPoint:
         return (self.former_year, self.later_year)
 
 
-@dataclass(frozen=True)
-class RsiSeries:
+class RsiSeries(NamedTuple):
     thresholds: ThresholdPair
     gap: int
     points: tuple[RsiPoint, ...]
 
 
-@dataclass(frozen=True)
-class SeriesMinimum:
+class SeriesMinimum(NamedTuple):
     thresholds: ThresholdPair
     value: Fraction
     intervals: tuple[Interval, ...]  # every interval attaining the minimum
 
 
-@dataclass(frozen=True)
-class GrooveReport:
+class GrooveReport(NamedTuple):
     gap: int
     minima: tuple[SeriesMinimum, ...]
     consensus: tuple[Interval, ...]  # intervals minimal in every series
@@ -80,8 +75,8 @@ def rsi(core_a: CoreRefSet, core_b: CoreRefSet) -> RsiPoint:
         raise ThresholdMismatch(
             f"cannot compare core sets built under {core_a.thresholds} and {core_b.thresholds}"
         )
-    n_former = len(core_a)
-    n_later = len(core_b)
+    n_former = len(core_a.members)
+    n_later = len(core_b.members)
     shared = len(core_a.members & core_b.members)
     if n_former == 0 or n_later == 0:
         value = None

@@ -30,31 +30,27 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, combinations
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .records import BibRecord, Corpus
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
 
-@dataclass(frozen=True)
-class StopWordList:
+class StopWordList(NamedTuple):
     words: frozenset[str]  # stored case-folded
     source_path: str
 
 
-@dataclass(frozen=True)
-class TermStats:
+class TermStats(NamedTuple):
     term: str
     doc_freq: int
     percent: float
 
 
-@dataclass(frozen=True)
-class CoWordPair:
+class CoWordPair(NamedTuple):
     term_a: str  # lexicographically first member
     term_b: str
     co_doc_freq: int
@@ -62,8 +58,7 @@ class CoWordPair:
     percent: float  # later-year pair document frequency share
 
 
-@dataclass(frozen=True)
-class PhrasePoint:
+class PhrasePoint(NamedTuple):
     year: int
     doc_freq: int
     percent: float

@@ -140,8 +140,8 @@ def test_criterion_02_undefined_cell_renders_dashes():
 
     thresholds = ThresholdPair(3, 2)
     problems = []
-    sizes = (len(slice_core(corpus[1966], thresholds)),
-             len(slice_core(corpus[1967], thresholds)))
+    sizes = (len(slice_core(corpus[1966], thresholds).members),
+             len(slice_core(corpus[1967], thresholds).members))
     if sizes != (3, 0):
         problems.append(f"core sizes {sizes} != (3, 0)")
 

@@ -1,6 +1,7 @@
 import argparse
 import codecs
 import contextlib
+import errno
 import io
 import json
 import os
@@ -1236,6 +1237,47 @@ def test_module_runs_the_cli(tmp_path):
     )
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: cache file not found")
+
+
+class _FullStream(io.StringIO):
+    """A standard stream on a device with no space left."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+class TestFailedStandardStream:
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_stdout_on_a_full_device_ends_in_error(self, tmp_path):
+        cache = ingest(tmp_path)
+        src = Path(bibshift.__file__).resolve().parents[1]
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "bibshift.cli", "summary", *base_args(tmp_path, cache)],
+                env={**os.environ, "PYTHONPATH": str(src)}, stdout=full,
+                stderr=subprocess.PIPE, text=True, timeout=120,
+            )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: cannot write output")
+        assert "No space left on device" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_a_stdout_that_raises_ends_in_error(self, tmp_path, capsys, monkeypatch):
+        cache = ingest(tmp_path)
+        capsys.readouterr()
+        monkeypatch.setattr(sys, "stdout", _FullStream())
+        assert run(["summary", *base_args(tmp_path, cache)]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: cannot write output ([Errno {errno.ENOSPC}] "
+                       f"{os.strerror(errno.ENOSPC)})\n")
+
+    def test_a_stderr_that_raises_still_exits_1(self, tmp_path, capsys, monkeypatch):
+        cache = ingest(tmp_path)
+        capsys.readouterr()
+        monkeypatch.setattr(sys, "stderr", _FullStream())
+        # the threshold warning is the first write to stderr
+        assert run(["rsi", "--thresholds", "2/3", *base_args(tmp_path, cache)]) == 1
+        assert capsys.readouterr().out == ""
 
 
 class TestConfigFile:

@@ -8,6 +8,7 @@ reads."""
 import ast
 import contextlib
 import io
+import os
 import re
 import subprocess
 import sys
@@ -47,6 +48,16 @@ def test_readme_library_example_runs(tmp_path, monkeypatch):
         exec(compile(_library_example(), "README.md", "exec"), {})
     consensus = ast.literal_eval(out.getvalue().strip())
     assert consensus and all(len(interval) == 2 for interval in consensus)
+
+
+def test_importing_the_cli_leaves_dataclasses_out():
+    """No value type is a dataclass: importing ``dataclasses``, and the
+    ``inspect`` it pulls in, would add to every command's start-up."""
+    code = "import sys, bibshift.cli; print('dataclasses' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert proc.stdout == "False\n"
 
 
 def _tracer_tables() -> dict[str, dict[str, tuple[str, ...]]]:

@@ -1,10 +1,10 @@
+import copy
 import os
 import pickle
 import re
 import string
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from hypothesis import example, given, settings, strategies as st
@@ -196,7 +196,14 @@ class TestHash:
         b = parse_cited_ref("BALTIMORE  D,1970,NATURE,V226,P1209")
         assert a.raw != b.raw
         assert a == b and hash(a) == hash(b)
-        assert hash(replace(a, raw="other")) == hash(a)
+        assert hash(RefKey(*a, raw="other")) == hash(a)
+
+    def test_a_pickled_or_copied_key_keeps_its_spelling_and_order(self):
+        key = parse_cited_ref("Baltimore D, 1970, Nature, V226, P1209")
+        for twin in (pickle.loads(pickle.dumps(key)), copy.copy(key)):
+            assert type(twin) is RefKey and twin == key
+            assert twin.raw == "Baltimore D, 1970, Nature, V226, P1209"
+            assert twin.sort_key() == key.sort_key()
 
     def test_an_unpickled_key_hashes_for_the_loading_process(self):
         # A str hash differs between hash seeds, so a key pickled under
