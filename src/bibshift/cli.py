@@ -9,7 +9,8 @@ tables for a year pair), ``phrase`` (head + stem-prefix trend series).
 Flags may also come from a JSON config file (``--config``); explicit
 command-line flags win. All reports are deterministic: re-running a
 command with the same inputs and any ``--workers`` value reproduces the
-files byte for byte.
+files byte for byte. A command only collects its outputs; ``run`` writes
+them once none of them is an input of the run or another of its outputs.
 """
 from __future__ import annotations
 
@@ -242,7 +243,7 @@ def _load_config_file(name: Optional[str]) -> dict:
         return {}
     path = Path(name)
     with _user_file("read config file", path, f"config file not found: {path}"):
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")  # as exports: a leading BOM is dropped
     try:
         data = json.loads(text)
     except ValueError as exc:  # also a number too long for int()
@@ -330,12 +331,52 @@ def _thresholds_text(cfg: argparse.Namespace) -> str:
     return ",".join(str(t) for t in cfg.thresholds)
 
 
-def _write(cfg: argparse.Namespace, name: str, text: str, written: list[Path]) -> None:
-    path = cfg.out_dir / name
-    with _user_file("write report", path):
-        cfg.out_dir.mkdir(parents=True, exist_ok=True)
-        reports.write_report(path, text)
-    written.append(path)
+class _Output(NamedTuple):
+    """A file a command writes once the run's every output has been checked
+    against its inputs and against each other."""
+    what: str  # "report" or "cache"
+    path: Path
+    write: Callable[[Path], None]
+
+
+def _report(cfg: argparse.Namespace, name: str, text: str, outputs: list[_Output]) -> None:
+    outputs.append(_Output("report", cfg.out_dir / name,
+                           lambda path: reports.write_report(path, text)))
+
+
+def _inputs(cfg: argparse.Namespace, config: Optional[str]) -> list[tuple[str, Path]]:
+    """Each file the run reads, with what it is; ingest writes the cache."""
+    named = [("config file", None if config is None else Path(config))]
+    if cfg.command == "ingest":
+        named += [("citation-index export", cfg.index), ("MEDLINE export", cfg.medline)]
+    else:
+        named.append(("cache", cfg.cache))
+    if _SETTINGS["stopwords"].takes(cfg.command):
+        named.append(("stop-word file", cfg.stopwords))
+    return [(what, path) for what, path in named if path is not None]
+
+
+def _same_file(a: Path, b: Path) -> bool:
+    """Whether two paths name one file: by ``os.path.samefile`` when both
+    exist, so links count, else by resolved path."""
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # not written yet
+        try:
+            return a.resolve() == b.resolve()
+        except (OSError, RuntimeError):  # a symlink loop: the write names it
+            return False
+
+
+def _check_outputs(outputs: list[_Output], inputs: list[tuple[str, Path]]) -> None:
+    """A run never writes over a file it reads or has already written."""
+    earlier = list(inputs)
+    for output in outputs:
+        for what, path in earlier:
+            if _same_file(output.path, path):
+                raise CliError(f"the {output.what} {output.path} would overwrite "
+                               f"the {what} {path}")
+        earlier.append((output.what, output.path))
 
 
 def _require_year_pair(cfg: argparse.Namespace, corpus: Corpus) -> tuple[int, int]:
@@ -368,7 +409,7 @@ def _parse_export(path: Optional[Path], parser) -> ParseResult:
             raise CliError(f"{path}: {exc}") from exc
 
 
-def cmd_ingest(cfg: argparse.Namespace, written: list[Path]) -> list[str]:
+def cmd_ingest(cfg: argparse.Namespace, outputs: list[_Output]) -> list[str]:
     if cfg.index is None and cfg.medline is None:
         raise CliError("ingest needs at least one input file (--index and/or --medline)")
 
@@ -407,25 +448,22 @@ def cmd_ingest(cfg: argparse.Namespace, written: list[Path]) -> list[str]:
     ] + [("warning", w) for w in warnings]
 
     by_year, total = distinct_ref_count(corpus)
-    _write(cfg, "ingest_report.tsv", reports.summary_table(corpus, by_year, total, config),
-           written)
+    _report(cfg, "ingest_report.tsv", reports.summary_table(corpus, by_year, total, config),
+            outputs)
     # The cache goes last, so a failed ingest leaves the earlier cache (or none).
-    with _user_file("write cache", cfg.cache):
-        cfg.cache.parent.mkdir(parents=True, exist_ok=True)
-        write_cache(corpus, cfg.cache)
-    written.append(cfg.cache)
+    outputs.append(_Output("cache", cfg.cache, lambda path: write_cache(corpus, path)))
     return warnings
 
 
-def cmd_summary(cfg: argparse.Namespace, written: list[Path]) -> None:
+def cmd_summary(cfg: argparse.Namespace, outputs: list[_Output]) -> None:
     corpus = _load_corpus(cfg)
     config = [("command", "summary"), ("years", _years_text(corpus))]
     by_year, total = distinct_ref_count(corpus)
-    _write(cfg, "summary.tsv", reports.summary_table(corpus, by_year, total, config),
-           written)
+    _report(cfg, "summary.tsv", reports.summary_table(corpus, by_year, total, config),
+            outputs)
 
 
-def cmd_core_refs(cfg: argparse.Namespace, written: list[Path]) -> None:
+def cmd_core_refs(cfg: argparse.Namespace, outputs: list[_Output]) -> None:
     corpus = _load_corpus(cfg)
     by_threshold = core_sets(corpus, cfg.thresholds)
 
@@ -435,24 +473,20 @@ def cmd_core_refs(cfg: argparse.Namespace, written: list[Path]) -> None:
         ("thresholds", _thresholds_text(cfg)),
     ]
     flat = [core for t in cfg.thresholds for core in by_threshold[t]]
-    _write(cfg, "core_refs.tsv", reports.core_membership_table(flat, config), written)
-    _write(cfg, "core_sizes.tsv",
-           reports.core_size_matrix(by_threshold, list(corpus), config), written)
+    _report(cfg, "core_refs.tsv", reports.core_membership_table(flat, config), outputs)
+    _report(cfg, "core_sizes.tsv",
+            reports.core_size_matrix(by_threshold, list(corpus), config), outputs)
 
 
-def cmd_rsi(cfg: argparse.Namespace, written: list[Path]) -> None:
+def cmd_rsi(cfg: argparse.Namespace, outputs: list[_Output]) -> None:
     corpus = _load_corpus(cfg)
     cores = core_sets(corpus, cfg.thresholds)
-    # Every gap's results come first, so a gap that fails writes no report.
-    results = []
     for gap in cfg.gaps:
         try:
             series_list = [rsi_series(cores[t], gap) for t in cfg.thresholds]
-            results.append((gap, series_list, groove_detect(series_list)))
+            groove = groove_detect(series_list)
         except (GapTooLarge, NoDefinedPoints) as exc:
             raise CliError(str(exc)) from exc
-
-    for gap, series_list, groove in results:
         base_config = [
             ("command", "rsi"),
             ("years", _years_text(corpus)),
@@ -461,14 +495,14 @@ def cmd_rsi(cfg: argparse.Namespace, written: list[Path]) -> None:
         for series in series_list:
             name = f"rsi_{series.thresholds.cite_min}-{series.thresholds.cocite_min}_gap{gap}.tsv"
             config = base_config + [("thresholds", str(series.thresholds))]
-            _write(cfg, name, reports.rsi_long_table(series, config), written)
+            _report(cfg, name, reports.rsi_long_table(series, config), outputs)
 
         config = base_config + [("thresholds", _thresholds_text(cfg))]
-        _write(cfg, f"rsi_matrix_gap{gap}.tsv",
-               reports.rsi_matrix(series_list, groove, config), written)
+        _report(cfg, f"rsi_matrix_gap{gap}.tsv",
+                reports.rsi_matrix(series_list, groove, config), outputs)
 
 
-def cmd_words(cfg: argparse.Namespace, written: list[Path]) -> None:
+def cmd_words(cfg: argparse.Namespace, outputs: list[_Output]) -> None:
     corpus = _load_corpus(cfg, full=True, refs=False)
     stop = _load_stopwords(cfg)
     former, later = _require_year_pair(cfg, corpus)
@@ -482,11 +516,11 @@ def cmd_words(cfg: argparse.Namespace, written: list[Path]) -> None:
         ("min_percent", str(cfg.min_percent)),
         ("stopwords", stop.source_path),
     ]
-    _write(cfg, f"words_{former}-{later}.tsv",
-           reports.words_table(per_source, config), written)
+    _report(cfg, f"words_{former}-{later}.tsv",
+            reports.words_table(per_source, config), outputs)
 
 
-def cmd_cowords(cfg: argparse.Namespace, written: list[Path]) -> None:
+def cmd_cowords(cfg: argparse.Namespace, outputs: list[_Output]) -> None:
     corpus = _load_corpus(cfg, full=True, refs=False)
     stop = _load_stopwords(cfg)
     former, later = _require_year_pair(cfg, corpus)
@@ -502,11 +536,11 @@ def cmd_cowords(cfg: argparse.Namespace, written: list[Path]) -> None:
         ("min_cosine", str(cfg.min_cosine)),
         ("stopwords", stop.source_path),
     ]
-    _write(cfg, f"cowords_{former}-{later}.tsv",
-           reports.cowords_table(per_source, config), written)
+    _report(cfg, f"cowords_{former}-{later}.tsv",
+            reports.cowords_table(per_source, config), outputs)
 
 
-def cmd_phrase(cfg: argparse.Namespace, written: list[Path]) -> None:
+def cmd_phrase(cfg: argparse.Namespace, outputs: list[_Output]) -> None:
     if not cfg.head or not cfg.stem:
         raise CliError("phrase needs --head and --stem")
     corpus = _load_corpus(cfg, refs=False)
@@ -520,11 +554,11 @@ def cmd_phrase(cfg: argparse.Namespace, written: list[Path]) -> None:
         ("head", cfg.head),
         ("stem", cfg.stem),
     ]
-    _write(cfg, f"phrase_{cfg.head}_{cfg.stem}.tsv",
-           reports.phrase_table(per_source, list(corpus), config), written)
-    _write(cfg, f"phrase_series_{cfg.head}_{cfg.stem}.tsv",
-           reports.phrase_series(sum_phrase_trends(corpus, per_source.values()), config),
-           written)
+    _report(cfg, f"phrase_{cfg.head}_{cfg.stem}.tsv",
+            reports.phrase_table(per_source, list(corpus), config), outputs)
+    _report(cfg, f"phrase_series_{cfg.head}_{cfg.stem}.tsv",
+            reports.phrase_series(sum_phrase_trends(corpus, per_source.values()), config),
+            outputs)
 
 
 _COMMANDS = {
@@ -542,13 +576,17 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
-        written: list[Path] = []
-        result = _COMMANDS[cfg.command][1](cfg, written)
-        if result:
-            for warning in result:
-                print(f"warning: {warning}", file=sys.stderr)
-        for path in written:
-            print(f"wrote {path}")
+        outputs: list[_Output] = []
+        warnings = _COMMANDS[cfg.command][1](cfg, outputs)
+        _check_outputs(outputs, _inputs(cfg, args.config))
+        for output in outputs:
+            with _user_file(f"write {output.what}", output.path):
+                output.path.parent.mkdir(parents=True, exist_ok=True)
+                output.write(output.path)
+        for warning in warnings or ():
+            print(f"warning: {warning}", file=sys.stderr)
+        for output in outputs:
+            print(f"wrote {output.path}")
         sys.stdout.flush()
     except CliError as exc:
         return _fail(str(exc))

@@ -7,13 +7,8 @@ for a year under a threshold pair when its citation count reaches
 ``cite_min`` and it is co-cited at least ``cocite_min`` times with some
 other reference that itself reaches ``cite_min``.
 
-``core_sets`` walks the corpus dict's years in order. It gives each
-distinct reference of the corpus an int id once, in one pass over the
-records that cite anything, then runs ``core_references`` once per year;
-it counts that year's id rows with ``citation_counts`` and
-``cocitation_counts``, which take rows of any hashable items. Only each
-year's candidates are ordered by ``RefKey.sort_key``, and ``RefKey`` sets
-are built only for the result.
+``core_sets`` runs ``core_references`` once per year, on rows that are
+each citing paper's ``RefKey`` set.
 """
 from __future__ import annotations
 
@@ -22,7 +17,7 @@ from itertools import chain, combinations
 from typing import Hashable, Iterable, NamedTuple, Sequence
 
 from .refkey import RefKey
-from .records import BibRecord, Corpus
+from .records import Corpus
 
 
 class _Thresholds(NamedTuple):
@@ -80,10 +75,10 @@ def cocitation_counts(rows: Iterable[Iterable[Hashable]],
     return counts
 
 
-def core_references(year: int, rows: Sequence[Iterable[Hashable]], keys: Sequence[RefKey],
+def core_references(year: int, rows: Sequence[Iterable[RefKey]],
                     thresholds: Sequence[ThresholdPair]) -> list[CoreRefSet]:
     """One core set per threshold pair from a single count of one year's
-    rows, where ``keys[item]`` is the ``RefKey`` of a row item.
+    rows, each the ``RefKey`` set of one citing paper.
 
     Pairs are counted among the references that reach the lowest
     ``cite_min``; each threshold pair then keeps the pairs whose count
@@ -92,10 +87,10 @@ def core_references(year: int, rows: Sequence[Iterable[Hashable]], keys: Sequenc
     """
     cites = citation_counts(rows)
     floor = min(t.cite_min for t in thresholds)
-    ordered = sorted((i for i, n in cites.items() if n >= floor),
-                     key=lambda i: keys[i].sort_key())
+    ordered = sorted((ref for ref, n in cites.items() if n >= floor),
+                     key=RefKey.sort_key)
     pairs = cocitation_counts(rows, ordered)
-    counts = [cites[i] for i in ordered]  # citation count by position
+    counts = [cites[ref] for ref in ordered]  # citation count by position
     cores = []
     for t in thresholds:
         cite_min, cocite_min = t.cite_min, t.cocite_min
@@ -103,7 +98,7 @@ def core_references(year: int, rows: Sequence[Iterable[Hashable]], keys: Sequenc
             pair for pair, n in pairs.items()
             if n >= cocite_min and counts[pair[0]] >= cite_min and counts[pair[1]] >= cite_min
         ))
-        members = frozenset(keys[ordered[p]] for p in positions)
+        members = frozenset(ordered[p] for p in positions)
         cores.append(CoreRefSet(year=year, thresholds=t, members=members))
     return cores
 
@@ -115,25 +110,11 @@ def core_sets(
     pair. Each year is counted once for all the pairs."""
     unique = list(dict.fromkeys(thresholds))
     by_threshold: dict[ThresholdPair, list[CoreRefSet]] = {t: [] for t in unique}
-    keys, rows_by_year = _ref_ids(corpus.values())
-    for year, rows in zip(corpus, rows_by_year):
-        for core in core_references(year, rows, keys, unique):
+    for year, records in corpus.items():
+        rows = [record.cited_refs for record in records if record.cited_refs]
+        for core in core_references(year, rows, unique):
             by_threshold[core.thresholds].append(core)
     return by_threshold
-
-
-def _ref_ids(groups: Iterable[Iterable[BibRecord]]
-             ) -> tuple[list[RefKey], list[list[list[int]]]]:
-    """Give each distinct reference of the record groups an int id: the keys
-    in id order, and per group the ids cited by each record that cites
-    anything."""
-    ids: dict[RefKey, int] = {}
-    rows = [
-        [[ids.setdefault(ref, len(ids)) for ref in record.cited_refs]
-         for record in records if record.cited_refs]
-        for records in groups
-    ]
-    return list(ids), rows
 
 
 def distinct_ref_count(corpus: Corpus) -> tuple[dict[int, int], int]:

@@ -1228,6 +1228,111 @@ class TestUnreadableFiles:
         self.assert_error(capsys, f"error: cannot read {what} {name}", "File name too long")
 
 
+def _tree(root: Path) -> dict[str, bytes | str]:
+    """Every file under ``root`` with its bytes, and every link with its target."""
+    tree: dict[str, bytes | str] = {}
+    for folder, dirs, files in os.walk(root):
+        for name in dirs + files:
+            path = Path(folder, name)
+            key = str(path.relative_to(root))
+            if path.is_symlink():
+                tree[key] = os.readlink(path)
+            elif path.is_file():
+                tree[key] = path.read_bytes()
+            else:
+                tree[key] = "dir"
+    return tree
+
+
+class TestNoWriteOverOwnFiles:
+    """A run never writes over a file it reads or has already written: it
+    ends in ``error:`` with exit 1 before it writes anything."""
+
+    def assert_refused(self, tmp_path, capsys, argv, before):
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "would overwrite" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert _tree(tmp_path) == before
+
+    def test_summary_report_over_its_cache(self, tmp_path, capsys):
+        cache = ingest(tmp_path).rename(tmp_path / "out" / "summary.tsv")
+        capsys.readouterr()
+        before = _tree(tmp_path)
+        self.assert_refused(tmp_path, capsys, ["summary", "--cache", str(cache),
+                                               "--out-dir", str(tmp_path / "out")], before)
+        # the cache still loads
+        assert run(["summary", "--cache", str(cache), "--out-dir", str(tmp_path / "s")]) == 0
+
+    def test_ingest_cache_over_its_export(self, tmp_path, capsys):
+        _, medline_path = seed_exports(tmp_path)
+        before = _tree(tmp_path)
+        self.assert_refused(tmp_path, capsys, [
+            "ingest", "--medline", str(medline_path), "--cache", str(medline_path),
+            "--out-dir", str(tmp_path / "out")], before)
+
+    def test_ingest_cache_over_its_report(self, tmp_path, capsys):
+        index_path, _ = seed_exports(tmp_path)
+        before = _tree(tmp_path)
+        out = tmp_path / "o3"
+        self.assert_refused(tmp_path, capsys, [
+            "ingest", "--index", str(index_path), "--cache", str(out / "ingest_report.tsv"),
+            "--out-dir", str(out)], before)
+        assert not out.exists()
+
+    def test_symlinked_cache(self, tmp_path, capsys):
+        cache = ingest(tmp_path).rename(tmp_path / "out" / "summary.tsv")
+        link = tmp_path / "link.tsv"
+        try:
+            link.symlink_to(cache)
+        except OSError:
+            pytest.skip("symbolic links unsupported here")
+        capsys.readouterr()
+        before = _tree(tmp_path)
+        self.assert_refused(tmp_path, capsys, ["summary", "--cache", str(link),
+                                               "--out-dir", str(tmp_path / "out")], before)
+
+    def test_a_clash_on_a_later_report_writes_no_report(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cache = ingest(tmp_path)
+        cache = cache.rename(out / "rsi_matrix_gap2.tsv")
+        (out / "ingest_report.tsv").unlink()
+        capsys.readouterr()
+        before = _tree(tmp_path)
+        self.assert_refused(tmp_path, capsys, [
+            "rsi", "--cache", str(cache), "--out-dir", str(out),
+            "--thresholds", "2/2", "--gaps", "1,2"], before)
+        assert [p.name for p in out.iterdir()] == ["rsi_matrix_gap2.tsv"]
+
+    def test_an_output_through_a_symlink_loop_fails_only_on_writing(self, tmp_path, capsys):
+        cache = ingest(tmp_path)
+        loop = tmp_path / "loop"
+        try:
+            loop.symlink_to(loop)
+        except OSError:
+            pytest.skip("symbolic links unsupported here")
+        capsys.readouterr()
+        assert run(["summary", "--cache", str(cache), "--out-dir", str(loop)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write report {loop / 'summary.tsv'}")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv,name", [
+        (["summary", "--config"], "summary.tsv"),
+        (["words", "--years", "1971:1972", "--stopwords"], "words_1971-1972.tsv"),
+    ], ids=["config", "stopwords"])
+    def test_report_over_another_input(self, tmp_path, capsys, argv, name):
+        cache = ingest(tmp_path)
+        capsys.readouterr()
+        target = tmp_path / "out" / name
+        target.write_text("{}\n", encoding="utf-8")  # a config and a stop-word list
+        before = _tree(tmp_path)
+        self.assert_refused(tmp_path, capsys,
+                            [argv[0], *base_args(tmp_path, cache), *argv[1:], str(target)],
+                            before)
+
+
 def test_module_runs_the_cli(tmp_path):
     src = Path(bibshift.__file__).resolve().parents[1]
     proc = subprocess.run(
@@ -1307,6 +1412,20 @@ class TestConfigFile:
         assert (out / "rsi_matrix_gap1.tsv").exists()
         assert not (out / "rsi_matrix_gap2.tsv").exists()
 
+    def test_a_byte_order_mark_is_ignored(self, tmp_path):
+        cache = ingest(tmp_path)
+        config = tmp_path / "run.json"
+        outcomes = []
+        for bom in (b"", codecs.BOM_UTF8):
+            config.write_bytes(bom + json.dumps({"thresholds": "2/2"}).encode("utf-8"))
+            out = tmp_path / f"out{len(bom)}"
+            argv = ["core-refs", "--config", str(config), *base_args(tmp_path, cache)[:2],
+                    "--out-dir", str(out)]
+            assert _run_quietly(argv) == (0, "")
+            outcomes.append(_reports(out))
+        assert outcomes[0] == outcomes[1]
+        assert b"# thresholds=2/2\n" in outcomes[0]["core_refs.tsv"]
+
     def test_unknown_keys_rejected(self, tmp_path, capsys):
         config = tmp_path / "run.json"
         config.write_text(json.dumps({"treshold": "3/2"}), encoding="utf-8")
@@ -1355,6 +1474,37 @@ class TestDeterminism:
                 p.name: p.read_bytes() for p in sorted(out_dir.iterdir())
             }
         assert outputs[1] == outputs[3]
+
+    def test_reference_reports_alike_under_any_hash_seed(self, tmp_path):
+        # Equal keys spelled three ways, and the unequal keys "X, 1970" and
+        # "X,,1970" that share one canonical spelling: which spelling's key
+        # stands for a member may follow set order, the report bytes may not
+        spellings = ["BALTIMORE D, 1970, NATURE, V226, P1209",
+                     "baltimore  d,1970, Nature, v226,p1209",
+                     "Baltimore D ,1970 ,NATURE ,V226 ,P1209"]
+        records = [
+            mkrec(f"p{year}{i}", refs=[spellings[(year + i) % 3], "X, 1970", "X,,1970",
+                                       "W, 1950" if i else "w,1950"], year=year)
+            for year in range(1970, 1974) for i in range(3)
+        ]
+        cache = tmp_path / "cache.tsv"
+        write_cache(build_corpus(records), cache)
+        src = str(Path(bibshift.__file__).resolve().parents[1])
+        outcomes = []
+        for seed in range(1, 5):
+            env = {**os.environ, "PYTHONHASHSEED": str(seed),
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            out = tmp_path / f"seed{seed}"
+            for command in (["core-refs"], ["rsi", "--gaps", "1,2"]):
+                subprocess.run([sys.executable, "-m", "bibshift.cli", *command,
+                                "--cache", str(cache), "--out-dir", str(out),
+                                "--thresholds", "3/3,2/2,1/1"],
+                               env=env, check=True, capture_output=True, timeout=120)
+            outcomes.append(_reports(out))
+        assert all(outcome == outcomes[0] for outcome in outcomes)
+        members = outcomes[0]["core_refs.tsv"].decode("utf-8")
+        assert members.count("\tX, 1970\n") == 2 * 4 * 3  # both keys, every year and pair
+        assert "\tBALTIMORE D, 1970, NATURE, V226, P1209\n" in members
 
 
 class TestArgHelpers:
@@ -1548,6 +1698,45 @@ def _write_run_files(root: Path, config: str) -> None:
     (root / "a_dir").mkdir()
 
 
+# Each command with flags that let it run on the files above, and its reports.
+_CLASH_RUNS = {
+    "ingest": (["--index", "index.txt", "--medline", "medline.txt", "--cache", "new.tsv"],
+               ["ingest_report.tsv"]),
+    "summary": (["--cache", "cache.tsv"], ["summary.tsv"]),
+    "rsi": (["--cache", "cache.tsv", "--thresholds", "2/2", "--gaps", "1,2"],
+            ["rsi_2-2_gap1.tsv", "rsi_matrix_gap1.tsv", "rsi_2-2_gap2.tsv",
+             "rsi_matrix_gap2.tsv"]),
+    "core-refs": (["--cache", "cache.tsv", "--thresholds", "2/2"],
+                  ["core_refs.tsv", "core_sizes.tsv"]),
+    "words": (["--cache", "cache.tsv", "--years", "1970:1972", "--stopwords", "stop.txt"],
+              ["words_1970-1972.tsv"]),
+    "cowords": (["--cache", "cache.tsv", "--years", "1970:1972", "--stopwords", "stop.txt"],
+                ["cowords_1970-1972.tsv"]),
+    "phrase": (["--cache", "cache.tsv", "--head", "virus", "--stem", "gr"],
+               ["phrase_virus_gr.tsv", "phrase_series_virus_gr.tsv"]),
+}
+# The file each input flag names; ingest's --cache is an output.
+_CLASH_SOURCES = {"--index": "index.txt", "--medline": "medline.txt",
+                  "--cache": "cache.tsv", "--stopwords": "stop.txt", "--config": "config.json"}
+
+
+@st.composite
+def clash_cases(draw):
+    """A run whose one path flag names a file that the run also writes:
+    ``(command, flag, target, spelling, out_dir)``. The target is one of the
+    run's reports, or for ingest's --cache an export too; the flag spells it
+    as is, through a detour into a folder and back out, or through a link."""
+    command = draw(st.sampled_from(sorted(_CLASH_RUNS)))
+    flags, names = _CLASH_RUNS[command]
+    flag = draw(st.sampled_from([f for f in _CLASH_SOURCES if f in flags] + ["--config"]))
+    out_dir = draw(st.sampled_from([".", "out"]))
+    targets = [str(Path(out_dir, name)) for name in names]
+    if command == "ingest" and flag == "--cache":
+        targets += ["index.txt", "medline.txt"]
+    return (command, flag, draw(st.sampled_from(targets)),
+            draw(st.sampled_from(["as is", "detour", "link"])), out_dir)
+
+
 class TestRunOnGeneratedInput:
     @settings(max_examples=200, deadline=None)
     @given(run_cases())
@@ -1563,6 +1752,31 @@ class TestRunOnGeneratedInput:
         assert "Traceback" not in err
         if code == 1:
             assert any(line.startswith("error: ") for line in err.splitlines())
+
+    @settings(max_examples=60, deadline=None)
+    @given(clash_cases())
+    @example(("ingest", "--cache", "out/ingest_report.tsv", "detour", "out"))
+    @example(("ingest", "--cache", "out/ingest_report.tsv", "link", "out"))
+    @example(("rsi", "--cache", "rsi_matrix_gap2.tsv", "link", "."))
+    def test_a_run_never_writes_over_its_own_file(self, case):
+        command, flag, target, spelling, out_dir = case
+        with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+            root = Path(tmp)
+            _write_run_files(root, "{}")
+            if not (command == "ingest" and flag == "--cache"):  # an input: give it its file
+                Path(target).parent.mkdir(exist_ok=True)
+                shutil.copyfile(_CLASH_SOURCES[flag], target)
+            path = {"as is": target, "detour": f"a_dir/../{target}",
+                    "link": "link"}[spelling]
+            if spelling == "link":
+                os.symlink(target, "link")
+            flags, _ = _CLASH_RUNS[command]
+            argv = [command, *flags, "--out-dir", out_dir, flag, path]
+            before = _tree(root)
+            code, err = _run_quietly(argv)
+            assert code == 1
+            assert err.startswith("error: ") and "would overwrite" in err
+            assert _tree(root) == before
 
 
 # ── any export content: exit 0 or 1, never a traceback ───────────────────────

@@ -105,8 +105,7 @@ class TestCoreReferences:
     def test_refkey_rows_give_the_core_of_the_id_rows(self, s1_slice):
         thresholds = [ThresholdPair(3, 2), ThresholdPair(3, 3)]
         rows = cited_rows(s1_slice)
-        keys = {ref: ref for row in rows for ref in row}
-        cores = core_references(1970, rows, keys, thresholds)
+        cores = core_references(1970, rows, thresholds)
         assert cores == [slice_core(s1_slice, t) for t in thresholds]
 
     def test_year_and_thresholds_recorded(self, s1_slice):
