@@ -9,11 +9,15 @@ other reference that itself reaches ``cite_min``.
 
 ``core_sets`` runs ``core_references`` once per year, on rows that are
 each citing paper's ``RefKey`` set.
+
+``cocitation_counts`` maps each row to its candidates' sorted positions
+with one dict lookup per citation, then counts every row's position pairs
+in one ``Counter``.
 """
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain, combinations
+from itertools import chain, combinations, repeat
 from typing import Hashable, Iterable, NamedTuple, Sequence
 
 from .refkey import RefKey
@@ -66,13 +70,19 @@ def citation_counts(rows: Iterable[Iterable[Hashable]]) -> Counter:
 def cocitation_counts(rows: Iterable[Iterable[Hashable]],
                       ordered: Sequence[Hashable]) -> Counter[tuple[int, int]]:
     """For each pair of ``ordered`` items, the number of rows holding both,
-    keyed by the items' positions in ``ordered``, lower first."""
-    position = {item: p for p, item in enumerate(ordered)}
-    counts: Counter[tuple[int, int]] = Counter()
+    keyed by the items' positions in ``ordered``, lower first. Rows are
+    sets: an item repeated within a row is counted once per copy."""
+    position = {item: p for p, item in enumerate(ordered)}.get
+    # Sorted positions of each row holding two or more items, each kept as
+    # a tuple: the garbage collector stops tracking a tuple of ints, where
+    # it would walk every kept list again on each full collection.
+    held_rows = []
     for row in rows:
-        held = sorted([position[item] for item in row if item in position])
-        counts.update(combinations(held, 2))
-    return counts
+        held = [p for p in map(position, row) if p is not None]
+        if len(held) > 1:
+            held.sort()
+            held_rows.append(tuple(held))
+    return Counter(chain.from_iterable(map(combinations, held_rows, repeat(2))))
 
 
 def core_references(year: int, rows: Sequence[Iterable[RefKey]],
@@ -87,8 +97,9 @@ def core_references(year: int, rows: Sequence[Iterable[RefKey]],
     """
     cites = citation_counts(rows)
     floor = min(t.cite_min for t in thresholds)
-    ordered = sorted((ref for ref, n in cites.items() if n >= floor),
-                     key=RefKey.sort_key)
+    # Any order will do: pair keys are canonical by position, and members
+    # are sets.
+    ordered = [ref for ref, n in cites.items() if n >= floor]
     pairs = cocitation_counts(rows, ordered)
     counts = [cites[ref] for ref in ordered]  # citation count by position
     cores = []

@@ -259,7 +259,8 @@ def _parse_year(text: str) -> Optional[int]:
 def _note_dropped(result: ParseResult) -> None:
     if result.dropped:
         result.warnings.append(f"dropped {result.dropped} duplicate record(s), each equal "
-                               "in every field to an earlier record of its id")
+                               "in every field to an earlier record of its id, or id-less "
+                               "and equal to an earlier id-less record but for its anon id")
 
 
 # ── record linkage ────────────────────────────────────────────────────────────

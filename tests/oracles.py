@@ -377,7 +377,8 @@ def _brute_unique_ids(blocks) -> ParseResult:
         result.records.append(record)
     if result.dropped:
         result.warnings.append(f"dropped {result.dropped} duplicate record(s), each equal "
-                               "in every field to an earlier record of its id")
+                               "in every field to an earlier record of its id, or id-less "
+                               "and equal to an earlier id-less record but for its anon id")
     return result
 
 

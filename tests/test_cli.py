@@ -233,7 +233,8 @@ class TestIngest:
             assert code == 0
             assert _run_quietly(["summary", *base_args(out, cache)]) == (0, "")
         dropped = "dropped 9 duplicate record(s), each equal in every field to an " \
-                  "earlier record of its id"
+                  "earlier record of its id, or id-less and equal to an earlier id-less " \
+                  "record but for its anon id"
         assert err == f"warning: {dropped}\n" * 2
         single, doubled = _reports(outs[1] / "out"), _reports(outs[2] / "out")
         assert doubled["summary.tsv"] == single["summary.tsv"]

@@ -1,3 +1,4 @@
+import random
 import warnings
 
 import pytest
@@ -6,11 +7,13 @@ from hypothesis import given, settings, strategies as st
 from bibshift.cocitation import (
     ThresholdPair,
     citation_counts,
+    cocitation_counts,
     core_references,
     core_sets,
     distinct_ref_count,
 )
 from bibshift.records import build_corpus
+from bibshift.refkey import RefKey
 from conftest import cited_rows, mkrec, mkref, ref_pair_counts, slice_core
 from oracles import brute_citation_counts, brute_cocitation_counts, brute_core_refs
 
@@ -234,3 +237,76 @@ class TestCoreSets:
         assert cores[loose][0].members == frozenset(
             {mkref("X, 1960, J"), mkref("Y, 1961, J")}
         )
+
+
+# Year shapes for ``cocitation_counts``. Each strategy gives (rows, ordered).
+_POOL = [mkref(f"POOL{i}, {1800 + i}, J") for i in range(200)]
+
+
+@st.composite
+def dense_year(draw):
+    """8-40 rows, each a 3-8 item canon less at most one of its items,
+    some with a reference outside the canon."""
+    size = draw(st.integers(min_value=3, max_value=8))
+    ordered = draw(st.permutations(_POOL[:size]))
+    rows = []
+    for _ in range(draw(st.integers(min_value=8, max_value=40))):
+        row = set(ordered)
+        row.discard(draw(st.sampled_from([None, *ordered])))
+        if draw(st.booleans()):
+            row.add(_POOL[-1])
+        rows.append(frozenset(row))
+    return rows, ordered
+
+
+@st.composite
+def one_off_year(draw):
+    """4-30 rows, each with 3-6 references no other row cites and up to two
+    of five shared ones; every one-off is a candidate."""
+    shared, one_offs = _POOL[:5], _POOL[5:]
+    n_rows = draw(st.integers(min_value=4, max_value=30))
+    per_row = draw(st.integers(min_value=3, max_value=6))
+    rows = [
+        frozenset(one_offs[r * per_row:(r + 1) * per_row])
+        | draw(st.frozensets(st.sampled_from(shared), max_size=2))
+        for r in range(n_rows)
+    ]
+    candidates = one_offs[:n_rows * per_row] + draw(st.lists(st.sampled_from(shared), unique=True))
+    return rows, draw(st.permutations(candidates))
+
+
+@st.composite
+def tall_year(draw):
+    """2,000-3,000 rows, each 3 of 100 references, with some left out of
+    the candidates."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    pool = _POOL[:100]
+    rows = [frozenset(rng.sample(pool, 3)) for _ in range(draw(st.integers(2000, 3000)))]
+    ordered = rng.sample(pool, draw(st.integers(min_value=2, max_value=len(pool))))
+    return rows, ordered
+
+
+class TestCountingShapes:
+    @pytest.mark.parametrize("year", [dense_year(), one_off_year(), tall_year()],
+                             ids=["dense", "one-off", "tall"])
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_counts_match_brute_force(self, year, data):
+        rows, ordered = data.draw(year)
+        counts = cocitation_counts(rows, ordered)
+        assert all(0 <= a < b < len(ordered) for a, b in counts)
+        by_refs = {tuple(sorted((ordered[a], ordered[b]), key=RefKey.sort_key)): n
+                   for (a, b), n in counts.items()}
+        records = [mkrec(f"p{i}", refs=row) for i, row in enumerate(rows)]
+        assert by_refs == brute_cocitation_counts(records, ordered)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(dense_year(), one_off_year()), _threshold_lists, st.data())
+    def test_permuting_rows_or_their_items_keeps_the_cores(self, year, thresholds, data):
+        rows, _ = year
+        cores = core_references(1970, rows, thresholds)
+        shuffled = data.draw(st.permutations(rows))
+        assert core_references(1970, shuffled, thresholds) == cores
+        reordered = [data.draw(st.permutations(sorted(row, key=RefKey.sort_key)))
+                     for row in rows]
+        assert core_references(1970, reordered, thresholds) == cores

@@ -144,7 +144,8 @@ class TestMedlineParser:
 
 class TestDuplicateRecords:
     DROPPED = ("dropped {} duplicate record(s), each equal in every field to an earlier "
-               "record of its id")
+               "record of its id, or id-less and equal to an earlier id-less record but "
+               "for its anon id")
 
     def test_an_exact_copy_is_dropped_with_its_notes(self):
         block = "PMID- 7\nTI  - A\n\n"
