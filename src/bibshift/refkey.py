@@ -15,9 +15,25 @@ junk, a digit run longer than ``int()`` converts) survives only in ``raw``.
 A key is a ``NamedTuple`` of the normalized components, so two keys are
 equal, and hash alike, when those are equal; the raw spelling is kept
 outside the tuple and never takes part in equality or hashing.
+
+A Web of Science cited reference lists its fields in the order author,
+year, source, volume, first page, DOI, and leaves out those it lacks. A
+string whose normalized text has that shape,
+``AUTHOR, YYYY, SOURCE[, Vn][, Pn][, DOI d]``, is parsed by one
+regular-expression match instead of the segment loop; every other string
+goes through the loop. The match gives the loop's key exactly: the
+normalized text holds no whitespace but single inner spaces, so a
+segment that starts after ``", "`` and ends in a character other than a
+space or comma is already stripped; ASCII ``[0-9]`` digits are decimal;
+a run of at most 18 of them always converts with ``int()``; a ``DOI``
+segment holds no comma and is never a ``V``/``P`` segment, so the loop
+skips it; and a source that is itself ``V``/``P`` plus decimal digits
+(``A, 1970, V12, P3``, where the loop takes ``V12`` as the volume) is
+left to the loop.
 """
 from __future__ import annotations
 
+import re
 from functools import cached_property
 from typing import NamedTuple, Optional
 
@@ -79,6 +95,14 @@ class RefKey(_Components):
         return (", ".join(parts), self.author, *((v is None, v) for v in optional))
 
 
+# AUTHOR, YYYY, SOURCE[, Vn][, Pn][, DOI d] on normalized text (see the
+# module docstring); the DOI is not part of a key, so it is not captured
+_CANONICAL = re.compile(
+    r"([^,]*[^, ]), ([0-9]{4}), ([^,]*[^, ])"
+    r"(?:, V([0-9]{1,18}))?(?:, P([0-9]{1,18}))?(?:, DOI [^,]+)?"
+).fullmatch
+
+
 def _number(digits: str) -> Optional[int]:
     """``int(digits)``, or None for a run longer than ``int()`` converts."""
     try:
@@ -97,6 +121,13 @@ def parse_cited_ref(raw: str) -> RefKey:
     # as normalizing each one: upper() never turns a character other than a
     # comma or whitespace into one holding a comma or whitespace.
     text = " ".join(raw.split()).upper()
+    match = _CANONICAL(text)
+    if match is not None:
+        author, year, source, volume, page = match.groups()
+        if not (source[0] in "VP" and source[1:].isdecimal()):
+            # a matched digit group is never empty, so `and` keeps only None
+            return RefKey(author, int(year), source,
+                          volume and int(volume), page and int(page), raw=raw)
     segments = [part.strip() for part in text.split(",")]
     non_empty = [seg for seg in segments if seg]
     if not non_empty:

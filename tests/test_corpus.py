@@ -151,13 +151,32 @@ _nasty_text = st.text(
     alphabet=st.sampled_from(list("abZ9 \t\n\r|\\;,#") + ["é", "日"]),
     max_size=12,
 )
+_nasty_word = st.text(
+    alphabet=st.sampled_from(list("abZ9|\\;#") + ["é", "日"]), min_size=1, max_size=5)
 # export parsers never emit empty cited-ref strings, so the cache need not
-# round-trip a zero-length raw ref
-_nasty_ref = st.text(
-    alphabet=st.sampled_from(list("abZ9 \t\n\r|\\;,#") + ["é", "日"]),
-    min_size=1,
-    max_size=12,
+# round-trip a zero-length raw ref; the second arm draws the Web of Science
+# shape AUTHOR, YYYY, SOURCE[, Vn][, Pn][, DOI d], which the parser reads in
+# one match
+_nasty_ref = st.one_of(
+    st.text(
+        alphabet=st.sampled_from(list("abZ9 \t\n\r|\\;,#") + ["é", "日"]),
+        min_size=1,
+        max_size=12,
+    ),
+    st.tuples(
+        st.lists(_nasty_word, min_size=1, max_size=2).map(" ".join),
+        st.integers(min_value=0, max_value=9999).map("{:04d}".format),
+        _nasty_word,
+        st.none() | st.integers(min_value=0, max_value=10**6).map("V{}".format),
+        st.none() | st.integers(min_value=0, max_value=10**6).map("P{}".format),
+        st.none() | _nasty_word.map("DOI {}".format),
+    ).map(lambda parts: ", ".join(filter(None, parts))),
 )
+
+
+def _spellings(refs) -> dict:
+    """Each key's raw spelling, which key equality ignores, and its sort key."""
+    return {key: (key.raw, key.sort_key()) for key in refs}
 
 
 class TestCacheRoundTrip:
@@ -214,6 +233,7 @@ class TestCacheRoundTrip:
             for rid, rec in original.items():
                 assert recovered[rid].title == rec.title
                 assert recovered[rid].cited_refs == rec.cited_refs
+                assert _spellings(recovered[rid].cited_refs) == _spellings(rec.cited_refs)
                 assert recovered[rid].source == rec.source
 
     def test_header_line_skipped_on_read(self, tmp_path):

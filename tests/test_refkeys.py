@@ -9,6 +9,7 @@ from pathlib import Path
 
 from hypothesis import example, given, settings, strategies as st
 
+from bibshift import refkey
 from bibshift.refkey import RefKey, parse_cited_ref
 from oracles import brute_parse_cited_ref
 
@@ -166,6 +167,103 @@ class TestOneNormalizingPass:
             if ch != "," and not ch.isspace():
                 upper = ch.upper()
                 assert "," not in upper and not any(c.isspace() for c in upper), hex(code)
+
+
+# Strings of the Web of Science shape AUTHOR, YYYY, SOURCE[, Vn][, Pn][, DOI d]
+# and its near misses, written already normalized. Each string of _SHAPED
+# takes the one-match path; each other one names why it falls through to the
+# segment loop.
+_SHAPED = ("BALTIMORE D, 1970, NATURE, V226, P1209",
+           "BALTIMORE D, 1970, NATURE, V226, P1209, DOI 10.1038/226209A0")
+_DOI = "DOI 10.1038/226209A0"
+_FALLBACKS = {
+    "no space after a comma": "BALTIMORE D,1970, NATURE, V226, P1209",
+    "space before a comma": "BALTIMORE D , 1970, NATURE, V226, P1209",
+    "Unicode-digit year": "BALTIMORE D, ١٩٧٠, NATURE, V226, P1209",
+    "Unicode-digit volume": "BALTIMORE D, 1970, NATURE, V٢٢٦, P1209",
+    "19-digit volume": "BALTIMORE D, 1970, NATURE, V" + "9" * 19 + ", P1209",
+    "page before volume": "BALTIMORE D, 1970, NATURE, P1209, V226",
+    "DOI list holding a comma": "BALTIMORE D, 1970, NATURE, V226, P1209, "
+                                "DOI [10.1038/226209A0, 10.1038/226211A0]",
+    "trailing segment other than a DOI": "BALTIMORE D, 1970, NATURE, V226, P1209, ERRATUM",
+    "no source": "BALTIMORE D, 1970",
+}
+# a source the loop reads as a volume or page: the match fits, the key may not
+_SOURCE_IS_A_MARKER = ("A, 1970, V12, P3", "A, 1970, P3")
+
+
+_NEAR_MISSES = ("lower case", "doubled space", "no space after a comma",
+                "space before a comma", "Unicode-digit year", "Unicode-digit volume",
+                "19-digit volume", "source V12", "source P3", "page before volume",
+                "DOI list holding a comma", "trailing segment other than a DOI",
+                "no source")
+
+
+@st.composite
+def _wos_shaped(draw) -> str:
+    """A reference of the shape, half the time with up to three near misses."""
+    digits = st.sampled_from(["0", "7", "0226", "9" * 18])
+    author = draw(st.sampled_from(["BALTIMORE D", "Temin HM", "V12", "ß", "X.Y"]))
+    year = draw(st.sampled_from(["1970", "0001", "2099"]))
+    source = draw(st.sampled_from(["NATURE", "j cell biol", "V", "P3X", "1971", _DOI]))
+    volume = draw(st.none() | st.builds("V{}".format, digits))
+    page = draw(st.none() | st.builds("P{}".format, digits))
+    doi = draw(st.sampled_from([None, _DOI, "doi 10.1016/0092-8674(86)90016-3"]))
+    misses = (draw(st.sets(st.sampled_from(_NEAR_MISSES), min_size=1, max_size=3))
+              if draw(st.booleans()) else set())
+    if "Unicode-digit year" in misses:
+        year = "١٩٧٠"
+    if "Unicode-digit volume" in misses:
+        volume = "V٢٢٦"
+    if "19-digit volume" in misses:
+        volume = "V" + "9" * 19
+    if "source V12" in misses:
+        source = "V12"
+    if "source P3" in misses:
+        source = "P3"
+    if "DOI list holding a comma" in misses:
+        doi = "DOI [10.1038/226209A0, V12]"
+    marks = [mark for mark in (volume, page) if mark is not None]
+    if "page before volume" in misses:
+        marks.reverse()
+    parts = ([author, year] + ([] if "no source" in misses else [source]) + marks
+             + ([] if doi is None else [doi]))
+    if "trailing segment other than a DOI" in misses:
+        parts.append(draw(st.sampled_from(["ERRATUM", "P12", "V3"])))
+    separators = [", "] * (len(parts) - 1)
+    for miss, sep in (("doubled space", ", \t "), ("no space after a comma", ","),
+                      ("space before a comma", " , ")):
+        if miss in misses:
+            separators[draw(st.integers(0, len(separators) - 1))] = sep
+    raw = parts[0] + "".join(map(str.__add__, separators, parts[1:]))
+    return raw.lower() if "lower case" in misses else raw
+
+
+class TestWosShapedMatch:
+    def test_each_example_takes_the_path_it_names(self):
+        assert all(refkey._CANONICAL(raw) for raw in _SHAPED)
+        assert not any(refkey._CANONICAL(raw) for raw in _FALLBACKS.values())
+        assert all(refkey._CANONICAL(raw) for raw in _SOURCE_IS_A_MARKER)
+
+    @settings(max_examples=400)
+    @given(_wos_shaped())
+    @example(_SHAPED[0])
+    @example(_SHAPED[1])
+    @example(_FALLBACKS["no space after a comma"])
+    @example(_FALLBACKS["space before a comma"])
+    @example(_FALLBACKS["Unicode-digit year"])
+    @example(_FALLBACKS["Unicode-digit volume"])
+    @example(_FALLBACKS["19-digit volume"])
+    @example(_FALLBACKS["page before volume"])
+    @example(_FALLBACKS["DOI list holding a comma"])
+    @example(_FALLBACKS["trailing segment other than a DOI"])
+    @example(_FALLBACKS["no source"])
+    @example(_SOURCE_IS_A_MARKER[0])
+    @example(_SOURCE_IS_A_MARKER[1])
+    def test_every_field_matches_the_per_segment_parser(self, raw):
+        key = parse_cited_ref(raw)
+        assert _fields(key) == _fields(brute_parse_cited_ref(raw))
+        assert key.raw is raw
 
 
 class TestCanonical:
