@@ -428,11 +428,11 @@ def cmd_ingest(cfg: argparse.Namespace, outputs: list[_Output]) -> list[str]:
 
     kept = [record for year_records in corpus.values() for record in year_records]
     if cfg.index is not None and cfg.medline is not None:
-        linkage = link_records(
+        coverage = link_records(
             [r for r in kept if r.source is Source.MEDLINE],
             [r for r in kept if r.source is Source.CITATION_INDEX],
         )
-        linkage_text = linkage.coverage_text()
+        linkage_text = "-" if coverage is None else f"{coverage:.4f}"
     else:
         linkage_text = "not applicable"
 

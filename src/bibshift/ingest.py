@@ -27,23 +27,25 @@ id-less record gets the id ``anon:N``, N numbering its block, and is
 dropped the same way when it equals an earlier id-less record but for
 that id.
 
-Both read a line by its fixed columns first. A citation-index line is a
-tag line when its first two characters are a tag (``[A-Z][A-Z0-9]``) and
-the third is a space, or nothing but whitespace follows the tag; it is a
-continuation line when it starts with three spaces. A MEDLINE line is a tag
-line when ``line[:4]`` is a tag padded with spaces and ``line[4:6]`` is
-``"- "`` (the tag regex checks each distinct six-column head once per
-file); it is a continuation line when it starts with a space. Only a
-line of any other shape (a blank line, a tag padded with anything but
-spaces, ``TI -x``, a stray line, a tag line holding a newline before its
-end) is stripped of its line end and matched against its format's tag
+A citation-index line that starts with three spaces is a continuation
+line; any other line is stripped of its line end and matched against the
+tag pattern, which takes a tag followed by a space and a value, or a bare
+tag followed by nothing but whitespace. A line the pattern refuses is
+skipped when blank and an error otherwise.
+
+The MEDLINE parser memoises each distinct six-column head: a line whose
+``line[:4]`` is a tag padded with spaces and whose ``line[4:6]`` is
+``"- "`` is a tag line, and the tag pattern checks each such head once
+per file. Any other line (a continuation, a blank line, a tag padded with
+anything but spaces, ``TI -x``, a stray line, a tag line holding a newline
+before its end) is stripped of its line end and matched against the
 pattern, which gives the same fields and the same errors as matching every
-line. The citation-index pattern takes a tag followed by a space and a
-value, or a bare tag followed by nothing but whitespace.
+line.
 """
 from __future__ import annotations
 
 import re
+from collections import Counter
 from types import SimpleNamespace
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -52,8 +54,6 @@ from .records import NO_REFS, BibRecord, Source
 
 _INDEX_TAG_RE = re.compile(r"^([A-Z][A-Z0-9])(?: (.*)|\s*)$")
 _MEDLINE_TAG_RE = re.compile(r"^([A-Z0-9]{1,4})\s*- ?(.*)$")
-_UPPER = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
-_INDEX_TAGS = frozenset(a + b for a in _UPPER for b in _UPPER + "0123456789")
 
 END_OF_RECORD = "ER"
 _HEADER_TAGS = {"FN", "VR", "EF"}
@@ -91,7 +91,6 @@ def parse_citation_index_export(stream: Iterable[str]) -> ParseResult:
     seen: dict[str | tuple, tuple[BibRecord, ...]] = {}  # see _finish_record
 
     for line_number, raw_line in enumerate(stream, start=1):
-        # The usual shapes, told apart by their first columns.
         if raw_line[:3] == "   ":
             value = raw_line[3:].strip()
             if not value:
@@ -101,21 +100,13 @@ def parse_citation_index_export(stream: Iterable[str]) -> ParseResult:
             values.append(value)
             last_field_line = line_number
             continue
-        tag, rest = raw_line[:2], raw_line[2:]
-        # A newline before the line's end fails the tag pattern's "(.*)$".
-        if (tag in _INDEX_TAGS and (rest[:1] == " " or not rest.strip())
-                and raw_line.find("\n", 0, -1) < 0):
-            value = rest[1:].strip()  # "" for a bare tag
-        else:
-            # Anything else: blank lines, errors, tags padded otherwise.
-            line = raw_line.rstrip("\n").rstrip("\r")
+        line = raw_line.rstrip("\n").rstrip("\r")
+        m = _INDEX_TAG_RE.match(line)
+        if m is None:
             if not line.strip():
                 continue
-            m = _INDEX_TAG_RE.match(line)
-            if m is None:
-                raise MalformedRecord(line_number, f"unrecognized line {line!r}")
-            tag = m.group(1)
-            value = (m.group(2) or "").strip()
+            raise MalformedRecord(line_number, f"unrecognized line {line!r}")
+        tag, value = m.groups("")  # "" for a bare tag
         if tag == END_OF_RECORD:
             if fields:
                 _finish_record(fields, result, seen, Source.CITATION_INDEX, "UT", "PY",
@@ -127,7 +118,7 @@ def parse_citation_index_export(stream: Iterable[str]) -> ParseResult:
             values = None
             continue
         values = fields.setdefault(tag, [])
-        values.append(value)
+        values.append(value.strip())
         last_field_line = line_number
 
     if fields:
@@ -159,7 +150,7 @@ def parse_medline_export(stream: Iterable[str]) -> ParseResult:
     seen: dict[str | tuple, tuple[BibRecord, ...]] = {}  # see _finish_record
 
     for line_number, raw_line in enumerate(stream, start=1):
-        # The usual shapes, told apart by their first columns.
+        # A tag line, known by its six-column head.
         head = raw_line[:6]
         tag = tags.get(head)
         if tag is None and head[4:] == "- ":
@@ -171,15 +162,7 @@ def parse_medline_export(stream: Iterable[str]) -> ParseResult:
             values = fields.setdefault(tag, [])
             values.append(raw_line[6:].strip())
             continue
-        if raw_line[:1] == " ":
-            value = raw_line.strip()
-            if value:
-                if values is None:
-                    raise MalformedRecord(line_number,
-                                          "continuation line outside any field")
-                values.append(value)
-                continue
-        # Anything else: blank lines, errors, tags padded otherwise.
+        # Anything else: continuations, blank lines, errors, tags padded otherwise.
         line = raw_line.rstrip("\n").rstrip("\r")
         if not line.strip():
             if fields:
@@ -281,62 +264,22 @@ def normalize_title(title: str) -> str:
     return _TITLE_PUNCT_RE.sub(" ", folded).strip()
 
 
-class LinkageResult(NamedTuple):
-    """Outcome of matching MEDLINE records against citation-index records.
-
-    ``coverage`` is matched / total MEDLINE records, or None when there were
-    no MEDLINE records to match (rendered as ``-`` in reports).
-    """
-
-    matches: dict[str, str]
-    ambiguous: dict[str, tuple[str, ...]]
-    unmatched: tuple[str, ...]
-
-    @property
-    def coverage(self) -> Optional[float]:
-        total = len(self.matches) + len(self.ambiguous) + len(self.unmatched)
-        if total == 0:
-            return None
-        return len(self.matches) / total
-
-    def coverage_text(self) -> str:
-        cov = self.coverage
-        return "-" if cov is None else f"{cov:.4f}"
-
-
 def link_records(
     medline: Iterable[BibRecord], index: Iterable[BibRecord]
-) -> LinkageResult:
-    """Link each MEDLINE record to the citation-index record sharing its
-    normalized title and publication year.
+) -> Optional[float]:
+    """Share of MEDLINE records linked to the citation-index record sharing
+    their normalized title and publication year; None when there is no
+    MEDLINE record (rendered as ``-`` in reports).
 
     A record with no year or an empty normalized title (no title, or only
     punctuation) is never a candidate and never matches. Several candidates
-    with the same title+year leave the MEDLINE record ambiguous (reported,
-    not matched); ambiguity is data, not failure.
+    with the same title+year leave the MEDLINE record ambiguous, which
+    counts as unmatched; ambiguity is data, not failure.
     """
     def key(record: BibRecord) -> Optional[tuple[str, int]]:
         title = normalize_title(record.title)
         return (title, record.pub_year) if title and record.pub_year is not None else None
 
-    candidates: dict[tuple[str, int], list[str]] = {}
-    for record in index:
-        title_year = key(record)
-        if title_year is not None:
-            candidates.setdefault(title_year, []).append(record.record_id)
-
-    matches: dict[str, str] = {}
-    ambiguous: dict[str, tuple[str, ...]] = {}
-    unmatched: list[str] = []
-    for record in medline:
-        found = candidates.get(key(record), [])
-        if len(found) == 1:
-            matches[record.record_id] = found[0]
-        elif len(found) > 1:
-            ambiguous[record.record_id] = tuple(found)
-        else:
-            unmatched.append(record.record_id)
-
-    return LinkageResult(
-        matches=matches, ambiguous=ambiguous, unmatched=tuple(unmatched)
-    )
+    candidates = Counter(filter(None, map(key, index)))
+    found = list(map(candidates.get, map(key, medline)))  # candidates per record
+    return found.count(1) / len(found) if found else None

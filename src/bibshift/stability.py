@@ -64,7 +64,6 @@ class SeriesMinimum(NamedTuple):
 
 
 class GrooveReport(NamedTuple):
-    gap: int
     minima: tuple[SeriesMinimum, ...]
     consensus: tuple[Interval, ...]  # intervals minimal in every series
 
@@ -136,11 +135,7 @@ def groove_detect(series_set: list[RsiSeries]) -> GrooveReport:
     shared: set[Interval] = set(minima[0].intervals)
     for m in minima[1:]:
         shared &= set(m.intervals)
-    return GrooveReport(
-        gap=series_set[0].gap,
-        minima=minima,
-        consensus=tuple(sorted(shared)),
-    )
+    return GrooveReport(minima=minima, consensus=tuple(sorted(shared)))
 
 
 def round_half_up_2dp(value: Fraction) -> Fraction:

@@ -150,7 +150,6 @@ class TestRsiTables:
         strict = corpus_series(corpus, T, gap=1)
         loose = corpus_series(corpus, ThresholdPair(2, 2), gap=1)
         groove = GrooveReport(
-            gap=1,
             minima=(
                 SeriesMinimum(T, Fraction(0), ((1970, 1971),)),
                 SeriesMinimum(ThresholdPair(2, 2), Fraction(0), ((1971, 1972),)),
