@@ -246,7 +246,7 @@ def _load_config_file(name: Optional[str]) -> dict:
         text = path.read_text(encoding="utf-8-sig")  # as exports: a leading BOM is dropped
     try:
         data = json.loads(text)
-    except ValueError as exc:  # also a number too long for int()
+    except (ValueError, RecursionError) as exc:  # also too long a number, too deep a nest
         raise CliError(f"cannot parse config file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise CliError(f"config file {path} must hold a JSON object")

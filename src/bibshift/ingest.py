@@ -1,4 +1,5 @@
-"""Parsers for the two export file formats, plus offline record linkage.
+"""Parsers for the two export file formats, plus offline record linkage,
+which keys each title by ``textmetrics.title_token_sequence``'s word rule.
 
 Citation-index export layout:
   - Each field starts at column 0 with a two-letter tag followed by a space
@@ -51,6 +52,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .refkey import RefKey, parse_cited_ref
 from .records import NO_REFS, BibRecord, Source
+from .textmetrics import title_token_sequence
 
 _INDEX_TAG_RE = re.compile(r"^([A-Z][A-Z0-9])(?: (.*)|\s*)$")
 _MEDLINE_TAG_RE = re.compile(r"^([A-Z0-9]{1,4})\s*- ?(.*)$")
@@ -248,20 +250,10 @@ def _note_dropped(result: ParseResult) -> None:
 
 # ── record linkage ────────────────────────────────────────────────────────────
 
-_TITLE_PUNCT_RE = re.compile(r"[\W_]+", re.UNICODE)
-# Each ASCII character that is not a letter or digit ([\W_] on ASCII text)
-# becomes a space. Letters and digits map to themselves: a full table is
-# faster than one that misses.
-_ASCII_PUNCT_TO_SPACE = {c: chr(c) if chr(c).isalnum() else " " for c in range(128)}
-
-
 def normalize_title(title: str) -> str:
-    """Case-fold, strip punctuation, collapse whitespace."""
-    folded = title.casefold()
-    if folded.isascii():
-        # Same result as the regex: runs of [\W_] become one space, trimmed.
-        return " ".join(folded.translate(_ASCII_PUNCT_TO_SPACE).split())
-    return _TITLE_PUNCT_RE.sub(" ", folded).strip()
+    """The words of the case-folded title joined by single spaces. The whole
+    title is folded first (``"İ"`` folds to two code points)."""
+    return " ".join(title_token_sequence(title.casefold()))
 
 
 def link_records(

@@ -151,7 +151,7 @@ def write_text_atomic(path: str | os.PathLike, text: str) -> None:
     it held. This guards against an interrupted process, not a power loss:
     nothing is synced to disk."""
     path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
+    tmp = path.with_name(f".bibshift-{os.getpid()}-{os.urandom(4).hex()}.tmp")
     handle = open(tmp, "x", encoding="utf-8", newline="\n")
     try:
         with handle:

@@ -1,14 +1,17 @@
 """Title-word analysis: new-word detection by document frequency, new
 co-word pairs scored by cosine, and stem-anchored phrase trends.
 
-Tokenization case-folds, splits on any non-alphanumeric character, and
-drops pure-digit and single-character tokens plus stop words. Counting is
-binary per record: a title contributes at most 1 to a term's document
-frequency no matter how often it repeats the word. Percent values use the
-number of the year's records as denominator, including records whose
-titles tokenize to nothing. ``new_terms`` and ``new_coword_pairs`` take the
-former and the later year's records; ``phrase_trend`` takes a corpus (one
-source's part, say) and walks its years in order.
+``title_token_sequence`` holds the package's one word rule, for these
+analyses and for ``ingest``'s record linkage alike: a title's words are its
+runs of letters and digits (``str.isalnum``; ``_`` and all else split), each
+case-folded on its own. ``tokenize_title`` drops pure-digit and
+single-character words plus stop words. Counting is binary per record: a
+title contributes at most 1 to a term's document frequency no matter how
+often it repeats the word. Percent values use the number of the year's
+records as denominator, including records whose titles tokenize to nothing.
+``new_terms`` and ``new_coword_pairs`` take the former and the later year's
+records; ``phrase_trend`` takes a corpus (one source's part, say) and walks
+its years in order.
 
 Phrase trends deliberately use the raw ordered token sequence (stop words
 kept) so that adjacency is judged on the title as written.
@@ -21,9 +24,9 @@ former pairs outside that vocabulary can mark no later pair as not new.
 ``phrase_trend`` tokenises only titles whose case-folded text contains the
 case-folded head. That filter drops no match because ``str.casefold`` maps
 each code point on its own, so the case fold of any token is a substring of
-the case fold of its title.
-The reverse does not hold (``"İ".casefold()`` is two code points, one of
-them a combining mark), so titles are never case-folded before tokenising.
+the case fold of its title. The reverse does not hold (``"İ".casefold()``
+is two code points, one of them a combining mark), so the analyses never
+case-fold a title before tokenising it; linkage does (``ingest.normalize_title``).
 """
 from __future__ import annotations
 
@@ -37,6 +40,9 @@ from typing import NamedTuple, Sequence
 from .records import BibRecord, Corpus
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+# On ASCII, [^\W_] is [A-Za-z0-9] and casefold is lower; all else becomes a
+# space. Letters and digits map to themselves: a full table outruns a sparse one.
+_ASCII_PUNCT_TO_SPACE = {c: chr(c) if chr(c).isalnum() else " " for c in range(128)}
 
 
 class StopWordList(NamedTuple):
@@ -86,7 +92,9 @@ def default_stopwords() -> StopWordList:
 
 
 def title_token_sequence(title: str) -> tuple[str, ...]:
-    """Ordered case-folded tokens with no filtering; adjacency-faithful."""
+    """Ordered case-folded ``_TOKEN_RE`` runs, unfiltered; adjacency-faithful."""
+    if title.isascii():
+        return tuple(title.lower().translate(_ASCII_PUNCT_TO_SPACE).split())
     return tuple(map(str.casefold, _TOKEN_RE.findall(title)))
 
 
@@ -96,7 +104,7 @@ def tokenize_title(title: str, stop: StopWordList) -> frozenset[str]:
     # isdecimal() is exactly a full match of \d+ (isdigit() also takes "²").
     words = stop.words
     return frozenset(
-        token for token in map(str.casefold, _TOKEN_RE.findall(title))
+        token for token in title_token_sequence(title)
         if len(token) > 1 and not token.isdecimal() and token not in words
     )
 

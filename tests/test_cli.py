@@ -124,6 +124,17 @@ class TestIngest:
         assert "ingest_report.tsv" in out
         assert cache.read_text(encoding="utf-8").startswith(CACHE_HEADER)
 
+    def test_a_cache_name_of_250_bytes_is_written(self, tmp_path):
+        # The temp file's name must not grow with the target's: 255 bytes
+        # is the longest name most file systems allow.
+        short = ingest(tmp_path)
+        long_cache = tmp_path / "long" / ("a" * 250)
+        index_path, medline_path = seed_exports(tmp_path)
+        assert run(["ingest", "--index", str(index_path), "--medline", str(medline_path),
+                    "--cache", str(long_cache), "--out-dir", str(tmp_path / "long")]) == 0
+        assert long_cache.read_bytes() == short.read_bytes()
+        assert list(tmp_path.rglob("*.tmp")) == []
+
     def test_excluded_records_counted_by_reason(self, tmp_path):
         rows = [(f"r{i}", 1966 + i, f"title {i}", []) for i in range(10)]
         write_index_export(tmp_path / "index.txt", rows + [("undated", None, "t", [])])
@@ -1436,6 +1447,15 @@ class TestConfigFile:
     def test_missing_config_file(self, tmp_path, capsys):
         assert run(["summary", "--config", str(tmp_path / "absent.json")]) == 1
         assert "config file not found" in capsys.readouterr().err
+
+    def test_a_nest_too_deep_to_parse_is_an_error(self, tmp_path, capsys):
+        config = tmp_path / "deep.json"
+        depth = 100_000
+        config.write_text('{"years": ' + "[" * depth + "]" * depth + "}", encoding="utf-8")
+        assert run(["summary", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot parse config file {config}: ")
+        assert "Traceback" not in err
 
     def test_config_must_be_object(self, tmp_path, capsys):
         config = tmp_path / "run.json"

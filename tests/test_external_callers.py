@@ -122,6 +122,36 @@ def test_every_public_name_has_a_caller():
     assert dead == []
 
 
+def _word_class_patterns(tree: ast.Module) -> list[str]:
+    """Each pattern of ``tree`` given to a ``re`` function that holds
+    ``\\W`` or ``\\w``, by the name it is bound to (its line when unbound)."""
+    def holds_word_class(node) -> bool:
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name) and node.func.value.id == "re"
+                and bool(node.args) and isinstance(node.args[0], ast.Constant)
+                and re.search(r"\\[Ww]", str(node.args[0].value)) is not None)
+
+    bound = {id(node.value): node.targets[0].id for node in ast.walk(tree)
+             if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)}
+    return [bound.get(id(node), f"line {node.lineno}") for node in ast.walk(tree)
+            if holds_word_class(node)]
+
+
+def test_one_pattern_holds_the_word_rule():
+    """Title words are split by ``textmetrics.title_token_sequence`` alone;
+    a second word pattern would be a second word rule to keep in step."""
+    found = [f"{path.stem}.{name}"
+             for path in sorted((ROOT / "src" / "bibshift").glob("*.py"))
+             for name in _word_class_patterns(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == ["textmetrics._TOKEN_RE"]
+
+
+def test_the_word_pattern_guard_sees_each_kind_of_call():
+    tree = ast.parse('import re\nA = re.compile(r"[^\\W_]+")\nB = re.compile(r"\\s+")\n'
+                     're.sub(r"\\w+", "", "x")\n')
+    assert _word_class_patterns(tree) == ["A", "line 4"]
+
+
 def _unused_imports(tree: ast.Module) -> list[str]:
     """Each name an import statement of ``tree`` binds that no expression
     of ``tree`` reads, with the line of its import."""

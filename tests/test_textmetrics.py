@@ -414,6 +414,16 @@ class TestOracleProperties:
         assert list(title_token_sequence(title)) == brute_sequence(title)
 
     @settings(max_examples=300, deadline=None)
+    @given(st.text(st.characters(max_codepoint=127), max_size=40),
+           st.sets(st.sampled_from(["ab", "a1", "x", "12"])))
+    # every ASCII character once, in code-point order
+    @example("".join(map(chr, range(128))), set())
+    def test_tokens_match_brute_force_on_every_ascii_character(self, title, stop_words):
+        stop = parse_stopwords(stop_words, "<p>")
+        assert tokenize_title(title, stop) == brute_tokens(title, stop.words)
+        assert list(title_token_sequence(title)) == brute_sequence(title)
+
+    @settings(max_examples=300, deadline=None)
     @given(coword_cases())
     # (ab, cd) is in 2 of 8 later titles: exactly on the 25 % floor
     @example((_slice(["ab", "cd ef"], 1970),
