@@ -8,16 +8,19 @@ records; ``build_corpus`` is its one producer.
 
 The cache is a line-delimited TSV: one record per line with columns
 ``record_id``, ``source``, ``year``, ``title``, ``cited_refs``. The last
-column joins the raw cited-reference strings with ``|``; backslash escapes
-(backslash, tab, newline, carriage return, ``#``, and ``|`` as ``\\p``) keep
-every field tab-, separator-, and comment-safe, so a cache file round-trips
-byte-identically, and any other escape is rejected on read. The first line
-must be ``CACHE_HEADER``; later lines starting with ``#`` are comment lines
-and are skipped on read. The file always ends with a newline, so a last
-line without one marks a cut file and is rejected. The cache is written
-through a temp file that replaces the old one only once complete
-(``write_text_atomic``); each distinct raw reference is escaped once per
-write. A reader that needs only titles can leave the reference column
+column joins each cited reference's ``RefKey.canonical()`` spelling with
+``|`` (a single space for the key of a blank string, whose spelling is
+empty); a cell is parsed on read, so a cell holding any other spelling of
+a key (an export's own, as earlier writers kept it) reads as that key.
+Backslash escapes (backslash, tab, newline, carriage return, ``#``, and
+``|`` as ``\\p``) keep every field tab-, separator-, and comment-safe, so a
+cache file round-trips byte-identically, and any other escape is rejected on read. The
+first line must be ``CACHE_HEADER``; later lines starting with ``#`` are
+comment lines and are skipped on read. The file always ends with a newline,
+so a last line without one marks a cut file and is rejected. The cache is
+written through a temp file that replaces the old one only once complete
+(``write_text_atomic``); each distinct reference is spelled and escaped once
+per write. A reader that needs only titles can leave the reference column
 unparsed (``read_cache(path, refs=False)``).
 """
 from __future__ import annotations
@@ -164,19 +167,25 @@ def write_text_atomic(path: str | os.PathLike, text: str) -> None:
 
 def write_cache(corpus: Corpus, path: str | os.PathLike) -> None:
     """Write the corpus as a TSV cache. Deterministic: years ascending,
-    each year's records in order, cited refs in ``RefKey.sort_key`` order.
-    Each distinct raw reference is escaped once per write."""
+    each year's records in order, each record's cited refs in order of
+    their cells. A reference cell is the key's escaped
+    ``RefKey.canonical()`` spelling, or a single space for the key of a
+    blank string, whose spelling is empty (an empty cell holds no
+    reference). Each distinct reference is spelled and escaped once per
+    write."""
     lines = [CACHE_HEADER]
-    escaped: dict[str, str] = {}  # raw reference -> its escaped cache text
+    escaped: dict[RefKey, str] = {}  # reference -> its cache cell
     for year, records in corpus.items():
         year_text = str(year)
         for record in records:
             cells = []
-            for key in sorted(record.cited_refs, key=RefKey.sort_key):
-                cell = escaped.get(key.raw)
+            for key in record.cited_refs:
+                cell = escaped.get(key)
                 if cell is None:
-                    cell = escaped[key.raw] = _escape(key.raw)
+                    cell = escaped[key] = _escape(key.canonical() or " ")
                 cells.append(cell)
+            # distinct keys spell differently, so their cells differ too
+            cells.sort()
             lines.append(
                 "\t".join(
                     (

@@ -11,10 +11,12 @@ year is a segment of exactly four decimal digits in position 1, and
 segments of the form ``V<digits>`` / ``P<digits>`` are taken as volume /
 first page wherever they occur ("digits" are Unicode decimal digits, as
 ``str.isdecimal`` and ``\\d`` define them). Anything else (DOIs, trailing
-junk, a digit run longer than ``int()`` converts) survives only in ``raw``.
-A key is a ``NamedTuple`` of the normalized components, so two keys are
-equal, and hash alike, when those are equal; the raw spelling is kept
-outside the tuple and never takes part in equality or hashing.
+junk, a digit run longer than ``int()`` converts) is dropped. A key is a
+``NamedTuple`` of the five normalized components and nothing else, so two
+keys are equal, and hash alike, when those are equal. ``canonical()``
+spells a parsed key so that parsing the spelling gives the key back;
+distinct keys therefore spell differently, and the spelling alone orders
+keys.
 
 A Web of Science cited reference lists its fields in the order author,
 year, source, volume, first page, DOI, and leaves out those it lacks. A
@@ -34,65 +36,38 @@ left to the loop.
 from __future__ import annotations
 
 import re
-from functools import cached_property
 from typing import NamedTuple, Optional
 
 
-class _Components(NamedTuple):
+class RefKey(NamedTuple):
+    """Identity of one cited reference: its five normalized components."""
+
     author: str
-    year: Optional[int]
-    source_abbrev: Optional[str]
-    volume: Optional[int]
-    first_page: Optional[int]
-
-
-class RefKey(_Components):
-    """Identity of one cited reference: a tuple of the normalized
-    components, so equality and hashing use only those.
-
-    ``raw`` preserves the original string for provenance and caching; it
-    is an attribute outside the tuple.
-    """
-
-    def __new__(cls, author: str, year: Optional[int] = None,
-                source_abbrev: Optional[str] = None, volume: Optional[int] = None,
-                first_page: Optional[int] = None, raw: str = "") -> RefKey:
-        key = tuple.__new__(cls, (author, year, source_abbrev, volume, first_page))
-        key.raw = raw
-        return key
+    year: Optional[int] = None
+    source_abbrev: Optional[str] = None
+    volume: Optional[int] = None
+    first_page: Optional[int] = None
 
     def canonical(self) -> str:
-        """Canonical spelling rebuilt from the components.
+        """The spelling that ``parse_cited_ref`` reads back as this key.
 
-        Used as the deterministic sort key for rankings and pair ordering:
-        unlike ``raw`` it is identical for equal keys, whatever spacing or
-        casing the source data used.
+        Author, four-digit year, source, ``V<n>``, ``P<n>``, joined by
+        ``", "``; an absent component is left out, except that a source
+        without a year keeps an empty year segment (``X, , 1970``), since
+        the source is read from the third segment only.
         """
-        return self._order[0]
-
-    def sort_key(self) -> tuple:
-        """Canonical spelling, then the components.
-
-        Unequal keys can share a spelling (``X, 1970`` and ``X,,1970``,
-        where the year fell in the source position); the components order
-        them the same way in every process, whatever the hash seed.
-        """
-        return self._order
-
-    @cached_property
-    def _order(self) -> tuple:
         parts = [self.author]
         if self.year is not None:
-            parts.append(str(self.year))
+            parts.append(f"{self.year:04d}")
+        elif self.source_abbrev is not None:
+            parts.append("")
         if self.source_abbrev is not None:
             parts.append(self.source_abbrev)
         if self.volume is not None:
             parts.append(f"V{self.volume}")
         if self.first_page is not None:
             parts.append(f"P{self.first_page}")
-        optional = (self.year, self.source_abbrev, self.volume, self.first_page)
-        # (is None, value) keeps None from being compared with a value
-        return (", ".join(parts), self.author, *((v is None, v) for v in optional))
+        return ", ".join(parts)
 
 
 # AUTHOR, YYYY, SOURCE[, Vn][, Pn][, DOI d] on normalized text (see the
@@ -127,11 +102,11 @@ def parse_cited_ref(raw: str) -> RefKey:
         if not (source[0] in "VP" and source[1:].isdecimal()):
             # a matched digit group is never empty, so `and` keeps only None
             return RefKey(author, int(year), source,
-                          volume and int(volume), page and int(page), raw=raw)
+                          volume and int(volume), page and int(page))
     segments = [part.strip() for part in text.split(",")]
     non_empty = [seg for seg in segments if seg]
     if not non_empty:
-        return RefKey(author=text.strip(), raw=raw)
+        return RefKey(text.strip())
 
     author = segments[0] if segments[0] else non_empty[0]
     year: Optional[int] = None
@@ -153,13 +128,6 @@ def parse_cited_ref(raw: str) -> RefKey:
             year = int(seg)
         elif pos == 2:
             source = seg
-        # other positions: unparseable, kept only in raw
+        # other positions: unparseable, dropped
 
-    return RefKey(
-        author=author,
-        year=year,
-        source_abbrev=source,
-        volume=volume,
-        first_page=page,
-        raw=raw,
-    )
+    return RefKey(author, year, source, volume, page)

@@ -87,9 +87,9 @@ def summary_table(corpus: Corpus, distinct_refs_by_year: dict[int, int],
 def core_membership_table(core_sets: Sequence[CoreRefSet], config: ConfigPairs) -> str:
     columns = ["year", "thresholds", "member"]
     rows = [
-        [core.year, str(core.thresholds), member.canonical()]
+        [core.year, str(core.thresholds), spelling]
         for core in core_sets
-        for member in sorted(core.members, key=RefKey.sort_key)
+        for spelling in sorted(map(RefKey.canonical, core.members))
     ]
     return render_table(config, columns, rows)
 

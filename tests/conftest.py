@@ -38,8 +38,8 @@ def cited_rows(sl) -> list[frozenset[RefKey]]:
 
 def ref_pair_counts(sl, candidates) -> dict[tuple[RefKey, RefKey], int]:
     """``cocitation_counts`` of ``sl`` over ``candidates``, each pair keyed by
-    its members in ``RefKey.sort_key`` order."""
-    ordered = sorted(set(candidates), key=RefKey.sort_key)
+    its members in ``RefKey.canonical`` order."""
+    ordered = sorted(set(candidates), key=RefKey.canonical)
     counts = cocitation_counts(cited_rows(sl), ordered)
     return {(ordered[a], ordered[b]): n for (a, b), n in counts.items()}
 

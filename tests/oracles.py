@@ -29,7 +29,7 @@ def brute_cocitation_counts(records, candidates) -> dict:
     counts = {}
     for record in records:
         cited = [r for r in record.cited_refs if r in candidates]
-        for a, b in combinations(sorted(cited, key=lambda k: k.sort_key()), 2):
+        for a, b in combinations(sorted(cited, key=RefKey.canonical), 2):
             counts[(a, b)] = counts.get((a, b), 0) + 1
     return counts
 
@@ -39,7 +39,7 @@ def brute_core_refs(records, thresholds: ThresholdPair) -> frozenset:
     cites = brute_citation_counts(records)
     pair_counts = {}
     for record in records:
-        for a, b in combinations(sorted(record.cited_refs, key=lambda k: k.sort_key()), 2):
+        for a, b in combinations(sorted(record.cited_refs, key=RefKey.canonical), 2):
             pair_counts[(a, b)] = pair_counts.get((a, b), 0) + 1
 
     members = set()
@@ -49,7 +49,7 @@ def brute_core_refs(records, thresholds: ThresholdPair) -> frozenset:
         for other, m in cites.items():
             if other == ref or m < thresholds.cite_min:
                 continue
-            pair = (ref, other) if ref.sort_key() <= other.sort_key() else (other, ref)
+            pair = (ref, other) if ref.canonical() <= other.canonical() else (other, ref)
             if pair_counts.get(pair, 0) >= thresholds.cocite_min:
                 members.add(ref)
                 break
@@ -170,7 +170,7 @@ def _normalize_text(text: str) -> str:
 
 
 def _int_or_none(digits: str) -> Optional[int]:
-    """A digit run ``int()`` refuses (too long) is kept only in raw."""
+    """A digit run ``int()`` refuses (too long) is dropped."""
     try:
         return int(digits)
     except ValueError:
@@ -181,7 +181,7 @@ def brute_parse_cited_ref(raw: str) -> RefKey:
     segments = [_normalize_text(part) for part in raw.split(",")]
     non_empty = [seg for seg in segments if seg]
     if not non_empty:
-        return RefKey(author=_normalize_text(raw), raw=raw)
+        return RefKey(author=_normalize_text(raw))
 
     author = segments[0] if segments[0] else non_empty[0]
     year: Optional[int] = None
@@ -206,7 +206,7 @@ def brute_parse_cited_ref(raw: str) -> RefKey:
             year = int(seg)
         elif pos == 2:
             source = seg
-        # other positions: unparseable, kept only in raw
+        # other positions: unparseable, dropped
 
     return RefKey(
         author=author,
@@ -214,7 +214,6 @@ def brute_parse_cited_ref(raw: str) -> RefKey:
         source_abbrev=source,
         volume=volume,
         first_page=page,
-        raw=raw,
     )
 
 

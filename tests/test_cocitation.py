@@ -295,7 +295,7 @@ class TestCountingShapes:
         rows, ordered = data.draw(year)
         counts = cocitation_counts(rows, ordered)
         assert all(0 <= a < b < len(ordered) for a, b in counts)
-        by_refs = {tuple(sorted((ordered[a], ordered[b]), key=RefKey.sort_key)): n
+        by_refs = {tuple(sorted((ordered[a], ordered[b]), key=RefKey.canonical)): n
                    for (a, b), n in counts.items()}
         records = [mkrec(f"p{i}", refs=row) for i, row in enumerate(rows)]
         assert by_refs == brute_cocitation_counts(records, ordered)
@@ -307,6 +307,6 @@ class TestCountingShapes:
         cores = core_references(1970, rows, thresholds)
         shuffled = data.draw(st.permutations(rows))
         assert core_references(1970, shuffled, thresholds) == cores
-        reordered = [data.draw(st.permutations(sorted(row, key=RefKey.sort_key)))
+        reordered = [data.draw(st.permutations(sorted(row, key=RefKey.canonical)))
                      for row in rows]
         assert core_references(1970, reordered, thresholds) == cores

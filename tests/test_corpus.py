@@ -1,3 +1,5 @@
+import contextlib
+import io
 import os
 import re
 import subprocess
@@ -5,9 +7,10 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import bibshift
+from bibshift.cli import run
 from bibshift.records import (
     CACHE_HEADER,
     BibRecord,
@@ -153,10 +156,8 @@ _nasty_text = st.text(
 )
 _nasty_word = st.text(
     alphabet=st.sampled_from(list("abZ9|\\;#") + ["é", "日"]), min_size=1, max_size=5)
-# export parsers never emit empty cited-ref strings, so the cache need not
-# round-trip a zero-length raw ref; the second arm draws the Web of Science
-# shape AUTHOR, YYYY, SOURCE[, Vn][, Pn][, DOI d], which the parser reads in
-# one match
+# the second arm draws the Web of Science shape
+# AUTHOR, YYYY, SOURCE[, Vn][, Pn][, DOI d], which the parser reads in one match
 _nasty_ref = st.one_of(
     st.text(
         alphabet=st.sampled_from(list("abZ9 \t\n\r|\\;,#") + ["é", "日"]),
@@ -174,9 +175,27 @@ _nasty_ref = st.one_of(
 )
 
 
-def _spellings(refs) -> dict:
-    """Each key's raw spelling, which key equality ignores, and its sort key."""
-    return {key: (key.raw, key.sort_key()) for key in refs}
+_CELL_ESCAPES = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r", "p": "|", "#": "#"}
+
+
+def _spellings(path) -> list[list[str]]:
+    """The reference spellings of each data line of a cache, in file order,
+    unescaped."""
+    # split on "\n" only: splitlines() also breaks a title at "\x85" or "\u2028"
+    lines = Path(path).read_text(encoding="utf-8").split("\n")[1:-1]
+    return [[re.sub(r"\\(.)", lambda m: _CELL_ESCAPES[m.group(1)], cell)
+             for cell in line.split("\t")[4].split("|") if cell]
+            for line in lines]
+
+
+def _canonical_spellings(corpus) -> list[list[str]]:
+    """What ``_spellings`` reads from a cache of ``corpus``: each record's
+    references spelled by ``RefKey.canonical`` (a blank key as " "), in the
+    order of their escaped cells."""
+    escapes = {text: "\\" + code for code, text in _CELL_ESCAPES.items()}
+    return [sorted((key.canonical() or " " for key in record.cited_refs),
+                   key=lambda s: "".join(escapes.get(c, c) for c in s))
+            for records in corpus.values() for record in records]
 
 
 class TestCacheRoundTrip:
@@ -204,6 +223,11 @@ class TestCacheRoundTrip:
             max_size=8,
         )
     )
+    # a blank string's key spells as "" and is written as a one-space cell;
+    # A| is written as the cell A\p, which sorts before A] as a cell but
+    # after it as text
+    @example([("t", Source.CITATION_INDEX, 1970, [" "])])
+    @example([("t", Source.CITATION_INDEX, 1970, ["a]", "a|", " "])])
     def test_arbitrary_field_content_survives(self, tmp_path_factory, rows):
         from bibshift.refkey import parse_cited_ref
 
@@ -233,8 +257,8 @@ class TestCacheRoundTrip:
             for rid, rec in original.items():
                 assert recovered[rid].title == rec.title
                 assert recovered[rid].cited_refs == rec.cited_refs
-                assert _spellings(recovered[rid].cited_refs) == _spellings(rec.cited_refs)
                 assert recovered[rid].source == rec.source
+        assert _spellings(path) == _canonical_spellings(corpus)
 
     def test_header_line_skipped_on_read(self, tmp_path):
         corpus = build_corpus([mkrec("a", refs=["X, 1960, J"], title="T", year=1970)])
@@ -272,7 +296,7 @@ class TestCacheReferenceSpellings:
     SPELLING_A = "Baltimore D, 1970, Nature, V226, P1209"
     SPELLING_B = "BALTIMORE  D,1970,NATURE,  V226 , P1209"
 
-    def test_repeated_and_respelled_refs_read_back_per_occurrence(self, tmp_path):
+    def test_repeated_and_respelled_refs_are_written_in_one_spelling(self, tmp_path):
         cited = {
             "a1": [self.SPELLING_A, "X, 1960, J"],
             "a2": [self.SPELLING_A, "X, 1960, J", "Y, 1961, K"],
@@ -285,14 +309,16 @@ class TestCacheReferenceSpellings:
         loaded = read_cache(path_a)
 
         assert loaded == records
-        for record in loaded:
-            assert sorted(k.raw for k in record.cited_refs) == sorted(cited[record.record_id])
+        baltimore = "BALTIMORE D, 1970, NATURE, V226, P1209"
+        assert _spellings(path_a) == [[baltimore, "X, 1960, J"],
+                                      [baltimore, "X, 1960, J", "Y, 1961, K"],
+                                      [baltimore, "X, 1960, J"], [baltimore]]
         write_cache(build_corpus(loaded), path_b)
         assert path_a.read_bytes() == path_b.read_bytes()
 
-    def test_same_canonical_spelling_orders_alike_under_any_hash_seed(self, tmp_path):
+    def test_references_order_alike_under_any_hash_seed(self, tmp_path):
         # "X, 1970" has year 1970; "X,,1970" has source "1970": unequal keys
-        # with one canonical spelling, so only the components can order them
+        # that spell differently, "X, 1970" and "X, , 1970"
         script = (
             "import sys\n"
             "from pathlib import Path\n"
@@ -311,6 +337,51 @@ class TestCacheReferenceSpellings:
             subprocess.run([sys.executable, "-c", script, str(path)], env=env, check=True)
             outputs.add(path.read_bytes())
         assert len(outputs) == 1
+        assert _spellings(path) == [["W, 1950", "X, , 1970", "X, 1970"]]
+
+    # A cache as written when each reference cell held the export's own
+    # spelling: lower case, doubled spaces, a DOI tail, "X,,1970", and a
+    # volume too long for int(). The header is the same.
+    LONG_REF = "smith j, 1960, nature, V" + "9" * 5000 + ", P1"
+    EXPORT_SPELLINGS = {
+        "p1": ["baltimore  d, 1970, nature, v226, p1209", "X, 1970", "X,,1970"],
+        "p2": ["Baltimore D, 1970, Nature, V226, P1209, DOI 10.1038/226209a0",
+               LONG_REF, "x, 1970"],
+        "p3": [LONG_REF, "Temin HM,1970,NATURE,V226", "X,,1970"],
+    }
+    EXPORT_SPELLING_CACHE = (
+        "# bibshift-cache v1: record_id\tsource\tyear\ttitle\tcited_refs\n"
+        "p1\tCITATION_INDEX\t1970\tvirus\t"
+        "baltimore  d, 1970, nature, v226, p1209|X, 1970|X,,1970\n"
+        "p2\tCITATION_INDEX\t1970\tvirus\t"
+        f"Baltimore D, 1970, Nature, V226, P1209, DOI 10.1038/226209a0|{LONG_REF}|x, 1970\n"
+        f"p3\tCITATION_INDEX\t1971\tvirus\t{LONG_REF}|Temin HM,1970,NATURE,V226|X,,1970\n"
+        "m1\tMEDLINE\t1971\ttumor\t\n"
+    )
+
+    def test_a_cache_of_export_spellings_reads_and_reports_as_its_rewrite(self, tmp_path):
+        old, new = tmp_path / "old.tsv", tmp_path / "new.tsv"
+        old.write_text(self.EXPORT_SPELLING_CACHE, encoding="utf-8")
+        records = read_cache(old)
+        assert {r.record_id: r.cited_refs for r in records} == {
+            **{rid: frozenset(map(parse_cited_ref, refs))
+               for rid, refs in self.EXPORT_SPELLINGS.items()},
+            "m1": frozenset()}
+        write_cache(build_corpus(records), new)
+        assert read_cache(new) == records
+        # the rewrite holds each key's canonical spelling, which reads back as it
+        rewritten = _spellings(new)
+        assert rewritten == _canonical_spellings(build_corpus(records))
+        assert all(parse_cited_ref(s).canonical() == s for line in rewritten for s in line)
+        reports = []
+        for cache in (old, new):
+            out = tmp_path / f"out-{cache.stem}"
+            for command in (["summary"], ["core-refs", "--thresholds", "1/1,2/2"]):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert run([*command, "--cache", str(cache), "--out-dir", str(out)]) == 0
+            reports.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert reports[0] == reports[1]
+        assert b"\tX, , 1970\n" in reports[0]["core_refs.tsv"]
 
 
 class TestCacheWithoutReferences:

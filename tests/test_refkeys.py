@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bibshift import refkey
@@ -21,10 +22,6 @@ _REF_ALPHABET = (list(",\t\u00a0\u2003\x1c VPvp") + list(string.digits)
                  + list("٣²ßİ") + list("AXj."))
 
 
-def _fields(key: RefKey) -> tuple:
-    return (key.author, key.year, key.source_abbrev, key.volume, key.first_page, key.raw)
-
-
 class TestParseCitedRef:
     def test_full_five_segment_string(self):
         key = parse_cited_ref("BALTIMORE D, 1970, NATURE, V226, P1209")
@@ -34,9 +31,14 @@ class TestParseCitedRef:
         assert key.volume == 226
         assert key.first_page == 1209
 
-    def test_raw_preserved_verbatim(self):
-        raw = "  baltimore d ,1970,  nature , V226, P1209 "
-        assert parse_cited_ref(raw).raw == raw
+    def test_spacing_and_case_normalized(self):
+        key = parse_cited_ref("  baltimore d ,1970,  nature , V226, P1209 ")
+        assert key == ("BALTIMORE D", 1970, "NATURE", 226, 1209)
+
+    def test_a_key_is_its_five_components_and_nothing_else(self):
+        key = parse_cited_ref("Baltimore D, 1970, Nature, V226, P1209, DOI 10.1/X")
+        assert type(key) is RefKey and len(key) == 5
+        assert not hasattr(key, "__dict__")
 
     def test_author_only(self):
         key = parse_cited_ref("ANON REPORT")
@@ -67,11 +69,10 @@ class TestParseCitedRef:
         key = parse_cited_ref("A, 1970, J ONE, J TWO")
         assert key.source_abbrev == "J ONE"
 
-    def test_unparseable_extra_segments_survive_in_raw_only(self):
-        raw = "A, 1970, J, V1, P2, DOI 10.1/xy"
-        key = parse_cited_ref(raw)
+    def test_unparseable_extra_segments_are_dropped(self):
+        key = parse_cited_ref("A, 1970, J, V1, P2, DOI 10.1/xy")
         assert key == parse_cited_ref("A, 1970, J, V1, P2")
-        assert key.raw == raw
+        assert key.canonical() == "A, 1970, J, V1, P2"
 
     def test_case_and_spacing_insensitive_equality(self):
         a = parse_cited_ref("Baltimore D, 1970, Nature, V226, P1209")
@@ -86,8 +87,8 @@ class TestParseCitedRef:
 
     def test_empty_string(self):
         key = parse_cited_ref("")
-        assert key.author == ""
-        assert key.raw == ""
+        assert key == RefKey("")
+        assert key.canonical() == ""
 
     def test_first_volume_and_page_win(self):
         key = parse_cited_ref("A, 1970, J, V1, V2, P3, P4")
@@ -111,38 +112,32 @@ class TestParseCitedRef:
     @example("SMITH J, 1960, NATURE, V" + "9" * 5000 + ", P1")
     def test_never_raises_on_long_digit_runs(self, raw):
         key = parse_cited_ref(raw)
-        assert _fields(key) == _fields(brute_parse_cited_ref(raw))
+        assert key == brute_parse_cited_ref(raw)
+        assert parse_cited_ref(key.canonical()) == key
 
-    def test_a_run_int_refuses_is_kept_only_in_raw(self):
+    def test_a_run_int_refuses_is_dropped(self):
         raw = "SMITH J, 1960, NATURE, V" + "9" * 5000 + ", P1"
         key = parse_cited_ref(raw)
-        assert (key.author, key.year, key.source_abbrev, key.volume, key.first_page) == (
-            "SMITH J", 1960, "NATURE", None, 1)
-        assert key.raw == raw
+        assert key == ("SMITH J", 1960, "NATURE", None, 1)
+        assert key.canonical() == "SMITH J, 1960, NATURE, P1"
         # a later volume segment that converts is taken
         assert parse_cited_ref(raw + ", V7").volume == 7
 
-    @given(
-        st.text(alphabet=string.ascii_uppercase + " .", min_size=1, max_size=20),
-        st.integers(min_value=1000, max_value=2999),
-        st.one_of(st.none(), st.text(alphabet=string.ascii_uppercase + " ", min_size=1, max_size=20)),
-        st.one_of(st.none(), st.integers(min_value=0, max_value=9999)),
-        st.one_of(st.none(), st.integers(min_value=0, max_value=9999)),
-    )
-    def test_reparsing_canonical_is_a_fixed_point(self, author, year, source, volume, page):
-        # the year segment anchors the positional scheme, so any dated key
-        # round-trips through its canonical spelling
-        parts = [author, str(year)]
-        if source is not None:
-            parts.append(source)
-        if volume is not None:
-            parts.append(f"V{volume}")
-        if page is not None:
-            parts.append(f"P{page}")
-        key = parse_cited_ref(", ".join(parts))
-        again = parse_cited_ref(key.canonical())
-        assert again == key
-        assert again.canonical() == key.canonical()
+    @settings(max_examples=300)
+    @given(st.lists(st.text(alphabet=st.sampled_from(_REF_ALPHABET), max_size=24), max_size=6))
+    @example(["X,,1970", "X, 1970", "X, , 1970"])
+    @example(["a, 0970, J", "A, 970, J", "A, , 0970, J"])
+    @example([", V12, 1970", "V12, , 1970, V12"])
+    @example([",", ", ,", ""])
+    @example(["A, 1970, J, V" + "1" * 19, "A, 1970, J, V" + "1" * 18])
+    @example(["baltimore  d,1970, nature, v226,p1209, doi 10.1038/226209a0"])
+    def test_reparsing_canonical_is_a_fixed_point(self, raws):
+        # any key comes back from its spelling, so distinct keys spell
+        # differently and the spelling alone orders keys
+        keys = set(map(parse_cited_ref, raws))
+        for key in keys:
+            assert parse_cited_ref(key.canonical()) == key
+        assert len({key.canonical() for key in keys}) == len(keys)
 
 
 class TestOneNormalizingPass:
@@ -154,7 +149,7 @@ class TestOneNormalizingPass:
     @example("\x1c,\u2003,\u00a0")
     @example("ß, 1970, İ")
     def test_every_field_matches_the_per_segment_parser(self, raw):
-        assert _fields(parse_cited_ref(raw)) == _fields(brute_parse_cited_ref(raw))
+        assert parse_cited_ref(raw) == brute_parse_cited_ref(raw)
 
     def test_normalizing_before_the_split_is_exact_on_every_code_point(self):
         # The three facts that make one pass over the whole string give the
@@ -262,23 +257,30 @@ class TestWosShapedMatch:
     @example(_SOURCE_IS_A_MARKER[1])
     def test_every_field_matches_the_per_segment_parser(self, raw):
         key = parse_cited_ref(raw)
-        assert _fields(key) == _fields(brute_parse_cited_ref(raw))
-        assert key.raw is raw
+        assert key == brute_parse_cited_ref(raw)
+        assert parse_cited_ref(key.canonical()) == key
 
 
 class TestCanonical:
-    def test_rebuilds_component_spelling(self):
-        key = parse_cited_ref("  baltimore d ,1970,  nature , V226, P1209 ")
-        assert key.canonical() == "BALTIMORE D, 1970, NATURE, V226, P1209"
+    # "X,,1970" has source 1970 and keeps an empty year segment; "X, 1970"
+    # has year 1970; a year below 1000 keeps four digits
+    @pytest.mark.parametrize("raw, spelling", [
+        ("  baltimore d ,1970,  nature , V226, P1209 ", "BALTIMORE D, 1970, NATURE, V226, P1209"),
+        ("X,,1970", "X, , 1970"),
+        ("X, 1970", "X, 1970"),
+        ("a, 0970, j", "A, 0970, J"),
+    ])
+    def test_rebuilds_component_spelling(self, raw, spelling):
+        assert parse_cited_ref(raw).canonical() == spelling
 
     def test_skips_absent_components(self):
         key = RefKey(author="SMITH A", year=1960, first_page=12)
         assert key.canonical() == "SMITH A, 1960, P12"
 
-    def test_equal_keys_share_sort_key(self):
+    def test_equal_keys_share_canonical(self):
         a = parse_cited_ref("Smith A, 1960, J Virol, V1, P10")
         b = parse_cited_ref("SMITH  A , 1960 , J  VIROL, V1, P10")
-        assert a.sort_key() == b.sort_key()
+        assert a.canonical() == b.canonical() == "SMITH A, 1960, J VIROL, V1, P10"
 
 
 class TestHash:
@@ -289,19 +291,17 @@ class TestHash:
         assert hash(key) == hash(
             (key.author, key.year, key.source_abbrev, key.volume, key.first_page))
 
-    def test_keys_differing_only_in_raw_hash_alike(self):
+    def test_keys_differing_only_in_spelling_hash_alike(self):
         a = parse_cited_ref("Baltimore D, 1970, Nature, V226, P1209")
         b = parse_cited_ref("BALTIMORE  D,1970,NATURE,V226,P1209")
-        assert a.raw != b.raw
         assert a == b and hash(a) == hash(b)
-        assert hash(RefKey(*a, raw="other")) == hash(a)
+        assert hash(RefKey(*a)) == hash(a)
 
-    def test_a_pickled_or_copied_key_keeps_its_spelling_and_order(self):
+    def test_a_pickled_or_copied_key_keeps_its_spelling(self):
         key = parse_cited_ref("Baltimore D, 1970, Nature, V226, P1209")
         for twin in (pickle.loads(pickle.dumps(key)), copy.copy(key)):
             assert type(twin) is RefKey and twin == key
-            assert twin.raw == "Baltimore D, 1970, Nature, V226, P1209"
-            assert twin.sort_key() == key.sort_key()
+            assert twin.canonical() == "BALTIMORE D, 1970, NATURE, V226, P1209"
 
     def test_an_unpickled_key_hashes_for_the_loading_process(self):
         # A str hash differs between hash seeds, so a key pickled under
@@ -317,4 +317,4 @@ class TestHash:
                               capture_output=True, timeout=120).stdout
         key = pickle.loads(data)
         assert key in {parse_cited_ref("x, 1960, j")}
-        assert key.raw == "X, 1960, J"
+        assert key == RefKey("X", 1960, "J")
