@@ -21,7 +21,9 @@ so a last line without one marks a cut file and is rejected. The cache is
 written through a temp file that replaces the old one only once complete
 (``write_text_atomic``); each distinct reference is spelled and escaped once
 per write. A reader that needs only titles can leave the reference column
-unparsed (``read_cache(path, refs=False)``).
+unparsed (``read_cache(path, refs=False)``). On read, each distinct year
+cell is checked once per call, and a line without a backslash holds no
+escape, so none of its cells is unescaped.
 """
 from __future__ import annotations
 
@@ -204,18 +206,21 @@ def read_cache(path: str | os.PathLike, refs: bool = True) -> list[BibRecord]:
     """Read records back from a cache file written by write_cache.
 
     Each distinct reference cell is parsed once per call; records that
-    repeat a spelling share its key. With ``refs`` false, for callers that
-    read only titles, every line is still split and its column count,
-    source, year and escapes checked, but the cited-reference column is
-    never parsed and every record's ``cited_refs`` is empty. Parsing a
-    reference never fails, so skipping the column rejects no cache that
-    reading it accepts. A file whose last line lacks its newline was cut
-    short and is rejected, and so is a year cell that is not a whole number
-    in 0-``MAX_YEAR`` and a cell holding an escape that ``write_cache``
-    never writes.
+    repeat a spelling share its key. Each distinct year cell is checked
+    and converted once per call. A line without a backslash is taken as
+    its own text: only a line that holds one has its cells unescaped. With
+    ``refs`` false, for callers that read only titles, every line is still
+    split and its column count, source, year and escapes checked, but the
+    cited-reference column is never parsed and every record's
+    ``cited_refs`` is empty. Parsing a reference never fails, so skipping
+    the column rejects no cache that reading it accepts. A file whose last
+    line lacks its newline was cut short and is rejected, and so is a year
+    cell that is not a whole number in 0-``MAX_YEAR`` and a cell holding an
+    escape that ``write_cache`` never writes.
     """
     records: list[BibRecord] = []
     keys: dict[str, RefKey] = {}  # escaped reference cell -> parsed key
+    years: dict[str, int] = {}  # year cell that passed the check -> its year
     with open(path, encoding="utf-8", newline="\n") as handle:
         if handle.readline().rstrip("\n") != CACHE_HEADER:
             raise ValueError(f"{path}:1: not a bibshift cache (the first line must be "
@@ -236,11 +241,16 @@ def read_cache(path: str | os.PathLike, refs: bool = True) -> list[BibRecord]:
             if source is None:
                 raise ValueError(f"{path}:{lineno}: unknown source {source_name!r} (want one "
                                  f"of {', '.join(Source.__members__)})")
-            # 1-4 ASCII digits, as ingest writes a year; int() alone would also
-            # take "1_970" or "+2000000", a year no export can hold.
-            if not (len(year_text) <= 4 and year_text.isascii() and year_text.isdigit()):
-                raise ValueError(f"{path}:{lineno}: year {year_text!r} is not a whole "
-                                 f"number in 0-{MAX_YEAR}")
+            year = years.get(year_text)
+            if year is None:
+                # 1-4 ASCII digits, as ingest writes a year; int() alone would
+                # also take "1_970" or "+2000000", a year no export can hold.
+                if not (len(year_text) <= 4 and year_text.isascii() and year_text.isdigit()):
+                    raise ValueError(f"{path}:{lineno}: year {year_text!r} is not a whole "
+                                     f"number in 0-{MAX_YEAR}")
+                year = years[year_text] = int(year_text)
+            # A line without a backslash holds no escape: each cell is its text.
+            escaped = "\\" in line
             try:
                 cited = NO_REFS
                 if refs and refs_cell:
@@ -250,13 +260,17 @@ def read_cache(path: str | os.PathLike, refs: bool = True) -> list[BibRecord]:
                             continue
                         key = keys.get(part)
                         if key is None:
-                            key = keys[part] = parse_cited_ref(_unescape(part))
+                            key = keys[part] = parse_cited_ref(
+                                _unescape(part) if escaped else part)
                         cited_keys.append(key)
                     cited = frozenset(cited_keys)
-                elif "\\" in refs_cell:
+                elif escaped:
                     _unescape(refs_cell)  # reject what reading the references would
-                records.append(BibRecord(_unescape(record_id), source, _unescape(title),
-                                         int(year_text), cited))
+                if escaped:
+                    record_id = _unescape(record_id)
+                    title = _unescape(title)
             except ValueError as exc:  # a bad escape
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
+            # tuple.__new__ skips the NamedTuple's Python-level __new__.
+            records.append(tuple.__new__(BibRecord, (record_id, source, title, year, cited)))
     return records

@@ -12,7 +12,7 @@ from typing import Optional
 
 from bibshift.cocitation import ThresholdPair
 from bibshift.ingest import MalformedRecord, MissingField, ParseResult
-from bibshift.records import BibRecord, Source
+from bibshift.records import CACHE_HEADER, BibRecord, Source
 from bibshift.refkey import RefKey
 
 
@@ -394,3 +394,72 @@ def brute_link_counts(medline, index) -> tuple[int, int, int]:
                  and norm(m.title) and norm(r.title) == norm(m.title)]
         counts[0 if len(found) == 1 else 1 if found else 2] += 1
     return tuple(counts)
+
+
+# The cache reader at its most literal: the whole file split on "\n", every
+# cell unescaped one character at a time, every year cell checked, and no
+# memo of any kind. CELL_ESCAPES maps each escape code to its character.
+CELL_ESCAPES = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r", "p": "|", "#": "#"}
+
+
+def _brute_unescape(cell: str) -> str:
+    out = []
+    i = 0
+    while i < len(cell):
+        if cell[i] != "\\":
+            out.append(cell[i])
+            i += 1
+            continue
+        escape = cell[i:i + 2]  # a lone trailing backslash included
+        code = escape[1:]
+        if code not in CELL_ESCAPES:
+            raise ValueError(f"bad escape {escape!r} (a cache escapes only "
+                             "backslash, tab, newline, carriage return, | and #)")
+        out.append(CELL_ESCAPES[code])
+        i += 2
+    return "".join(out)
+
+
+def brute_read_cache(path, refs: bool = True) -> list:
+    with open(path, encoding="utf-8", newline="\n") as handle:
+        lines = handle.read().split("\n")
+    if lines[0] != CACHE_HEADER:
+        raise ValueError(f"{path}:1: not a bibshift cache (the first line must be "
+                         f"{CACHE_HEADER!r})")
+    records = []
+    for lineno in range(2, len(lines) + 1):
+        line = lines[lineno - 1]
+        if lineno == len(lines):  # the text after the last newline
+            if line:
+                raise ValueError(f"{path}:{lineno}: truncated cache line (a cache file "
+                                 "ends with a newline; this one was cut short)")
+            break
+        if line == "" or line[0] == "#":
+            continue
+        cells = line.split("\t")
+        if len(cells) != 5:
+            raise ValueError(f"{path}:{lineno}: expected 5 cache columns, got {len(cells)}")
+        record_id, source_name, year_text, title, refs_cell = cells
+        if source_name not in [source.name for source in Source]:
+            raise ValueError(f"{path}:{lineno}: unknown source {source_name!r} (want one "
+                             f"of {', '.join(source.name for source in Source)})")
+        if not (1 <= len(year_text) <= 4 and all(c in "0123456789" for c in year_text)):
+            raise ValueError(f"{path}:{lineno}: year {year_text!r} is not a whole "
+                             "number in 0-9999")
+        try:
+            cited = []
+            if refs:
+                for part in refs_cell.split("|"):
+                    if part:
+                        cited.append(brute_parse_cited_ref(_brute_unescape(part)))
+            else:
+                _brute_unescape(refs_cell)
+            record = BibRecord(record_id=_brute_unescape(record_id),
+                               source=Source[source_name],
+                               title=_brute_unescape(title),
+                               pub_year=int(year_text),
+                               cited_refs=frozenset(cited))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+        records.append(record)
+    return records

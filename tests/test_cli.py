@@ -1113,26 +1113,37 @@ class TestBadCache:
                               f"{cache}:2: truncated cache line")
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("year", ["+2000000", "1_970", "10000", "-5", "", " 197", "١٩٧٠"])
-    def test_year_outside_0_to_9999_is_an_error(self, tmp_path, capsys, year):
-        cache = self.write(tmp_path, lambda text: text.replace("\t1970\t", f"\t{year}\t"))
+    @pytest.mark.parametrize("year, line", [
+        *(pytest.param(year, 2, id=year)
+          for year in ["+2000000", "1_970", "10000", "-5", "", " 197", "١٩٧٠"]),
+        # after a clean line whose year cell 1970 already passed the check
+        pytest.param("1_970", 3, id="1_970-line3"),
+    ])
+    def test_year_outside_0_to_9999_is_an_error(self, tmp_path, capsys, year, line):
+        if line == 2:
+            cache = self.write(tmp_path, lambda text: text.replace("\t1970\t", f"\t{year}\t"))
+        else:
+            cache = self.write(tmp_path, lambda text: text + f"b\tMEDLINE\t{year}\tvirus\t\n")
         assert run(["summary", *base_args(tmp_path, cache)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: cannot build corpus from {cache}: {cache}:2: "
+        assert err.startswith(f"error: cannot build corpus from {cache}: {cache}:{line}: "
                               f"year {year!r} is not a whole number in 0-9999")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", [["summary"], ["words", "--years", "1970:1971"]],
                              ids=["summary", "words"])
-    @pytest.mark.parametrize("edit", [
-        pytest.param(lambda text: text.replace("\tvirus\t", "\tvir\\qus\t"), id="title-q"),
-        pytest.param(lambda text: text.replace("\tvirus\t", "\tvirus\\\t"), id="title-lone"),
-        pytest.param(lambda text: text.replace("J\n", "J\\q\n"), id="refs-q"),
-        pytest.param(lambda text: text.replace("J\n", "J\\\n"), id="refs-lone"),
-        pytest.param(lambda text: text.replace("\na\t", "\n\\a\t"), id="id-a"),
+    @pytest.mark.parametrize("edit, line", [
+        pytest.param(lambda text: text.replace("\tvirus\t", "\tvir\\qus\t"), 2, id="title-q"),
+        pytest.param(lambda text: text.replace("\tvirus\t", "\tvirus\\\t"), 2, id="title-lone"),
+        pytest.param(lambda text: text.replace("J\n", "J\\q\n"), 2, id="refs-q"),
+        pytest.param(lambda text: text.replace("J\n", "J\\\n"), 2, id="refs-lone"),
+        pytest.param(lambda text: text.replace("\na\t", "\n\\a\t"), 2, id="id-a"),
+        # after a clean line with the same year, 1970
+        pytest.param(lambda text: text.replace("\t1971\ttumor\t", "\t1970\ttu\\qmor\t"), 3,
+                     id="title-q-line3"),
     ])
     def test_an_escape_the_cache_never_writes_is_an_error(self, tmp_path, capsys, command,
-                                                         edit):
+                                                         edit, line):
         # The refs column is checked too where it is never parsed (words).
         corpus = build_corpus([mkrec("a", refs=["X, 1960, J"], title="virus", year=1970),
                                mkrec("b", title="tumor", year=1971)])
@@ -1143,7 +1154,8 @@ class TestBadCache:
         assert cache.read_text(encoding="utf-8") != text
         assert run([*command, *base_args(tmp_path, cache)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: cannot build corpus from {cache}: {cache}:2: bad escape ")
+        assert err.startswith(f"error: cannot build corpus from {cache}: {cache}:{line}: "
+                              "bad escape ")
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 

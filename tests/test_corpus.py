@@ -23,6 +23,7 @@ from bibshift.records import (
 )
 from bibshift.refkey import parse_cited_ref
 from conftest import mkrec
+from oracles import CELL_ESCAPES, brute_read_cache
 
 
 class TestBibRecord:
@@ -175,15 +176,12 @@ _nasty_ref = st.one_of(
 )
 
 
-_CELL_ESCAPES = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r", "p": "|", "#": "#"}
-
-
 def _spellings(path) -> list[list[str]]:
     """The reference spellings of each data line of a cache, in file order,
     unescaped."""
     # split on "\n" only: splitlines() also breaks a title at "\x85" or "\u2028"
     lines = Path(path).read_text(encoding="utf-8").split("\n")[1:-1]
-    return [[re.sub(r"\\(.)", lambda m: _CELL_ESCAPES[m.group(1)], cell)
+    return [[re.sub(r"\\(.)", lambda m: CELL_ESCAPES[m.group(1)], cell)
              for cell in line.split("\t")[4].split("|") if cell]
             for line in lines]
 
@@ -192,7 +190,7 @@ def _canonical_spellings(corpus) -> list[list[str]]:
     """What ``_spellings`` reads from a cache of ``corpus``: each record's
     references spelled by ``RefKey.canonical`` (a blank key as " "), in the
     order of their escaped cells."""
-    escapes = {text: "\\" + code for code, text in _CELL_ESCAPES.items()}
+    escapes = {text: "\\" + code for code, text in CELL_ESCAPES.items()}
     return [sorted((key.canonical() or " " for key in record.cited_refs),
                    key=lambda s: "".join(escapes.get(c, c) for c in s))
             for records in corpus.values() for record in records]
@@ -456,6 +454,87 @@ class TestCacheCutShort:
         data = path.read_bytes()
         path.write_bytes(data[:data.rindex(b"\n", 0, -1) + 1])
         assert [r.pub_year for r in read_cache(path)] == [1970, 1971]
+
+
+# Cache text for the reader oracle. A cell is clean (no backslash) or holds
+# escapes; references are drawn from a small pool so that cells repeat, and
+# most year cells are 1970, so that a bad year follows a good one.
+_PLAIN = ["a", "Z", "9", " ", ",", "é", "日", "V1", "P2"]
+_ESCAPES = ["\\\\", "\\t", "\\n", "\\r", "\\p", "\\#"]
+_clean_cell = st.lists(st.sampled_from(_PLAIN), max_size=5).map("".join)
+_escaped_cell = st.tuples(
+    _clean_cell, st.sampled_from(_ESCAPES),
+    st.lists(st.sampled_from(_PLAIN + _ESCAPES), max_size=4).map("".join)).map("".join)
+_any_cell = _clean_cell | _escaped_cell
+_ref_pool = ["X, 1960, J", "GROSS L, 1957, CANCER RES, V17, P1", "A\\pB, 1960, J",
+             "TAB\\tBED, 1961, K, V2", "Y, 1965", " ", ""]
+
+
+def _data_line(cell):
+    return st.tuples(
+        cell,
+        st.sampled_from(["CITATION_INDEX", "MEDLINE"]),
+        st.sampled_from(["1970", "1970", "1970", "1971", "0", "9999", "0042"]),
+        cell,
+        st.lists(st.sampled_from(_ref_pool) | cell, max_size=4).map("|".join),
+    ).map("\t".join)
+
+
+_good_line = st.one_of(
+    _data_line(_clean_cell), _data_line(_escaped_cell), _data_line(_any_cell),
+    _clean_cell.map("#{}".format), st.just(""),  # a comment line, a blank line
+)
+
+
+@st.composite
+def _bad_line(draw):
+    """A data line with one or more cells spoilt in ways a reader rejects."""
+    cells = draw(_data_line(_any_cell)).split("\t")
+    for column in sorted(draw(st.lists(st.integers(0, 5), min_size=1, max_size=2,
+                                       unique=True))):
+        if column == 1:
+            cells[1] = draw(st.sampled_from(["BOGUS", "medline", ""]))
+        elif column == 2:
+            cells[2] = draw(st.sampled_from(["1_970", "01970", " 197", "10000", "", "+197",
+                                             "١٩٧٠"]))
+        elif column == 5:
+            cells.append("extra")
+        else:  # a bad escape; "\\|" reads as one escape only where refs go unparsed
+            cells[column] += draw(st.sampled_from(["\\q", "\\", "\\|X, 1960, J"]))
+    return "\t".join(cells)
+
+
+@st.composite
+def _cache_texts(draw):
+    lines = draw(st.lists(_good_line, max_size=6))
+    if draw(st.booleans()):
+        lines += [draw(_bad_line()), *draw(st.lists(_good_line, max_size=2))]
+    end = draw(st.sampled_from(["\n", "\n", "\n", ""]))  # at times a cut file
+    return "\n".join([CACHE_HEADER, *lines]) + end
+
+
+class TestCacheReaderOracle:
+    @staticmethod
+    def outcome(read, path, refs):
+        try:
+            return read(path, refs)
+        except ValueError as exc:
+            return str(exc)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_cache_texts())
+    @example(f"{CACHE_HEADER}\na\tMEDLINE\t1970\tt\t\nb\tMEDLINE\t1_970\tt\t\n")
+    @example(f"{CACHE_HEADER}\na\tMEDLINE\t1970\tt\t\nb\tMEDLINE\t1970\tt\\q\t\n")
+    @example(f"{CACHE_HEADER}\na\tCITATION_INDEX\t1970\tt\\q\tX, 1960, J\\|Y\n")
+    @example(f"{CACHE_HEADER}\n\n# note\na\tMEDLINE\t1970\tt\\p\t")
+    def test_read_cache_agrees_with_the_brute_reader(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("cache") / "c.tsv"
+        path.write_text(text, encoding="utf-8", newline="\n")
+        for refs in (True, False):
+            got = self.outcome(read_cache, path, refs)
+            assert got == self.outcome(brute_read_cache, path, refs)
+            if isinstance(got, list):
+                assert all(type(record) is BibRecord for record in got)
 
 
 class TestCacheWrite:
