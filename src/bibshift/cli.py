@@ -45,7 +45,6 @@ from .records import (
 )
 from .stability import GapTooLarge, NoDefinedPoints, groove_detect, rsi_series
 from .textmetrics import (
-    StopWordList,
     default_stopwords,
     load_stopwords,
     new_coword_pairs,
@@ -155,6 +154,13 @@ def _path(name: str, text: str) -> Path:
     return Path(text)
 
 
+def _header_path(name: str, text: str) -> Path:
+    if "\n" in text or "\r" in text:
+        raise CliError(f"{name} {text!r} must not hold a line break "
+                       "(it is written into the report header)")
+    return _path(name, text)
+
+
 # --head and --stem become part of report file names.
 _PATH_CHARS = frozenset({"/", "\\", os.sep, "\0"})
 # No character of a title word (a run of [^\W_]) case-folds to anything that
@@ -213,7 +219,7 @@ _SETTINGS = {
                             _min_percent, ("words", "cowords"), default=1.0, type=float),
     "min_cosine": _Setting("cosine floor for pairs (default {default})",
                            _min_cosine, ("cowords",), default=0.25, type=float),
-    "stopwords": _Setting("stop-word list file (default: built-in)", _path,
+    "stopwords": _Setting("stop-word list file (default: built-in)", _header_path,
                           ("words", "cowords"), text_only=True),
     "head": _Setting("leading word, e.g. reverse", _name_part, ("phrase",), text_only=True),
     "stem": _Setting("stem prefix of the following word, e.g. transcr", _name_part,
@@ -315,12 +321,16 @@ def _load_corpus(cfg: argparse.Namespace, full: bool = False, refs: bool = True)
             raise CliError(f"cannot build corpus from {cfg.cache}: {exc}") from exc
 
 
-def _load_stopwords(cfg: argparse.Namespace) -> StopWordList:
+def _load_stopwords(cfg: argparse.Namespace) -> frozenset[str]:
     if cfg.stopwords is None:
         return default_stopwords()
     with _user_file("read stop-word file", cfg.stopwords,
                     f"stop-word file not found: {cfg.stopwords}"):
         return load_stopwords(cfg.stopwords)
+
+
+def _stopwords_text(cfg: argparse.Namespace) -> str:
+    return "<builtin:en>" if cfg.stopwords is None else str(cfg.stopwords)
 
 
 def _years_text(corpus: Corpus) -> str:
@@ -416,7 +426,14 @@ def cmd_ingest(cfg: argparse.Namespace, outputs: list[_Output]) -> list[str]:
     index_result = _parse_export(cfg.index, parse_citation_index_export)
     medline_result = _parse_export(cfg.medline, parse_medline_export)
 
-    warnings = list(index_result.warnings) + list(medline_result.warnings)
+    warnings = []
+    for result in (index_result, medline_result):
+        warnings += [f"duplicate record id {old!r} renamed to {new!r}"
+                     for old, new in result.renamed]
+        if result.dropped:
+            warnings.append(f"dropped {result.dropped} duplicate record(s), each equal in "
+                            "every field to an earlier record of its id, or id-less and "
+                            "equal to an earlier id-less record but for its anon id")
     for missing in index_result.missing + medline_result.missing:
         warnings.append(f"record {missing.record_id} missing field {missing.field}")
 
@@ -514,7 +531,7 @@ def cmd_words(cfg: argparse.Namespace, outputs: list[_Output]) -> None:
         ("command", "words"),
         ("years", f"{former}:{later}"),
         ("min_percent", str(cfg.min_percent)),
-        ("stopwords", stop.source_path),
+        ("stopwords", _stopwords_text(cfg)),
     ]
     _report(cfg, f"words_{former}-{later}.tsv",
             reports.words_table(per_source, config), outputs)
@@ -534,7 +551,7 @@ def cmd_cowords(cfg: argparse.Namespace, outputs: list[_Output]) -> None:
         ("years", f"{former}:{later}"),
         ("min_percent", str(cfg.min_percent)),
         ("min_cosine", str(cfg.min_cosine)),
-        ("stopwords", stop.source_path),
+        ("stopwords", _stopwords_text(cfg)),
     ]
     _report(cfg, f"cowords_{former}-{later}.tsv",
             reports.cowords_table(per_source, config), outputs)

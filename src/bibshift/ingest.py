@@ -22,11 +22,11 @@ Both parsers keep records that lack a title or year and report them as
 MissingField entries instead of dropping them; structurally broken input
 raises MalformedRecord with the offending line number. Within one file, a
 record equal in every field to an earlier record of its id is dropped with
-its missing-field entries (one warning counts the drops), and one that
-differs gets the id suffix ``#2``, ``#3``, ... with a warning each. An
-id-less record gets the id ``anon:N``, N numbering its block, and is
-dropped the same way when it equals an earlier id-less record but for
-that id.
+its missing-field entries (and counted), and one that differs gets the id
+suffix ``#2``, ``#3``, ... (and is listed as renamed). An id-less record
+gets the id ``anon:N``, N numbering its block, and is dropped the same way
+when it equals an earlier id-less record but for that id. The parsers
+return what they found; ``cli`` words it as warnings.
 
 A citation-index line that starts with three spaces is a continuation
 line; any other line is stripped of its line end and matched against the
@@ -76,11 +76,12 @@ class MissingField(NamedTuple):
 
 class ParseResult(SimpleNamespace):
     """What a parser found, filled in as it reads: the records, their
-    missing fields, warnings, and the number of records ``dropped`` as
-    exact duplicates of an earlier one. Equal when every field is."""
+    missing fields, the ``(old_id, new_id)`` pair of each record
+    ``renamed``, and the number of records ``dropped`` as exact duplicates
+    of an earlier one. Equal when every field is."""
 
     def __init__(self) -> None:
-        super().__init__(records=[], missing=[], warnings=[], dropped=0)
+        super().__init__(records=[], missing=[], renamed=[], dropped=0)
 
 
 def parse_citation_index_export(stream: Iterable[str]) -> ParseResult:
@@ -125,7 +126,6 @@ def parse_citation_index_export(stream: Iterable[str]) -> ParseResult:
 
     if fields:
         raise MalformedRecord(last_field_line, "record block without end-of-record tag")
-    _note_dropped(result)
     return result
 
 
@@ -185,7 +185,6 @@ def parse_medline_export(stream: Iterable[str]) -> ParseResult:
 
     if fields:
         _finish_record(fields, result, seen, Source.MEDLINE, "PMID", "DP")
-    _note_dropped(result)
     return result
 
 
@@ -230,7 +229,7 @@ def _finish_record(fields: dict[str, list[str]], result: ParseResult,
     else:
         seen[record_id] = same_id = (*same_id, record)
         new_id = f"{record_id}#{len(same_id)}"
-        result.warnings.append(f"duplicate record id {record_id!r} renamed to {new_id!r}")
+        result.renamed.append((record_id, new_id))
         record = record._replace(record_id=new_id)
     result.records.append(record)
 
@@ -239,13 +238,6 @@ def _parse_year(text: str) -> Optional[int]:
     # isdecimal() is exactly the \d of a str pattern; "" is not decimal
     digits = text.strip()[:4]
     return int(digits) if len(digits) == 4 and digits.isdecimal() else None
-
-
-def _note_dropped(result: ParseResult) -> None:
-    if result.dropped:
-        result.warnings.append(f"dropped {result.dropped} duplicate record(s), each equal "
-                               "in every field to an earlier record of its id, or id-less "
-                               "and equal to an earlier id-less record but for its anon id")
 
 
 # ── record linkage ────────────────────────────────────────────────────────────

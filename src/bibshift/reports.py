@@ -6,9 +6,11 @@ column header and data rows. Emitters are pure string builders with fully
 specified orderings, so a report is byte-identical across runs and worker
 counts.
 
-The combined RSI matrix mirrors the shape of a printed stability table:
-one row per threshold pair, one column per year interval, each cell
-``shared/RSI`` with undefined intervals shown as ``-/-``.
+The analyses return values, and this module words them: an RSI reads as
+two decimals with halves rounded up (``rsi_text``), or ``-/-`` when
+undefined. The combined RSI matrix mirrors the shape of a printed
+stability table: one row per threshold pair, one column per year
+interval, each cell ``shared/RSI``, or ``-/-`` for an undefined interval.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from typing import Optional, Sequence
 from .cocitation import CoreRefSet, ThresholdPair
 from .records import Corpus, Source, write_text_atomic
 from .refkey import RefKey
-from .stability import GrooveReport, RsiSeries, format_cell, format_rsi
+from .stability import GrooveReport, RsiSeries
 from .textmetrics import CoWordPair, PhrasePoint, TermStats
 
 ConfigPairs = Sequence[tuple[str, str]]
@@ -29,6 +31,15 @@ def fraction_text(value: Optional[Fraction]) -> str:
     if value is None:
         return "-/-"
     return f"{value.numerator}/{value.denominator}"
+
+
+def rsi_text(value: Optional[Fraction]) -> str:
+    """Two decimals, halves rounded up, in whole hundredths; ``-/-`` when
+    undefined."""
+    if value is None:
+        return "-/-"
+    hundredths = (200 * value.numerator + value.denominator) // (2 * value.denominator)
+    return f"{hundredths // 100}.{hundredths % 100:02d}"
 
 
 def percent_text(value: float) -> str:
@@ -119,7 +130,7 @@ def rsi_long_table(series: RsiSeries, config: ConfigPairs) -> str:
             p.n_later,
             p.shared,
             fraction_text(p.rsi),
-            format_rsi(p.rsi) if p.defined else "-/-",
+            rsi_text(p.rsi),
         ]
         for p in series.points
     ]
@@ -140,7 +151,8 @@ def rsi_matrix(series_list: Sequence[RsiSeries], groove: GrooveReport,
     intervals = [p.interval for p in series_list[0].points]
     columns = ["thresholds"] + [_interval_text(iv) for iv in intervals]
     rows = [
-        [str(series.thresholds)] + [format_cell(p) for p in series.points]
+        [str(series.thresholds)]
+        + [f"{p.shared}/{rsi_text(p.rsi)}" if p.defined else "-/-" for p in series.points]
         for series in series_list
     ]
     text = render_table(config, columns, rows)
@@ -150,7 +162,7 @@ def rsi_matrix(series_list: Sequence[RsiSeries], groove: GrooveReport,
         [
             str(m.thresholds),
             fraction_text(m.value),
-            format_rsi(m.value),
+            rsi_text(m.value),
             ",".join(_interval_text(iv) for iv in m.intervals),
         ]
         for m in groove.minima

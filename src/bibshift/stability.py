@@ -2,11 +2,11 @@
 
 RSI compares the core-reference sets of two years: shared members divided
 by the union size (shared / (n_former + n_later - shared)). When either
-core set is empty the index is undefined, distinct from 0.0, and renders
-as "-/-". Values are kept as exact fractions; rounding to two decimals
-(half-up) happens only in reports. A series compares the core sets it is
-given, one per consecutive year under one threshold pair, as
-``cocitation.core_sets`` returns them; this module counts no citations.
+core set is empty the index is undefined (``None``), distinct from 0.
+Values are exact fractions: this module computes them, and ``reports``
+rounds and renders them. A series compares the core sets it is given, one
+per consecutive year under one threshold pair, as ``cocitation.core_sets``
+returns them; this module counts no citations.
 
 A "groove" is a pronounced dip: per series, the interval(s) attaining the
 minimal defined RSI. When every series in a set bottoms out at a common
@@ -136,25 +136,3 @@ def groove_detect(series_set: list[RsiSeries]) -> GrooveReport:
     for m in minima[1:]:
         shared &= set(m.intervals)
     return GrooveReport(minima=minima, consensus=tuple(sorted(shared)))
-
-
-def round_half_up_2dp(value: Fraction) -> Fraction:
-    """Round to 2 decimals, halves away from zero-point-zero-zero-five up."""
-    scaled = value * 100
-    return Fraction((2 * scaled.numerator + scaled.denominator)
-                    // (2 * scaled.denominator), 100)
-
-
-def format_rsi(value: Optional[Fraction]) -> str:
-    """Two-decimal rendering; undefined renders as '-'."""
-    if value is None:
-        return "-"
-    rounded = round_half_up_2dp(value)
-    return f"{rounded.numerator / rounded.denominator:.2f}"
-
-
-def format_cell(point: RsiPoint) -> str:
-    """Matrix cell 'shared/RSI', e.g. '8/0.22'; undefined renders '-/-'."""
-    if not point.defined:
-        return "-/-"
-    return f"{point.shared}/{format_rsi(point.rsi)}"

@@ -5,7 +5,8 @@ co-word pairs scored by cosine, and stem-anchored phrase trends.
 analyses and for ``ingest``'s record linkage alike: a title's words are its
 runs of letters and digits (``str.isalnum``; ``_`` and all else split), each
 case-folded on its own. ``tokenize_title`` drops pure-digit and
-single-character words plus stop words. Counting is binary per record: a
+single-character words plus stop words; a stop-word list is the
+``frozenset`` of its case-folded words. Counting is binary per record: a
 title contributes at most 1 to a term's document frequency no matter how
 often it repeats the word. Percent values use the number of the year's
 records as denominator, including records whose titles tokenize to nothing.
@@ -45,11 +46,6 @@ _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 _ASCII_PUNCT_TO_SPACE = {c: chr(c) if chr(c).isalnum() else " " for c in range(128)}
 
 
-class StopWordList(NamedTuple):
-    words: frozenset[str]  # stored case-folded
-    source_path: str
-
-
 class TermStats(NamedTuple):
     term: str
     doc_freq: int
@@ -70,25 +66,25 @@ class PhrasePoint(NamedTuple):
     percent: float
 
 
-def parse_stopwords(lines, source_path: str) -> StopWordList:
+def parse_stopwords(lines) -> frozenset[str]:
     words = set()
     for line in lines:
         token = line.strip()
         if not token or token.startswith("#"):
             continue
         words.add(token.casefold())
-    return StopWordList(words=frozenset(words), source_path=source_path)
+    return frozenset(words)
 
 
-def load_stopwords(path) -> StopWordList:
+def load_stopwords(path) -> frozenset[str]:
     # utf-8-sig drops the byte-order mark that starts some saved lists.
     with open(path, encoding="utf-8-sig") as fh:
-        return parse_stopwords(fh, source_path=str(path))
+        return parse_stopwords(fh)
 
 
-def default_stopwords() -> StopWordList:
+def default_stopwords() -> frozenset[str]:
     with open(Path(__file__).parent / "data" / "stopwords_en.txt", encoding="utf-8") as fh:
-        return parse_stopwords(fh, source_path="<builtin:en>")
+        return parse_stopwords(fh)
 
 
 def title_token_sequence(title: str) -> tuple[str, ...]:
@@ -98,14 +94,13 @@ def title_token_sequence(title: str) -> tuple[str, ...]:
     return tuple(map(str.casefold, _TOKEN_RE.findall(title)))
 
 
-def tokenize_title(title: str, stop: StopWordList) -> frozenset[str]:
+def tokenize_title(title: str, stop: frozenset[str]) -> frozenset[str]:
     """Distinct analysis tokens of one title."""
-    # casefold is idempotent, so folded tokens go to stop.words directly;
+    # casefold is idempotent, so folded tokens go to stop directly;
     # isdecimal() is exactly a full match of \d+ (isdigit() also takes "²").
-    words = stop.words
     return frozenset(
         token for token in title_token_sequence(title)
-        if len(token) > 1 and not token.isdecimal() and token not in words
+        if len(token) > 1 and not token.isdecimal() and token not in stop
     )
 
 
@@ -115,7 +110,7 @@ def _term_pairs(token_sets):
 
 
 def new_terms(
-    former: Sequence[BibRecord], later: Sequence[BibRecord], stop: StopWordList,
+    former: Sequence[BibRecord], later: Sequence[BibRecord], stop: frozenset[str],
     min_percent: float,
 ) -> list[TermStats]:
     """Terms of the later year's records absent from the former year's, at
@@ -140,7 +135,7 @@ def new_terms(
 def new_coword_pairs(
     former: Sequence[BibRecord],
     later: Sequence[BibRecord],
-    stop: StopWordList,
+    stop: frozenset[str],
     min_cosine: float,
     min_percent: float,
 ) -> list[CoWordPair]:
@@ -150,7 +145,7 @@ def new_coword_pairs(
     if min_percent < 0:
         raise ValueError(f"min_percent must be >= 0, got {min_percent}")
     if not 0 <= min_cosine <= 1:
-        raise ValueError(f"min_cosine must be in [0,1], got {min_cosine}")
+        raise ValueError(f"min_cosine must be in [0, 1], got {min_cosine}")
     total = len(later)
     later_sets = [tokenize_title(record.title, stop) for record in later]
     df = Counter(chain.from_iterable(later_sets))

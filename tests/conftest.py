@@ -6,7 +6,7 @@ from bibshift.cocitation import CoreRefSet, ThresholdPair, cocitation_counts, co
 from bibshift.records import BibRecord, Source, build_corpus
 from bibshift.refkey import RefKey, parse_cited_ref
 from bibshift.stability import rsi_series
-from bibshift.textmetrics import StopWordList, TermStats, new_coword_pairs, new_terms
+from bibshift.textmetrics import TermStats, new_coword_pairs, new_terms
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -51,14 +51,14 @@ def slice_core(sl, thresholds: ThresholdPair) -> CoreRefSet:
     return core
 
 
-def term_stats(sl, stop: StopWordList) -> list[TermStats]:
+def term_stats(sl, stop: frozenset[str]) -> list[TermStats]:
     """Every term of ``sl`` (one year's records) with its document
     frequency: its new terms against an empty former year, with no percent
     floor."""
     return new_terms((), sl, stop, 0.0)
 
 
-def coword_pairs(sl, stop: StopWordList, min_cosine: float):
+def coword_pairs(sl, stop: frozenset[str], min_cosine: float):
     """Every co-word pair of ``sl`` (one year's records) at ``min_cosine``:
     its new pairs against an empty former year, with no percent floor."""
     return new_coword_pairs((), sl, stop, min_cosine, 0.0)
@@ -97,8 +97,8 @@ S2_TITLES = (
 
 
 @pytest.fixture
-def s2_stop() -> StopWordList:
-    return StopWordList(words=frozenset({"of", "in"}), source_path="<test>")
+def s2_stop() -> frozenset[str]:
+    return frozenset({"of", "in"})
 
 
 @pytest.fixture

@@ -369,15 +369,9 @@ def _brute_unique_ids(blocks) -> ParseResult:
         distinct = [r for j, r in enumerate(earlier) if r not in earlier[:j]]
         if distinct:
             new_id = f"{record.record_id}#{len(distinct) + 1}"
-            result.warnings.append(
-                f"duplicate record id {record.record_id!r} renamed to {new_id!r}"
-            )
+            result.renamed.append((record.record_id, new_id))
             record = record._replace(record_id=new_id)
         result.records.append(record)
-    if result.dropped:
-        result.warnings.append(f"dropped {result.dropped} duplicate record(s), each equal "
-                               "in every field to an earlier record of its id, or id-less "
-                               "and equal to an earlier id-less record but for its anon id")
     return result
 
 

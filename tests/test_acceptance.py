@@ -14,10 +14,9 @@ from bibshift.cli import run
 from bibshift.cocitation import CoreRefSet, ThresholdPair, citation_counts
 from bibshift.records import build_corpus
 from bibshift.refkey import parse_cited_ref
-from bibshift.reports import rsi_matrix
-from bibshift.stability import format_rsi, groove_detect, rsi
+from bibshift.reports import rsi_matrix, rsi_text
+from bibshift.stability import groove_detect, rsi
 from bibshift.textmetrics import (
-    StopWordList,
     new_coword_pairs,
     new_terms,
     phrase_trend,
@@ -43,7 +42,7 @@ from oracles import (
     brute_new_terms,
 )
 
-EMPTY_STOP = StopWordList(words=frozenset(), source_path="<none>")
+EMPTY_STOP = frozenset()
 FOUR_THRESHOLDS = tuple(
     ThresholdPair.parse(text) for text in ("15/11", "15/8", "11/9", "10/8")
 )
@@ -95,7 +94,7 @@ def test_criterion_01_table_cells_reproduced():
         n_former, n_later = int(row["n_former"]), int(row["n_later"])
         shared = 0 if row["shared"] == "-" else int(row["shared"])
         point = rsi(*make_cores(n_former, n_later, shared))
-        computed = format_rsi(point.rsi) if point.defined else "-/-"
+        computed = rsi_text(point.rsi)
         where = (row["table"], row["thresholds"], row["former_year"], row["later_year"])
         if computed != row["expected_rsi"]:
             problems.append(f"{where}: computed {computed} != {row['expected_rsi']}")
@@ -117,7 +116,7 @@ def test_criterion_01_table_cells_reproduced():
     spot = {(8, 3, 2): "0.22", (16, 32, 10): "0.26", (46, 80, 8): "0.07",
             (29, 72, 6): "0.06", (6, 11, 5): "0.42"}
     for (nf, nl, sh), expected in spot.items():
-        got = format_rsi(rsi(*make_cores(nf, nl, sh)).rsi)
+        got = rsi_text(rsi(*make_cores(nf, nl, sh)).rsi)
         if got != expected:
             problems.append(f"spot cell {nf},{nl},{sh}: {got} != {expected}")
 
@@ -235,7 +234,7 @@ def test_criterion_05_groove_consensus_interval():
     for minimum in groove.minima:
         if minimum.intervals != ((1970, 1972),):
             problems.append(f"{minimum.thresholds} dips at {minimum.intervals}")
-        if format_rsi(minimum.value) != "0.07":
+        if rsi_text(minimum.value) != "0.07":
             problems.append(f"{minimum.thresholds} minimum {minimum.value}, want 1/15")
     if not groove.consensus:
         problems.append("no consensus flagged")
@@ -364,7 +363,7 @@ def test_criterion_09_text_metrics_match_brute_force():
         mkrec("T1", title="AVIAN TUMOR VIRUS STUDIES", year=1971),
         mkrec("T2", title="REVERSE TRANSCRIPTION IN MICE", year=1971),
     ])[1971]
-    s2_stop = StopWordList(words=frozenset({"of", "in"}), source_path="<s2>")
+    s2_stop = frozenset({"of", "in"})
     s2_df = {s.term: s.doc_freq for s in term_stats(s2, s2_stop)}
     if s2_df != brute_doc_freq(s2, {"of", "in"}):
         problems.append("fixture slice: doc frequencies diverge from oracle")
@@ -372,7 +371,7 @@ def test_criterion_09_text_metrics_match_brute_force():
     rng = random.Random(97146)
     for case in range(500):
         stop_words = set(rng.sample(["of", "in", "the"], rng.randint(0, 3)))
-        stop = StopWordList(words=frozenset(stop_words), source_path="<rng>")
+        stop = frozenset(stop_words)
         former = random_text_slice(rng, 1970)
         later = random_text_slice(rng, 1971)
         min_cosine = rng.choice([0.0, 0.25, 0.5])

@@ -35,7 +35,7 @@ from bibshift.records import (
     write_cache,
 )
 from bibshift.refkey import RefKey
-from bibshift.stability import RsiPoint, format_cell
+from bibshift.stability import RsiPoint
 from bibshift.textmetrics import default_stopwords
 from conftest import (
     index_export_text,
@@ -61,6 +61,10 @@ POOLS = {
     1971: ["KAPLAN A, 1950, J ONE, V1, P1", "LODGE B, 1951, J TWO, V2, P2"],
     1972: ["NOVAK C, 1952, J SIX, V3, P3", "OKADA D, 1953, J TEN, V4, P4"],
 }
+
+DROPPED = ("dropped {} duplicate record(s), each equal in every field to an earlier "
+           "record of its id, or id-less and equal to an earlier id-less record but "
+           "for its anon id")
 
 TITLES = {
     1970: ["virus growth study", "tumor virus assay", "virus culture notes"],
@@ -243,9 +247,7 @@ class TestIngest:
                 "--medline", str(tmp_path / f"{copies}medline.txt"), *base_args(out, cache)])
             assert code == 0
             assert _run_quietly(["summary", *base_args(out, cache)]) == (0, "")
-        dropped = "dropped 9 duplicate record(s), each equal in every field to an " \
-                  "earlier record of its id, or id-less and equal to an earlier id-less " \
-                  "record but for its anon id"
+        dropped = DROPPED.format(9)
         assert err == f"warning: {dropped}\n" * 2
         single, doubled = _reports(outs[1] / "out"), _reports(outs[2] / "out")
         assert doubled["summary.tsv"] == single["summary.tsv"]
@@ -396,6 +398,7 @@ class TestWords:
         assert run(["words", *base_args(tmp_path, cache),
                     "--years", "1971:1972", "--min-percent", "1.0"]) == 0
         text = (tmp_path / "out" / "words_1971-1972.tsv").read_text(encoding="utf-8")
+        assert "# stopwords=<builtin:en>\n" in text
         assert "reverse\t" in text
         assert "virus\t" not in text  # seen in 1971 via citation-index titles
 
@@ -425,7 +428,31 @@ class TestWords:
         assert run(["words", *base_args(tmp_path, cache),
                     "--years", "1971:1972", "--stopwords", str(stop)]) == 0
         text = (tmp_path / "out" / "words_1971-1972.tsv").read_text(encoding="utf-8")
+        assert f"# stopwords={stop}\n" in text
         assert "reverse" not in text.replace(f"# stopwords={stop}", "")
+
+    @pytest.mark.parametrize("command", ["words", "cowords"])
+    @pytest.mark.parametrize("line_break", ["\n", "\r"], ids=["LF", "CR"])
+    @pytest.mark.parametrize("given_by", ["flag", "config"])
+    def test_a_line_break_in_the_stopword_path_is_an_error(self, tmp_path, command,
+                                                          line_break, given_by):
+        # The path is written into the report header, where a line break
+        # would end the header line early.
+        cache = ingest(tmp_path)
+        stop = tmp_path / f"stop{line_break}words.txt"
+        stop.write_text("reverse\n", encoding="utf-8")
+        argv = [command, *base_args(tmp_path, cache), "--years", "1971:1972"]
+        if given_by == "flag":
+            argv += ["--stopwords", str(stop)]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"stopwords": str(stop)}), encoding="utf-8")
+            argv += ["--config", str(config)]
+        reports_before = _reports(tmp_path / "out")
+        assert _run_quietly(argv) == (
+            1, f"error: stopwords {str(stop)!r} must not hold a line break "
+               "(it is written into the report header)\n")
+        assert _reports(tmp_path / "out") == reports_before
 
     def test_a_byte_order_mark_in_the_stopword_file_is_ignored(self, tmp_path):
         cache = ingest(tmp_path)
@@ -732,7 +759,9 @@ class TestReferenceReportsMatchOracle:
                 assert rows[0] == ["thresholds"] + [f"{p.former_year}/{p.later_year}"
                                                     for p in by_t[thresholds[0]]]
                 assert rows[1:1 + len(thresholds)] == [
-                    [str(t)] + [format_cell(p) for p in by_t[t]] for t in thresholds]
+                    [str(t)] + [f"{p.shared}/{brute_rsi_2dp(p.rsi)}" if p.defined else "-/-"
+                                for p in by_t[t]]
+                    for t in thresholds]
                 assert lines[lines.index(self.GROOVE):] == self.groove_block(
                     [by_t[t] for t in thresholds], thresholds)
 
@@ -801,7 +830,7 @@ class TestTitleAndSummaryReportsMatchOracle:
                    for i, (year, source, title, refs) in enumerate(rows)]
         raw_refs = {i: refs if source is Source.CITATION_INDEX else []
                     for i, (_, source, _, refs) in enumerate(rows)}
-        stop = set(default_stopwords().words)
+        stop = set(default_stopwords())
         with tempfile.TemporaryDirectory() as tmp:
             cache, out = Path(tmp) / "c.tsv", Path(tmp) / "out"
             write_cache(build_corpus(records), cache)
@@ -927,6 +956,12 @@ class TestIngestReportMatchesOracle:
                (("3", 1970, "tumor-assay"), [])],
               [("7", 1970, "VIRUS growth."), ("8", 1970, "Tumor  assay"), ("9", 1971, "Enzyme")],
               None))
+    # each file with a rename, a dropped copy and a missing field
+    @example(([(("1", 1970, "Virus growth"), []), (("1", 1970, "Virus growth"), []),
+               (("1", 1970, "Tumor assay"), []), (("2", None, "Enzyme"), [])],
+              [("7", 1970, "Enzyme"), ("7", 1970, "Enzyme"), ("7", 1971, "Enzyme"),
+               ("8", 1970, None)],
+              None))
     def test_ingest_report_matches_brute_force(self, case):
         index_rows, medline_rows, years = case
         index_text = _export_text(index_rows, "UT ", ("TI ", "PY "), "", "ER")
@@ -959,9 +994,15 @@ class TestIngestReportMatchesOracle:
             lines = (root / "out" / "ingest_report.tsv").read_text(
                 encoding="utf-8").splitlines()
 
-        warnings = index.warnings + medline.warnings + [
-            f"record {m.record_id} missing field {m.field}"
-            for m in index.missing + medline.missing]
+        # Per file its renames, then its drop count; then every missing field.
+        warnings = []
+        for result in (index, medline):
+            warnings += [f"duplicate record id {old!r} renamed to {new!r}"
+                         for old, new in result.renamed]
+            if result.dropped:
+                warnings.append(DROPPED.format(result.dropped))
+        warnings += [f"record {m.record_id} missing field {m.field}"
+                     for m in index.missing + medline.missing]
         assert err.splitlines() == [f"warning: {w}" for w in warnings]
         if medline_rows is None:
             coverage = "not applicable"

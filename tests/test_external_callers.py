@@ -3,8 +3,8 @@ example, the tables of functions the benchmark's tracer wraps, and the
 names through which ``ingest`` and the title commands reach the layers the
 tracer times. Also guards that every public name in ``src/`` has one of
 these callers or a caller in ``src/``, that the commands call every
-function the tracer wraps, and that no module imports a name it never
-reads."""
+function the tracer wraps, that no module imports a name it never reads,
+and that ``reports`` imports only classes from the analyses."""
 import ast
 import contextlib
 import io
@@ -181,6 +181,43 @@ def test_the_unused_import_guard_sees_each_kind_of_import():
                      "import os.path\nimport re as regex\nfrom a import b, c as d\n"
                      "from e import f\nf(os)\n")
     assert _unused_imports(tree) == ["regex (line 3)", "b (line 4)", "d (line 4)"]
+
+
+def _non_class_imports(tree: ast.Module, siblings: dict[str, ast.Module]) -> list[str]:
+    """Each name ``tree`` imports from a sibling module in ``siblings`` that
+    is not a class there, as ``module.name``; a sibling imported whole is
+    listed by its name, since every name of it is then in reach."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom) or node.level != 1:
+            continue
+        if node.module is None:  # from . import module
+            found += [alias.name for alias in node.names if alias.name in siblings]
+        elif node.module in siblings:
+            classes = {n.name for n in siblings[node.module].body if isinstance(n, ast.ClassDef)}
+            found += [f"{node.module}.{alias.name}" for alias in node.names
+                      if alias.name not in classes]
+    return found
+
+
+def test_reports_imports_only_classes_from_the_analyses():
+    """The analyses return values and ``reports`` words them: a function
+    ``reports`` took from ``stability`` or ``textmetrics`` would be report
+    text written outside ``reports``."""
+    def parse(name: str) -> ast.Module:
+        return ast.parse((ROOT / "src" / "bibshift" / f"{name}.py").read_text(encoding="utf-8"))
+
+    siblings = {name: parse(name) for name in ("stability", "textmetrics")}
+    assert _non_class_imports(parse("reports"), siblings) == []
+
+
+def test_the_class_import_guard_sees_each_kind_of_name():
+    siblings = {"stability": ast.parse("class A:\n    pass\ndef f():\n    pass\nB = 1\n"),
+                "textmetrics": ast.parse("class C:\n    pass\n")}
+    tree = ast.parse("from .stability import A, f, B as b\nfrom .textmetrics import C\n"
+                     "from .records import g\nfrom stability import f\n"
+                     "from . import textmetrics, records\n")
+    assert _non_class_imports(tree, siblings) == ["stability.f", "stability.B", "textmetrics"]
 
 
 def _counting(calls: dict[str, int], label: str, original):

@@ -30,7 +30,7 @@ class TestCitationIndexParser:
             result = parse_citation_index_export(fh)
         assert [r.record_id for r in result.records] == ["IDX:0001", "IDX:0002", "IDX:0003"]
         assert [len(r.cited_refs) for r in result.records] == [2, 0, 5]
-        assert result.missing == [] and result.warnings == []
+        assert result.missing == [] and result.renamed == []
 
     def test_fixture_years_and_sources(self, data_dir):
         with open(data_dir / "citation_index_3records.txt", encoding="utf-8") as fh:
@@ -52,7 +52,7 @@ class TestCitationIndexParser:
     def test_empty_stream(self):
         result = parse_index_text("")
         assert result.records == []
-        assert result.missing == [] and result.warnings == []
+        assert result.missing == [] and result.renamed == []
 
     def test_duplicate_ref_strings_collapse(self):
         result = parse_index_text(
@@ -93,7 +93,7 @@ class TestCitationIndexParser:
     def test_header_and_trailer_tags_ignored(self):
         result = parse_index_text("FN Export\nVR 1.0\nUT X\nTI T\nPY 1970\nER\nEF\n")
         assert len(result.records) == 1
-        assert result.missing == [] and result.warnings == []
+        assert result.missing == [] and result.renamed == []
 
     def test_parse_is_deterministic(self, data_dir):
         text = (data_dir / "citation_index_3records.txt").read_text(encoding="utf-8")
@@ -126,7 +126,7 @@ class TestMedlineParser:
             "PMID- 7\nTI  - A\nDP  - 1970\n\nPMID- 7\nTI  - B\nDP  - 1971\n"
         )
         assert [r.record_id for r in result.records] == ["7", "7#2"]
-        assert len(result.warnings) == 1
+        assert result.renamed == [("7", "7#2")]
 
     def test_unrecognized_line_raises(self):
         with pytest.raises(MalformedRecord):
@@ -143,23 +143,19 @@ class TestMedlineParser:
 
 
 class TestDuplicateRecords:
-    DROPPED = ("dropped {} duplicate record(s), each equal in every field to an earlier "
-               "record of its id, or id-less and equal to an earlier id-less record but "
-               "for its anon id")
-
     def test_an_exact_copy_is_dropped_with_its_notes(self):
         block = "PMID- 7\nTI  - A\n\n"
         result = parse_medline_text(block + block)
         assert [r.record_id for r in result.records] == ["7"]
         assert [(m.record_id, m.field) for m in result.missing] == [("7", "DP")]
-        assert result.dropped == 1 and result.warnings == [self.DROPPED.format(1)]
+        assert result.dropped == 1 and result.renamed == []
 
     def test_a_record_differing_only_in_its_references_is_renamed(self):
         result = parse_index_text("UT X\nPY 1970\nCR A, 1960\nER\n"
                                   "UT X\nPY 1970\nCR B, 1961\nER\n")
         assert [r.record_id for r in result.records] == ["X", "X#2"]
         assert result.dropped == 0
-        assert result.warnings == ["duplicate record id 'X' renamed to 'X#2'"]
+        assert result.renamed == [("X", "X#2")]
 
     def test_a_copy_of_a_renamed_record_is_dropped_too(self):
         a, b, c = ("UT X\nTI A\nPY 1970\nER\n", "UT X\nTI B\nPY 1970\nER\n",
@@ -168,7 +164,7 @@ class TestDuplicateRecords:
         assert [(r.record_id, r.title) for r in result.records] == [
             ("X", "A"), ("X#2", "B"), ("X#3", "C")]
         assert result.dropped == 2
-        assert result.warnings[-1] == self.DROPPED.format(2)
+        assert result.renamed == [("X", "X#2"), ("X", "X#3")]
 
     def test_an_anonymous_id_numbers_the_block_in_its_file(self):
         result = parse_index_text("UT X\nER\nUT X\nER\nTI A\nER\n")
@@ -182,7 +178,7 @@ class TestDuplicateRecords:
         result = parse(block + block)
         assert [r.record_id for r in result.records] == ["anon:1"]
         assert [(m.record_id, m.field) for m in result.missing] == [("anon:1", id_tag)]
-        assert result.dropped == 1 and result.warnings == [self.DROPPED.format(1)]
+        assert result.dropped == 1 and result.renamed == []
 
     def test_id_less_records_are_compared_with_id_less_ones_only(self):
         # anon:N still numbers the blocks, dropped ones included; a differing
@@ -193,15 +189,14 @@ class TestDuplicateRecords:
         assert [(r.record_id, r.title) for r in result.records] == [
             ("anon:1", "A"), ("anon:2", "B"), ("anon:1#2", "C")]
         assert result.dropped == 3
-        assert result.warnings == ["duplicate record id 'anon:1' renamed to 'anon:1#2'",
-                                   self.DROPPED.format(3)]
+        assert result.renamed == [("anon:1", "anon:1#2")]
 
     def test_a_doubled_export_parses_as_the_single_one(self, data_dir):
         text = (data_dir / "citation_index_3records.txt").read_text(encoding="utf-8")
         single, doubled = parse_index_text(text), parse_index_text(text + text)
         assert doubled.records == single.records and doubled.missing == single.missing
         assert doubled.dropped == len(single.records)
-        assert doubled.warnings == single.warnings + [self.DROPPED.format(len(single.records))]
+        assert doubled.renamed == single.renamed
 
 
 # ── parsers against the regex-per-line oracles ──────────────────────────────

@@ -5,14 +5,12 @@ from hypothesis import given, strategies as st
 
 from bibshift.cocitation import CoreRefSet, ThresholdPair, core_sets
 from bibshift.records import build_corpus
+from bibshift.reports import rsi_matrix, rsi_text
 from bibshift.stability import (
     GapTooLarge,
     NoDefinedPoints,
     ThresholdMismatch,
-    format_cell,
-    format_rsi,
     groove_detect,
-    round_half_up_2dp,
     rsi,
     rsi_series,
     series_minimum,
@@ -32,7 +30,7 @@ class TestRsi:
         point = rsi(core(1966, "ABCDEFGH"), core(1967, "ABZ"))
         assert (point.n_former, point.n_later, point.shared) == (8, 3, 2)
         assert point.rsi == Fraction(2, 9)
-        assert format_rsi(point.rsi) == "0.22"
+        assert rsi_text(point.rsi) == "0.22"
 
     def test_larger_sets(self):
         former = core(1970, [f"F{i}" for i in range(46)] )
@@ -40,22 +38,23 @@ class TestRsi:
         point = rsi(former, later)
         assert (point.n_former, point.n_later, point.shared) == (46, 80, 8)
         assert point.rsi == Fraction(8, 118)
-        assert format_rsi(point.rsi) == "0.07"
+        assert rsi_text(point.rsi) == "0.07"
 
     def test_identical_sets(self):
         point = rsi(core(1970, "ABC"), core(1971, "ABC"))
         assert point.rsi == 1
-        assert format_rsi(point.rsi) == "1.00"
+        assert rsi_text(point.rsi) == "1.00"
 
     def test_disjoint_sets(self):
         point = rsi(core(1970, "ABC"), core(1971, "XYZ"))
         assert point.rsi == 0
-        assert format_rsi(point.rsi) == "0.00"
+        assert rsi_text(point.rsi) == "0.00"
 
     def test_empty_former_is_undefined(self):
         point = rsi(core(1970, ""), core(1971, "ABC"))
         assert point.rsi is None
         assert not point.defined
+        assert rsi_text(point.rsi) == "-/-"
 
     def test_empty_later_is_undefined(self):
         assert rsi(core(1970, "ABC"), core(1971, "")).rsi is None
@@ -92,12 +91,15 @@ class TestRsi:
 
 
 class TestRounding:
+    """The reports' two-decimal RSI text, ``reports.rsi_text``."""
+
     @pytest.mark.parametrize(
         "num,den,text",
         [
             (2, 9, "0.22"),
             (6, 95, "0.06"),
             (1, 8, "0.13"),     # 0.125 rounds half up
+            (1, 2, "0.50"),
             (1, 200, "0.01"),   # 0.005 rounds half up
             (1, 3, "0.33"),
             (2, 3, "0.67"),
@@ -109,24 +111,24 @@ class TestRounding:
         ],
     )
     def test_half_up_two_decimals(self, num, den, text):
-        assert format_rsi(Fraction(num, den)) == text
-
-    def test_round_half_up_returns_hundredths(self):
-        assert round_half_up_2dp(Fraction(1, 8)) == Fraction(13, 100)
-        assert round_half_up_2dp(Fraction(1, 2)) == Fraction(50, 100)
-
-    def test_undefined_renders_dash(self):
-        assert format_rsi(None) == "-"
+        assert rsi_text(Fraction(num, den)) == text
 
 
 class TestFormatCell:
+    """The ``shared/RSI`` cells of ``reports.rsi_matrix``."""
+
+    @staticmethod
+    def cells(cores) -> list[str]:
+        series = rsi_series(cores, gap=1)
+        text = rsi_matrix([series], groove_detect([series]), [])
+        return text.splitlines()[1].split("\t")[1:]
+
     def test_defined_cell(self):
-        point = rsi(core(1966, "ABCDEFGH"), core(1967, "ABZ"))
-        assert format_cell(point) == "2/0.22"
+        assert self.cells([core(1966, "ABCDEFGH"), core(1967, "ABZ")]) == ["2/0.22"]
 
     def test_undefined_cell(self):
-        point = rsi(core(1966, "ABC"), core(1967, ""))
-        assert format_cell(point) == "-/-"
+        cells = self.cells([core(1966, "AB"), core(1967, "AB"), core(1968, "")])
+        assert cells == ["2/1.00", "-/-"]
 
 
 def interval_corpus(per_year_refs, years=None):

@@ -6,7 +6,6 @@ from hypothesis import example, given, settings, strategies as st
 from bibshift import textmetrics
 from bibshift.records import build_corpus
 from bibshift.textmetrics import (
-    StopWordList,
     default_stopwords,
     load_stopwords,
     new_coword_pairs,
@@ -25,26 +24,23 @@ from oracles import (
     brute_tokens,
 )
 
-EMPTY_STOP = StopWordList(words=frozenset(), source_path="<none>")
+EMPTY_STOP = frozenset()
 
 
 class TestStopWordList:
     def test_lookup_is_case_insensitive(self):
-        stop = StopWordList(words=frozenset({"of"}), source_path="<test>")
-        assert tokenize_title("OF Virus of", stop) == {"virus"}
+        assert tokenize_title("OF Virus of", frozenset({"of"})) == {"virus"}
 
     def test_load_skips_comments_and_blanks(self, tmp_path):
         path = tmp_path / "stop.txt"
         path.write_text("# comment\n\nThe\nAND\n", encoding="utf-8")
-        stop = load_stopwords(path)
-        assert stop.words == {"the", "and"}
-        assert stop.source_path == str(path)
+        assert load_stopwords(path) == {"the", "and"}
 
     def test_default_list_is_packaged(self):
         stop = default_stopwords()
-        assert {"the", "of"} <= stop.words
-        assert len(stop.words) > 100
-        assert stop.source_path == "<builtin:en>"
+        assert type(stop) is frozenset
+        assert {"the", "of"} <= stop
+        assert len(stop) > 100
 
 
 class TestTokenize:
@@ -184,7 +180,7 @@ class TestCosinePairs:
         assert {(p.term_a, p.term_b) for p in pairs} == {("alpha", "beta")}
 
     def test_invalid_min_cosine_rejected(self, s2_slice, s2_stop):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^min_cosine must be in \[0, 1\], got 1.5$"):
             coword_pairs(s2_slice, s2_stop, min_cosine=1.5)
 
 
@@ -356,7 +352,7 @@ class TestOracleProperties:
     @settings(max_examples=120, deadline=None)
     @given(st.lists(_title, min_size=1, max_size=10), st.sets(st.sampled_from(["de", "f2", "ab"])))
     def test_doc_freq_matches_brute_force(self, titles, stop_words):
-        stop = StopWordList(words=frozenset(stop_words), source_path="<p>")
+        stop = frozenset(stop_words)
         records = [mkrec(f"r{i}", title=t, year=1970) for i, t in enumerate(titles)]
         sl = build_corpus(records)[1970]
         got = {s.term: s.doc_freq for s in term_stats(sl, stop)}
@@ -409,8 +405,8 @@ class TestOracleProperties:
            st.sets(st.sampled_from(["ss", "ﬁ", "fi", "k", "i̇", "aa"])))
     def test_tokens_match_brute_force_beyond_ascii(self, title, stop_words):
         # "²" is a digit to isdigit() but not to \d; "٣" is a decimal digit
-        stop = parse_stopwords(stop_words, "<p>")
-        assert tokenize_title(title, stop) == brute_tokens(title, stop.words)
+        stop = parse_stopwords(stop_words)
+        assert tokenize_title(title, stop) == brute_tokens(title, stop)
         assert list(title_token_sequence(title)) == brute_sequence(title)
 
     @settings(max_examples=300, deadline=None)
@@ -419,8 +415,8 @@ class TestOracleProperties:
     # every ASCII character once, in code-point order
     @example("".join(map(chr, range(128))), set())
     def test_tokens_match_brute_force_on_every_ascii_character(self, title, stop_words):
-        stop = parse_stopwords(stop_words, "<p>")
-        assert tokenize_title(title, stop) == brute_tokens(title, stop.words)
+        stop = parse_stopwords(stop_words)
+        assert tokenize_title(title, stop) == brute_tokens(title, stop)
         assert list(title_token_sequence(title)) == brute_sequence(title)
 
     @settings(max_examples=300, deadline=None)
@@ -441,7 +437,7 @@ class TestOracleProperties:
 
     def test_no_stop_words_in_any_output(self, s2_slice, s2_stop):
         for s in term_stats(s2_slice, s2_stop):
-            assert s.term not in s2_stop.words
+            assert s.term not in s2_stop
         for p in coword_pairs(s2_slice, s2_stop, 0.0):
-            assert p.term_a not in s2_stop.words
-            assert p.term_b not in s2_stop.words
+            assert p.term_a not in s2_stop
+            assert p.term_b not in s2_stop
