@@ -489,8 +489,8 @@ def cmd_core_refs(cfg: argparse.Namespace, outputs: list[_Output]) -> None:
         ("years", _years_text(corpus)),
         ("thresholds", _thresholds_text(cfg)),
     ]
-    flat = [core for t in cfg.thresholds for core in by_threshold[t]]
-    _report(cfg, "core_refs.tsv", reports.core_membership_table(flat, config), outputs)
+    _report(cfg, "core_refs.tsv", reports.core_membership_table(by_threshold, config),
+            outputs)
     _report(cfg, "core_sizes.tsv",
             reports.core_size_matrix(by_threshold, list(corpus), config), outputs)
 
@@ -500,7 +500,7 @@ def cmd_rsi(cfg: argparse.Namespace, outputs: list[_Output]) -> None:
     cores = core_sets(corpus, cfg.thresholds)
     for gap in cfg.gaps:
         try:
-            series_list = [rsi_series(cores[t], gap) for t in cfg.thresholds]
+            series_list = [rsi_series(t, cores[t], gap) for t in cfg.thresholds]
             groove = groove_detect(series_list)
         except (GapTooLarge, NoDefinedPoints) as exc:
             raise CliError(str(exc)) from exc

@@ -7,8 +7,9 @@ for a year under a threshold pair when its citation count reaches
 ``cite_min`` and it is co-cited at least ``cocite_min`` times with some
 other reference that itself reaches ``cite_min``.
 
-``core_sets`` runs ``core_references`` once per year, on rows that are
-each citing paper's ``RefKey`` set.
+A core set is the ``frozenset`` of its member ``RefKey``s: ``core_sets``
+keys them by threshold pair and then by year, running ``core_references``
+once per year on rows that are each citing paper's ``RefKey`` set.
 
 ``cocitation_counts`` maps each row to its candidates' sorted positions
 with one dict lookup per citation, then counts every row's position pairs
@@ -56,12 +57,6 @@ class ThresholdPair(_Thresholds):
         return cls(cite_min=cite_min, cocite_min=cocite_min)
 
 
-class CoreRefSet(NamedTuple):
-    year: int
-    thresholds: ThresholdPair
-    members: frozenset[RefKey]
-
-
 def citation_counts(rows: Iterable[Iterable[Hashable]]) -> Counter:
     """Number of rows holding each item."""
     return Counter(chain.from_iterable(rows))
@@ -85,10 +80,10 @@ def cocitation_counts(rows: Iterable[Iterable[Hashable]],
     return Counter(chain.from_iterable(map(combinations, held_rows, repeat(2))))
 
 
-def core_references(year: int, rows: Sequence[Iterable[RefKey]],
-                    thresholds: Sequence[ThresholdPair]) -> list[CoreRefSet]:
-    """One core set per threshold pair from a single count of one year's
-    rows, each the ``RefKey`` set of one citing paper.
+def core_references(rows: Sequence[Iterable[RefKey]],
+                    thresholds: Sequence[ThresholdPair]) -> list[frozenset[RefKey]]:
+    """One core set per threshold pair, in the given order, from a single
+    count of one year's rows, each the ``RefKey`` set of one citing paper.
 
     Pairs are counted among the references that reach the lowest
     ``cite_min``; each threshold pair then keeps the pairs whose count
@@ -103,28 +98,26 @@ def core_references(year: int, rows: Sequence[Iterable[RefKey]],
     pairs = cocitation_counts(rows, ordered)
     counts = [cites[ref] for ref in ordered]  # citation count by position
     cores = []
-    for t in thresholds:
-        cite_min, cocite_min = t.cite_min, t.cocite_min
+    for cite_min, cocite_min in thresholds:
         positions = set(chain.from_iterable(
             pair for pair, n in pairs.items()
             if n >= cocite_min and counts[pair[0]] >= cite_min and counts[pair[1]] >= cite_min
         ))
-        members = frozenset(ordered[p] for p in positions)
-        cores.append(CoreRefSet(year=year, thresholds=t, members=members))
+        cores.append(frozenset(ordered[p] for p in positions))
     return cores
 
 
 def core_sets(
     corpus: Corpus, thresholds: Sequence[ThresholdPair]
-) -> dict[ThresholdPair, list[CoreRefSet]]:
-    """Core sets of every corpus year, in year order, under each threshold
-    pair. Each year is counted once for all the pairs."""
+) -> dict[ThresholdPair, dict[int, frozenset[RefKey]]]:
+    """The core set of every corpus year, in year order, under each distinct
+    threshold pair. Each year is counted once for all the pairs."""
     unique = list(dict.fromkeys(thresholds))
-    by_threshold: dict[ThresholdPair, list[CoreRefSet]] = {t: [] for t in unique}
+    by_threshold: dict[ThresholdPair, dict[int, frozenset[RefKey]]] = {t: {} for t in unique}
     for year, records in corpus.items():
         rows = [record.cited_refs for record in records if record.cited_refs]
-        for core in core_references(year, rows, unique):
-            by_threshold[core.thresholds].append(core)
+        for t, members in zip(unique, core_references(rows, unique)):
+            by_threshold[t][year] = members
     return by_threshold
 
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .cocitation import CoreRefSet, ThresholdPair
+from .cocitation import ThresholdPair
 from .records import Corpus, Source, write_text_atomic
 from .refkey import RefKey
 from .stability import GrooveReport, RsiSeries
@@ -95,23 +95,25 @@ def summary_table(corpus: Corpus, distinct_refs_by_year: dict[int, int],
 
 # ── citation-graph tables ─────────────────────────────────────────────────────
 
-def core_membership_table(core_sets: Sequence[CoreRefSet], config: ConfigPairs) -> str:
+CoreSets = dict[ThresholdPair, dict[int, frozenset[RefKey]]]
+
+
+def core_membership_table(cores_by_threshold: CoreSets, config: ConfigPairs) -> str:
     columns = ["year", "thresholds", "member"]
     rows = [
-        [core.year, str(core.thresholds), spelling]
-        for core in core_sets
-        for spelling in sorted(map(RefKey.canonical, core.members))
+        [year, str(thresholds), spelling]
+        for thresholds, cores in cores_by_threshold.items()
+        for year, members in cores.items()
+        for spelling in sorted(map(RefKey.canonical, members))
     ]
     return render_table(config, columns, rows)
 
 
-def core_size_matrix(cores_by_threshold: dict[ThresholdPair, Sequence[CoreRefSet]],
+def core_size_matrix(cores_by_threshold: CoreSets,
                      years: Sequence[int], config: ConfigPairs) -> str:
     columns = ["thresholds"] + [str(year) for year in years]
-    rows = []
-    for thresholds, cores in cores_by_threshold.items():
-        sizes = {core.year: len(core.members) for core in cores}
-        rows.append([str(thresholds)] + [sizes.get(year, 0) for year in years])
+    rows = [[str(thresholds)] + [len(cores[year]) for year in years]
+            for thresholds, cores in cores_by_threshold.items()]
     return render_table(config, columns, rows)
 
 

@@ -4,9 +4,9 @@ RSI compares the core-reference sets of two years: shared members divided
 by the union size (shared / (n_former + n_later - shared)). When either
 core set is empty the index is undefined (``None``), distinct from 0.
 Values are exact fractions: this module computes them, and ``reports``
-rounds and renders them. A series compares the core sets it is given, one
-per consecutive year under one threshold pair, as ``cocitation.core_sets``
-returns them; this module counts no citations.
+rounds and renders them. A series compares one threshold pair's core sets,
+keyed by year as ``cocitation.core_sets`` returns them; this module counts
+no citations.
 
 A "groove" is a pronounced dip: per series, the interval(s) attaining the
 minimal defined RSI. When every series in a set bottoms out at a common
@@ -15,15 +15,12 @@ interval, that interval is flagged as a consensus shift candidate.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
-from .cocitation import CoreRefSet, ThresholdPair
+from .cocitation import ThresholdPair
+from .refkey import RefKey
 
 Interval = tuple[int, int]
-
-
-class ThresholdMismatch(ValueError):
-    """Compared core sets were computed under different thresholds."""
 
 
 class GapTooLarge(ValueError):
@@ -68,22 +65,19 @@ class GrooveReport(NamedTuple):
     consensus: tuple[Interval, ...]  # intervals minimal in every series
 
 
-def rsi(core_a: CoreRefSet, core_b: CoreRefSet) -> RsiPoint:
-    """Stability of the core set from ``core_a``'s year to ``core_b``'s."""
-    if core_a.thresholds != core_b.thresholds:
-        raise ThresholdMismatch(
-            f"cannot compare core sets built under {core_a.thresholds} and {core_b.thresholds}"
-        )
-    n_former = len(core_a.members)
-    n_later = len(core_b.members)
-    shared = len(core_a.members & core_b.members)
+def rsi(former_year: int, former: frozenset[RefKey],
+        later_year: int, later: frozenset[RefKey]) -> RsiPoint:
+    """Stability of the core set from ``former_year``'s to ``later_year``'s."""
+    n_former = len(former)
+    n_later = len(later)
+    shared = len(former & later)
     if n_former == 0 or n_later == 0:
         value = None
     else:
         value = Fraction(shared, n_former + n_later - shared)
     return RsiPoint(
-        former_year=core_a.year,
-        later_year=core_b.year,
+        former_year=former_year,
+        later_year=later_year,
         n_former=n_former,
         n_later=n_later,
         shared=shared,
@@ -91,24 +85,21 @@ def rsi(core_a: CoreRefSet, core_b: CoreRefSet) -> RsiPoint:
     )
 
 
-def rsi_series(cores: Sequence[CoreRefSet], gap: int) -> RsiSeries:
-    """One RsiPoint per (y, y+gap) pair of ``cores``: one core set per
-    consecutive year under one threshold pair, in year order, as
-    ``core_sets(...)[t]`` returns them."""
+def rsi_series(thresholds: ThresholdPair, cores: dict[int, frozenset[RefKey]],
+               gap: int) -> RsiSeries:
+    """One RsiPoint per year ``y`` of ``cores``, ascending, whose ``y + gap``
+    is also a year of ``cores``: one threshold pair's core sets keyed by
+    year, as ``core_sets(...)[thresholds]`` returns them."""
     if gap < 1:
         raise ValueError(f"gap must be >= 1, got {gap}")
     if not cores:
         raise ValueError("need at least one core set")
-    first, thresholds = cores[0].year, cores[0].thresholds
-    if any(core.year != first + i or core.thresholds != thresholds
-           for i, core in enumerate(cores)):
-        raise ValueError("need one core set per consecutive year under one threshold pair")
-    last = cores[-1].year
-    if first + gap > last:
+    points = tuple(rsi(year, cores[year], year + gap, cores[year + gap])
+                   for year in sorted(cores) if year + gap in cores)
+    if not points:
         raise GapTooLarge(
-            f"gap {gap} leaves no interval inside year range {first}:{last}"
+            f"gap {gap} leaves no interval inside year range {min(cores)}:{max(cores)}"
         )
-    points = tuple(rsi(former, later) for former, later in zip(cores, cores[gap:]))
     return RsiSeries(thresholds=thresholds, gap=gap, points=points)
 
 

@@ -116,7 +116,7 @@ def new_terms(
     """Terms of the later year's records absent from the former year's, at
     or above ``min_percent`` of the later records; most frequent first (ties
     alphabetical)."""
-    if min_percent < 0:
+    if not min_percent >= 0:
         raise ValueError(f"min_percent must be >= 0, got {min_percent}")
     total = len(later)
     df = Counter(chain.from_iterable(
@@ -142,7 +142,7 @@ def new_coword_pairs(
     """Later-year pairs never co-occurring in the former year (members may
     individually exist earlier), meeting both thresholds; most frequent
     first. Percent is the later-year pair document frequency share."""
-    if min_percent < 0:
+    if not min_percent >= 0:
         raise ValueError(f"min_percent must be >= 0, got {min_percent}")
     if not 0 <= min_cosine <= 1:
         raise ValueError(f"min_cosine must be in [0, 1], got {min_cosine}")

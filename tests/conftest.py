@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from bibshift.cocitation import CoreRefSet, ThresholdPair, cocitation_counts, core_sets
+from bibshift.cocitation import ThresholdPair, cocitation_counts, core_sets
 from bibshift.records import BibRecord, Source, build_corpus
 from bibshift.refkey import RefKey, parse_cited_ref
 from bibshift.stability import rsi_series
@@ -27,7 +27,7 @@ def mkrec(record_id, refs=(), title="", year=1970, source=Source.CITATION_INDEX)
 
 def corpus_series(corpus, thresholds, gap):
     """The RSI series of ``corpus`` under one threshold pair."""
-    return rsi_series(core_sets(corpus, [thresholds])[thresholds], gap)
+    return rsi_series(thresholds, core_sets(corpus, [thresholds])[thresholds], gap)
 
 
 def cited_rows(sl) -> list[frozenset[RefKey]]:
@@ -44,10 +44,10 @@ def ref_pair_counts(sl, candidates) -> dict[tuple[RefKey, RefKey], int]:
     return {(ordered[a], ordered[b]): n for (a, b), n in counts.items()}
 
 
-def slice_core(sl, thresholds: ThresholdPair) -> CoreRefSet:
+def slice_core(sl, thresholds: ThresholdPair) -> frozenset[RefKey]:
     """The core set of ``sl`` (one year's records) under one threshold pair:
     ``core_sets`` on a corpus of that one year."""
-    [core] = core_sets(build_corpus(sl), [thresholds])[thresholds]
+    [core] = core_sets(build_corpus(sl), [thresholds])[thresholds].values()
     return core
 
 

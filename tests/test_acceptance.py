@@ -11,7 +11,7 @@ import random
 import time
 
 from bibshift.cli import run
-from bibshift.cocitation import CoreRefSet, ThresholdPair, citation_counts
+from bibshift.cocitation import ThresholdPair, citation_counts
 from bibshift.records import build_corpus
 from bibshift.refkey import parse_cited_ref
 from bibshift.reports import rsi_matrix, rsi_text
@@ -71,15 +71,12 @@ def load_table_cells() -> list[dict]:
     return [dict(zip(header, line.split("\t"))) for line in lines[1:]]
 
 
-def make_cores(n_former: int, n_later: int, shared: int) -> tuple[CoreRefSet, CoreRefSet]:
-    thresholds = ThresholdPair(3, 2)
+def make_cores(n_former: int, n_later: int, shared: int):
+    """``rsi``'s arguments for a 1970 and a 1971 core set of the given sizes."""
     refs = [mkref(f"R{i} X, 1950") for i in range(n_former + n_later - shared)]
     former = frozenset(refs[:n_former])
     later = frozenset(refs[n_former - shared: n_former - shared + n_later])
-    return (
-        CoreRefSet(year=1970, thresholds=thresholds, members=former),
-        CoreRefSet(year=1971, thresholds=thresholds, members=later),
-    )
+    return 1970, former, 1971, later
 
 
 def test_criterion_01_table_cells_reproduced():
@@ -139,8 +136,8 @@ def test_criterion_02_undefined_cell_renders_dashes():
 
     thresholds = ThresholdPair(3, 2)
     problems = []
-    sizes = (len(slice_core(corpus[1966], thresholds).members),
-             len(slice_core(corpus[1967], thresholds).members))
+    sizes = (len(slice_core(corpus[1966], thresholds)),
+             len(slice_core(corpus[1967], thresholds)))
     if sizes != (3, 0):
         problems.append(f"core sizes {sizes} != (3, 0)")
 
@@ -172,7 +169,7 @@ def test_criterion_03_core_sets_match_brute_force():
     for case in range(1000):
         sl = random_slice(rng)
         thresholds = ThresholdPair(rng.randint(1, 6), rng.randint(1, 6))
-        fast = slice_core(sl, thresholds).members
+        fast = slice_core(sl, thresholds)
         slow = brute_core_refs(sl, thresholds)
         if fast != slow:
             problems.append(f"case {case} under {thresholds}: {len(fast)} vs {len(slow)}")
@@ -192,7 +189,7 @@ def test_criterion_04_threshold_monotonicity_and_pair_bound():
         loose = ThresholdPair(rng.randint(1, 6), rng.randint(1, 6))
         tight = ThresholdPair(loose.cite_min + rng.randint(0, 3),
                               loose.cocite_min + rng.randint(0, 3))
-        if not slice_core(sl, tight).members <= slice_core(sl, loose).members:
+        if not slice_core(sl, tight) <= slice_core(sl, loose):
             problems.append(f"case {case}: core({tight}) escaped core({loose})")
         cites = citation_counts(cited_rows(sl))
         for (a, b), co in ref_pair_counts(sl, cites).items():

@@ -83,14 +83,14 @@ class TestCocitationCounts:
 class TestCoreReferences:
     def test_s1_thresholds_3_2(self, s1_slice, s1_refs):
         core = slice_core(s1_slice, ThresholdPair(3, 2))
-        assert core.members == frozenset(s1_refs.values())
+        assert core == frozenset(s1_refs.values())
 
     def test_s1_thresholds_3_3_drops_r3(self, s1_slice, s1_refs):
         core = slice_core(s1_slice, ThresholdPair(3, 3))
-        assert core.members == frozenset({s1_refs["R1"], s1_refs["R2"]})
+        assert core == frozenset({s1_refs["R1"], s1_refs["R2"]})
 
     def test_s1_thresholds_5_1_empty(self, s1_slice):
-        assert slice_core(s1_slice, ThresholdPair(5, 1)).members == frozenset()
+        assert slice_core(s1_slice, ThresholdPair(5, 1)) == frozenset()
 
     def test_partner_must_itself_qualify(self):
         # X is cited twice and co-cited twice with Y, but Y is cited only
@@ -102,19 +102,25 @@ class TestCoreReferences:
             mkrec("p3", refs=["X, 1960, J", "Z, 1962, J"]),
         ]
         sl = build_corpus(records)[1970]
-        core = slice_core(sl, ThresholdPair(3, 2))
-        assert core.members == frozenset()
+        assert slice_core(sl, ThresholdPair(3, 2)) == frozenset()
 
     def test_refkey_rows_give_the_core_of_the_id_rows(self, s1_slice):
         thresholds = [ThresholdPair(3, 2), ThresholdPair(3, 3)]
         rows = cited_rows(s1_slice)
-        cores = core_references(1970, rows, thresholds)
+        cores = core_references(rows, thresholds)
         assert cores == [slice_core(s1_slice, t) for t in thresholds]
 
     def test_year_and_thresholds_recorded(self, s1_slice):
-        core = slice_core(s1_slice, ThresholdPair(3, 2))
-        assert core.year == 1970
-        assert core.thresholds == ThresholdPair(3, 2)
+        # the pairs are keys in first-seen order, and every corpus year,
+        # empty ones included, is a key under each pair
+        corpus = build_corpus(s1_slice, (1968, 1972))
+        ts = [ThresholdPair(3, 3), ThresholdPair(3, 2), ThresholdPair(3, 3)]
+        cores = core_sets(corpus, ts)
+        assert list(cores) == [ThresholdPair(3, 3), ThresholdPair(3, 2)]
+        for t, by_year in cores.items():
+            assert list(by_year) == list(corpus) == list(range(1968, 1973))
+            assert by_year[1970] == slice_core(s1_slice, t)
+            assert all(by_year[y] == frozenset() for y in (1968, 1969, 1971, 1972))
 
 
 class TestDistinctRefCount:
@@ -165,7 +171,7 @@ class TestProperties:
            st.integers(min_value=1, max_value=5))
     def test_core_matches_brute_force(self, sl, cite_min, cocite_min):
         t = ThresholdPair(cite_min, min(cocite_min, cite_min))
-        assert slice_core(sl, t).members == brute_core_refs(sl, t)
+        assert slice_core(sl, t) == brute_core_refs(sl, t)
 
     @settings(max_examples=150, deadline=None)
     @given(random_slice())
@@ -185,7 +191,7 @@ class TestProperties:
         # cap keeps cocite_min <= cite_min and tight still >= loose componentwise
         tight = ThresholdPair(cite_min + dc, min(cocite_min + dcc, cite_min + dc))
         loose = ThresholdPair(cite_min, cocite_min)
-        assert slice_core(sl, tight).members <= slice_core(sl, loose).members
+        assert slice_core(sl, tight) <= slice_core(sl, loose)
 
 
 @st.composite
@@ -217,10 +223,9 @@ class TestCoreSets:
         cores = core_sets(corpus, thresholds)
         assert list(cores) == list(dict.fromkeys(thresholds))
         for t in thresholds:
-            assert [c.year for c in cores[t]] == list(corpus)
-            for core in cores[t]:
-                assert core.thresholds == t
-                assert core.members == brute_core_refs(corpus[core.year], t)
+            assert list(cores[t]) == list(corpus)
+            for year, members in cores[t].items():
+                assert members == brute_core_refs(corpus[year], t)
 
     def test_lower_cite_min_candidates_do_not_leak_upwards(self):
         # Y reaches cite_min 2 but not 3: it is a co-citation candidate
@@ -233,8 +238,8 @@ class TestCoreSets:
         corpus = build_corpus(records)
         strict, loose = ThresholdPair(3, 2), ThresholdPair(2, 2)
         cores = core_sets(corpus, [strict, loose])
-        assert cores[strict][0].members == frozenset()
-        assert cores[loose][0].members == frozenset(
+        assert cores[strict][1970] == frozenset()
+        assert cores[loose][1970] == frozenset(
             {mkref("X, 1960, J"), mkref("Y, 1961, J")}
         )
 
@@ -304,9 +309,9 @@ class TestCountingShapes:
     @given(st.one_of(dense_year(), one_off_year()), _threshold_lists, st.data())
     def test_permuting_rows_or_their_items_keeps_the_cores(self, year, thresholds, data):
         rows, _ = year
-        cores = core_references(1970, rows, thresholds)
+        cores = core_references(rows, thresholds)
         shuffled = data.draw(st.permutations(rows))
-        assert core_references(1970, shuffled, thresholds) == cores
+        assert core_references(shuffled, thresholds) == cores
         reordered = [data.draw(st.permutations(sorted(row, key=RefKey.canonical)))
                      for row in rows]
-        assert core_references(1970, reordered, thresholds) == cores
+        assert core_references(reordered, thresholds) == cores

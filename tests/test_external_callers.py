@@ -50,6 +50,19 @@ def test_readme_library_example_runs(tmp_path, monkeypatch):
     assert consensus and all(len(interval) == 2 for interval in consensus)
 
 
+def test_demo_script_runs(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "demo_shift_detection.py"),
+         "--work-dir", str(tmp_path), "--papers-per-year", "24"],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    [line] = [line for line in proc.stdout.splitlines()
+              if line.startswith("Consensus dip interval(s)")]
+    assert not line.endswith("None")
+
+
 def test_importing_the_cli_leaves_dataclasses_out():
     """No value type is a dataclass: importing ``dataclasses``, and the
     ``inspect`` it pulls in, would add to every command's start-up."""

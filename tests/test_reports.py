@@ -20,7 +20,7 @@ from bibshift.reports import (
 )
 from bibshift.stability import GrooveReport, SeriesMinimum, groove_detect
 from bibshift.textmetrics import CoWordPair, PhrasePoint, TermStats
-from conftest import corpus_series, mkrec, slice_core
+from conftest import corpus_series, mkrec
 
 T = ThresholdPair(3, 2)
 CFG = [("command", "test"), ("thresholds", "3/2")]
@@ -88,8 +88,7 @@ class TestSummaryTable:
 class TestCitationTables:
     def test_core_membership_sorted(self):
         corpus = pool_corpus({1970: ["B, 1960", "A, 1950"]})
-        cores = [slice_core(corpus[1970], T)]
-        text = core_membership_table(cores, CFG)
+        text = core_membership_table(core_sets(corpus, [T]), CFG)
         lines = text.splitlines()
         assert lines[3] == "1970\t3/2\tA, 1950"
         assert lines[4] == "1970\t3/2\tB, 1960"

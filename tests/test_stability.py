@@ -3,13 +3,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from bibshift.cocitation import CoreRefSet, ThresholdPair, core_sets
+from bibshift.cocitation import ThresholdPair, core_sets
 from bibshift.records import build_corpus
 from bibshift.reports import rsi_matrix, rsi_text
 from bibshift.stability import (
     GapTooLarge,
     NoDefinedPoints,
-    ThresholdMismatch,
     groove_detect,
     rsi,
     rsi_series,
@@ -20,58 +19,53 @@ from conftest import corpus_series, mkrec, mkref
 T = ThresholdPair(3, 2)
 
 
-def core(year, names, thresholds=T):
-    members = frozenset(mkref(f"{n}, 1960, J") for n in names)
-    return CoreRefSet(year=year, thresholds=thresholds, members=members)
+def core(names):
+    return frozenset(mkref(f"{n}, 1960, J") for n in names)
 
 
 class TestRsi:
     def test_counts_and_value(self):
-        point = rsi(core(1966, "ABCDEFGH"), core(1967, "ABZ"))
+        point = rsi(1966, core("ABCDEFGH"), 1967, core("ABZ"))
         assert (point.n_former, point.n_later, point.shared) == (8, 3, 2)
         assert point.rsi == Fraction(2, 9)
         assert rsi_text(point.rsi) == "0.22"
 
     def test_larger_sets(self):
-        former = core(1970, [f"F{i}" for i in range(46)] )
-        later = core(1972, [f"F{i}" for i in range(8)] + [f"L{i}" for i in range(72)])
-        point = rsi(former, later)
+        former = core([f"F{i}" for i in range(46)])
+        later = core([f"F{i}" for i in range(8)] + [f"L{i}" for i in range(72)])
+        point = rsi(1970, former, 1972, later)
         assert (point.n_former, point.n_later, point.shared) == (46, 80, 8)
         assert point.rsi == Fraction(8, 118)
         assert rsi_text(point.rsi) == "0.07"
 
     def test_identical_sets(self):
-        point = rsi(core(1970, "ABC"), core(1971, "ABC"))
+        point = rsi(1970, core("ABC"), 1971, core("ABC"))
         assert point.rsi == 1
         assert rsi_text(point.rsi) == "1.00"
 
     def test_disjoint_sets(self):
-        point = rsi(core(1970, "ABC"), core(1971, "XYZ"))
+        point = rsi(1970, core("ABC"), 1971, core("XYZ"))
         assert point.rsi == 0
         assert rsi_text(point.rsi) == "0.00"
 
     def test_empty_former_is_undefined(self):
-        point = rsi(core(1970, ""), core(1971, "ABC"))
+        point = rsi(1970, core(""), 1971, core("ABC"))
         assert point.rsi is None
         assert not point.defined
         assert rsi_text(point.rsi) == "-/-"
 
     def test_empty_later_is_undefined(self):
-        assert rsi(core(1970, "ABC"), core(1971, "")).rsi is None
-
-    def test_mismatched_thresholds_rejected(self):
-        with pytest.raises(ThresholdMismatch):
-            rsi(core(1970, "AB"), core(1971, "AB", thresholds=ThresholdPair(5, 2)))
+        assert rsi(1970, core("ABC"), 1971, core("")).rsi is None
 
     def test_symmetry_of_value(self):
-        a, b = core(1970, "ABCD"), core(1971, "CDE")
-        assert rsi(a, b).rsi == rsi(b, a).rsi
+        a, b = core("ABCD"), core("CDE")
+        assert rsi(1970, a, 1971, b).rsi == rsi(1970, b, 1971, a).rsi
 
     @given(st.sets(st.integers(0, 30)), st.sets(st.integers(0, 30)))
     def test_range_and_extremes(self, xs, ys):
-        a = core(1970, [f"N{i}" for i in xs])
-        b = core(1971, [f"N{i}" for i in ys])
-        value = rsi(a, b).rsi
+        a = core([f"N{i}" for i in xs])
+        b = core([f"N{i}" for i in ys])
+        value = rsi(1970, a, 1971, b).rsi
         if not xs or not ys:
             assert value is None
         else:
@@ -83,11 +77,11 @@ class TestRsi:
     def test_shared_addition_strictly_increases(self, xs, ys):
         if xs == ys:
             return
-        a = core(1970, [f"N{i}" for i in xs])
-        b = core(1971, [f"N{i}" for i in ys])
-        a2 = core(1970, [f"N{i}" for i in xs] + ["EXTRA"])
-        b2 = core(1971, [f"N{i}" for i in ys] + ["EXTRA"])
-        assert rsi(a2, b2).rsi > rsi(a, b).rsi
+        a = core([f"N{i}" for i in xs])
+        b = core([f"N{i}" for i in ys])
+        a2 = core([f"N{i}" for i in xs] + ["EXTRA"])
+        b2 = core([f"N{i}" for i in ys] + ["EXTRA"])
+        assert rsi(1970, a2, 1971, b2).rsi > rsi(1970, a, 1971, b).rsi
 
 
 class TestRounding:
@@ -119,15 +113,15 @@ class TestFormatCell:
 
     @staticmethod
     def cells(cores) -> list[str]:
-        series = rsi_series(cores, gap=1)
+        series = rsi_series(T, cores, gap=1)
         text = rsi_matrix([series], groove_detect([series]), [])
         return text.splitlines()[1].split("\t")[1:]
 
     def test_defined_cell(self):
-        assert self.cells([core(1966, "ABCDEFGH"), core(1967, "ABZ")]) == ["2/0.22"]
+        assert self.cells({1966: core("ABCDEFGH"), 1967: core("ABZ")}) == ["2/0.22"]
 
     def test_undefined_cell(self):
-        cells = self.cells([core(1966, "AB"), core(1967, "AB"), core(1968, "")])
+        cells = self.cells({1966: core("AB"), 1967: core("AB"), 1968: core("")})
         assert cells == ["2/1.00", "-/-"]
 
 
@@ -178,19 +172,26 @@ class TestRsiSeries:
 
     def test_thresholds_and_years_come_from_the_cores(self):
         loose = ThresholdPair(2, 2)
-        series = rsi_series([core(1980, "AB", loose), core(1981, "B", loose)], gap=1)
+        series = rsi_series(loose, {1980: core("AB"), 1981: core("B")}, gap=1)
         assert series.thresholds == loose
         assert [p.interval for p in series.points] == [(1980, 1981)]
 
-    @pytest.mark.parametrize("cores", [
-        [],
-        [core(1970, "AB"), core(1972, "AB")],
-        [core(1971, "AB"), core(1970, "AB")],
-        [core(1970, "AB"), core(1971, "AB"), core(1972, "AB", ThresholdPair(2, 2))],
+    def test_no_cores_rejected(self):
+        with pytest.raises(ValueError, match=r"^need at least one core set$"):
+            rsi_series(T, {}, gap=1)
+
+    @pytest.mark.parametrize("years", [
+        (1970, 1971, 1973, 1974),  # a hole at 1972
+        (1974, 1971, 1970, 1973),  # keys out of order
     ])
-    def test_cores_not_one_per_consecutive_year_under_one_pair_rejected(self, cores):
-        with pytest.raises(ValueError, match="need "):
-            rsi_series(cores, gap=1)
+    def test_points_only_where_both_years_are_keys(self, years):
+        series = rsi_series(T, {year: core("AB") for year in years}, gap=1)
+        assert [p.interval for p in series.points] == [(1970, 1971), (1973, 1974)]
+
+    def test_no_interval_between_keys_rejected(self):
+        with pytest.raises(GapTooLarge,
+                           match=r"^gap 1 leaves no interval inside year range 1970:1972$"):
+            rsi_series(T, {1972: core("AB"), 1970: core("AB")}, gap=1)
 
 
 class TestGroove:
@@ -300,4 +301,4 @@ class TestSharedCoreSets:
         cores = core_sets(corpus, self.THRESHOLDS)
         for gap in (1, 2):
             for t in self.THRESHOLDS:
-                assert rsi_series(cores[t], gap) == corpus_series(corpus, t, gap)
+                assert rsi_series(t, cores[t], gap) == corpus_series(corpus, t, gap)

@@ -245,6 +245,15 @@ class TestNewCowordPairs:
         assert set(original(later_sets)) == {("alpha", "beta")}
 
 
+@pytest.mark.parametrize("analysis", [
+    lambda former, later, stop, percent: new_terms(former, later, stop, percent),
+    lambda former, later, stop, percent: new_coword_pairs(former, later, stop, 0.25, percent),
+], ids=["new_terms", "new_coword_pairs"])
+def test_nan_min_percent_rejected(analysis, s2_former_slice, s2_slice, s2_stop):
+    with pytest.raises(ValueError, match=r"^min_percent must be >= 0, got nan$"):
+        analysis(s2_former_slice, s2_slice, s2_stop, math.nan)
+
+
 class TestPhraseTrend:
     def make_corpus(self):
         titles = {
