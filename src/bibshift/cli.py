@@ -10,11 +10,13 @@ Flags may also come from a JSON config file (``--config``); explicit
 command-line flags win. All reports are deterministic: re-running a
 command with the same inputs and any ``--workers`` value reproduces the
 files byte for byte. A command only collects its outputs; ``run`` writes
-them once none of them is an input of the run or another of its outputs.
+them once none of them is an input of the run, another of its outputs or
+an existing directory.
 """
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -599,6 +601,11 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         for output in outputs:
             with _user_file(f"write {output.what}", output.path):
                 output.path.parent.mkdir(parents=True, exist_ok=True)
+                if output.path.is_dir() and not output.path.is_symlink():
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
+                                            str(output.path))
+        for output in outputs:
+            with _user_file(f"write {output.what}", output.path):
                 output.write(output.path)
         for warning in warnings or ():
             print(f"warning: {warning}", file=sys.stderr)

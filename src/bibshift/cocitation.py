@@ -7,9 +7,10 @@ for a year under a threshold pair when its citation count reaches
 ``cite_min`` and it is co-cited at least ``cocite_min`` times with some
 other reference that itself reaches ``cite_min``.
 
-A core set is the ``frozenset`` of its member ``RefKey``s: ``core_sets``
-keys them by threshold pair and then by year, running ``core_references``
-once per year on rows that are each citing paper's ``RefKey`` set.
+A core set is the ``frozenset`` of its members' spellings (see
+``refkey``): ``core_sets`` keys them by threshold pair and then by year,
+running ``core_references`` once per year on rows that are each citing
+paper's set of cited references.
 
 ``cocitation_counts`` maps each row to its candidates' sorted positions
 with one dict lookup per citation, then counts every row's position pairs
@@ -21,7 +22,6 @@ from collections import Counter
 from itertools import chain, combinations, repeat
 from typing import Hashable, Iterable, NamedTuple, Sequence
 
-from .refkey import RefKey
 from .records import Corpus
 
 
@@ -80,10 +80,10 @@ def cocitation_counts(rows: Iterable[Iterable[Hashable]],
     return Counter(chain.from_iterable(map(combinations, held_rows, repeat(2))))
 
 
-def core_references(rows: Sequence[Iterable[RefKey]],
-                    thresholds: Sequence[ThresholdPair]) -> list[frozenset[RefKey]]:
+def core_references(rows: Sequence[Iterable[str]],
+                    thresholds: Sequence[ThresholdPair]) -> list[frozenset[str]]:
     """One core set per threshold pair, in the given order, from a single
-    count of one year's rows, each the ``RefKey`` set of one citing paper.
+    count of one year's rows, each the cited references of one citing paper.
 
     Pairs are counted among the references that reach the lowest
     ``cite_min``; each threshold pair then keeps the pairs whose count
@@ -109,11 +109,11 @@ def core_references(rows: Sequence[Iterable[RefKey]],
 
 def core_sets(
     corpus: Corpus, thresholds: Sequence[ThresholdPair]
-) -> dict[ThresholdPair, dict[int, frozenset[RefKey]]]:
+) -> dict[ThresholdPair, dict[int, frozenset[str]]]:
     """The core set of every corpus year, in year order, under each distinct
     threshold pair. Each year is counted once for all the pairs."""
     unique = list(dict.fromkeys(thresholds))
-    by_threshold: dict[ThresholdPair, dict[int, frozenset[RefKey]]] = {t: {} for t in unique}
+    by_threshold: dict[ThresholdPair, dict[int, frozenset[str]]] = {t: {} for t in unique}
     for year, records in corpus.items():
         rows = [record.cited_refs for record in records if record.cited_refs]
         for t, members in zip(unique, core_references(rows, unique)):
@@ -125,7 +125,7 @@ def distinct_ref_count(corpus: Corpus) -> tuple[dict[int, int], int]:
     """The number of distinct references cited in each year of the corpus,
     and in the whole corpus: one walk of the records' references builds each
     year's set, and the total is the size of their union."""
-    by_year: dict[int, set[RefKey]] = {}
+    by_year: dict[int, set[str]] = {}
     for year, records in corpus.items():
         refs = by_year[year] = set()
         for record in records:

@@ -50,7 +50,7 @@ from collections import Counter
 from types import SimpleNamespace
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .refkey import RefKey, parse_cited_ref
+from .refkey import parse_cited_ref
 from .records import NO_REFS, BibRecord, Source
 from .textmetrics import title_token_sequence
 
@@ -90,7 +90,7 @@ def parse_citation_index_export(stream: Iterable[str]) -> ParseResult:
     fields: dict[str, list[str]] = {}
     values: Optional[list[str]] = None  # values of the field being continued
     last_field_line = 0
-    keys: dict[str, RefKey] = {}  # raw reference string -> parsed key
+    spellings: dict[str, str] = {}  # raw reference string -> its spelling
     seen: dict[str | tuple, tuple[BibRecord, ...]] = {}  # see _finish_record
 
     for line_number, raw_line in enumerate(stream, start=1):
@@ -113,7 +113,7 @@ def parse_citation_index_export(stream: Iterable[str]) -> ParseResult:
         if tag == END_OF_RECORD:
             if fields:
                 _finish_record(fields, result, seen, Source.CITATION_INDEX, "UT", "PY",
-                               _cited_refs(fields.get("CR", ()), keys))
+                               _cited_refs(fields.get("CR", ()), spellings))
                 fields = {}
             values = None
             continue
@@ -129,17 +129,18 @@ def parse_citation_index_export(stream: Iterable[str]) -> ParseResult:
     return result
 
 
-def _cited_refs(cited: Sequence[str], keys: dict[str, RefKey]) -> frozenset[RefKey]:
-    """The parsed ``CR`` entries; ``keys`` memoises each raw entry's key."""
+def _cited_refs(cited: Sequence[str], spellings: dict[str, str]) -> frozenset[str]:
+    """The spellings of the ``CR`` entries; ``spellings`` memoises each raw
+    entry's."""
     refs = []
     # Splitting the joined values gives the entries of each value in turn.
     for entry in ";".join(cited).split(";"):
-        key = keys.get(entry)
-        if key is None:
+        ref = spellings.get(entry)
+        if ref is None:
             if not entry.strip():
                 continue
-            key = keys[entry] = parse_cited_ref(entry)
-        refs.append(key)
+            ref = spellings[entry] = parse_cited_ref(entry)
+        refs.append(ref)
     return frozenset(refs) if refs else NO_REFS
 
 
@@ -191,7 +192,7 @@ def parse_medline_export(stream: Iterable[str]) -> ParseResult:
 def _finish_record(fields: dict[str, list[str]], result: ParseResult,
                    seen: dict[str | tuple, tuple[BibRecord, ...]], source: Source,
                    id_tag: str, year_tag: str,
-                   cited_refs: frozenset[RefKey] = NO_REFS) -> None:
+                   cited_refs: frozenset[str] = NO_REFS) -> None:
     """Append the record of one field block to ``result``, noting a missing
     id (given an ``anon:`` id numbering the block in its file), title or
     year in that order. ``seen`` holds the distinct records of each id so

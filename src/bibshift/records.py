@@ -6,12 +6,13 @@ record that cites nothing shares the one empty set ``NO_REFS``. A corpus is
 a plain dict (``Corpus``) from each year, first to last, to that year's
 records; ``build_corpus`` is its one producer.
 
-The cache is a line-delimited TSV: one record per line with columns
-``record_id``, ``source``, ``year``, ``title``, ``cited_refs``. The last
-column joins each cited reference's ``RefKey.canonical()`` spelling with
-``|`` (a single space for the key of a blank string, whose spelling is
-empty); a cell is parsed on read, so a cell holding any other spelling of
-a key (an export's own, as earlier writers kept it) reads as that key.
+A cited reference is its canonical spelling (see ``refkey``). The cache
+is a line-delimited TSV: one record per line with columns ``record_id``,
+``source``, ``year``, ``title``, ``cited_refs``. The last column joins each
+cited reference's spelling with ``|`` (a single space for the reference of
+a blank string, whose spelling is empty); a cell is parsed on read, so a
+cell holding any other spelling of a reference (an export's own, as
+earlier writers kept it) reads as its canonical spelling.
 Backslash escapes (backslash, tab, newline, carriage return, ``#``, and
 ``|`` as ``\\p``) keep every field tab-, separator-, and comment-safe, so a
 cache file round-trips byte-identically, and any other escape is rejected on read. The
@@ -33,7 +34,7 @@ import re
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional
 
-from .refkey import RefKey, parse_cited_ref
+from .refkey import parse_cited_ref
 
 CACHE_HEADER = "# bibshift-cache v1: record_id\tsource\tyear\ttitle\tcited_refs"
 # Export years are four-digit fields, so every year lies in 0..MAX_YEAR.
@@ -47,7 +48,7 @@ class Source(enum.Enum):
 
 # A cache cell names a source; a dict lookup is cheaper than ``Source[...]``.
 _SOURCE_BY_NAME = dict(Source.__members__)
-NO_REFS: frozenset[RefKey] = frozenset()
+NO_REFS: frozenset[str] = frozenset()
 
 
 class BibRecord(NamedTuple):
@@ -63,7 +64,7 @@ class BibRecord(NamedTuple):
     source: Source
     title: str
     pub_year: Optional[int]
-    cited_refs: frozenset[RefKey] = NO_REFS
+    cited_refs: frozenset[str] = NO_REFS
 
 
 class EmptyCorpus(Exception):
@@ -170,23 +171,22 @@ def write_text_atomic(path: str | os.PathLike, text: str) -> None:
 def write_cache(corpus: Corpus, path: str | os.PathLike) -> None:
     """Write the corpus as a TSV cache. Deterministic: years ascending,
     each year's records in order, each record's cited refs in order of
-    their cells. A reference cell is the key's escaped
-    ``RefKey.canonical()`` spelling, or a single space for the key of a
-    blank string, whose spelling is empty (an empty cell holds no
-    reference). Each distinct reference is spelled and escaped once per
-    write."""
+    their cells. A reference cell is the reference's escaped spelling, or
+    a single space for the reference of a blank string, whose spelling is
+    empty (an empty cell holds no reference). Each distinct reference is
+    escaped once per write."""
     lines = [CACHE_HEADER]
-    escaped: dict[RefKey, str] = {}  # reference -> its cache cell
+    escaped: dict[str, str] = {}  # reference -> its cache cell
     for year, records in corpus.items():
         year_text = str(year)
         for record in records:
             cells = []
-            for key in record.cited_refs:
-                cell = escaped.get(key)
+            for ref in record.cited_refs:
+                cell = escaped.get(ref)
                 if cell is None:
-                    cell = escaped[key] = _escape(key.canonical() or " ")
+                    cell = escaped[ref] = _escape(ref or " ")
                 cells.append(cell)
-            # distinct keys spell differently, so their cells differ too
+            # distinct references escape differently, so their cells differ too
             cells.sort()
             lines.append(
                 "\t".join(
@@ -206,7 +206,7 @@ def read_cache(path: str | os.PathLike, refs: bool = True) -> list[BibRecord]:
     """Read records back from a cache file written by write_cache.
 
     Each distinct reference cell is parsed once per call; records that
-    repeat a spelling share its key. Each distinct year cell is checked
+    repeat a cell share its spelling. Each distinct year cell is checked
     and converted once per call. A line without a backslash is taken as
     its own text: only a line that holds one has its cells unescaped. With
     ``refs`` false, for callers that read only titles, every line is still
@@ -219,7 +219,7 @@ def read_cache(path: str | os.PathLike, refs: bool = True) -> list[BibRecord]:
     escape that ``write_cache`` never writes.
     """
     records: list[BibRecord] = []
-    keys: dict[str, RefKey] = {}  # escaped reference cell -> parsed key
+    spellings: dict[str, str] = {}  # escaped reference cell -> its spelling
     years: dict[str, int] = {}  # year cell that passed the check -> its year
     with open(path, encoding="utf-8", newline="\n") as handle:
         if handle.readline().rstrip("\n") != CACHE_HEADER:
@@ -254,16 +254,16 @@ def read_cache(path: str | os.PathLike, refs: bool = True) -> list[BibRecord]:
             try:
                 cited = NO_REFS
                 if refs and refs_cell:
-                    cited_keys = []
+                    cited_refs = []
                     for part in refs_cell.split("|"):
                         if not part:
                             continue
-                        key = keys.get(part)
-                        if key is None:
-                            key = keys[part] = parse_cited_ref(
+                        ref = spellings.get(part)
+                        if ref is None:
+                            ref = spellings[part] = parse_cited_ref(
                                 _unescape(part) if escaped else part)
-                        cited_keys.append(key)
-                    cited = frozenset(cited_keys)
+                        cited_refs.append(ref)
+                    cited = frozenset(cited_refs)
                 elif escaped:
                     _unescape(refs_cell)  # reject what reading the references would
                 if escaped:

@@ -11,19 +11,22 @@ year is a segment of exactly four decimal digits in position 1, and
 segments of the form ``V<digits>`` / ``P<digits>`` are taken as volume /
 first page wherever they occur ("digits" are Unicode decimal digits, as
 ``str.isdecimal`` and ``\\d`` define them). Anything else (DOIs, trailing
-junk, a digit run longer than ``int()`` converts) is dropped. A key is a
-``NamedTuple`` of the five normalized components and nothing else, so two
-keys are equal, and hash alike, when those are equal. ``canonical()``
-spells a parsed key so that parsing the spelling gives the key back;
-distinct keys therefore spell differently, and the spelling alone orders
-keys.
+junk, a digit run longer than ``int()`` converts) is dropped.
+
+A reference is its canonical spelling, a ``str`` built from those five
+components alone: author, four-digit year, source, ``V<n>``, ``P<n>``,
+joined by ``", "``. An absent component is left out, except that a source
+without a year keeps an empty year segment (``X, , 1970``), since the
+source is read from the third segment only. Parsing a spelling gives it
+back, so two strings name one reference exactly when their spellings are
+equal.
 
 A Web of Science cited reference lists its fields in the order author,
 year, source, volume, first page, DOI, and leaves out those it lacks. A
 string whose normalized text has that shape,
 ``AUTHOR, YYYY, SOURCE[, Vn][, Pn][, DOI d]``, is parsed by one
 regular-expression match instead of the segment loop; every other string
-goes through the loop. The match gives the loop's key exactly: the
+goes through the loop. The match gives the loop's spelling exactly: the
 normalized text holds no whitespace but single inner spaces, so a
 segment that starts after ``", "`` and ends in a character other than a
 space or comma is already stripped; ASCII ``[0-9]`` digits are decimal;
@@ -36,42 +39,11 @@ left to the loop.
 from __future__ import annotations
 
 import re
-from typing import NamedTuple, Optional
-
-
-class RefKey(NamedTuple):
-    """Identity of one cited reference: its five normalized components."""
-
-    author: str
-    year: Optional[int] = None
-    source_abbrev: Optional[str] = None
-    volume: Optional[int] = None
-    first_page: Optional[int] = None
-
-    def canonical(self) -> str:
-        """The spelling that ``parse_cited_ref`` reads back as this key.
-
-        Author, four-digit year, source, ``V<n>``, ``P<n>``, joined by
-        ``", "``; an absent component is left out, except that a source
-        without a year keeps an empty year segment (``X, , 1970``), since
-        the source is read from the third segment only.
-        """
-        parts = [self.author]
-        if self.year is not None:
-            parts.append(f"{self.year:04d}")
-        elif self.source_abbrev is not None:
-            parts.append("")
-        if self.source_abbrev is not None:
-            parts.append(self.source_abbrev)
-        if self.volume is not None:
-            parts.append(f"V{self.volume}")
-        if self.first_page is not None:
-            parts.append(f"P{self.first_page}")
-        return ", ".join(parts)
+from typing import Optional
 
 
 # AUTHOR, YYYY, SOURCE[, Vn][, Pn][, DOI d] on normalized text (see the
-# module docstring); the DOI is not part of a key, so it is not captured
+# module docstring); the DOI is not part of a spelling, so it is not captured
 _CANONICAL = re.compile(
     r"([^,]*[^, ]), ([0-9]{4}), ([^,]*[^, ])"
     r"(?:, V([0-9]{1,18}))?(?:, P([0-9]{1,18}))?(?:, DOI [^,]+)?"
@@ -86,11 +58,11 @@ def _number(digits: str) -> Optional[int]:
         return None
 
 
-def parse_cited_ref(raw: str) -> RefKey:
-    """Parse one cited-reference string into a RefKey.
+def parse_cited_ref(raw: str) -> str:
+    """The canonical spelling of one cited-reference string.
 
-    Never raises: a string with no recognizable components yields a key
-    whose author is the whole normalized string.
+    Never raises: a string with no recognizable components is spelled as
+    its whole normalized text.
     """
     # Normalizing the whole string before splitting gives the same segments
     # as normalizing each one: upper() never turns a character other than a
@@ -100,13 +72,18 @@ def parse_cited_ref(raw: str) -> RefKey:
     if match is not None:
         author, year, source, volume, page = match.groups()
         if not (source[0] in "VP" and source[1:].isdecimal()):
-            # a matched digit group is never empty, so `and` keeps only None
-            return RefKey(author, int(year), source,
-                          volume and int(volume), page and int(page))
+            # int() drops a number's leading zeros; a matched digit group
+            # is never empty
+            parts = [author, year, source]
+            if volume:
+                parts.append(f"V{int(volume)}")
+            if page:
+                parts.append(f"P{int(page)}")
+            return ", ".join(parts)
     segments = [part.strip() for part in text.split(",")]
     non_empty = [seg for seg in segments if seg]
     if not non_empty:
-        return RefKey(text.strip())
+        return text.strip()
 
     author = segments[0] if segments[0] else non_empty[0]
     year: Optional[int] = None
@@ -130,4 +107,15 @@ def parse_cited_ref(raw: str) -> RefKey:
             source = seg
         # other positions: unparseable, dropped
 
-    return RefKey(author, year, source, volume, page)
+    parts = [author]
+    if year is not None:
+        parts.append(f"{year:04d}")
+    elif source is not None:
+        parts.append("")
+    if source is not None:
+        parts.append(source)
+    if volume is not None:
+        parts.append(f"V{volume}")
+    if page is not None:
+        parts.append(f"P{page}")
+    return ", ".join(parts)

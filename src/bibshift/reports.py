@@ -11,6 +11,7 @@ two decimals with halves rounded up (``rsi_text``), or ``-/-`` when
 undefined. The combined RSI matrix mirrors the shape of a printed
 stability table: one row per threshold pair, one column per year
 interval, each cell ``shared/RSI``, or ``-/-`` for an undefined interval.
+A core-reference member prints as its spelling, members in sorted order.
 """
 from __future__ import annotations
 
@@ -20,7 +21,6 @@ from typing import Optional, Sequence
 
 from .cocitation import ThresholdPair
 from .records import Corpus, Source, write_text_atomic
-from .refkey import RefKey
 from .stability import GrooveReport, RsiSeries
 from .textmetrics import CoWordPair, PhrasePoint, TermStats
 
@@ -95,7 +95,7 @@ def summary_table(corpus: Corpus, distinct_refs_by_year: dict[int, int],
 
 # ── citation-graph tables ─────────────────────────────────────────────────────
 
-CoreSets = dict[ThresholdPair, dict[int, frozenset[RefKey]]]
+CoreSets = dict[ThresholdPair, dict[int, frozenset[str]]]
 
 
 def core_membership_table(cores_by_threshold: CoreSets, config: ConfigPairs) -> str:
@@ -104,7 +104,7 @@ def core_membership_table(cores_by_threshold: CoreSets, config: ConfigPairs) -> 
         [year, str(thresholds), spelling]
         for thresholds, cores in cores_by_threshold.items()
         for year, members in cores.items()
-        for spelling in sorted(map(RefKey.canonical, members))
+        for spelling in sorted(members)
     ]
     return render_table(config, columns, rows)
 

@@ -1,8 +1,9 @@
 """Reference Stability Index series and groove detection.
 
-RSI compares the core-reference sets of two years: shared members divided
-by the union size (shared / (n_former + n_later - shared)). When either
-core set is empty the index is undefined (``None``), distinct from 0.
+RSI compares the core-reference sets of two years, each a ``frozenset``
+of reference spellings: shared members divided by the union size
+(shared / (n_former + n_later - shared)). When either core set is empty
+the index is undefined (``None``), distinct from 0.
 Values are exact fractions: this module computes them, and ``reports``
 rounds and renders them. A series compares one threshold pair's core sets,
 keyed by year as ``cocitation.core_sets`` returns them; this module counts
@@ -18,7 +19,6 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .cocitation import ThresholdPair
-from .refkey import RefKey
 
 Interval = tuple[int, int]
 
@@ -65,8 +65,8 @@ class GrooveReport(NamedTuple):
     consensus: tuple[Interval, ...]  # intervals minimal in every series
 
 
-def rsi(former_year: int, former: frozenset[RefKey],
-        later_year: int, later: frozenset[RefKey]) -> RsiPoint:
+def rsi(former_year: int, former: frozenset[str],
+        later_year: int, later: frozenset[str]) -> RsiPoint:
     """Stability of the core set from ``former_year``'s to ``later_year``'s."""
     n_former = len(former)
     n_later = len(later)
@@ -85,7 +85,7 @@ def rsi(former_year: int, former: frozenset[RefKey],
     )
 
 
-def rsi_series(thresholds: ThresholdPair, cores: dict[int, frozenset[RefKey]],
+def rsi_series(thresholds: ThresholdPair, cores: dict[int, frozenset[str]],
                gap: int) -> RsiSeries:
     """One RsiPoint per year ``y`` of ``cores``, ascending, whose ``y + gap``
     is also a year of ``cores``: one threshold pair's core sets keyed by

@@ -4,7 +4,7 @@ import pytest
 
 from bibshift.cocitation import ThresholdPair, cocitation_counts, core_sets
 from bibshift.records import BibRecord, Source, build_corpus
-from bibshift.refkey import RefKey, parse_cited_ref
+from bibshift.refkey import parse_cited_ref
 from bibshift.stability import rsi_series
 from bibshift.textmetrics import TermStats, new_coword_pairs, new_terms
 
@@ -30,21 +30,21 @@ def corpus_series(corpus, thresholds, gap):
     return rsi_series(thresholds, core_sets(corpus, [thresholds])[thresholds], gap)
 
 
-def cited_rows(sl) -> list[frozenset[RefKey]]:
+def cited_rows(sl) -> list[frozenset[str]]:
     """The cited references of each record of ``sl`` (one year's records),
     as counting rows."""
     return [record.cited_refs for record in sl]
 
 
-def ref_pair_counts(sl, candidates) -> dict[tuple[RefKey, RefKey], int]:
+def ref_pair_counts(sl, candidates) -> dict[tuple[str, str], int]:
     """``cocitation_counts`` of ``sl`` over ``candidates``, each pair keyed by
-    its members in ``RefKey.canonical`` order."""
-    ordered = sorted(set(candidates), key=RefKey.canonical)
+    its members in sorted order."""
+    ordered = sorted(set(candidates))
     counts = cocitation_counts(cited_rows(sl), ordered)
     return {(ordered[a], ordered[b]): n for (a, b), n in counts.items()}
 
 
-def slice_core(sl, thresholds: ThresholdPair) -> frozenset[RefKey]:
+def slice_core(sl, thresholds: ThresholdPair) -> frozenset[str]:
     """The core set of ``sl`` (one year's records) under one threshold pair:
     ``core_sets`` on a corpus of that one year."""
     [core] = core_sets(build_corpus(sl), [thresholds])[thresholds].values()

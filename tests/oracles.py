@@ -13,7 +13,6 @@ from typing import Optional
 from bibshift.cocitation import ThresholdPair
 from bibshift.ingest import MalformedRecord, MissingField, ParseResult
 from bibshift.records import CACHE_HEADER, BibRecord, Source
-from bibshift.refkey import RefKey
 
 
 def brute_citation_counts(records) -> dict:
@@ -29,7 +28,7 @@ def brute_cocitation_counts(records, candidates) -> dict:
     counts = {}
     for record in records:
         cited = [r for r in record.cited_refs if r in candidates]
-        for a, b in combinations(sorted(cited, key=RefKey.canonical), 2):
+        for a, b in combinations(sorted(cited), 2):
             counts[(a, b)] = counts.get((a, b), 0) + 1
     return counts
 
@@ -39,7 +38,7 @@ def brute_core_refs(records, thresholds: ThresholdPair) -> frozenset:
     cites = brute_citation_counts(records)
     pair_counts = {}
     for record in records:
-        for a, b in combinations(sorted(record.cited_refs, key=RefKey.canonical), 2):
+        for a, b in combinations(sorted(record.cited_refs), 2):
             pair_counts[(a, b)] = pair_counts.get((a, b), 0) + 1
 
     members = set()
@@ -49,7 +48,7 @@ def brute_core_refs(records, thresholds: ThresholdPair) -> frozenset:
         for other, m in cites.items():
             if other == ref or m < thresholds.cite_min:
                 continue
-            pair = (ref, other) if ref.canonical() <= other.canonical() else (other, ref)
+            pair = (ref, other) if ref <= other else (other, ref)
             if pair_counts.get(pair, 0) >= thresholds.cocite_min:
                 members.add(ref)
                 break
@@ -177,11 +176,12 @@ def _int_or_none(digits: str) -> Optional[int]:
         return None
 
 
-def brute_parse_cited_ref(raw: str) -> RefKey:
+def brute_ref_fields(raw: str) -> tuple:
+    """(author, year, source, volume, first page), None where absent."""
     segments = [_normalize_text(part) for part in raw.split(",")]
     non_empty = [seg for seg in segments if seg]
     if not non_empty:
-        return RefKey(author=_normalize_text(raw))
+        return (_normalize_text(raw), None, None, None, None)
 
     author = segments[0] if segments[0] else non_empty[0]
     year: Optional[int] = None
@@ -208,13 +208,22 @@ def brute_parse_cited_ref(raw: str) -> RefKey:
             source = seg
         # other positions: unparseable, dropped
 
-    return RefKey(
-        author=author,
-        year=year,
-        source_abbrev=source,
-        volume=volume,
-        first_page=page,
-    )
+    return (author, year, source, volume, page)
+
+
+def brute_parse_cited_ref(raw: str) -> str:
+    """The spelling of ``brute_ref_fields``: each present field, the year in
+    four digits and the volume and page after ``V`` and ``P``, joined by
+    ", "; a source without a year keeps an empty year segment."""
+    author, year, source, volume, page = brute_ref_fields(raw)
+    if year is not None:
+        year_text = "%04d" % year
+    else:
+        year_text = None if source is None else ""
+    spelled = [author, year_text, source,
+               None if volume is None else "V%d" % volume,
+               None if page is None else "P%d" % page]
+    return ", ".join(text for text in spelled if text is not None)
 
 
 # The two export parsers as first written: every line stripped of its line

@@ -266,12 +266,13 @@ def test_criterion_06_reference_strings_parse_exactly():
     problems = []
     parsed = 0
     for raw, expected in CORE_REF_STRINGS:
-        key = parse_cited_ref(raw)
-        got = (key.author, key.year, key.source_abbrev, key.volume, key.first_page)
-        if got == expected:
+        author, year, source, volume, page = expected
+        spelling = f"{author}, {year:04d}, {source}, V{volume}, P{page}"
+        got = parse_cited_ref(raw)
+        if got == spelling:
             parsed += 1
         else:
-            problems.append(f"{raw!r} -> {got}")
+            problems.append(f"{raw!r} -> {got!r}, want {spelling!r}")
     if parsed != 8:
         problems.append(f"parsed {parsed}/8")
     report(6, "all eight recorded core-reference strings parse field-exact", problems)

@@ -34,7 +34,6 @@ from bibshift.records import (
     read_cache,
     write_cache,
 )
-from bibshift.refkey import RefKey
 from bibshift.stability import RsiPoint
 from bibshift.textmetrics import default_stopwords
 from conftest import (
@@ -719,9 +718,9 @@ class TestReferenceReportsMatchOracle:
                 assert run(["core-refs", "--cache", str(cache), "--out-dir", str(out),
                             "--thresholds", threshold_text]) == 0
             assert _table_rows(out / "core_refs.tsv") == [
-                [str(y), str(t), ref.canonical()]
+                [str(y), str(t), ref]
                 for t in thresholds for y in years
-                for ref in sorted(brute[t, y], key=RefKey.canonical)
+                for ref in sorted(brute[t, y])
             ]
             assert _table_rows(out / "core_sizes.tsv") == [
                 [str(t)] + [str(len(brute[t, y])) for y in years]
@@ -1398,6 +1397,58 @@ class TestNoWriteOverOwnFiles:
         self.assert_refused(tmp_path, capsys,
                             [argv[0], *base_args(tmp_path, cache), *argv[1:], str(target)],
                             before)
+
+
+class TestNoWriteBeforeEveryTargetIsChecked:
+    """An output target that is a directory, or that lies below a file, ends
+    the run in ``error:`` before any output is written, whichever of the
+    run's outputs it is. Each earlier output holds other bytes than the run
+    would write, as after an older run, so a rewrite shows."""
+
+    @pytest.mark.parametrize("case", ["target-is-a-directory", "parent-is-a-file"])
+    @pytest.mark.parametrize("command", ["ingest", *REFERENCE_COMMANDS, *TITLE_COMMANDS])
+    def test_no_output_is_written(self, tmp_path, capsys, command, case):
+        # The cache has a directory of its own, so each of ingest's two
+        # outputs has a parent of its own.
+        def argv(root: Path, command: str = command) -> list[str]:
+            paths = ["--cache", str(root / "cache" / "cache.tsv"), "--out-dir", str(root / "out")]
+            if command == "ingest":
+                return ["ingest", "--index", str(root / "index.txt"),
+                        "--medline", str(root / "medline.txt"), *paths]
+            return [*{**REFERENCE_COMMANDS, **TITLE_COMMANDS}[command], *paths]
+
+        seed = tmp_path / "seed"
+        seed.mkdir()
+        seed_exports(seed)
+        assert run(argv(seed, "ingest")) == 0
+        capsys.readouterr()
+        assert run(argv(seed)) == 0
+        targets = [Path(line[len("wrote "):]).relative_to(seed)
+                   for line in capsys.readouterr().out.splitlines()]
+        for path in targets:
+            (seed / path).write_text("# an older run\n", encoding="utf-8")
+
+        for k, target in enumerate(targets):
+            root = tmp_path / f"k{k}"
+            shutil.copytree(seed, root)
+            path = root / target
+            if case == "target-is-a-directory":
+                path.unlink()
+                path.mkdir()
+            else:
+                shutil.rmtree(path.parent)
+                path.parent.write_text("", encoding="utf-8")
+            before = _tree(root)
+            assert run(argv(root)) == 1, target
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: cannot write "), captured.err
+            if case == "target-is-a-directory":
+                assert f" {path} ({path}: Is a directory)" in captured.err
+            else:  # the first output below that file is refused
+                assert f" ({path.parent}: " in captured.err
+            assert "Traceback" not in captured.err
+            assert "wrote" not in captured.out
+            assert _tree(root) == before, target
 
 
 def test_module_runs_the_cli(tmp_path):

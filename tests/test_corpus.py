@@ -188,10 +188,10 @@ def _spellings(path) -> list[list[str]]:
 
 def _canonical_spellings(corpus) -> list[list[str]]:
     """What ``_spellings`` reads from a cache of ``corpus``: each record's
-    references spelled by ``RefKey.canonical`` (a blank key as " "), in the
-    order of their escaped cells."""
+    reference spellings (a blank one as " "), in the order of their escaped
+    cells."""
     escapes = {text: "\\" + code for code, text in CELL_ESCAPES.items()}
-    return [sorted((key.canonical() or " " for key in record.cited_refs),
+    return [sorted((ref or " " for ref in record.cited_refs),
                    key=lambda s: "".join(escapes.get(c, c) for c in s))
             for records in corpus.values() for record in records]
 
@@ -221,7 +221,7 @@ class TestCacheRoundTrip:
             max_size=8,
         )
     )
-    # a blank string's key spells as "" and is written as a one-space cell;
+    # a blank string spells as "" and is written as a one-space cell;
     # A| is written as the cell A\p, which sorts before A] as a cell but
     # after it as text
     @example([("t", Source.CITATION_INDEX, 1970, [" "])])
@@ -315,7 +315,7 @@ class TestCacheReferenceSpellings:
         assert path_a.read_bytes() == path_b.read_bytes()
 
     def test_references_order_alike_under_any_hash_seed(self, tmp_path):
-        # "X, 1970" has year 1970; "X,,1970" has source "1970": unequal keys
+        # "X, 1970" has year 1970; "X,,1970" has source "1970": two references
         # that spell differently, "X, 1970" and "X, , 1970"
         script = (
             "import sys\n"
@@ -367,10 +367,10 @@ class TestCacheReferenceSpellings:
             "m1": frozenset()}
         write_cache(build_corpus(records), new)
         assert read_cache(new) == records
-        # the rewrite holds each key's canonical spelling, which reads back as it
+        # the rewrite holds each reference's canonical spelling, which reads back as it
         rewritten = _spellings(new)
         assert rewritten == _canonical_spellings(build_corpus(records))
-        assert all(parse_cited_ref(s).canonical() == s for line in rewritten for s in line)
+        assert all(parse_cited_ref(s) == s for line in rewritten for s in line)
         reports = []
         for cache in (old, new):
             out = tmp_path / f"out-{cache.stem}"

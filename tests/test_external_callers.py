@@ -4,7 +4,8 @@ names through which ``ingest`` and the title commands reach the layers the
 tracer times. Also guards that every public name in ``src/`` has one of
 these callers or a caller in ``src/``, that the commands call every
 function the tracer wraps, that no module imports a name it never reads,
-and that ``reports`` imports only classes from the analyses."""
+that ``reports`` imports only classes from the analyses, and that only
+``records`` and ``ingest`` import ``refkey``."""
 import ast
 import contextlib
 import io
@@ -231,6 +232,42 @@ def test_the_class_import_guard_sees_each_kind_of_name():
                      "from .records import g\nfrom stability import f\n"
                      "from . import textmetrics, records\n")
     assert _non_class_imports(tree, siblings) == ["stability.f", "stability.B", "textmetrics"]
+
+
+def _modules_importing(name: str, trees: dict[str, ast.Module]) -> list[str]:
+    """Each module of ``trees`` that imports module ``name`` or a name from
+    it, by a relative or an absolute import."""
+    found = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                dotted = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = node.module or ""
+                dotted = [base] + [f"{base}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if any(path == name or path.endswith("." + name) for path in dotted):
+                found.append(module)
+                break
+    return found
+
+
+def test_only_records_and_ingest_import_refkey():
+    """A cited reference is its spelling, a plain ``str``: only the two
+    readers of reference text, the export parser and the cache reader,
+    parse one, and the analyses and reports never need ``refkey``."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src" / "bibshift").glob("*.py"))}
+    assert _modules_importing("refkey", trees) == ["ingest", "records"]
+
+
+def test_the_refkey_import_guard_sees_each_kind_of_import():
+    sources = {"a": "from .refkey import parse_cited_ref\n", "b": "from . import refkey\n",
+               "c": "import bibshift.refkey\n", "d": "from bibshift import refkey as r\n",
+               "e": "from .records import refkeys\nimport refkeyx\n"}
+    trees = {name: ast.parse(code) for name, code in sources.items()}
+    assert _modules_importing("refkey", trees) == ["a", "b", "c", "d"]
 
 
 def _counting(calls: dict[str, int], label: str, original):

@@ -46,8 +46,10 @@ class TestCitationIndexParser:
     def test_multi_entry_ref_line_and_trailing_separator(self, data_dir):
         with open(data_dir / "citation_index_3records.txt", encoding="utf-8") as fh:
             result = parse_citation_index_export(fh)
-        authors = {k.author for k in result.records[2].cited_refs}
-        assert authors == {"SMITH A", "JONES B", "BROWN C", "TEMIN HM", "BALTIMORE D"}
+        assert result.records[2].cited_refs == {
+            "SMITH A, 1960, J VIROL, V1, P10", "JONES B, 1961, NATURE, V2, P20",
+            "BROWN C, 1962, SCIENCE, V3, P30", "TEMIN HM, 1970, NATURE, V226, P1211",
+            "BALTIMORE D, 1970, NATURE, V226, P1209"}
 
     def test_empty_stream(self):
         result = parse_index_text("")

@@ -1,18 +1,13 @@
-import copy
-import os
-import pickle
 import re
 import string
-import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bibshift import refkey
-from bibshift.refkey import RefKey, parse_cited_ref
-from oracles import brute_parse_cited_ref
+from bibshift.refkey import parse_cited_ref
+from oracles import brute_parse_cited_ref, brute_ref_fields
 
 # Separators, Unicode whitespace (tab, NBSP, EM SPACE, \x1c), both cases of
 # the volume and page markers, ASCII and non-ASCII decimal digits (ARABIC-INDIC
@@ -24,55 +19,36 @@ _REF_ALPHABET = (list(",\t\u00a0\u2003\x1c VPvp") + list(string.digits)
 
 class TestParseCitedRef:
     def test_full_five_segment_string(self):
-        key = parse_cited_ref("BALTIMORE D, 1970, NATURE, V226, P1209")
-        assert key.author == "BALTIMORE D"
-        assert key.year == 1970
-        assert key.source_abbrev == "NATURE"
-        assert key.volume == 226
-        assert key.first_page == 1209
+        assert parse_cited_ref("BALTIMORE D, 1970, NATURE, V226, P1209") == \
+            "BALTIMORE D, 1970, NATURE, V226, P1209"
 
     def test_spacing_and_case_normalized(self):
-        key = parse_cited_ref("  baltimore d ,1970,  nature , V226, P1209 ")
-        assert key == ("BALTIMORE D", 1970, "NATURE", 226, 1209)
+        ref = parse_cited_ref("  baltimore d ,1970,  nature , V226, P1209 ")
+        assert ref == "BALTIMORE D, 1970, NATURE, V226, P1209"
 
     def test_a_key_is_its_five_components_and_nothing_else(self):
-        key = parse_cited_ref("Baltimore D, 1970, Nature, V226, P1209, DOI 10.1/X")
-        assert type(key) is RefKey and len(key) == 5
-        assert not hasattr(key, "__dict__")
+        ref = parse_cited_ref("Baltimore D, 1970, Nature, V226, P1209, DOI 10.1/X")
+        assert type(ref) is str and ref == "BALTIMORE D, 1970, NATURE, V226, P1209"
 
     def test_author_only(self):
-        key = parse_cited_ref("ANON REPORT")
-        assert key.author == "ANON REPORT"
-        assert key.year is None
-        assert key.source_abbrev is None
-        assert key.volume is None
-        assert key.first_page is None
+        assert parse_cited_ref("ANON REPORT") == "ANON REPORT"
 
     def test_author_and_year(self):
-        key = parse_cited_ref("TEMIN HM, 1964")
-        assert (key.author, key.year) == ("TEMIN HM", 1964)
-        assert key.source_abbrev is None
+        assert parse_cited_ref("TEMIN HM, 1964") == "TEMIN HM, 1964"
 
     def test_volume_and_page_recognized_anywhere(self):
-        key = parse_cited_ref("SMITH A, V7, 1960, P99")
-        assert key.volume == 7
-        assert key.first_page == 99
-        assert key.year is None  # the year slot is position 1 only
+        # the year slot is position 1 only, so 1960 is the source
+        assert parse_cited_ref("SMITH A, V7, 1960, P99") == "SMITH A, , 1960, V7, P99"
 
     def test_non_year_second_segment(self):
-        key = parse_cited_ref("WHO, TECH REP SER, GENEVA")
-        assert key.author == "WHO"
-        assert key.year is None
-        assert key.source_abbrev == "GENEVA"
+        assert parse_cited_ref("WHO, TECH REP SER, GENEVA") == "WHO, , GENEVA"
 
     def test_source_taken_from_third_segment_only(self):
-        key = parse_cited_ref("A, 1970, J ONE, J TWO")
-        assert key.source_abbrev == "J ONE"
+        assert parse_cited_ref("A, 1970, J ONE, J TWO") == "A, 1970, J ONE"
 
     def test_unparseable_extra_segments_are_dropped(self):
-        key = parse_cited_ref("A, 1970, J, V1, P2, DOI 10.1/xy")
-        assert key == parse_cited_ref("A, 1970, J, V1, P2")
-        assert key.canonical() == "A, 1970, J, V1, P2"
+        ref = parse_cited_ref("A, 1970, J, V1, P2, DOI 10.1/xy")
+        assert ref == parse_cited_ref("A, 1970, J, V1, P2") == "A, 1970, J, V1, P2"
 
     def test_case_and_spacing_insensitive_equality(self):
         a = parse_cited_ref("Baltimore D, 1970, Nature, V226, P1209")
@@ -86,19 +62,14 @@ class TestParseCitedRef:
         assert a != b
 
     def test_empty_string(self):
-        key = parse_cited_ref("")
-        assert key == RefKey("")
-        assert key.canonical() == ""
+        assert parse_cited_ref("") == ""
 
     def test_first_volume_and_page_win(self):
-        key = parse_cited_ref("A, 1970, J, V1, V2, P3, P4")
-        assert key.volume == 1
-        assert key.first_page == 3
+        assert parse_cited_ref("A, 1970, J, V1, V2, P3, P4") == "A, 1970, J, V1, P3"
 
     @given(st.text(alphabet=string.printable, max_size=80))
     def test_never_raises(self, raw):
-        key = parse_cited_ref(raw)
-        assert isinstance(key, RefKey)
+        assert type(parse_cited_ref(raw)) is str
 
     # Segments with digit runs around int()'s default 4,300-digit limit,
     # after V, P, either case or nothing, in any position.
@@ -111,17 +82,15 @@ class TestParseCitedRef:
         max_size=6).map(", ".join))
     @example("SMITH J, 1960, NATURE, V" + "9" * 5000 + ", P1")
     def test_never_raises_on_long_digit_runs(self, raw):
-        key = parse_cited_ref(raw)
-        assert key == brute_parse_cited_ref(raw)
-        assert parse_cited_ref(key.canonical()) == key
+        ref = parse_cited_ref(raw)
+        assert ref == brute_parse_cited_ref(raw)
+        assert parse_cited_ref(ref) == ref
 
     def test_a_run_int_refuses_is_dropped(self):
         raw = "SMITH J, 1960, NATURE, V" + "9" * 5000 + ", P1"
-        key = parse_cited_ref(raw)
-        assert key == ("SMITH J", 1960, "NATURE", None, 1)
-        assert key.canonical() == "SMITH J, 1960, NATURE, P1"
+        assert parse_cited_ref(raw) == "SMITH J, 1960, NATURE, P1"
         # a later volume segment that converts is taken
-        assert parse_cited_ref(raw + ", V7").volume == 7
+        assert parse_cited_ref(raw + ", V7") == "SMITH J, 1960, NATURE, V7, P1"
 
     @settings(max_examples=300)
     @given(st.lists(st.text(alphabet=st.sampled_from(_REF_ALPHABET), max_size=24), max_size=6))
@@ -132,12 +101,39 @@ class TestParseCitedRef:
     @example(["A, 1970, J, V" + "1" * 19, "A, 1970, J, V" + "1" * 18])
     @example(["baltimore  d,1970, nature, v226,p1209, doi 10.1038/226209a0"])
     def test_reparsing_canonical_is_a_fixed_point(self, raws):
-        # any key comes back from its spelling, so distinct keys spell
-        # differently and the spelling alone orders keys
-        keys = set(map(parse_cited_ref, raws))
-        for key in keys:
-            assert parse_cited_ref(key.canonical()) == key
-        assert len({key.canonical() for key in keys}) == len(keys)
+        for ref in map(parse_cited_ref, raws):
+            assert parse_cited_ref(ref) == ref
+
+
+# _REF_ALPHABET with more Unicode decimal digits (ARABIC-INDIC ONE, NINE,
+# SEVEN, ZERO; EXTENDED ARABIC-INDIC THREE; DEVANAGARI SEVEN) and ß again,
+# so that more drawn strings spell alike.
+_IDENTITY_ALPHABET = _REF_ALPHABET + list("١٩٧٠۳७ß")
+
+
+def _with_respellings(raws: list[str]) -> list[str]:
+    """``raws``, each also in lower case and with spaces around its commas."""
+    return raws + [raw.lower() for raw in raws] + [raw.replace(",", " ,\t") for raw in raws]
+
+
+class TestSpellingIsAnIdentity:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.text(alphabet=st.sampled_from(_IDENTITY_ALPHABET), max_size=16),
+                    min_size=1, max_size=4).map(_with_respellings))
+    @example(["X,,1970", "X, 1970", "X, , 1970", "x, , 1970"])
+    @example(["a, 0970, J", "A, 970, J", "A, , 0970, J", "A, ٠٩٧٠, J"])
+    @example(["A, 1970, J, V007", "A, 1970, J, V7", "a,1970,j,v७", "A, 1970, J, P7",
+              "a,1970,j,p७"])
+    @example(["x, ١٩٧٠, j", "X, 1970, J", "X, 1970, J, DOI 10.1/X"])
+    @example(["ß, 1970", "SS, 1970", "ss,1970", "S, 1970"])
+    @example(["A, 1970, J, V" + "1" * 5000, "A, 1970, J", "A, 1970, J, V1"])
+    @example([",", ", ,", "", " ", "\t,"])
+    def test_two_strings_spell_alike_exactly_when_their_fields_agree(self, raws):
+        refs = list(map(parse_cited_ref, raws))
+        fields = list(map(brute_ref_fields, raws))
+        for ref, field in zip(refs, fields):
+            assert parse_cited_ref(ref) == ref
+            assert [ref == other for other in refs] == [field == other for other in fields]
 
 
 class TestOneNormalizingPass:
@@ -256,9 +252,9 @@ class TestWosShapedMatch:
     @example(_SOURCE_IS_A_MARKER[0])
     @example(_SOURCE_IS_A_MARKER[1])
     def test_every_field_matches_the_per_segment_parser(self, raw):
-        key = parse_cited_ref(raw)
-        assert key == brute_parse_cited_ref(raw)
-        assert parse_cited_ref(key.canonical()) == key
+        ref = parse_cited_ref(raw)
+        assert ref == brute_parse_cited_ref(raw)
+        assert parse_cited_ref(ref) == ref
 
 
 class TestCanonical:
@@ -271,50 +267,12 @@ class TestCanonical:
         ("a, 0970, j", "A, 0970, J"),
     ])
     def test_rebuilds_component_spelling(self, raw, spelling):
-        assert parse_cited_ref(raw).canonical() == spelling
+        assert parse_cited_ref(raw) == spelling
 
     def test_skips_absent_components(self):
-        key = RefKey(author="SMITH A", year=1960, first_page=12)
-        assert key.canonical() == "SMITH A, 1960, P12"
+        assert parse_cited_ref("smith a,1960,,P12") == "SMITH A, 1960, P12"
 
     def test_equal_keys_share_canonical(self):
         a = parse_cited_ref("Smith A, 1960, J Virol, V1, P10")
         b = parse_cited_ref("SMITH  A , 1960 , J  VIROL, V1, P10")
-        assert a.canonical() == b.canonical() == "SMITH A, 1960, J VIROL, V1, P10"
-
-
-class TestHash:
-    @settings(max_examples=200, deadline=None)
-    @given(st.text(st.sampled_from(_REF_ALPHABET), max_size=24))
-    def test_hash_is_that_of_the_five_compared_fields(self, raw):
-        key = parse_cited_ref(raw)
-        assert hash(key) == hash(
-            (key.author, key.year, key.source_abbrev, key.volume, key.first_page))
-
-    def test_keys_differing_only_in_spelling_hash_alike(self):
-        a = parse_cited_ref("Baltimore D, 1970, Nature, V226, P1209")
-        b = parse_cited_ref("BALTIMORE  D,1970,NATURE,V226,P1209")
-        assert a == b and hash(a) == hash(b)
-        assert hash(RefKey(*a)) == hash(a)
-
-    def test_a_pickled_or_copied_key_keeps_its_spelling(self):
-        key = parse_cited_ref("Baltimore D, 1970, Nature, V226, P1209")
-        for twin in (pickle.loads(pickle.dumps(key)), copy.copy(key)):
-            assert type(twin) is RefKey and twin == key
-            assert twin.canonical() == "BALTIMORE D, 1970, NATURE, V226, P1209"
-
-    def test_an_unpickled_key_hashes_for_the_loading_process(self):
-        # A str hash differs between hash seeds, so a key pickled under
-        # another seed must not carry its old hash along.
-        seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "PYTHONHASHSEED": seed,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        code = ("import pickle, sys\n"
-                "from bibshift.refkey import parse_cited_ref\n"
-                "sys.stdout.buffer.write(pickle.dumps(parse_cited_ref('X, 1960, J')))\n")
-        data = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                              capture_output=True, timeout=120).stdout
-        key = pickle.loads(data)
-        assert key in {parse_cited_ref("x, 1960, j")}
-        assert key == RefKey("X", 1960, "J")
+        assert a == b == "SMITH A, 1960, J VIROL, V1, P10"
