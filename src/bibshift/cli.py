@@ -10,8 +10,9 @@ Flags may also come from a JSON config file (``--config``); explicit
 command-line flags win. All reports are deterministic: re-running a
 command with the same inputs and any ``--workers`` value reproduces the
 files byte for byte. A command only collects its outputs; ``run`` writes
-them once none of them is an input of the run, another of its outputs or
-an existing directory.
+them once none of them is an input of the run, another of its outputs,
+an existing directory or below a file, and only then makes their
+directories.
 """
 from __future__ import annotations
 
@@ -391,6 +392,21 @@ def _check_outputs(outputs: list[_Output], inputs: list[tuple[str, Path]]) -> No
         earlier.append((output.what, output.path))
 
 
+def _check_target(path: Path) -> None:
+    """Raise the error a write to ``path`` would meet, before any directory
+    is made: ``ENOTDIR`` naming the first existing ancestor of its parent
+    (a dangling link counts) when that is not a directory, ``EISDIR`` when
+    ``path`` is a directory (a symlink is replaced, so it passes)."""
+    for folder in (path.parent, *path.parent.parents):
+        if folder.is_symlink() or folder.exists():
+            if not folder.is_dir():
+                raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR),
+                                         str(folder))
+            break
+    if path.is_dir() and not path.is_symlink():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+
+
 def _require_year_pair(cfg: argparse.Namespace, corpus: Corpus) -> tuple[int, int]:
     if cfg.years is None:
         raise CliError(f"{cfg.command} needs --years FORMER:LATER")
@@ -600,10 +616,10 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         _check_outputs(outputs, _inputs(cfg, args.config))
         for output in outputs:
             with _user_file(f"write {output.what}", output.path):
+                _check_target(output.path)
+        for output in outputs:
+            with _user_file(f"write {output.what}", output.path):
                 output.path.parent.mkdir(parents=True, exist_ok=True)
-                if output.path.is_dir() and not output.path.is_symlink():
-                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
-                                            str(output.path))
         for output in outputs:
             with _user_file(f"write {output.what}", output.path):
                 output.write(output.path)

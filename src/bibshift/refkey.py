@@ -24,17 +24,20 @@ equal.
 A Web of Science cited reference lists its fields in the order author,
 year, source, volume, first page, DOI, and leaves out those it lacks. A
 string whose normalized text has that shape,
-``AUTHOR, YYYY, SOURCE[, Vn][, Pn][, DOI d]``, is parsed by one
-regular-expression match instead of the segment loop; every other string
-goes through the loop. The match gives the loop's spelling exactly: the
-normalized text holds no whitespace but single inner spaces, so a
-segment that starts after ``", "`` and ends in a character other than a
-space or comma is already stripped; ASCII ``[0-9]`` digits are decimal;
-a run of at most 18 of them always converts with ``int()``; a ``DOI``
-segment holds no comma and is never a ``V``/``P`` segment, so the loop
-skips it; and a source that is itself ``V``/``P`` plus decimal digits
-(``A, 1970, V12, P3``, where the loop takes ``V12`` as the volume) is
-left to the loop.
+``AUTHOR, YYYY, SOURCE[, Vn][, Pn][, DOI d]``, and is already spelled as
+the loop would spell it, is parsed by one regular-expression match, which
+returns the text up to the DOI; every other string goes through the
+segment loop. That text is the loop's spelling: the normalized text holds
+no whitespace but single inner spaces, so a segment that starts after
+``", "`` and ends in a character other than a space or comma is already
+stripped; a year of four ASCII digits prints as itself; a volume or page
+of at most 18 ASCII digits without a leading zero (or ``0`` itself)
+prints as itself after ``int()``; and a ``DOI`` segment holds no comma
+and is never a ``V``/``P`` segment, so the loop drops it. A source that
+is itself ``V``/``P`` plus decimal digits (``A, 1970, V12, P3``, where the
+loop takes ``V12`` as the volume) fails the match at its lookahead, and
+a zero-padded number (``V0226``) fails it too; both go to the loop, which
+reads the marker and drops the zeros.
 """
 from __future__ import annotations
 
@@ -42,11 +45,12 @@ import re
 from typing import Optional
 
 
-# AUTHOR, YYYY, SOURCE[, Vn][, Pn][, DOI d] on normalized text (see the
-# module docstring); the DOI is not part of a spelling, so it is not captured
+# AUTHOR, YYYY, SOURCE[, Vn][, Pn][, DOI d] on normalized text, already in
+# the loop's spelling (see the module docstring); the DOI is not part of a
+# spelling, so it is left out of the captured text
 _CANONICAL = re.compile(
-    r"([^,]*[^, ]), ([0-9]{4}), ([^,]*[^, ])"
-    r"(?:, V([0-9]{1,18}))?(?:, P([0-9]{1,18}))?(?:, DOI [^,]+)?"
+    r"([^,]*[^, ], [0-9]{4}, (?![VP]\d+(?:,|$))[^,]*[^, ]"
+    r"(?:, V(?:0|[1-9][0-9]{0,17}))?(?:, P(?:0|[1-9][0-9]{0,17}))?)(?:, DOI [^,]+)?"
 ).fullmatch
 
 
@@ -70,16 +74,7 @@ def parse_cited_ref(raw: str) -> str:
     text = " ".join(raw.split()).upper()
     match = _CANONICAL(text)
     if match is not None:
-        author, year, source, volume, page = match.groups()
-        if not (source[0] in "VP" and source[1:].isdecimal()):
-            # int() drops a number's leading zeros; a matched digit group
-            # is never empty
-            parts = [author, year, source]
-            if volume:
-                parts.append(f"V{int(volume)}")
-            if page:
-                parts.append(f"P{int(page)}")
-            return ", ".join(parts)
+        return match[1]
     segments = [part.strip() for part in text.split(",")]
     non_empty = [seg for seg in segments if seg]
     if not non_empty:

@@ -3,6 +3,7 @@ import codecs
 import contextlib
 import errno
 import io
+import itertools
 import json
 import os
 import shutil
@@ -1253,8 +1254,8 @@ class TestUnreadableFiles:
         afile = tmp_path / "afile"
         afile.write_text("", encoding="utf-8")
         assert run(["summary", "--cache", str(cache), "--out-dir", str(afile)]) == 1
-        self.assert_error(capsys, f"error: cannot write report {afile / 'summary.tsv'}",
-                          f"({afile}: ")
+        self.assert_error(capsys, f"error: cannot write report {afile / 'summary.tsv'} "
+                                  f"({afile}: Not a directory)\n")
 
     def test_out_dir_below_a_file(self, tmp_path, capsys):
         cache = ingest(tmp_path)
@@ -1263,7 +1264,20 @@ class TestUnreadableFiles:
         afile.write_text("", encoding="utf-8")
         out_dir = afile / "sub"
         assert run(["summary", "--cache", str(cache), "--out-dir", str(out_dir)]) == 1
-        self.assert_error(capsys, f"error: cannot write report {out_dir / 'summary.tsv'}")
+        self.assert_error(capsys, f"error: cannot write report {out_dir / 'summary.tsv'} "
+                                  f"({afile}: Not a directory)\n")
+
+    def test_cache_below_a_dangling_link_makes_no_directory(self, tmp_path, capsys):
+        index_path, medline_path = seed_exports(tmp_path)
+        dangling = tmp_path / "dangling"
+        dangling.symlink_to(tmp_path / "nowhere")
+        cache = dangling / "c.tsv"
+        assert run(["ingest", "--index", str(index_path), "--medline", str(medline_path),
+                    "--cache", str(cache), "--out-dir", str(tmp_path / "newout")]) == 1
+        self.assert_error(capsys, f"error: cannot write cache {cache} "
+                                  f"({dangling}: Not a directory)\n")
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "dangling", "index.txt", "medline.txt"]
 
     @pytest.mark.parametrize("flag,what", [
         ("--stopwords", "stop-word file"), ("--config", "config file")])
@@ -1401,9 +1415,11 @@ class TestNoWriteOverOwnFiles:
 
 class TestNoWriteBeforeEveryTargetIsChecked:
     """An output target that is a directory, or that lies below a file, ends
-    the run in ``error:`` before any output is written, whichever of the
-    run's outputs it is. Each earlier output holds other bytes than the run
-    would write, as after an older run, so a rewrite shows."""
+    the run in ``error:`` before any output is written or any directory is
+    made, whichever of the run's outputs it is. Each earlier output holds
+    other bytes than the run would write, as after an older run, so a
+    rewrite shows; in a second run the directories of the other outputs
+    are gone, so one made and left behind shows."""
 
     @pytest.mark.parametrize("case", ["target-is-a-directory", "parent-is-a-file"])
     @pytest.mark.parametrize("command", ["ingest", *REFERENCE_COMMANDS, *TITLE_COMMANDS])
@@ -1428,8 +1444,8 @@ class TestNoWriteBeforeEveryTargetIsChecked:
         for path in targets:
             (seed / path).write_text("# an older run\n", encoding="utf-8")
 
-        for k, target in enumerate(targets):
-            root = tmp_path / f"k{k}"
+        for (k, target), new_dirs in itertools.product(enumerate(targets), (False, True)):
+            root = tmp_path / f"k{k}-{new_dirs}"
             shutil.copytree(seed, root)
             path = root / target
             if case == "target-is-a-directory":
@@ -1438,14 +1454,17 @@ class TestNoWriteBeforeEveryTargetIsChecked:
             else:
                 shutil.rmtree(path.parent)
                 path.parent.write_text("", encoding="utf-8")
+            if new_dirs:
+                for folder in {(root / other).parent for other in targets} - {path.parent}:
+                    shutil.rmtree(folder)
             before = _tree(root)
             assert run(argv(root)) == 1, target
             captured = capsys.readouterr()
             assert captured.err.startswith("error: cannot write "), captured.err
             if case == "target-is-a-directory":
-                assert f" {path} ({path}: Is a directory)" in captured.err
+                assert f" {path} ({path}: Is a directory)\n" in captured.err
             else:  # the first output below that file is refused
-                assert f" ({path.parent}: " in captured.err
+                assert f" ({path.parent}: Not a directory)\n" in captured.err
             assert "Traceback" not in captured.err
             assert "wrote" not in captured.out
             assert _tree(root) == before, target
