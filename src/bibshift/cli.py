@@ -5,6 +5,8 @@ ingest report), ``summary`` (per-year record counts), ``rsi`` (stability
 tables, combined matrix, groove report), ``core-refs`` (core-set
 membership and sizes), ``words`` / ``cowords`` (new-term and new-co-word
 tables for a year pair), ``phrase`` (head + stem-prefix trend series).
+An analysis error carries values and this module words it: ``rsi`` names
+the threshold pair and gap of a series with no defined RSI point.
 
 Flags may also come from a JSON config file (``--config``); explicit
 command-line flags win. All reports are deterministic: re-running a
@@ -518,23 +520,26 @@ def cmd_rsi(cfg: argparse.Namespace, outputs: list[_Output]) -> None:
     cores = core_sets(corpus, cfg.thresholds)
     for gap in cfg.gaps:
         try:
-            series_list = [rsi_series(t, cores[t], gap) for t in cfg.thresholds]
-            groove = groove_detect(series_list)
-        except (GapTooLarge, NoDefinedPoints) as exc:
+            series = {t: rsi_series(cores[t], gap) for t in cfg.thresholds}
+            groove = groove_detect(series)
+        except GapTooLarge as exc:
             raise CliError(str(exc)) from exc
+        except NoDefinedPoints as exc:
+            raise CliError(f"series {exc.thresholds} gap {gap} has no defined RSI "
+                           "points") from exc
         base_config = [
             ("command", "rsi"),
             ("years", _years_text(corpus)),
             ("gap", str(gap)),
         ]
-        for series in series_list:
-            name = f"rsi_{series.thresholds.cite_min}-{series.thresholds.cocite_min}_gap{gap}.tsv"
-            config = base_config + [("thresholds", str(series.thresholds))]
-            _report(cfg, name, reports.rsi_long_table(series, config), outputs)
+        for t, points in series.items():
+            config = base_config + [("thresholds", str(t))]
+            _report(cfg, f"rsi_{t.cite_min}-{t.cocite_min}_gap{gap}.tsv",
+                    reports.rsi_long_table(t, gap, points, config), outputs)
 
         config = base_config + [("thresholds", _thresholds_text(cfg))]
         _report(cfg, f"rsi_matrix_gap{gap}.tsv",
-                reports.rsi_matrix(series_list, groove, config), outputs)
+                reports.rsi_matrix(series, groove, config), outputs)
 
 
 def cmd_words(cfg: argparse.Namespace, outputs: list[_Output]) -> None:

@@ -215,8 +215,9 @@ def read_cache(path: str | os.PathLike, refs: bool = True) -> list[BibRecord]:
     ``cited_refs`` is empty. Parsing a reference never fails, so skipping
     the column rejects no cache that reading it accepts. A file whose last
     line lacks its newline was cut short and is rejected, and so is a year
-    cell that is not a whole number in 0-``MAX_YEAR`` and a cell holding an
-    escape that ``write_cache`` never writes.
+    cell that is not a whole number in 0-``MAX_YEAR``, a cell holding an
+    escape that ``write_cache`` never writes, and a line holding a raw
+    carriage return, which ``write_cache`` always escapes (a CRLF line end).
     """
     records: list[BibRecord] = []
     spellings: dict[str, str] = {}  # escaped reference cell -> its spelling
@@ -230,6 +231,9 @@ def read_cache(path: str | os.PathLike, refs: bool = True) -> list[BibRecord]:
                 raise ValueError(f"{path}:{lineno}: truncated cache line (a cache file "
                                  "ends with a newline; this one was cut short)")
             line = line[:-1]
+            if "\r" in line:
+                raise ValueError(f"{path}:{lineno}: raw carriage return in a cache line (a "
+                                 "cache file has LF line ends, not CRLF)")
             if not line or line.startswith("#"):
                 continue
             # Tabs inside fields are escaped, so a plain split is safe.

@@ -10,7 +10,8 @@ The analyses return values, and this module words them: an RSI reads as
 two decimals with halves rounded up (``rsi_text``), or ``-/-`` when
 undefined. The combined RSI matrix mirrors the shape of a printed
 stability table: one row per threshold pair, one column per year
-interval, each cell ``shared/RSI``, or ``-/-`` for an undefined interval.
+interval, each cell ``shared/RSI``, or ``-/-`` for an undefined interval;
+it reads ``{pair: {interval: point}}``, rows and columns in dict order.
 A core-reference member prints as its spelling, members in sorted order.
 """
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Optional, Sequence
 
 from .cocitation import ThresholdPair
 from .records import Corpus, Source, write_text_atomic
-from .stability import GrooveReport, RsiSeries
+from .stability import GrooveReport, RsiPoint
 from .textmetrics import CoWordPair, PhrasePoint, TermStats
 
 ConfigPairs = Sequence[tuple[str, str]]
@@ -119,22 +120,23 @@ def core_size_matrix(cores_by_threshold: CoreSets,
 
 # ── RSI tables ────────────────────────────────────────────────────────────────
 
-def rsi_long_table(series: RsiSeries, config: ConfigPairs) -> str:
+def rsi_long_table(thresholds: ThresholdPair, gap: int,
+                   points: dict[tuple[int, int], RsiPoint], config: ConfigPairs) -> str:
     columns = ["thresholds", "gap", "former_year", "later_year",
                "n_former", "n_later", "shared", "rsi_full", "rsi_2dp"]
     rows = [
         [
-            str(series.thresholds),
-            series.gap,
-            p.former_year,
-            p.later_year,
+            str(thresholds),
+            gap,
+            former_year,
+            later_year,
             p.n_former,
             p.n_later,
             p.shared,
             fraction_text(p.rsi),
             rsi_text(p.rsi),
         ]
-        for p in series.points
+        for (former_year, later_year), p in points.items()
     ]
     return render_table(config, columns, rows)
 
@@ -143,33 +145,35 @@ def _interval_text(interval: tuple[int, int]) -> str:
     return f"{interval[0]}/{interval[1]}"
 
 
-def rsi_matrix(series_list: Sequence[RsiSeries], groove: GrooveReport,
-               config: ConfigPairs) -> str:
+def rsi_matrix(series: dict[ThresholdPair, dict[tuple[int, int], RsiPoint]],
+               groove: GrooveReport, config: ConfigPairs) -> str:
     """Threshold-by-interval matrix with the groove report appended.
 
-    The consensus line is emitted only when more than one series took part;
-    a single series has nothing to agree with.
+    Every series holds the same intervals, the columns of the matrix. The
+    consensus line is emitted only when more than one series took part; a
+    single series has nothing to agree with.
     """
-    intervals = [p.interval for p in series_list[0].points]
-    columns = ["thresholds"] + [_interval_text(iv) for iv in intervals]
+    first = next(iter(series.values()))
+    columns = ["thresholds"] + [_interval_text(iv) for iv in first]
     rows = [
-        [str(series.thresholds)]
-        + [f"{p.shared}/{rsi_text(p.rsi)}" if p.defined else "-/-" for p in series.points]
-        for series in series_list
+        [str(thresholds)]
+        + [f"{p.shared}/{rsi_text(p.rsi)}" if p.rsi is not None else "-/-"
+           for p in points.values()]
+        for thresholds, points in series.items()
     ]
     text = render_table(config, columns, rows)
 
     groove_columns = ["thresholds", "min_rsi_full", "min_rsi_2dp", "intervals"]
     groove_rows = [
         [
-            str(m.thresholds),
-            fraction_text(m.value),
-            rsi_text(m.value),
-            ",".join(_interval_text(iv) for iv in m.intervals),
+            str(thresholds),
+            fraction_text(value),
+            rsi_text(value),
+            ",".join(_interval_text(iv) for iv in intervals),
         ]
-        for m in groove.minima
+        for thresholds, (value, intervals) in groove.minima.items()
     ]
-    if len(series_list) > 1:
+    if len(series) > 1:
         consensus = ",".join(_interval_text(iv) for iv in groove.consensus) or "-"
         groove_rows.append(["CONSENSUS", "-", "-", consensus])
     return (text + "# groove: minimal defined RSI per series\n"

@@ -27,7 +27,7 @@ def mkrec(record_id, refs=(), title="", year=1970, source=Source.CITATION_INDEX)
 
 def corpus_series(corpus, thresholds, gap):
     """The RSI series of ``corpus`` under one threshold pair."""
-    return rsi_series(thresholds, core_sets(corpus, [thresholds])[thresholds], gap)
+    return rsi_series(core_sets(corpus, [thresholds])[thresholds], gap)
 
 
 def cited_rows(sl) -> list[frozenset[str]]:

@@ -437,6 +437,9 @@ def brute_read_cache(path, refs: bool = True) -> list:
                 raise ValueError(f"{path}:{lineno}: truncated cache line (a cache file "
                                  "ends with a newline; this one was cut short)")
             break
+        if "\r" in line:
+            raise ValueError(f"{path}:{lineno}: raw carriage return in a cache line (a "
+                             "cache file has LF line ends, not CRLF)")
         if line == "" or line[0] == "#":
             continue
         cells = line.split("\t")

@@ -72,11 +72,11 @@ def load_table_cells() -> list[dict]:
 
 
 def make_cores(n_former: int, n_later: int, shared: int):
-    """``rsi``'s arguments for a 1970 and a 1971 core set of the given sizes."""
+    """``rsi``'s arguments: a former and a later core set of the given sizes."""
     refs = [mkref(f"R{i} X, 1950") for i in range(n_former + n_later - shared)]
     former = frozenset(refs[:n_former])
     later = frozenset(refs[n_former - shared: n_former - shared + n_later])
-    return 1970, former, 1971, later
+    return former, later
 
 
 def test_criterion_01_table_cells_reproduced():
@@ -141,8 +141,8 @@ def test_criterion_02_undefined_cell_renders_dashes():
     if sizes != (3, 0):
         problems.append(f"core sizes {sizes} != (3, 0)")
 
-    series = corpus_series(corpus, thresholds, gap=1)
-    text = rsi_matrix([series], groove_detect([series]),
+    series = {thresholds: corpus_series(corpus, thresholds, gap=1)}
+    text = rsi_matrix(series, groove_detect(series),
                       [("command", "rsi"), ("gap", "1")])
     row = next(line for line in text.splitlines() if line.startswith("3/2\t"))
     cells = row.split("\t")
@@ -224,15 +224,15 @@ def decade_corpus():
 
 def test_criterion_05_groove_consensus_interval():
     corpus = decade_corpus()
-    series_set = [corpus_series(corpus, t, gap=2) for t in FOUR_THRESHOLDS]
+    series_set = {t: corpus_series(corpus, t, gap=2) for t in FOUR_THRESHOLDS}
     groove = groove_detect(series_set)
 
     problems = []
-    for minimum in groove.minima:
-        if minimum.intervals != ((1970, 1972),):
-            problems.append(f"{minimum.thresholds} dips at {minimum.intervals}")
-        if rsi_text(minimum.value) != "0.07":
-            problems.append(f"{minimum.thresholds} minimum {minimum.value}, want 1/15")
+    for thresholds, (value, intervals) in groove.minima.items():
+        if intervals != ((1970, 1972),):
+            problems.append(f"{thresholds} dips at {intervals}")
+        if rsi_text(value) != "0.07":
+            problems.append(f"{thresholds} minimum {value}, want 1/15")
     if not groove.consensus:
         problems.append("no consensus flagged")
     if groove.consensus != ((1970, 1972),):

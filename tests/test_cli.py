@@ -13,6 +13,7 @@ import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple, Optional
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -35,7 +36,6 @@ from bibshift.records import (
     read_cache,
     write_cache,
 )
-from bibshift.stability import RsiPoint
 from bibshift.textmetrics import default_stopwords
 from conftest import (
     index_export_text,
@@ -694,6 +694,16 @@ def _pool_case(pools: dict, thresholds: list, gaps: list, extra=()):
     return build_corpus(records), [ThresholdPair.parse(t) for t in thresholds], gaps
 
 
+class OraclePoint(NamedTuple):
+    """One brute-force RSI cell, with the years it compares."""
+    former_year: int
+    later_year: int
+    n_former: int
+    n_later: int
+    shared: int
+    rsi: Optional[Fraction]  # None when either core set is empty
+
+
 class TestReferenceReportsMatchOracle:
     GROOVE = "# groove: minimal defined RSI per series"
 
@@ -736,7 +746,7 @@ class TestReferenceReportsMatchOracle:
             points = {gap: {t: [self.point(brute[t, y], brute[t, y + gap], y, y + gap)
                                 for y in years if y + gap <= years[-1]] for t in thresholds}
                       for gap in gaps}
-            if not all(by_t[thresholds[0]] and all(any(p.defined for p in series)
+            if not all(by_t[thresholds[0]] and all(any(p.rsi is not None for p in series)
                                                    for series in by_t.values())
                        for by_t in points.values()):
                 # some gap fits no interval, or leaves a series with no defined
@@ -751,7 +761,7 @@ class TestReferenceReportsMatchOracle:
                         [str(t), str(gap), str(p.former_year), str(p.later_year),
                          str(p.n_former), str(p.n_later), str(p.shared),
                          *((f"{p.rsi.numerator}/{p.rsi.denominator}", brute_rsi_2dp(p.rsi))
-                           if p.defined else ("-/-", "-/-"))]
+                           if p.rsi is not None else ("-/-", "-/-"))]
                         for p in by_t[t]]
                 lines = (out / f"rsi_matrix_gap{gap}.tsv").read_text(
                     encoding="utf-8").splitlines()
@@ -759,8 +769,8 @@ class TestReferenceReportsMatchOracle:
                 assert rows[0] == ["thresholds"] + [f"{p.former_year}/{p.later_year}"
                                                     for p in by_t[thresholds[0]]]
                 assert rows[1:1 + len(thresholds)] == [
-                    [str(t)] + [f"{p.shared}/{brute_rsi_2dp(p.rsi)}" if p.defined else "-/-"
-                                for p in by_t[t]]
+                    [str(t)] + [f"{p.shared}/{brute_rsi_2dp(p.rsi)}"
+                                if p.rsi is not None else "-/-" for p in by_t[t]]
                     for t in thresholds]
                 assert lines[lines.index(self.GROOVE):] == self.groove_block(
                     [by_t[t] for t in thresholds], thresholds)
@@ -772,9 +782,9 @@ class TestReferenceReportsMatchOracle:
         reach (``-`` when none)."""
         rows, tied = [], []
         for t, points in zip(thresholds, series):
-            low = min(p.rsi for p in points if p.defined)
+            low = min(p.rsi for p in points if p.rsi is not None)
             tied.append([f"{p.former_year}/{p.later_year}"
-                         for p in points if p.defined and p.rsi == low])
+                         for p in points if p.rsi == low])
             rows.append(f"{t}\t{low.numerator}/{low.denominator}\t{brute_rsi_2dp(low)}"
                         f"\t{','.join(tied[-1])}")
         if len(series) > 1:
@@ -785,11 +795,45 @@ class TestReferenceReportsMatchOracle:
 
     @staticmethod
     def point(former: frozenset, later: frozenset, former_year: int,
-              later_year: int) -> RsiPoint:
+              later_year: int) -> OraclePoint:
         shared = len(former & later)
         union = len(former) + len(later) - shared
         rsi = Fraction(shared, union) if former and later else None
-        return RsiPoint(former_year, later_year, len(former), len(later), shared, rsi)
+        return OraclePoint(former_year, later_year, len(former), len(later), shared, rsi)
+
+
+class TestRsiErrorLines:
+    """``rsi``'s two errors, byte for byte, on the generator's default-seed
+    exports at 24 papers a year (years 1966:1975)."""
+
+    @pytest.fixture(scope="class")
+    def cache(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("synthetic")
+        subprocess.run(
+            [sys.executable, str(Path(__file__).resolve().parents[1] / "scripts"
+                                 / "make_synthetic_corpus.py"),
+             "--out-dir", str(tmp), "--papers-per-year", "24"],
+            check=True, capture_output=True, timeout=120,
+        )
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run(["ingest", "--index", str(tmp / "citation_index.txt"),
+                        "--medline", str(tmp / "medline.txt"),
+                        "--cache", str(tmp / "cache.tsv"),
+                        "--out-dir", str(tmp / "ingest")]) == 0
+        return tmp / "cache.tsv"
+
+    @pytest.mark.parametrize("flags, line", [
+        (["--thresholds", "500/500"],
+         "error: series 500/500 gap 1 has no defined RSI points\n"),
+        (["--gaps", "30"],
+         "error: gap 30 leaves no interval inside year range 1966:1975\n"),
+    ])
+    def test_error_line(self, cache, tmp_path, flags, line):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(["rsi", *base_args(tmp_path, cache), *flags])
+        assert (code, out.getvalue(), err.getvalue()) == (1, "", line)
+        assert not (tmp_path / "out").exists()
 
 
 # Title words: stop words, digits, one-letter words, case and case-fold
@@ -1205,6 +1249,18 @@ class TestBadCache:
         cache.write_text(f"{CACHE_HEADER}\na\tMEDLINE\t0\tvirus\t\n"
                          "b\tMEDLINE\t9999\tvirus\t\n", encoding="utf-8")
         assert [r.pub_year for r in read_cache(cache)] == [0, 9999]
+
+    @pytest.mark.parametrize("command", [["summary"], ["words", "--years", "1970:1971"]])
+    def test_a_raw_carriage_return_is_an_error(self, tmp_path, capsys, command):
+        # Read as a reference, the "\r" cell of a CRLF line end would be one
+        # more distinct reference; words reads no reference and rejects it too.
+        cache = tmp_path / "c.tsv"
+        cache.write_bytes(f"{CACHE_HEADER}\nA\tMEDLINE\t1970\tT one\t\r\n".encode())
+        assert run([*command, *base_args(tmp_path, cache)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot build corpus from {cache}: {cache}:2: raw carriage return in a "
+            "cache line (a cache file has LF line ends, not CRLF)\n")
+        assert not (tmp_path / "out").exists()
 
     def test_headerless_cache_is_an_error(self, tmp_path, capsys):
         cache = self.write(tmp_path, lambda text: text.split("\n", 1)[1])

@@ -456,6 +456,21 @@ class TestCacheCutShort:
         assert [r.pub_year for r in read_cache(path)] == [1970, 1971]
 
 
+class TestCacheLineEnds:
+    @pytest.mark.parametrize("line", [
+        "A\tMEDLINE\t1970\tT one\t\r",  # a CRLF line end
+        "A\tMEDLINE\t1970\tT\rone\t",    # inside a cell
+        "# note\r",                      # a comment line
+    ])
+    def test_raw_carriage_return_rejected(self, tmp_path, line):
+        path = tmp_path / "c.tsv"
+        path.write_bytes(f"{CACHE_HEADER}\n{line}\n".encode())
+        for refs in (True, False):
+            with pytest.raises(ValueError, match=r"^.*c\.tsv:2: raw carriage return in a "
+                               r"cache line \(a cache file has LF line ends, not CRLF\)$"):
+                read_cache(path, refs)
+
+
 # Cache text for the reader oracle. A cell is clean (no backslash) or holds
 # escapes; references are drawn from a small pool so that cells repeat, and
 # most year cells are 1970, so that a bad year follows a good one.
@@ -499,8 +514,9 @@ def _bad_line(draw):
                                              "١٩٧٠"]))
         elif column == 5:
             cells.append("extra")
-        else:  # a bad escape; "\\|" reads as one escape only where refs go unparsed
-            cells[column] += draw(st.sampled_from(["\\q", "\\", "\\|X, 1960, J"]))
+        else:  # a bad escape, where "\\|" reads as one only where refs go unparsed;
+            # or a raw carriage return
+            cells[column] += draw(st.sampled_from(["\\q", "\\", "\\|X, 1960, J", "\r"]))
     return "\t".join(cells)
 
 

@@ -18,7 +18,7 @@ from bibshift.reports import (
     words_table,
     write_report,
 )
-from bibshift.stability import GrooveReport, SeriesMinimum, groove_detect
+from bibshift.stability import GrooveReport, groove_detect
 from bibshift.textmetrics import CoWordPair, PhrasePoint, TermStats
 from conftest import corpus_series, mkrec
 
@@ -114,7 +114,7 @@ def stability_corpus():
 class TestRsiTables:
     def test_long_table_rows(self):
         series = corpus_series(stability_corpus(), T, gap=1)
-        text = rsi_long_table(series, CFG)
+        text = rsi_long_table(T, 1, series, CFG)
         lines = text.splitlines()
         assert lines[2] == ("thresholds\tgap\tformer_year\tlater_year"
                             "\tn_former\tn_later\tshared\trsi_full\trsi_2dp")
@@ -124,10 +124,8 @@ class TestRsiTables:
 
     def test_matrix_cells_and_groove(self):
         corpus = stability_corpus()
-        strict = corpus_series(corpus, T, gap=1)
-        loose = corpus_series(corpus, ThresholdPair(2, 2), gap=1)
-        groove = groove_detect([strict, loose])
-        text = rsi_matrix([strict, loose], groove, CFG)
+        series = {t: corpus_series(corpus, t, gap=1) for t in (T, ThresholdPair(2, 2))}
+        text = rsi_matrix(series, groove_detect(series), CFG)
         lines = text.splitlines()
         assert lines[2] == "thresholds\t1970/1971\t1971/1972\t1972/1973"
         assert lines[3] == "3/2\t2/1.00\t0/0.00\t-/-"
@@ -140,28 +138,27 @@ class TestRsiTables:
         assert len(lines) == 10
 
     def test_single_series_omits_consensus(self):
-        series = corpus_series(stability_corpus(), T, gap=1)
-        text = rsi_matrix([series], groove_detect([series]), CFG)
+        series = {T: corpus_series(stability_corpus(), T, gap=1)}
+        text = rsi_matrix(series, groove_detect(series), CFG)
         assert "CONSENSUS" not in text
 
     def test_empty_consensus_rendered_as_dash(self):
         corpus = stability_corpus()
-        strict = corpus_series(corpus, T, gap=1)
-        loose = corpus_series(corpus, ThresholdPair(2, 2), gap=1)
+        series = {t: corpus_series(corpus, t, gap=1) for t in (T, ThresholdPair(2, 2))}
         groove = GrooveReport(
-            minima=(
-                SeriesMinimum(T, Fraction(0), ((1970, 1971),)),
-                SeriesMinimum(ThresholdPair(2, 2), Fraction(0), ((1971, 1972),)),
-            ),
+            minima={
+                T: (Fraction(0), ((1970, 1971),)),
+                ThresholdPair(2, 2): (Fraction(0), ((1971, 1972),)),
+            },
             consensus=(),
         )
-        text = rsi_matrix([strict, loose], groove, CFG)
+        text = rsi_matrix(series, groove, CFG)
         assert text.splitlines()[-1] == "CONSENSUS\t-\t-\t-"
 
     def test_table_is_deterministic(self):
         series = corpus_series(stability_corpus(), T, gap=1)
-        once = rsi_long_table(series, CFG)
-        again = rsi_long_table(corpus_series(stability_corpus(), T, gap=1), CFG)
+        once = rsi_long_table(T, 1, series, CFG)
+        again = rsi_long_table(T, 1, corpus_series(stability_corpus(), T, gap=1), CFG)
         assert once == again
 
 

@@ -12,7 +12,6 @@ from bibshift.stability import (
     groove_detect,
     rsi,
     rsi_series,
-    series_minimum,
 )
 from conftest import corpus_series, mkrec, mkref
 
@@ -25,7 +24,7 @@ def core(names):
 
 class TestRsi:
     def test_counts_and_value(self):
-        point = rsi(1966, core("ABCDEFGH"), 1967, core("ABZ"))
+        point = rsi(core("ABCDEFGH"), core("ABZ"))
         assert (point.n_former, point.n_later, point.shared) == (8, 3, 2)
         assert point.rsi == Fraction(2, 9)
         assert rsi_text(point.rsi) == "0.22"
@@ -33,39 +32,38 @@ class TestRsi:
     def test_larger_sets(self):
         former = core([f"F{i}" for i in range(46)])
         later = core([f"F{i}" for i in range(8)] + [f"L{i}" for i in range(72)])
-        point = rsi(1970, former, 1972, later)
+        point = rsi(former, later)
         assert (point.n_former, point.n_later, point.shared) == (46, 80, 8)
         assert point.rsi == Fraction(8, 118)
         assert rsi_text(point.rsi) == "0.07"
 
     def test_identical_sets(self):
-        point = rsi(1970, core("ABC"), 1971, core("ABC"))
+        point = rsi(core("ABC"), core("ABC"))
         assert point.rsi == 1
         assert rsi_text(point.rsi) == "1.00"
 
     def test_disjoint_sets(self):
-        point = rsi(1970, core("ABC"), 1971, core("XYZ"))
+        point = rsi(core("ABC"), core("XYZ"))
         assert point.rsi == 0
         assert rsi_text(point.rsi) == "0.00"
 
     def test_empty_former_is_undefined(self):
-        point = rsi(1970, core(""), 1971, core("ABC"))
+        point = rsi(core(""), core("ABC"))
         assert point.rsi is None
-        assert not point.defined
         assert rsi_text(point.rsi) == "-/-"
 
     def test_empty_later_is_undefined(self):
-        assert rsi(1970, core("ABC"), 1971, core("")).rsi is None
+        assert rsi(core("ABC"), core("")).rsi is None
 
     def test_symmetry_of_value(self):
         a, b = core("ABCD"), core("CDE")
-        assert rsi(1970, a, 1971, b).rsi == rsi(1970, b, 1971, a).rsi
+        assert rsi(a, b).rsi == rsi(b, a).rsi
 
     @given(st.sets(st.integers(0, 30)), st.sets(st.integers(0, 30)))
     def test_range_and_extremes(self, xs, ys):
         a = core([f"N{i}" for i in xs])
         b = core([f"N{i}" for i in ys])
-        value = rsi(1970, a, 1971, b).rsi
+        value = rsi(a, b).rsi
         if not xs or not ys:
             assert value is None
         else:
@@ -81,7 +79,7 @@ class TestRsi:
         b = core([f"N{i}" for i in ys])
         a2 = core([f"N{i}" for i in xs] + ["EXTRA"])
         b2 = core([f"N{i}" for i in ys] + ["EXTRA"])
-        assert rsi(1970, a2, 1971, b2).rsi > rsi(1970, a, 1971, b).rsi
+        assert rsi(a2, b2).rsi > rsi(a, b).rsi
 
 
 class TestRounding:
@@ -113,8 +111,8 @@ class TestFormatCell:
 
     @staticmethod
     def cells(cores) -> list[str]:
-        series = rsi_series(T, cores, gap=1)
-        text = rsi_matrix([series], groove_detect([series]), [])
+        series = {T: rsi_series(cores, gap=1)}
+        text = rsi_matrix(series, groove_detect(series), [])
         return text.splitlines()[1].split("\t")[1:]
 
     def test_defined_cell(self):
@@ -140,14 +138,12 @@ class TestRsiSeries:
     def test_point_count_and_order(self):
         corpus = interval_corpus({y: ["A", "B"] for y in range(1966, 1976)})
         series = corpus_series(corpus, T, gap=2)
-        assert len(series.points) == 8
-        assert [p.interval for p in series.points] == [
-            (y, y + 2) for y in range(1966, 1974)
-        ]
+        assert len(series) == 8
+        assert list(series) == [(y, y + 2) for y in range(1966, 1974)]
 
     def test_gap_one_on_ten_years(self):
         corpus = interval_corpus({y: ["A", "B"] for y in range(1966, 1976)})
-        assert len(corpus_series(corpus, T, gap=1).points) == 9
+        assert len(corpus_series(corpus, T, gap=1)) == 9
 
     def test_single_year_rejects_any_gap(self):
         corpus = interval_corpus({1970: ["A", "B"]})
@@ -162,36 +158,35 @@ class TestRsiSeries:
 
     def test_values_track_core_overlap(self):
         corpus = interval_corpus({1970: ["A", "B"], 1971: ["B", "C"]})
-        [point] = corpus_series(corpus, T, gap=1).points
+        [point] = corpus_series(corpus, T, gap=1).values()
         assert point.rsi == Fraction(1, 3)
 
     def test_empty_year_gives_undefined_point(self):
         corpus = interval_corpus({1970: ["A", "B"], 1972: ["A", "B"]}, (1970, 1972))
         series = corpus_series(corpus, T, gap=1)
-        assert [p.defined for p in series.points] == [False, False]
+        assert list(series) == [(1970, 1971), (1971, 1972)]
+        assert [p.rsi for p in series.values()] == [None, None]
 
-    def test_thresholds_and_years_come_from_the_cores(self):
-        loose = ThresholdPair(2, 2)
-        series = rsi_series(loose, {1980: core("AB"), 1981: core("B")}, gap=1)
-        assert series.thresholds == loose
-        assert [p.interval for p in series.points] == [(1980, 1981)]
+    def test_years_come_from_the_cores(self):
+        series = rsi_series({1980: core("AB"), 1981: core("B")}, gap=1)
+        assert series == {(1980, 1981): (2, 1, 1, Fraction(1, 2))}
 
     def test_no_cores_rejected(self):
         with pytest.raises(ValueError, match=r"^need at least one core set$"):
-            rsi_series(T, {}, gap=1)
+            rsi_series({}, gap=1)
 
     @pytest.mark.parametrize("years", [
         (1970, 1971, 1973, 1974),  # a hole at 1972
         (1974, 1971, 1970, 1973),  # keys out of order
     ])
     def test_points_only_where_both_years_are_keys(self, years):
-        series = rsi_series(T, {year: core("AB") for year in years}, gap=1)
-        assert [p.interval for p in series.points] == [(1970, 1971), (1973, 1974)]
+        series = rsi_series({year: core("AB") for year in years}, gap=1)
+        assert list(series) == [(1970, 1971), (1973, 1974)]
 
     def test_no_interval_between_keys_rejected(self):
         with pytest.raises(GapTooLarge,
                            match=r"^gap 1 leaves no interval inside year range 1970:1972$"):
-            rsi_series(T, {1972: core("AB"), 1970: core("AB")}, gap=1)
+            rsi_series({1972: core("AB"), 1970: core("AB")}, gap=1)
 
 
 class TestGroove:
@@ -203,34 +198,33 @@ class TestGroove:
             1973: ["X", "Y", "Z"],
         })
         series = corpus_series(corpus, T, gap=1)
-        low = series_minimum(series)
-        assert low.value == 0
-        assert low.intervals == ((1971, 1972),)
+        assert groove_detect({T: series}).minima[T] == (0, ((1971, 1972),))
 
     def test_ties_list_every_interval(self):
         corpus = interval_corpus({y: ["A", "B"] for y in range(1970, 1974)})
         series = corpus_series(corpus, T, gap=1)
-        low = series_minimum(series)
-        assert low.value == 1
-        assert low.intervals == ((1970, 1971), (1971, 1972), (1972, 1973))
+        value, intervals = groove_detect({T: series}).minima[T]
+        assert value == 1
+        assert intervals == ((1970, 1971), (1971, 1972), (1972, 1973))
 
     def test_undefined_points_excluded_from_minimum(self):
         corpus = interval_corpus(
             {1970: ["A", "B"], 1972: ["A", "B"], 1973: ["A", "C"]}, (1970, 1973)
         )
         series = corpus_series(corpus, T, gap=1)
-        low = series_minimum(series)
-        assert low.intervals == ((1972, 1973),)
-        assert low.value == Fraction(1, 3)
+        value, intervals = groove_detect({T: series}).minima[T]
+        assert intervals == ((1972, 1973),)
+        assert value == Fraction(1, 3)
 
     def test_all_undefined_raises(self):
         # data only in the end years leaves every consecutive pair with an
         # empty side
         corpus = interval_corpus({1970: ["A", "B"], 1974: ["A", "B"]}, (1970, 1974))
         series = corpus_series(corpus, T, gap=1)
-        assert not any(p.defined for p in series.points)
-        with pytest.raises(NoDefinedPoints):
-            series_minimum(series)
+        assert all(p.rsi is None for p in series.values())
+        with pytest.raises(NoDefinedPoints) as raised:
+            groove_detect({T: series})
+        assert raised.value.thresholds == T
 
     def test_consensus_when_all_series_dip_together(self):
         corpus = interval_corpus({
@@ -239,10 +233,10 @@ class TestGroove:
             1972: ["W", "X", "Y", "Z"],
             1973: ["W", "X", "Y", "Z"],
         })
-        series_set = [
-            corpus_series(corpus, t, gap=1)
+        series_set = {
+            t: corpus_series(corpus, t, gap=1)
             for t in (ThresholdPair(3, 2), ThresholdPair(3, 3), ThresholdPair(2, 2))
-        ]
+        }
         report = groove_detect(series_set)
         assert report.consensus == ((1971, 1972),)
 
@@ -260,24 +254,15 @@ class TestGroove:
             records.append(mkrec(f"w{year}a", refs=["U, 1960, J", "V, 1960, J"], year=year))
             records.append(mkrec(f"w{year}b", refs=["U, 1960, J", "V, 1960, J"], year=year))
         corpus = build_corpus(records)
-        strict = corpus_series(corpus, ThresholdPair(3, 2), gap=1)
-        loose = corpus_series(corpus, ThresholdPair(2, 2), gap=1)
-        assert series_minimum(strict).intervals == ((1972, 1973),)
-        assert series_minimum(loose).intervals == ((1970, 1971),)
-        report = groove_detect([strict, loose])
+        strict, loose = ThresholdPair(3, 2), ThresholdPair(2, 2)
+        report = groove_detect({t: corpus_series(corpus, t, gap=1) for t in (strict, loose)})
+        assert report.minima[strict][1] == ((1972, 1973),)
+        assert report.minima[loose][1] == ((1970, 1971),)
         assert report.consensus == ()
-
-    def test_mixed_gaps_rejected(self):
-        corpus = interval_corpus({y: ["A", "B"] for y in range(1970, 1974)})
-        with pytest.raises(ValueError):
-            groove_detect([
-                corpus_series(corpus, T, gap=1),
-                corpus_series(corpus, T, gap=2),
-            ])
 
     def test_empty_series_set_rejected(self):
         with pytest.raises(ValueError):
-            groove_detect([])
+            groove_detect({})
 
 
 class TestSharedCoreSets:
@@ -301,4 +286,4 @@ class TestSharedCoreSets:
         cores = core_sets(corpus, self.THRESHOLDS)
         for gap in (1, 2):
             for t in self.THRESHOLDS:
-                assert rsi_series(t, cores[t], gap) == corpus_series(corpus, t, gap)
+                assert rsi_series(cores[t], gap) == corpus_series(corpus, t, gap)
