@@ -156,14 +156,27 @@ def _min_cosine(name: str, number: float) -> float:
 def _path(name: str, text: str) -> Path:
     if "\0" in text:
         raise CliError(f"{name} {text!r} must not hold a NUL character")
+    try:
+        os.fsencode(text)
+    except UnicodeEncodeError as exc:
+        raise CliError(f"{name} {text!r} cannot be encoded as a file name") from exc
     return Path(text)
+
+
+def _report_text(name: str, text: str) -> str:
+    try:
+        text.encode("utf-8")  # an undecodable argument byte is a lone surrogate
+    except UnicodeEncodeError as exc:
+        raise CliError(f"{name} {text!r} is not UTF-8 text "
+                       "(it is written into the report header)") from exc
+    return text
 
 
 def _header_path(name: str, text: str) -> Path:
     if "\n" in text or "\r" in text:
         raise CliError(f"{name} {text!r} must not hold a line break "
                        "(it is written into the report header)")
-    return _path(name, text)
+    return _path(name, _report_text(name, text))
 
 
 # --head and --stem become part of report file names.
@@ -175,6 +188,7 @@ _NEVER_IN_WORD = frozenset("!\"#$%&'()*+,-./:;<=>?@[\\]^_`{|}~")  # string.punct
 
 
 def _name_part(name: str, value: str) -> str:
+    _report_text(name, value)
     if _PATH_CHARS.intersection(value):
         raise CliError(f"{name} {value!r} must not hold a path separator or NUL "
                        "(it is part of the report file names)")
@@ -595,7 +609,7 @@ def cmd_phrase(cfg: argparse.Namespace, outputs: list[_Output]) -> None:
         ("stem", cfg.stem),
     ]
     _report(cfg, f"phrase_{cfg.head}_{cfg.stem}.tsv",
-            reports.phrase_table(per_source, list(corpus), config), outputs)
+            reports.phrase_table(per_source, config), outputs)
     _report(cfg, f"phrase_series_{cfg.head}_{cfg.stem}.tsv",
             reports.phrase_series(sum_phrase_trends(corpus, per_source.values()), config),
             outputs)

@@ -13,6 +13,7 @@ stability table: one row per threshold pair, one column per year
 interval, each cell ``shared/RSI``, or ``-/-`` for an undefined interval;
 it reads ``{pair: {interval: point}}``, rows and columns in dict order.
 A core-reference member prints as its spelling, members in sorted order.
+A title table reads ``{source: {key: stats}}``, a key per term, pair or year.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from typing import Optional, Sequence
 from .cocitation import ThresholdPair
 from .records import Corpus, Source, write_text_atomic
 from .stability import GrooveReport, RsiPoint
-from .textmetrics import CoWordPair, PhrasePoint, TermStats
+from .textmetrics import CoWordPair, DocShare
 
 ConfigPairs = Sequence[tuple[str, str]]
 
@@ -182,69 +183,66 @@ def rsi_matrix(series: dict[ThresholdPair, dict[tuple[int, int], RsiPoint]],
 
 # ── word tables ───────────────────────────────────────────────────────────────
 
-def _per_source_table(per_source: dict[Source, Sequence], key_columns: Sequence[str],
-                      value_columns: Sequence[str], key, cells,
-                      config: ConfigPairs) -> str:
-    """One row per key (a tuple) over every source's items, with one group of
-    ``value_columns`` per source present and ``-`` cells where the key is
-    absent from a source. Rows run from the best percent in any source down,
-    ties in key order."""
+def _per_source_table(per_source: dict[Source, dict], key_columns: Sequence[str],
+                      value_columns: Sequence[str], cells, config: ConfigPairs) -> str:
+    """One row per key (a term, or a pair filling two ``key_columns``) over
+    every source's items, with one group of ``value_columns`` per source
+    present and ``-`` cells where the key is absent from a source. Rows run
+    from the best percent in any source down, ties in key order."""
     sources = [s for s in Source if s in per_source]
     columns = [*key_columns,
                *(f"{source.value}_{name}" for source in sources for name in value_columns)]
-    by_key: dict[tuple, dict[Source, object]] = {}
+    by_key: dict = {}
     for source in sources:
-        for item in per_source[source]:
-            by_key.setdefault(key(item), {})[source] = item
+        for k, stats in per_source[source].items():
+            by_key.setdefault(k, {})[source] = stats
 
-    def order(k: tuple):
-        return (-max(item.percent for item in by_key[k].values()), k)
+    def order(k):
+        return (-max(stats.percent for stats in by_key[k].values()), k)
 
     absent = ["-"] * len(value_columns)
     rows = []
     for k in sorted(by_key, key=order):
-        row = list(k)
+        row = [k] if len(key_columns) == 1 else list(k)
         for source in sources:
-            item = by_key[k].get(source)
-            row += absent if item is None else cells(item)
+            stats = by_key[k].get(source)
+            row += absent if stats is None else cells(stats)
         rows.append(row)
     return render_table(config, columns, rows)
 
 
-def words_table(per_source: dict[Source, Sequence[TermStats]],
+def words_table(per_source: dict[Source, dict[str, DocShare]],
                 config: ConfigPairs) -> str:
     """New-term table; one percent/doc-freq column pair per source, ``-``
     where a term did not qualify in that source."""
     return _per_source_table(
-        per_source, ["term"], ["doc_freq", "percent"], lambda s: (s.term,),
+        per_source, ["term"], ["doc_freq", "percent"],
         lambda s: [str(s.doc_freq), percent_text(s.percent)], config)
 
 
-def cowords_table(per_source: dict[Source, Sequence[CoWordPair]],
+def cowords_table(per_source: dict[Source, dict[tuple[str, str], CoWordPair]],
                   config: ConfigPairs) -> str:
     """New co-word table; per-source co-doc-freq / cosine / percent columns."""
     return _per_source_table(
         per_source, ["term_a", "term_b"], ["co_doc_freq", "cosine", "percent"],
-        lambda p: (p.term_a, p.term_b),
         lambda p: [str(p.co_doc_freq), cosine_text(p.cosine), percent_text(p.percent)],
         config)
 
 
-def phrase_table(per_source: dict[Source, Sequence[PhrasePoint]],
-                 years: Sequence[int], config: ConfigPairs) -> str:
+def phrase_table(per_source: dict[Source, dict[int, DocShare]],
+                 config: ConfigPairs) -> str:
+    """One row per year of the trends: every source part keeps every year."""
     sources = [s for s in Source if s in per_source]
-    columns = ["year"]
+    columns = ["year", *(f"{source.value}_{name}" for source in sources
+                         for name in ("doc_freq", "percent"))]
+    rows = {year: [year] for year in next(iter(per_source.values()), {})}
     for source in sources:
-        columns += [f"{source.value}_doc_freq", f"{source.value}_percent"]
-    by_year: dict[int, list[str]] = {year: [str(year)] for year in years}
-    for source in sources:
-        for point in per_source[source]:
-            by_year[point.year] += [str(point.doc_freq), percent_text(point.percent)]
-    rows = [by_year[year] for year in years]
-    return render_table(config, columns, rows)
+        for year, share in per_source[source].items():
+            rows[year] += [str(share.doc_freq), percent_text(share.percent)]
+    return render_table(config, columns, rows.values())
 
 
-def phrase_series(points: Sequence[PhrasePoint], config: ConfigPairs) -> str:
+def phrase_series(trend: dict[int, DocShare], config: ConfigPairs) -> str:
     """Two-column (year, percent) series for plotting."""
-    rows = [[p.year, percent_text(p.percent)] for p in points]
+    rows = [[year, percent_text(share.percent)] for year, share in trend.items()]
     return render_table(config, ["year", "percent"], rows)

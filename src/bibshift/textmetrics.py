@@ -11,8 +11,9 @@ title contributes at most 1 to a term's document frequency no matter how
 often it repeats the word. Percent values use the number of the year's
 records as denominator, including records whose titles tokenize to nothing.
 ``new_terms`` and ``new_coword_pairs`` take the former and the later year's
-records; ``phrase_trend`` takes a corpus (one source's part, say) and walks
-its years in order.
+records and key each ``DocShare`` by term, each ``CoWordPair`` by term pair
+``(a, b)``, ``a < b``; ``phrase_trend`` takes a corpus (one source's part,
+say) and keys a ``DocShare`` by each of its years, in order.
 
 Phrase trends deliberately use the raw ordered token sequence (stop words
 kept) so that adjacency is judged on the title as written.
@@ -46,24 +47,15 @@ _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 _ASCII_PUNCT_TO_SPACE = {c: chr(c) if chr(c).isalnum() else " " for c in range(128)}
 
 
-class TermStats(NamedTuple):
-    term: str
+class DocShare(NamedTuple):
     doc_freq: int
-    percent: float
+    percent: float  # share of the year's records
 
 
 class CoWordPair(NamedTuple):
-    term_a: str  # lexicographically first member
-    term_b: str
     co_doc_freq: int
     cosine: float
     percent: float  # later-year pair document frequency share
-
-
-class PhrasePoint(NamedTuple):
-    year: int
-    doc_freq: int
-    percent: float
 
 
 def parse_stopwords(lines) -> frozenset[str]:
@@ -109,10 +101,14 @@ def _term_pairs(token_sets):
     return chain.from_iterable(combinations(sorted(tokens), 2) for tokens in token_sets)
 
 
+def _percent(n: int, total: int) -> float:
+    return 100.0 * n / total if total else 0.0
+
+
 def new_terms(
     former: Sequence[BibRecord], later: Sequence[BibRecord], stop: frozenset[str],
     min_percent: float,
-) -> list[TermStats]:
+) -> dict[str, DocShare]:
     """Terms of the later year's records absent from the former year's, at
     or above ``min_percent`` of the later records; most frequent first (ties
     alphabetical)."""
@@ -123,13 +119,10 @@ def new_terms(
         tokenize_title(record.title, stop) for record in later))
     former_terms = set(chain.from_iterable(
         tokenize_title(record.title, stop) for record in former))
-    stats = []
-    for term, n in df.items():
-        percent = 100.0 * n / total
-        if percent >= min_percent and term not in former_terms:
-            stats.append(TermStats(term=term, doc_freq=n, percent=percent))
-    stats.sort(key=lambda s: (-s.doc_freq, s.term))
-    return stats
+    fresh = [(term, n) for term, n in df.items()
+             if _percent(n, total) >= min_percent and term not in former_terms]
+    fresh.sort(key=lambda item: (-item[1], item[0]))
+    return {term: DocShare(n, _percent(n, total)) for term, n in fresh}
 
 
 def new_coword_pairs(
@@ -138,10 +131,10 @@ def new_coword_pairs(
     stop: frozenset[str],
     min_cosine: float,
     min_percent: float,
-) -> list[CoWordPair]:
-    """Later-year pairs never co-occurring in the former year (members may
-    individually exist earlier), meeting both thresholds; most frequent
-    first. Percent is the later-year pair document frequency share."""
+) -> dict[tuple[str, str], CoWordPair]:
+    """Later-year pairs ``(a, b)``, ``a < b``, never co-occurring in the former
+    year (members may individually exist earlier), meeting both thresholds;
+    most frequent first. Percent is the later-year pair document frequency share."""
     if not min_percent >= 0:
         raise ValueError(f"min_percent must be >= 0, got {min_percent}")
     if not 0 <= min_cosine <= 1:
@@ -151,7 +144,7 @@ def new_coword_pairs(
     df = Counter(chain.from_iterable(later_sets))
     # A pair's co_doc_freq is at most either member's df, and the percent is
     # monotone in it: a pair holding a term outside keep cannot pass.
-    keep = frozenset(t for t, n in df.items() if 100.0 * n / total >= min_percent)
+    keep = frozenset(t for t, n in df.items() if _percent(n, total) >= min_percent)
     later_sets = [tokens & keep for tokens in later_sets]
     former_sets = (tokenize_title(record.title, stop) & keep for record in former)
     former_pairs = set(_term_pairs(former_sets))
@@ -160,27 +153,21 @@ def new_coword_pairs(
         if (a, b) in former_pairs:
             continue
         cosine = n / math.sqrt(df[a] * df[b])
-        percent = 100.0 * n / total
+        percent = _percent(n, total)
         if cosine >= min_cosine and percent >= min_percent:
-            pairs.append(CoWordPair(term_a=a, term_b=b, co_doc_freq=n,
-                                    cosine=cosine, percent=percent))
-    pairs.sort(key=lambda p: (-p.co_doc_freq, p.term_a, p.term_b))
-    return pairs
+            pairs.append(((a, b), CoWordPair(n, cosine, percent)))
+    pairs.sort(key=lambda item: (-item[1].co_doc_freq, item[0]))
+    return dict(pairs)
 
 
-def _phrase_point(year: int, hits: int, total: int) -> PhrasePoint:
-    return PhrasePoint(year=year, doc_freq=hits,
-                       percent=100.0 * hits / total if total else 0.0)
-
-
-def phrase_trend(corpus: Corpus, head: str, stem_prefix: str) -> list[PhrasePoint]:
+def phrase_trend(corpus: Corpus, head: str, stem_prefix: str) -> dict[int, DocShare]:
     """Per-year share of records whose title contains ``head`` immediately
-    followed by a token starting with ``stem_prefix``."""
+    followed by a token starting with ``stem_prefix``, for each corpus year."""
     if not head or not stem_prefix:
         raise ValueError("head and stem_prefix must be non-empty")
     head = head.casefold()
     stem_prefix = stem_prefix.casefold()
-    points = []
+    trend = {}
     for year, records in corpus.items():
         hits = 0
         for record in records:
@@ -192,15 +179,15 @@ def phrase_trend(corpus: Corpus, head: str, stem_prefix: str) -> list[PhrasePoin
                 for i in range(len(seq) - 1)
             ):
                 hits += 1
-        points.append(_phrase_point(year, hits, len(records)))
-    return points
+        trend[year] = DocShare(hits, _percent(hits, len(records)))
+    return trend
 
 
-def sum_phrase_trends(corpus: Corpus, trends) -> list[PhrasePoint]:
+def sum_phrase_trends(corpus: Corpus, trends) -> dict[int, DocShare]:
     """The trend over the whole corpus from ``phrase_trend`` results for
     disjoint parts of it (e.g. one per source) that together cover it."""
-    trends = list(trends)
-    return [
-        _phrase_point(year, sum(trend[i].doc_freq for trend in trends), len(records))
-        for i, (year, records) in enumerate(corpus.items())
-    ]
+    hits = Counter()
+    for trend in trends:
+        hits.update({year: share.doc_freq for year, share in trend.items()})
+    return {year: DocShare(hits[year], _percent(hits[year], len(records)))
+            for year, records in corpus.items()}

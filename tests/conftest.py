@@ -6,7 +6,7 @@ from bibshift.cocitation import ThresholdPair, cocitation_counts, core_sets
 from bibshift.records import BibRecord, Source, build_corpus
 from bibshift.refkey import parse_cited_ref
 from bibshift.stability import rsi_series
-from bibshift.textmetrics import TermStats, new_coword_pairs, new_terms
+from bibshift.textmetrics import CoWordPair, DocShare, new_coword_pairs, new_terms
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -51,14 +51,15 @@ def slice_core(sl, thresholds: ThresholdPair) -> frozenset[str]:
     return core
 
 
-def term_stats(sl, stop: frozenset[str]) -> list[TermStats]:
+def term_stats(sl, stop: frozenset[str]) -> dict[str, DocShare]:
     """Every term of ``sl`` (one year's records) with its document
     frequency: its new terms against an empty former year, with no percent
     floor."""
     return new_terms((), sl, stop, 0.0)
 
 
-def coword_pairs(sl, stop: frozenset[str], min_cosine: float):
+def coword_pairs(sl, stop: frozenset[str],
+                 min_cosine: float) -> dict[tuple[str, str], CoWordPair]:
     """Every co-word pair of ``sl`` (one year's records) at ``min_cosine``:
     its new pairs against an empty former year, with no percent floor."""
     return new_coword_pairs((), sl, stop, min_cosine, 0.0)

@@ -297,15 +297,15 @@ def test_criterion_07_cosine_angle_and_boundary():
         problems.append(f"acos(0.25) = {angle:.3f} degrees")
 
     below = coword_pairs(boundary_slice(2499), EMPTY_STOP, min_cosine=0.25)
-    if any((p.term_a, p.term_b) == ("alpha", "beta") for p in below):
+    if ("alpha", "beta") in below:
         problems.append("cosine 0.2499 slipped past min_cosine 0.25")
 
     above = coword_pairs(boundary_slice(2501), EMPTY_STOP, min_cosine=0.25)
-    kept = [p for p in above if (p.term_a, p.term_b) == ("alpha", "beta")]
-    if not kept:
+    kept = above.get(("alpha", "beta"))
+    if kept is None:
         problems.append("cosine 0.2501 was dropped at min_cosine 0.25")
-    elif not math.isclose(kept[0].cosine, 0.2501):
-        problems.append(f"cosine came out {kept[0].cosine}")
+    elif not math.isclose(kept.cosine, 0.2501):
+        problems.append(f"cosine came out {kept.cosine}")
     report(7, "acos(0.25) is ~75 degrees; 0.2499 excluded, 0.2501 included", problems)
 
 
@@ -327,11 +327,11 @@ def test_criterion_08_phrase_trend_rises_from_zero():
     corpus = build_corpus(records)
 
     problems = []
-    for point in phrase_trend(corpus, "reverse", "transcr"):
-        if point.year < 1970 and point.doc_freq != 0:
-            problems.append(f"{point.year}: expected 0, got {point.doc_freq}")
-        if point.year >= 1970 and point.doc_freq <= 0:
-            problems.append(f"{point.year}: expected > 0, got {point.doc_freq}")
+    for year, share in phrase_trend(corpus, "reverse", "transcr").items():
+        if year < 1970 and share.doc_freq != 0:
+            problems.append(f"{year}: expected 0, got {share.doc_freq}")
+        if year >= 1970 and share.doc_freq <= 0:
+            problems.append(f"{year}: expected > 0, got {share.doc_freq}")
     report(8, "head+stem trend is exactly 0 before onset year, > 0 after", problems)
 
 
@@ -362,7 +362,7 @@ def test_criterion_09_text_metrics_match_brute_force():
         mkrec("T2", title="REVERSE TRANSCRIPTION IN MICE", year=1971),
     ])[1971]
     s2_stop = frozenset({"of", "in"})
-    s2_df = {s.term: s.doc_freq for s in term_stats(s2, s2_stop)}
+    s2_df = {term: s.doc_freq for term, s in term_stats(s2, s2_stop).items()}
     if s2_df != brute_doc_freq(s2, {"of", "in"}):
         problems.append("fixture slice: doc frequencies diverge from oracle")
 
@@ -375,13 +375,13 @@ def test_criterion_09_text_metrics_match_brute_force():
         min_cosine = rng.choice([0.0, 0.25, 0.5])
         min_percent = rng.choice([0.0, 1.0, 10.0])
 
-        got_df = {s.term: s.doc_freq for s in term_stats(later, stop)}
+        got_df = {term: s.doc_freq for term, s in term_stats(later, stop).items()}
         if got_df != brute_doc_freq(later, stop_words):
             problems.append(f"case {case}: document frequencies")
 
         got_pairs = {
-            (p.term_a, p.term_b): (p.co_doc_freq, p.cosine)
-            for p in coword_pairs(later, stop, min_cosine)
+            pair: (p.co_doc_freq, p.cosine)
+            for pair, p in coword_pairs(later, stop, min_cosine).items()
         }
         df = brute_doc_freq(later, stop_words)
         want_pairs = {
@@ -392,17 +392,11 @@ def test_criterion_09_text_metrics_match_brute_force():
         if got_pairs != want_pairs:
             problems.append(f"case {case}: co-word pairs")
 
-        got_new = {
-            s.term: (s.doc_freq, s.percent)
-            for s in new_terms(former, later, stop, min_percent)
-        }
+        got_new = new_terms(former, later, stop, min_percent)
         if got_new != brute_new_terms(former, later, stop_words, min_percent):
             problems.append(f"case {case}: new_terms")
 
-        got_co = {
-            (p.term_a, p.term_b): (p.co_doc_freq, p.cosine, p.percent)
-            for p in new_coword_pairs(former, later, stop, min_cosine, min_percent)
-        }
+        got_co = new_coword_pairs(former, later, stop, min_cosine, min_percent)
         if got_co != brute_new_coword_pairs(former, later, stop_words,
                                             min_cosine, min_percent):
             problems.append(f"case {case}: new_coword_pairs")

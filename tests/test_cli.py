@@ -1174,6 +1174,43 @@ class TestPhraseValuesThatCanNeverMatch:
         assert [ch for ch in word_chars if _never_in_word(ch.casefold())] == []
 
 
+class TestTextThatCannotBeEncoded:
+    """A path that cannot be a file name, or a header value or report-name
+    part that is not UTF-8 text, ends in one ``error:`` line before anything
+    is made. An undecodable argument byte arrives as a surrogate in
+    ``\\udc80``-``\\udcff``; a JSON ``\\ud800`` is a lone surrogate."""
+
+    @pytest.mark.parametrize("argv,config,error", [
+        (["phrase", "--head", "rev\udcff", "--stem", "x"], None,
+         "head 'rev\\udcff' is not UTF-8 text"),
+        (["words", "--years", "1971:1972", "--stopwords", "sw\udcff.txt"], None,
+         "stopwords 'sw\\udcff.txt' is not UTF-8 text"),
+        (["summary"], {"out_dir": "\ud800"},
+         "out_dir '\\ud800' cannot be encoded as a file name"),
+        (["ingest", "--medline", "medline.txt"], {"cache": "\ud800"},
+         "cache '\\ud800' cannot be encoded as a file name"),
+        (["phrase"], {"head": "\ud800", "stem": "x"},
+         "head '\\ud800' is not UTF-8 text"),
+    ], ids=["head-argv", "stopwords-argv", "out_dir-config", "cache-config", "head-config"])
+    def test_refused_before_anything_is_made(self, tmp_path, capsys, monkeypatch,
+                                             argv, config, error):
+        ingest(tmp_path).rename(tmp_path / "corpus_cache.tsv")
+        shutil.rmtree(tmp_path / "out")
+        (tmp_path / "sw\udcff.txt").write_text("of\n", encoding="utf-8")
+        if config is not None:
+            (tmp_path / "run.json").write_text(json.dumps(config), encoding="utf-8")
+            argv = [*argv, "--config", "run.json"]
+        monkeypatch.chdir(tmp_path)
+        capsys.readouterr()
+        before = _tree(tmp_path)
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {error}")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert _tree(tmp_path) == before
+
+
 class TestBadCache:
     def write(self, tmp_path, edit):
         corpus = build_corpus([mkrec("a", title="virus", year=1970, source=Source.MEDLINE)])

@@ -19,7 +19,7 @@ from bibshift.reports import (
     write_report,
 )
 from bibshift.stability import GrooveReport, groove_detect
-from bibshift.textmetrics import CoWordPair, PhrasePoint, TermStats
+from bibshift.textmetrics import CoWordPair, DocShare
 from conftest import corpus_series, mkrec
 
 T = ThresholdPair(3, 2)
@@ -165,11 +165,11 @@ class TestRsiTables:
 class TestWordTables:
     def test_words_merge_with_dash_for_missing_source(self):
         per_source = {
-            Source.CITATION_INDEX: [
-                TermStats("transcription", 2, 40.0),
-                TermStats("mice", 1, 20.0),
-            ],
-            Source.MEDLINE: [TermStats("transcription", 3, 60.0)],
+            Source.CITATION_INDEX: {
+                "transcription": DocShare(2, 40.0),
+                "mice": DocShare(1, 20.0),
+            },
+            Source.MEDLINE: {"transcription": DocShare(3, 60.0)},
         }
         text = words_table(per_source, CFG)
         lines = text.splitlines()
@@ -180,10 +180,10 @@ class TestWordTables:
 
     def test_words_ordered_by_best_percent_then_term(self):
         per_source = {
-            Source.CITATION_INDEX: [
-                TermStats("beta", 1, 50.0),
-                TermStats("alpha", 1, 50.0),
-            ],
+            Source.CITATION_INDEX: {
+                "beta": DocShare(1, 50.0),
+                "alpha": DocShare(1, 50.0),
+            },
         }
         text = words_table(per_source, CFG)
         assert [line.split("\t")[0] for line in text.splitlines()[3:]] == [
@@ -192,9 +192,9 @@ class TestWordTables:
 
     def test_cowords_columns(self):
         per_source = {
-            Source.MEDLINE: [
-                CoWordPair("reverse", "transcription", 2, 0.707107, 40.0),
-            ],
+            Source.MEDLINE: {
+                ("reverse", "transcription"): CoWordPair(2, 0.707107, 40.0),
+            },
         }
         text = cowords_table(per_source, CFG)
         lines = text.splitlines()
@@ -204,10 +204,10 @@ class TestWordTables:
 
     def test_phrase_table_per_source(self):
         per_source = {
-            Source.CITATION_INDEX: [PhrasePoint(1970, 0, 0.0), PhrasePoint(1971, 2, 50.0)],
-            Source.MEDLINE: [PhrasePoint(1970, 1, 25.0), PhrasePoint(1971, 0, 0.0)],
+            Source.CITATION_INDEX: {1970: DocShare(0, 0.0), 1971: DocShare(2, 50.0)},
+            Source.MEDLINE: {1970: DocShare(1, 25.0), 1971: DocShare(0, 0.0)},
         }
-        text = phrase_table(per_source, [1970, 1971], CFG)
+        text = phrase_table(per_source, CFG)
         lines = text.splitlines()
         assert lines[2] == ("year\tcitation_index_doc_freq\tcitation_index_percent"
                             "\tmedline_doc_freq\tmedline_percent")
@@ -215,5 +215,8 @@ class TestWordTables:
         assert lines[4] == "1971\t2\t50.00\t0\t0.00"
 
     def test_phrase_series(self):
-        text = phrase_series([PhrasePoint(1970, 0, 0.0), PhrasePoint(1971, 2, 66.7)], CFG)
+        text = phrase_series({1970: DocShare(0, 0.0), 1971: DocShare(2, 66.7)}, CFG)
         assert text.splitlines()[2:] == ["year\tpercent", "1970\t0.00", "1971\t66.70"]
+
+    def test_phrase_table_of_no_source_is_its_header(self):
+        assert phrase_table({}, CFG) == "# command=test\n# thresholds=3/2\nyear\n"

@@ -4,14 +4,17 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bibshift import textmetrics
-from bibshift.records import build_corpus
+from bibshift.records import Source, build_corpus, split_by_source
 from bibshift.textmetrics import (
+    CoWordPair,
+    DocShare,
     default_stopwords,
     load_stopwords,
     new_coword_pairs,
     new_terms,
     parse_stopwords,
     phrase_trend,
+    sum_phrase_trends,
     title_token_sequence,
     tokenize_title,
 )
@@ -76,31 +79,30 @@ class TestTokenize:
 class TestDocFrequencies:
     def test_s2_counts_and_percent(self, s2_slice, s2_stop):
         stats = term_stats(s2_slice, s2_stop)
-        by_term = {s.term: s for s in stats}
-        assert {t: s.doc_freq for t, s in by_term.items()} == {
+        assert {t: s.doc_freq for t, s in stats.items()} == {
             "reverse": 2, "avian": 2, "virus": 2,
             "transcriptase": 1, "tumor": 1, "studies": 1,
             "transcription": 1, "mice": 1,
         }
-        assert by_term["reverse"].percent == pytest.approx(200 / 3)
+        assert stats["reverse"].percent == pytest.approx(200 / 3)
 
     def test_sorted_by_freq_then_term(self, s2_slice, s2_stop):
         stats = term_stats(s2_slice, s2_stop)
-        assert [s.term for s in stats[:3]] == ["avian", "reverse", "virus"]
-        assert [s.doc_freq for s in stats] == sorted(
-            (s.doc_freq for s in stats), reverse=True
+        assert list(stats)[:3] == ["avian", "reverse", "virus"]
+        assert [s.doc_freq for s in stats.values()] == sorted(
+            (s.doc_freq for s in stats.values()), reverse=True
         )
 
     def test_empty_slice(self):
         sl = build_corpus([mkrec("a", year=1971)], (1970, 1971))[1970]
-        assert term_stats(sl, EMPTY_STOP) == []
+        assert term_stats(sl, EMPTY_STOP) == {}
 
     def test_identical_titles_reach_hundred_percent(self):
         records = [mkrec(f"r{i}", title="Same words here", year=1970) for i in range(4)]
         sl = build_corpus(records)[1970]
-        for s in term_stats(sl, EMPTY_STOP):
-            assert s.doc_freq == 4
-            assert s.percent == 100.0
+        assert term_stats(sl, EMPTY_STOP) == {
+            "same": DocShare(4, 100.0), "words": DocShare(4, 100.0),
+            "here": DocShare(4, 100.0)}
 
     def test_empty_titles_count_in_denominator(self):
         records = [
@@ -108,25 +110,25 @@ class TestDocFrequencies:
             mkrec("b", title="", year=1970),
         ]
         sl = build_corpus(records)[1970]
-        [s] = term_stats(sl, EMPTY_STOP)
-        assert s.percent == 50.0
+        assert term_stats(sl, EMPTY_STOP) == {"virus": DocShare(1, 50.0)}
 
 
 class TestNewTerms:
     def test_s2_new_terms(self, s2_former_slice, s2_slice, s2_stop):
         fresh = new_terms(s2_former_slice, s2_slice, s2_stop, min_percent=1.0)
-        assert {s.term for s in fresh} == {"transcription", "mice"}
+        assert fresh == {"mice": DocShare(1, 100 / 3), "transcription": DocShare(1, 100 / 3)}
+        assert list(fresh) == ["mice", "transcription"]
 
     def test_same_slice_has_no_new_terms(self, s2_slice, s2_stop):
-        assert new_terms(s2_slice, s2_slice, s2_stop, min_percent=0.0) == []
+        assert new_terms(s2_slice, s2_slice, s2_stop, min_percent=0.0) == {}
 
     def test_zero_percent_floor_admits_rare_terms(self, s2_former_slice, s2_slice, s2_stop):
         fresh = new_terms(s2_former_slice, s2_slice, s2_stop, min_percent=0.0)
-        assert {s.term for s in fresh} == {"transcription", "mice"}
+        assert set(fresh) == {"transcription", "mice"}
 
     def test_floor_excludes_below_threshold(self, s2_former_slice, s2_slice, s2_stop):
         fresh = new_terms(s2_former_slice, s2_slice, s2_stop, min_percent=50.0)
-        assert fresh == []  # both new terms sit at 1/3 of the later slice
+        assert fresh == {}  # both new terms sit at 1/3 of the later slice
 
     def test_sub_threshold_presence_is_not_novelty(self, s2_stop):
         former = build_corpus(
@@ -138,7 +140,7 @@ class TestNewTerms:
         )[1971]
         fresh = new_terms(former, later, s2_stop, min_percent=1.0)
         # present in 10% of former papers, so not new at any later frequency
-        assert "transcription" not in {s.term for s in fresh}
+        assert "transcription" not in fresh
 
     def test_negative_floor_rejected(self, s2_slice, s2_stop):
         with pytest.raises(ValueError):
@@ -151,20 +153,19 @@ class TestCosinePairs:
 
     def test_s2_values(self, s2_slice, s2_stop):
         pairs = coword_pairs(s2_slice, s2_stop, min_cosine=0.0)
-        by_pair = {(p.term_a, p.term_b): p.cosine for p in pairs}
-        assert by_pair[("avian", "virus")] == pytest.approx(1.0)
-        assert by_pair[("avian", "reverse")] == pytest.approx(0.5)
+        assert pairs[("avian", "virus")].cosine == pytest.approx(1.0)
+        assert pairs[("avian", "reverse")].cosine == pytest.approx(0.5)
 
     def test_pairs_ordered_and_canonical(self, s2_slice, s2_stop):
         pairs = coword_pairs(s2_slice, s2_stop, min_cosine=0.0)
-        for p in pairs:
-            assert p.term_a < p.term_b
-        order = [(-p.co_doc_freq, p.term_a, p.term_b) for p in pairs]
+        for a, b in pairs:
+            assert a < b
+        order = [(-p.co_doc_freq, pair) for pair, p in pairs.items()]
         assert order == sorted(order)
 
     def test_never_cooccurring_pair_absent(self, s2_slice, s2_stop):
         pairs = coword_pairs(s2_slice, s2_stop, min_cosine=0.0)
-        assert ("mice", "tumor") not in {(p.term_a, p.term_b) for p in pairs}
+        assert ("mice", "tumor") not in pairs
 
     def test_threshold_angle_interpretation(self):
         assert 75.0 <= math.degrees(math.acos(0.25)) <= 76.0
@@ -177,7 +178,7 @@ class TestCosinePairs:
         sl = build_corpus(records)[1970]
         # cosine(alpha, beta) = 2/sqrt(3*3) = 2/3
         pairs = coword_pairs(sl, EMPTY_STOP, min_cosine=2 / 3)
-        assert {(p.term_a, p.term_b) for p in pairs} == {("alpha", "beta")}
+        assert pairs == {("alpha", "beta"): CoWordPair(2, 2 / 3, 50.0)}
 
     def test_invalid_min_cosine_rejected(self, s2_slice, s2_stop):
         with pytest.raises(ValueError, match=r"^min_cosine must be in \[0, 1\], got 1.5$"):
@@ -193,23 +194,23 @@ class TestNewCowordPairs:
     def test_s2_new_pairs(self, s2_former_slice, s2_slice, s2_stop):
         fresh = new_coword_pairs(s2_former_slice, s2_slice, s2_stop,
                                  min_cosine=0.25, min_percent=1.0)
-        keys = {(p.term_a, p.term_b) for p in fresh}
-        assert ("reverse", "transcription") in keys
-        assert ("avian", "virus") not in keys
+        assert ("reverse", "transcription") in fresh
+        assert ("avian", "virus") not in fresh
 
     def test_members_may_exist_individually(self, s2_former_slice, s2_slice, s2_stop):
         fresh = new_coword_pairs(s2_former_slice, s2_slice, s2_stop,
                                  min_cosine=0.0, min_percent=0.0)
         # "reverse" and "mice" both qualify via pair-level novelty even
         # though "reverse" already existed alone
-        assert ("mice", "reverse") in {(p.term_a, p.term_b) for p in fresh}
+        assert ("mice", "reverse") in fresh
 
     def test_identical_slices_give_nothing(self, s2_slice, s2_stop):
-        assert new_coword_pairs(s2_slice, s2_slice, s2_stop, 0.0, 0.0) == []
+        assert new_coword_pairs(s2_slice, s2_slice, s2_stop, 0.0, 0.0) == {}
 
     def test_percent_is_later_share(self, s2_former_slice, s2_slice, s2_stop):
         fresh = new_coword_pairs(s2_former_slice, s2_slice, s2_stop, 0.25, 1.0)
-        for p in fresh:
+        assert fresh
+        for p in fresh.values():
             assert p.percent == pytest.approx(100.0 * p.co_doc_freq / 3)
 
     def test_cosine_floor_prunes_weak_new_pairs(self, s2_former_slice, s2_slice, s2_stop):
@@ -217,7 +218,7 @@ class TestNewCowordPairs:
         # new pair involves "reverse" (doc_freq 2) and lands at 1/sqrt(2)
         tight = new_coword_pairs(s2_former_slice, s2_slice, s2_stop,
                                  min_cosine=0.9, min_percent=0.0)
-        assert {(p.term_a, p.term_b) for p in tight} == {("mice", "transcription")}
+        assert tight == {("mice", "transcription"): CoWordPair(1, 1.0, 100 / 3)}
 
 
     def test_no_pair_with_a_term_below_the_floor_is_counted(self, monkeypatch):
@@ -238,7 +239,7 @@ class TestNewCowordPairs:
         monkeypatch.setattr(textmetrics, "_term_pairs", spy)
         # alpha (3 of 4) and beta (2 of 4) reach 50 %; gamma, delta, epsilon do not
         fresh = new_coword_pairs(former, later, EMPTY_STOP, min_cosine=0.0, min_percent=50.0)
-        assert [(p.term_a, p.term_b, p.co_doc_freq) for p in fresh] == [("alpha", "beta", 2)]
+        assert fresh == {("alpha", "beta"): CoWordPair(2, 2 / math.sqrt(6), 50.0)}
         [former_sets, later_sets] = counted
         assert all(tokens <= {"alpha", "beta"} for tokens in former_sets + later_sets)
         assert set(original(former_sets)) == set()
@@ -272,26 +273,23 @@ class TestPhraseTrend:
 
     def test_s2_single_year_count(self, s2_slice):
         corpus = build_corpus(list(s2_slice))
-        [point] = phrase_trend(corpus, "reverse", "transcr")
-        assert point.doc_freq == 2
-        assert point.percent == pytest.approx(200 / 3)
+        assert phrase_trend(corpus, "reverse", "transcr") == {1971: DocShare(2, 200 / 3)}
 
     def test_rise_from_zero(self):
-        points = phrase_trend(self.make_corpus(), "reverse", "transcr")
-        assert [(p.year, p.doc_freq) for p in points] == [
-            (1970, 0), (1971, 2), (1972, 1),
-        ]
+        trend = phrase_trend(self.make_corpus(), "reverse", "transcr")
+        assert trend == {1970: DocShare(0, 0.0), 1971: DocShare(2, 200 / 3),
+                         1972: DocShare(1, 100.0)}
+        assert list(trend) == [1970, 1971, 1972]
 
     def test_head_absent_everywhere(self):
-        points = phrase_trend(self.make_corpus(), "garbanzo", "transcr")
-        assert all(p.doc_freq == 0 for p in points)
+        trend = phrase_trend(self.make_corpus(), "garbanzo", "transcr")
+        assert trend == dict.fromkeys([1970, 1971, 1972], DocShare(0, 0.0))
 
     def test_adjacency_required(self):
         corpus = build_corpus([
             mkrec("a", title="reverse of transcription", year=1970),
         ])
-        [point] = phrase_trend(corpus, "reverse", "transcr")
-        assert point.doc_freq == 0
+        assert phrase_trend(corpus, "reverse", "transcr")[1970].doc_freq == 0
 
     def test_stop_words_not_removed_for_adjacency(self):
         # with stop-word removal "reverse the transcription" would look
@@ -300,35 +298,50 @@ class TestPhraseTrend:
             mkrec("a", title="reverse the transcription", year=1970),
             mkrec("b", title="reverse transcription", year=1970),
         ])
-        [point] = phrase_trend(corpus, "reverse", "transcr")
-        assert point.doc_freq == 1
+        assert phrase_trend(corpus, "reverse", "transcr") == {1970: DocShare(1, 50.0)}
 
     def test_record_counts_once_despite_two_matches(self):
         corpus = build_corpus([
             mkrec("a", title="reverse transcriptase and reverse transcription", year=1970),
         ])
-        [point] = phrase_trend(corpus, "reverse", "transcr")
-        assert point.doc_freq == 1
+        assert phrase_trend(corpus, "reverse", "transcr") == {1970: DocShare(1, 100.0)}
 
     def test_empty_year_has_zero_percent(self):
         corpus = build_corpus([mkrec("a", title="reverse transcription", year=1971)],
                               (1970, 1971))
-        points = phrase_trend(corpus, "reverse", "transcr")
-        assert points[0].doc_freq == 0
-        assert points[0].percent == 0.0
+        trend = phrase_trend(corpus, "reverse", "transcr")
+        assert trend == {1970: DocShare(0, 0.0), 1971: DocShare(1, 100.0)}
 
     def test_dotted_capital_i_stays_one_token(self):
         # "İ".casefold() is "i" plus a combining dot, which is no word
         # character; folding the title before splitting would yield "i", "stanbul"
         corpus = build_corpus([mkrec("a", title="İSTANBUL", year=1970)])
-        assert phrase_trend(corpus, "i", "stanbul")[0].doc_freq == 0
-        assert phrase_trend(corpus, "İstanbul", "x")[0].doc_freq == 0
+        assert phrase_trend(corpus, "i", "stanbul")[1970].doc_freq == 0
+        assert phrase_trend(corpus, "İstanbul", "x")[1970].doc_freq == 0
         corpus = build_corpus([mkrec("a", title="İSTANBUL İZMİR", year=1970)])
-        assert phrase_trend(corpus, "İstanbul", "İz")[0].doc_freq == 1
+        assert phrase_trend(corpus, "İstanbul", "İz")[1970].doc_freq == 1
 
     def test_empty_head_rejected(self):
         with pytest.raises(ValueError):
             phrase_trend(self.make_corpus(), "", "transcr")
+
+    def test_per_source_trends_sum_to_the_corpus_trend(self):
+        # the citation index has no 1972 record, MEDLINE none in 1970; 1973 is empty
+        corpus = build_corpus([
+            mkrec("c0", title="reverse transcriptase", year=1970),
+            mkrec("c1", title="virus study", year=1970),
+            mkrec("c2", title="reverse transcription", year=1971),
+            mkrec("m0", title="tumor viruses", year=1971, source=Source.MEDLINE),
+            mkrec("m1", title="Reverse Transcriptase", year=1972, source=Source.MEDLINE),
+        ], (1970, 1973))
+        parts = split_by_source(corpus)
+        assert list(parts) == [Source.CITATION_INDEX, Source.MEDLINE]
+        summed = sum_phrase_trends(
+            corpus, (phrase_trend(part, "reverse", "transcr") for part in parts.values()))
+        assert summed == phrase_trend(corpus, "reverse", "transcr")
+        assert summed == {1970: DocShare(1, 50.0), 1971: DocShare(1, 50.0),
+                          1972: DocShare(1, 100.0), 1973: DocShare(0, 0.0)}
+        assert list(summed) == [1970, 1971, 1972, 1973]
 
 
 _title = st.text(
@@ -364,7 +377,7 @@ class TestOracleProperties:
         stop = frozenset(stop_words)
         records = [mkrec(f"r{i}", title=t, year=1970) for i, t in enumerate(titles)]
         sl = build_corpus(records)[1970]
-        got = {s.term: s.doc_freq for s in term_stats(sl, stop)}
+        got = {term: s.doc_freq for term, s in term_stats(sl, stop).items()}
         assert got == brute_doc_freq(sl, set(stop_words))
 
     @settings(max_examples=120, deadline=None)
@@ -374,7 +387,7 @@ class TestOracleProperties:
         sl = build_corpus(records)[1970]
         df = brute_doc_freq(sl, set())
         co = brute_co_doc_freq(sl, set())
-        got = {(p.term_a, p.term_b): p for p in coword_pairs(sl, EMPTY_STOP, 0.0)}
+        got = coword_pairs(sl, EMPTY_STOP, 0.0)
         assert set(got) == set(co)
         for pair, p in got.items():
             assert p.co_doc_freq == co[pair]
@@ -390,7 +403,7 @@ class TestOracleProperties:
         later = build_corpus(
             [mkrec(f"l{i}", title=t, year=1971) for i, t in enumerate(later_titles)]
         )[1971]
-        fresh = {s.term for s in new_terms(former, later, EMPTY_STOP, 0.0)}
+        fresh = set(new_terms(former, later, EMPTY_STOP, 0.0))
         former_tokens = set()
         for r in former:
             former_tokens |= brute_tokens(r.title, set())
@@ -405,9 +418,9 @@ class TestOracleProperties:
     def test_raising_floors_never_adds_results(self, titles, min_cosine):
         records = [mkrec(f"r{i}", title=t, year=1970) for i, t in enumerate(titles)]
         sl = build_corpus(records)[1970]
-        base = {(p.term_a, p.term_b) for p in coword_pairs(sl, EMPTY_STOP, 0.0)}
-        tightened = {(p.term_a, p.term_b) for p in coword_pairs(sl, EMPTY_STOP, min_cosine)}
-        assert tightened <= base
+        base = coword_pairs(sl, EMPTY_STOP, 0.0)
+        tightened = coword_pairs(sl, EMPTY_STOP, min_cosine)
+        assert tightened.keys() <= base.keys()
 
     @settings(max_examples=200, deadline=None)
     @given(st.text(st.sampled_from(list("İßﬁ\u212a_²٣") + list("aIk2 -.")), max_size=30),
@@ -436,17 +449,15 @@ class TestOracleProperties:
     def test_new_coword_pairs_match_brute_force(self, case):
         former, later, min_percent, min_cosine = case
         fresh = new_coword_pairs(former, later, EMPTY_STOP, min_cosine, min_percent)
-        got = {(p.term_a, p.term_b): (p.co_doc_freq, p.cosine, p.percent) for p in fresh}
-        assert got == brute_new_coword_pairs(former, later, set(), min_cosine, min_percent)
-        assert [(p.term_a, p.term_b) for p in fresh] == sorted(
-            got, key=lambda pair: (-got[pair][0], pair))
+        assert fresh == brute_new_coword_pairs(former, later, set(), min_cosine, min_percent)
+        assert list(fresh) == sorted(fresh, key=lambda pair: (-fresh[pair].co_doc_freq, pair))
 
     def test_superscript_digits_are_kept(self):
         assert tokenize_title("x² ²² ٣٣", EMPTY_STOP) == {"x²", "²²"}
 
     def test_no_stop_words_in_any_output(self, s2_slice, s2_stop):
-        for s in term_stats(s2_slice, s2_stop):
-            assert s.term not in s2_stop
-        for p in coword_pairs(s2_slice, s2_stop, 0.0):
-            assert p.term_a not in s2_stop
-            assert p.term_b not in s2_stop
+        for term in term_stats(s2_slice, s2_stop):
+            assert term not in s2_stop
+        for a, b in coword_pairs(s2_slice, s2_stop, 0.0):
+            assert a not in s2_stop
+            assert b not in s2_stop
