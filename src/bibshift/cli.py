@@ -11,10 +11,11 @@ the threshold pair and gap of a series with no defined RSI point.
 Flags may also come from a JSON config file (``--config``); explicit
 command-line flags win. All reports are deterministic: re-running a
 command with the same inputs and any ``--workers`` value reproduces the
-files byte for byte. A command only collects its outputs; ``run`` writes
-them once none of them is an input of the run, another of its outputs,
-an existing directory or below a file, and only then makes their
-directories.
+files byte for byte. A command returns its outputs; ``run`` writes them
+once none of them is an input of the run, another of its outputs, an
+existing directory or below a file, and only then makes their
+directories. A warning is printed as soon as it is found, before
+anything is written.
 """
 from __future__ import annotations
 
@@ -368,9 +369,8 @@ class _Output(NamedTuple):
     write: Callable[[Path], None]
 
 
-def _report(cfg: argparse.Namespace, name: str, text: str, outputs: list[_Output]) -> None:
-    outputs.append(_Output("report", cfg.out_dir / name,
-                           lambda path: reports.write_report(path, text)))
+def _report(cfg: argparse.Namespace, name: str, text: str) -> _Output:
+    return _Output("report", cfg.out_dir / name, lambda path: reports.write_report(path, text))
 
 
 def _inputs(cfg: argparse.Namespace, config: Optional[str]) -> list[tuple[str, Path]]:
@@ -441,9 +441,7 @@ def _require_year_pair(cfg: argparse.Namespace, corpus: Corpus) -> tuple[int, in
 
 # ── commands ──────────────────────────────────────────────────────────────────
 
-def _parse_export(path: Optional[Path], parser) -> ParseResult:
-    if path is None:
-        return ParseResult()
+def _parse_export(path: Path, parser) -> ParseResult:
     with _user_file("read input file", path, f"input file not found: {path}"):
         try:
             # utf-8-sig drops the byte-order mark that starts some exports.
@@ -453,25 +451,28 @@ def _parse_export(path: Optional[Path], parser) -> ParseResult:
             raise CliError(f"{path}: {exc}") from exc
 
 
-def cmd_ingest(cfg: argparse.Namespace, outputs: list[_Output]) -> list[str]:
+def cmd_ingest(cfg: argparse.Namespace) -> list[_Output]:
     if cfg.index is None and cfg.medline is None:
         raise CliError("ingest needs at least one input file (--index and/or --medline)")
 
-    index_result = _parse_export(cfg.index, parse_citation_index_export)
-    medline_result = _parse_export(cfg.medline, parse_medline_export)
+    results = [_parse_export(path, parser) for path, parser in (
+        (cfg.index, parse_citation_index_export), (cfg.medline, parse_medline_export))
+        if path is not None]
 
     warnings = []
-    for result in (index_result, medline_result):
+    for result in results:
         warnings += [f"duplicate record id {old!r} renamed to {new!r}"
                      for old, new in result.renamed]
         if result.dropped:
             warnings.append(f"dropped {result.dropped} duplicate record(s), each equal in "
                             "every field to an earlier record of its id, or id-less and "
                             "equal to an earlier id-less record but for its anon id")
-    for missing in index_result.missing + medline_result.missing:
-        warnings.append(f"record {missing.record_id} missing field {missing.field}")
+    warnings += [f"record {missing.record_id} missing field {missing.field}"
+                 for result in results for missing in result.missing]
+    for warning in warnings:
+        print(f"warning: {warning}", file=sys.stderr)
 
-    records: list[BibRecord] = index_result.records + medline_result.records
+    records: list[BibRecord] = [record for result in results for record in result.records]
     try:
         corpus = build_corpus(records, cfg.years)
     except EmptyCorpus as exc:
@@ -499,22 +500,21 @@ def cmd_ingest(cfg: argparse.Namespace, outputs: list[_Output]) -> list[str]:
     ] + [("warning", w) for w in warnings]
 
     by_year, total = distinct_ref_count(corpus)
-    _report(cfg, "ingest_report.tsv", reports.summary_table(corpus, by_year, total, config),
-            outputs)
-    # The cache goes last, so a failed ingest leaves the earlier cache (or none).
-    outputs.append(_Output("cache", cfg.cache, lambda path: write_cache(corpus, path)))
-    return warnings
+    return [
+        _report(cfg, "ingest_report.tsv", reports.summary_table(corpus, by_year, total, config)),
+        # The cache goes last, so a failed ingest leaves the earlier cache (or none).
+        _Output("cache", cfg.cache, lambda path: write_cache(corpus, path)),
+    ]
 
 
-def cmd_summary(cfg: argparse.Namespace, outputs: list[_Output]) -> None:
+def cmd_summary(cfg: argparse.Namespace) -> list[_Output]:
     corpus = _load_corpus(cfg)
     config = [("command", "summary"), ("years", _years_text(corpus))]
     by_year, total = distinct_ref_count(corpus)
-    _report(cfg, "summary.tsv", reports.summary_table(corpus, by_year, total, config),
-            outputs)
+    return [_report(cfg, "summary.tsv", reports.summary_table(corpus, by_year, total, config))]
 
 
-def cmd_core_refs(cfg: argparse.Namespace, outputs: list[_Output]) -> None:
+def cmd_core_refs(cfg: argparse.Namespace) -> list[_Output]:
     corpus = _load_corpus(cfg)
     by_threshold = core_sets(corpus, cfg.thresholds)
 
@@ -523,15 +523,16 @@ def cmd_core_refs(cfg: argparse.Namespace, outputs: list[_Output]) -> None:
         ("years", _years_text(corpus)),
         ("thresholds", _thresholds_text(cfg)),
     ]
-    _report(cfg, "core_refs.tsv", reports.core_membership_table(by_threshold, config),
-            outputs)
-    _report(cfg, "core_sizes.tsv",
-            reports.core_size_matrix(by_threshold, list(corpus), config), outputs)
+    return [
+        _report(cfg, "core_refs.tsv", reports.core_membership_table(by_threshold, config)),
+        _report(cfg, "core_sizes.tsv", reports.core_size_matrix(by_threshold, config)),
+    ]
 
 
-def cmd_rsi(cfg: argparse.Namespace, outputs: list[_Output]) -> None:
+def cmd_rsi(cfg: argparse.Namespace) -> list[_Output]:
     corpus = _load_corpus(cfg)
     cores = core_sets(corpus, cfg.thresholds)
+    outputs = []
     for gap in cfg.gaps:
         try:
             series = {t: rsi_series(cores[t], gap) for t in cfg.thresholds}
@@ -548,15 +549,16 @@ def cmd_rsi(cfg: argparse.Namespace, outputs: list[_Output]) -> None:
         ]
         for t, points in series.items():
             config = base_config + [("thresholds", str(t))]
-            _report(cfg, f"rsi_{t.cite_min}-{t.cocite_min}_gap{gap}.tsv",
-                    reports.rsi_long_table(t, gap, points, config), outputs)
+            outputs.append(_report(cfg, f"rsi_{t.cite_min}-{t.cocite_min}_gap{gap}.tsv",
+                                   reports.rsi_long_table(t, gap, points, config)))
 
         config = base_config + [("thresholds", _thresholds_text(cfg))]
-        _report(cfg, f"rsi_matrix_gap{gap}.tsv",
-                reports.rsi_matrix(series, groove, config), outputs)
+        outputs.append(_report(cfg, f"rsi_matrix_gap{gap}.tsv",
+                               reports.rsi_matrix(series, groove, config)))
+    return outputs
 
 
-def cmd_words(cfg: argparse.Namespace, outputs: list[_Output]) -> None:
+def cmd_words(cfg: argparse.Namespace) -> list[_Output]:
     corpus = _load_corpus(cfg, full=True, refs=False)
     stop = _load_stopwords(cfg)
     former, later = _require_year_pair(cfg, corpus)
@@ -570,11 +572,10 @@ def cmd_words(cfg: argparse.Namespace, outputs: list[_Output]) -> None:
         ("min_percent", str(cfg.min_percent)),
         ("stopwords", _stopwords_text(cfg)),
     ]
-    _report(cfg, f"words_{former}-{later}.tsv",
-            reports.words_table(per_source, config), outputs)
+    return [_report(cfg, f"words_{former}-{later}.tsv", reports.words_table(per_source, config))]
 
 
-def cmd_cowords(cfg: argparse.Namespace, outputs: list[_Output]) -> None:
+def cmd_cowords(cfg: argparse.Namespace) -> list[_Output]:
     corpus = _load_corpus(cfg, full=True, refs=False)
     stop = _load_stopwords(cfg)
     former, later = _require_year_pair(cfg, corpus)
@@ -590,11 +591,11 @@ def cmd_cowords(cfg: argparse.Namespace, outputs: list[_Output]) -> None:
         ("min_cosine", str(cfg.min_cosine)),
         ("stopwords", _stopwords_text(cfg)),
     ]
-    _report(cfg, f"cowords_{former}-{later}.tsv",
-            reports.cowords_table(per_source, config), outputs)
+    return [_report(cfg, f"cowords_{former}-{later}.tsv",
+                    reports.cowords_table(per_source, config))]
 
 
-def cmd_phrase(cfg: argparse.Namespace, outputs: list[_Output]) -> None:
+def cmd_phrase(cfg: argparse.Namespace) -> list[_Output]:
     if not cfg.head or not cfg.stem:
         raise CliError("phrase needs --head and --stem")
     corpus = _load_corpus(cfg, refs=False)
@@ -608,11 +609,12 @@ def cmd_phrase(cfg: argparse.Namespace, outputs: list[_Output]) -> None:
         ("head", cfg.head),
         ("stem", cfg.stem),
     ]
-    _report(cfg, f"phrase_{cfg.head}_{cfg.stem}.tsv",
-            reports.phrase_table(per_source, config), outputs)
-    _report(cfg, f"phrase_series_{cfg.head}_{cfg.stem}.tsv",
-            reports.phrase_series(sum_phrase_trends(corpus, per_source.values()), config),
-            outputs)
+    return [
+        _report(cfg, f"phrase_{cfg.head}_{cfg.stem}.tsv",
+                reports.phrase_table(per_source, config)),
+        _report(cfg, f"phrase_series_{cfg.head}_{cfg.stem}.tsv",
+                reports.phrase_series(sum_phrase_trends(corpus, per_source.values()), config)),
+    ]
 
 
 _COMMANDS = {
@@ -630,8 +632,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
-        outputs: list[_Output] = []
-        warnings = _COMMANDS[cfg.command][1](cfg, outputs)
+        outputs = _COMMANDS[cfg.command][1](cfg)
         _check_outputs(outputs, _inputs(cfg, args.config))
         for output in outputs:
             with _user_file(f"write {output.what}", output.path):
@@ -642,15 +643,13 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         for output in outputs:
             with _user_file(f"write {output.what}", output.path):
                 output.write(output.path)
-        for warning in warnings or ():
-            print(f"warning: {warning}", file=sys.stderr)
         for output in outputs:
             print(f"wrote {output.path}")
         sys.stdout.flush()
     except CliError as exc:
         return _fail(str(exc))
-    except OSError as exc:  # stdout or stderr failed, e.g. on a full device
-        return _fail(f"cannot write output ({exc})")
+    except (OSError, UnicodeEncodeError) as exc:  # stdout or stderr failed: a full
+        return _fail(f"cannot write output ({exc})")  # device, a path it cannot encode
     return 0
 
 

@@ -25,8 +25,10 @@ record equal in every field to an earlier record of its id is dropped with
 its missing-field entries (and counted), and one that differs gets the id
 suffix ``#2``, ``#3``, ... (and is listed as renamed). An id-less record
 gets the id ``anon:N``, N numbering its block, and is dropped the same way
-when it equals an earlier id-less record but for that id. The parsers
-return what they found; ``cli`` words it as warnings.
+when it equals an earlier id-less record but for that id. Each parser
+streams its file's field blocks into ``_file_records``, which returns one
+``ParseResult``; ``cli`` words it as warnings, and its ``ingest``, as a
+command does, returns its outputs.
 
 A citation-index line that starts with three spaces is a continuation
 line; any other line is stripped of its line end and matched against the
@@ -47,8 +49,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from types import SimpleNamespace
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .refkey import parse_cited_ref
 from .records import NO_REFS, BibRecord, Source
@@ -74,24 +75,30 @@ class MissingField(NamedTuple):
     field: str
 
 
-class ParseResult(SimpleNamespace):
-    """What a parser found, filled in as it reads: the records, their
-    missing fields, the ``(old_id, new_id)`` pair of each record
-    ``renamed``, and the number of records ``dropped`` as exact duplicates
-    of an earlier one. Equal when every field is."""
+class ParseResult(NamedTuple):
+    """What a parser found: the records, their missing fields, the
+    ``(old_id, new_id)`` pair of each record ``renamed``, and the number of
+    records ``dropped`` as exact duplicates of an earlier one."""
+    records: list[BibRecord]
+    missing: list[MissingField]
+    renamed: list[tuple[str, str]]
+    dropped: int
 
-    def __init__(self) -> None:
-        super().__init__(records=[], missing=[], renamed=[], dropped=0)
+
+# A record's field block: each tag's values, and its cited references.
+_Block = tuple[dict[str, list[str]], frozenset[str]]
 
 
 def parse_citation_index_export(stream: Iterable[str]) -> ParseResult:
     """Parse a citation-index export (opened text file or iterable of lines)."""
-    result = ParseResult()
+    return _file_records(_index_blocks(stream), Source.CITATION_INDEX, "UT", "PY")
+
+
+def _index_blocks(stream: Iterable[str]) -> Iterator[_Block]:
     fields: dict[str, list[str]] = {}
     values: Optional[list[str]] = None  # values of the field being continued
     last_field_line = 0
     spellings: dict[str, str] = {}  # raw reference string -> its spelling
-    seen: dict[str | tuple, tuple[BibRecord, ...]] = {}  # see _finish_record
 
     for line_number, raw_line in enumerate(stream, start=1):
         if raw_line[:3] == "   ":
@@ -112,8 +119,7 @@ def parse_citation_index_export(stream: Iterable[str]) -> ParseResult:
         tag, value = m.groups("")  # "" for a bare tag
         if tag == END_OF_RECORD:
             if fields:
-                _finish_record(fields, result, seen, Source.CITATION_INDEX, "UT", "PY",
-                               _cited_refs(fields.get("CR", ()), spellings))
+                yield fields, _cited_refs(fields.get("CR", ()), spellings)
                 fields = {}
             values = None
             continue
@@ -126,7 +132,6 @@ def parse_citation_index_export(stream: Iterable[str]) -> ParseResult:
 
     if fields:
         raise MalformedRecord(last_field_line, "record block without end-of-record tag")
-    return result
 
 
 def _cited_refs(cited: Sequence[str], spellings: dict[str, str]) -> frozenset[str]:
@@ -146,11 +151,13 @@ def _cited_refs(cited: Sequence[str], spellings: dict[str, str]) -> frozenset[st
 
 def parse_medline_export(stream: Iterable[str]) -> ParseResult:
     """Parse a MEDLINE export (opened text file or iterable of lines)."""
-    result = ParseResult()
+    return _file_records(_medline_blocks(stream), Source.MEDLINE, "PMID", "DP")
+
+
+def _medline_blocks(stream: Iterable[str]) -> Iterator[_Block]:
     fields: dict[str, list[str]] = {}
     values: Optional[list[str]] = None  # values of the field being continued
     tags: dict[str, str] = {}  # "TI  - " -> "TI", for each tag column seen
-    seen: dict[str | tuple, tuple[BibRecord, ...]] = {}  # see _finish_record
 
     for line_number, raw_line in enumerate(stream, start=1):
         # A tag line, known by its six-column head.
@@ -169,7 +176,7 @@ def parse_medline_export(stream: Iterable[str]) -> ParseResult:
         line = raw_line.rstrip("\n").rstrip("\r")
         if not line.strip():
             if fields:
-                _finish_record(fields, result, seen, Source.MEDLINE, "PMID", "DP")
+                yield fields, NO_REFS
                 fields = {}
             values = None
             continue
@@ -185,54 +192,46 @@ def parse_medline_export(stream: Iterable[str]) -> ParseResult:
         values.append(m.group(2).strip())
 
     if fields:
-        _finish_record(fields, result, seen, Source.MEDLINE, "PMID", "DP")
-    return result
+        yield fields, NO_REFS
 
 
-def _finish_record(fields: dict[str, list[str]], result: ParseResult,
-                   seen: dict[str | tuple, tuple[BibRecord, ...]], source: Source,
-                   id_tag: str, year_tag: str,
-                   cited_refs: frozenset[str] = NO_REFS) -> None:
-    """Append the record of one field block to ``result``, noting a missing
-    id (given an ``anon:`` id numbering the block in its file), title or
-    year in that order. ``seen`` holds the distinct records of each id so
-    far, and each id-less record under its other fields as well. A record
-    equal to an earlier one of its id, or an id-less record equal to an
-    earlier id-less one but for the ``anon:`` id, is dropped with its notes;
-    one that differs is renamed ``<id>#<n>`` so ids stay unique in the file."""
-    notes_from = len(result.missing)
-    ident = " ".join(filter(None, fields.get(id_tag, ()))).strip()
-    record_id = ident or f"anon:{len(result.records) + result.dropped + 1}"
-    if not ident:
-        result.missing.append(MissingField(record_id, id_tag))
-
-    title = " ".join(filter(None, fields.get("TI", ()))).strip()
-    if not title:
-        result.missing.append(MissingField(record_id, "TI"))
-
-    year = _parse_year(" ".join(fields.get(year_tag, ())))
-    if year is None:
-        result.missing.append(MissingField(record_id, year_tag))
-
-    record = BibRecord(record_id, source, title, year, cited_refs)
-    same_id = seen.get(record_id)
-    if ident:
-        copy = same_id is not None and record in same_id
-    else:  # compared by its other fields, which key it in ``seen`` too
-        copy = record[1:] in seen
-        seen[record[1:]] = (record,)
-    if copy:
-        result.dropped += 1
-        del result.missing[notes_from:]
-        return
-    if same_id is None:
-        seen[record_id] = (record,)
-    else:
+def _file_records(blocks: Iterable[_Block], source: Source,
+                  id_tag: str, year_tag: str) -> ParseResult:
+    """The records of one file's field blocks, noting a missing id (given an
+    ``anon:`` id numbering the block in its file), title or year in that
+    order. ``seen`` holds the distinct records of each id so far, and each
+    id-less record under its other fields as well. A record equal to an
+    earlier one of its id, or an id-less record equal to an earlier id-less
+    one but for the ``anon:`` id, is dropped with its notes; one that
+    differs is renamed ``<id>#<n>`` so ids stay unique in the file."""
+    records: list[BibRecord] = []
+    missing: list[MissingField] = []
+    renamed: list[tuple[str, str]] = []
+    seen: dict[str | tuple, tuple[BibRecord, ...]] = {}
+    number = 0  # of the last block
+    for number, (fields, cited_refs) in enumerate(blocks, start=1):
+        ident = " ".join(filter(None, fields.get(id_tag, ()))).strip()
+        record_id = ident or f"anon:{number}"
+        title = " ".join(filter(None, fields.get("TI", ()))).strip()
+        year = _parse_year(" ".join(fields.get(year_tag, ())))
+        record = BibRecord(record_id, source, title, year, cited_refs)
+        same_id = seen.get(record_id, ())
+        if (record in same_id) if ident else (record[1:] in seen):
+            continue  # a copy, dropped with its notes
+        if not ident:  # compared by its other fields, which key it in ``seen`` too
+            seen[record[1:]] = (record,)
+            missing.append(MissingField(record_id, id_tag))
+        if not title:
+            missing.append(MissingField(record_id, "TI"))
+        if year is None:
+            missing.append(MissingField(record_id, year_tag))
         seen[record_id] = same_id = (*same_id, record)
-        new_id = f"{record_id}#{len(same_id)}"
-        result.renamed.append((record_id, new_id))
-        record = record._replace(record_id=new_id)
-    result.records.append(record)
+        if len(same_id) > 1:
+            new_id = f"{record_id}#{len(same_id)}"
+            renamed.append((record_id, new_id))
+            record = record._replace(record_id=new_id)
+        records.append(record)
+    return ParseResult(records, missing, renamed, number - len(records))
 
 
 def _parse_year(text: str) -> Optional[int]:

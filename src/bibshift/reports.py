@@ -111,10 +111,11 @@ def core_membership_table(cores_by_threshold: CoreSets, config: ConfigPairs) -> 
     return render_table(config, columns, rows)
 
 
-def core_size_matrix(cores_by_threshold: CoreSets,
-                     years: Sequence[int], config: ConfigPairs) -> str:
+def core_size_matrix(cores_by_threshold: CoreSets, config: ConfigPairs) -> str:
+    """One column per year of the cores: every pair's cores hold every year."""
+    years = next(iter(cores_by_threshold.values()), {})
     columns = ["thresholds"] + [str(year) for year in years]
-    rows = [[str(thresholds)] + [len(cores[year]) for year in years]
+    rows = [[str(thresholds)] + [len(members) for members in cores.values()]
             for thresholds, cores in cores_by_threshold.items()]
     return render_table(config, columns, rows)
 

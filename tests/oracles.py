@@ -362,7 +362,7 @@ def _brute_unique_ids(blocks) -> ParseResult:
     kept earlier id-less record in every field but the id, is dropped, notes
     and all; a record differing from every earlier one of its id takes the
     suffix #n, n counting the distinct records of that id."""
-    result = ParseResult()
+    records, missing, renamed, dropped = [], [], [], 0
     kept = []  # (record before any renaming, id-less?) of each kept block
     for record, notes in blocks:
         idless = any(note.field in ("UT", "PMID") for note in notes)
@@ -371,17 +371,17 @@ def _brute_unique_ids(blocks) -> ParseResult:
                 other_idless and (r.source, r.title, r.pub_year, r.cited_refs)
                 == (record.source, record.title, record.pub_year, record.cited_refs)
                 for r, other_idless in kept)):
-            result.dropped += 1
+            dropped += 1
             continue
         kept.append((record, idless))
-        result.missing += notes
+        missing += notes
         distinct = [r for j, r in enumerate(earlier) if r not in earlier[:j]]
         if distinct:
             new_id = f"{record.record_id}#{len(distinct) + 1}"
-            result.renamed.append((record.record_id, new_id))
+            renamed.append((record.record_id, new_id))
             record = record._replace(record_id=new_id)
-        result.records.append(record)
-    return result
+        records.append(record)
+    return ParseResult(records, missing, renamed, dropped)
 
 
 def brute_link_counts(medline, index) -> tuple[int, int, int]:

@@ -109,6 +109,18 @@ def base_args(tmp_path, cache):
     return ["--cache", str(cache), "--out-dir", str(tmp_path / "out")]
 
 
+@contextlib.contextmanager
+def _chdir(path):
+    """The working directory set to ``path`` for the block (Python 3.10 has
+    no ``contextlib.chdir``)."""
+    old = os.getcwd()
+    os.chdir(path)
+    try:
+        yield
+    finally:
+        os.chdir(old)
+
+
 def _run_quietly(argv: list[str]) -> tuple[int, str]:
     """Exit code and stderr of a run, argparse exits included."""
     err = io.StringIO()
@@ -1020,6 +1032,15 @@ class TestIngestReportMatchesOracle:
             lo = min((r.pub_year for r in dated), default=0)
             hi = max((r.pub_year for r in dated), default=-1)
         kept = [r for r in dated if lo <= r.pub_year <= hi]
+        # Per file its renames, then its drop count; then every missing field.
+        warnings = []
+        for result in (index, medline):
+            warnings += [f"duplicate record id {old!r} renamed to {new!r}"
+                         for old, new in result.renamed]
+            if result.dropped:
+                warnings.append(DROPPED.format(result.dropped))
+        warnings += [f"record {m.record_id} missing field {m.field}"
+                     for m in index.missing + medline.missing]
         with tempfile.TemporaryDirectory() as tmp:
             root = Path(tmp)
             (root / "index.txt").write_text(index_text, encoding="utf-8")
@@ -1031,22 +1052,15 @@ class TestIngestReportMatchesOracle:
             if years:
                 argv += ["--years", years]
             code, err = _run_quietly(argv)
-            if not kept:
-                assert code == 1 and err.startswith("error: cannot build corpus")
+            *printed, last = err.splitlines() or [""]
+            if not kept:  # the warnings come first, as they are found
+                assert code == 1 and last.startswith("error: cannot build corpus")
+                assert printed == [f"warning: {w}" for w in warnings]
                 return
             assert code == 0
             lines = (root / "out" / "ingest_report.tsv").read_text(
                 encoding="utf-8").splitlines()
 
-        # Per file its renames, then its drop count; then every missing field.
-        warnings = []
-        for result in (index, medline):
-            warnings += [f"duplicate record id {old!r} renamed to {new!r}"
-                         for old, new in result.renamed]
-            if result.dropped:
-                warnings.append(DROPPED.format(result.dropped))
-        warnings += [f"record {m.record_id} missing field {m.field}"
-                     for m in index.missing + medline.missing]
         assert err.splitlines() == [f"warning: {w}" for w in warnings]
         if medline_rows is None:
             coverage = "not applicable"
@@ -1491,6 +1505,20 @@ class TestNoWriteOverOwnFiles:
         assert err.startswith(f"error: cannot write report {loop / 'summary.tsv'}")
         assert "Traceback" not in err
 
+    def test_an_ingest_warning_comes_before_the_error(self, tmp_path, capsys):
+        medline = tmp_path / "m.txt"
+        write_medline_export(medline, [("7", 1970, "virus growth"), ("8", None, "tumor assay")])
+        before = _tree(tmp_path)
+        target = tmp_path / "o" / "ingest_report.tsv"
+        assert run(["ingest", "--medline", str(medline), "--cache", str(target),
+                    "--out-dir", str(target.parent)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "warning: record 8 missing field DP",
+            f"error: the cache {target} would overwrite the report {target}"]
+        assert captured.out == ""
+        assert _tree(tmp_path) == before
+
     @pytest.mark.parametrize("argv,name", [
         (["summary", "--config"], "summary.tsv"),
         (["words", "--years", "1971:1972", "--stopwords"], "words_1971-1972.tsv"),
@@ -1613,6 +1641,28 @@ class TestFailedStandardStream:
         # the threshold warning is the first write to stderr
         assert run(["rsi", "--thresholds", "2/3", *base_args(tmp_path, cache)]) == 1
         assert capsys.readouterr().out == ""
+
+    def test_an_ingest_whose_warning_cannot_be_printed_writes_nothing(
+            self, tmp_path, capsys, monkeypatch):
+        medline = tmp_path / "m.txt"
+        write_medline_export(medline, [("7", 1970, "virus growth"), ("8", None, "tumor assay")])
+        before = _tree(tmp_path)
+        monkeypatch.setattr(sys, "stderr", _FullStream())
+        assert run(["ingest", "--medline", str(medline), "--cache", str(tmp_path / "c.tsv"),
+                    "--out-dir", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().out == ""
+        assert _tree(tmp_path) == before
+
+    def test_a_path_stdout_cannot_encode_ends_in_error(self, tmp_path, capsys):
+        # capsys' stdout is strict UTF-8, and the lone surrogate stands for
+        # the undecodable byte 0xff of the directory name.
+        cache = ingest(tmp_path)
+        capsys.readouterr()
+        assert run(["summary", "--cache", str(cache), "--out-dir", str(tmp_path / "o\udcff")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output (")
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
 
 
 class TestConfigFile:
@@ -1987,7 +2037,7 @@ class TestRunOnGeneratedInput:
     @example((["ingest", "--index", "index.txt", "--cache", "nul\0name"], "{}"))
     def test_exit_code_is_0_or_1_and_an_error_is_named(self, case):
         argv, config = case
-        with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        with tempfile.TemporaryDirectory() as tmp, _chdir(tmp):
             _write_run_files(Path(tmp), config)
             code, err = _run_quietly(argv)
         assert code in (0, 1)
@@ -2002,7 +2052,7 @@ class TestRunOnGeneratedInput:
     @example(("rsi", "--cache", "rsi_matrix_gap2.tsv", "link", "."))
     def test_a_run_never_writes_over_its_own_file(self, case):
         command, flag, target, spelling, out_dir = case
-        with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        with tempfile.TemporaryDirectory() as tmp, _chdir(tmp):
             root = Path(tmp)
             _write_run_files(root, "{}")
             if not (command == "ingest" and flag == "--cache"):  # an input: give it its file

@@ -8,6 +8,8 @@ that ``reports`` imports only classes from the analyses, and that only
 ``records`` and ``ingest`` import ``refkey``."""
 import ast
 import contextlib
+import enum
+import importlib
 import io
 import os
 import re
@@ -72,6 +74,20 @@ def test_importing_the_cli_leaves_dataclasses_out():
                           text=True, timeout=120,
                           env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
     assert proc.stdout == "False\n"
+
+
+def test_every_public_class_is_an_exception_an_enum_or_a_named_tuple():
+    """What README's Library section says of the value types."""
+    others = []
+    for path in sorted((ROOT / "src" / "bibshift").glob("[!_]*.py")):
+        module = importlib.import_module(f"bibshift.{path.stem}")
+        for name, value in vars(module).items():
+            if (isinstance(value, type) and value.__module__ == module.__name__
+                    and not name.startswith("_")
+                    and not issubclass(value, (Exception, enum.Enum))
+                    and not (issubclass(value, tuple) and hasattr(value, "_fields"))):
+                others.append(f"{path.stem}.{name}")
+    assert others == []
 
 
 def _tracer_tables() -> dict[str, dict[str, tuple[str, ...]]]:

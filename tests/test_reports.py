@@ -96,7 +96,7 @@ class TestCitationTables:
     def test_core_size_matrix_fills_missing_years_with_zero(self):
         corpus = pool_corpus({1970: ["A, 1950", "B, 1960"]}, (1970, 1971))
         cores = core_sets(corpus, [T])
-        text = core_size_matrix(cores, list(corpus), CFG)
+        text = core_size_matrix(cores, CFG)
         lines = text.splitlines()
         assert lines[2] == "thresholds\t1970\t1971"
         assert lines[3] == "3/2\t2\t0"
