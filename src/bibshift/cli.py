@@ -9,9 +9,12 @@ An analysis error carries values and this module words it: ``rsi`` names
 the threshold pair and gap of a series with no defined RSI point.
 
 Flags may also come from a JSON config file (``--config``); explicit
-command-line flags win. All reports are deterministic: re-running a
-command with the same inputs and any ``--workers`` value reproduces the
-files byte for byte. A command returns its outputs; ``run`` writes them
+command-line flags win. Each process runs one command and imports only
+what it can run: ``ingest`` alone imports the export parsers
+(``bibshift.ingest``), and ``json`` is loaded only when ``--config``
+names a file. All reports are deterministic: re-running a command with
+the same inputs and any ``--workers`` value reproduces the files byte
+for byte. A command returns its outputs; ``run`` writes them
 once none of them is an input of the run, another of its outputs, an
 existing directory or below a file, and only then makes their
 directories. A warning is printed as soon as it is found, before
@@ -21,23 +24,15 @@ from __future__ import annotations
 
 import argparse
 import errno
-import json
 import math
 import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Callable, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Optional, Sequence
 
 from . import reports
 from .cocitation import ThresholdPair, core_sets, distinct_ref_count
-from .ingest import (
-    MalformedRecord,
-    ParseResult,
-    link_records,
-    parse_citation_index_export,
-    parse_medline_export,
-)
 from .records import (
     BibRecord,
     Corpus,
@@ -58,6 +53,9 @@ from .textmetrics import (
     phrase_trend,
     sum_phrase_trends,
 )
+
+if TYPE_CHECKING:
+    from .ingest import ParseResult
 
 
 class CliError(Exception):
@@ -94,6 +92,16 @@ class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message: str):
         self.print_usage(sys.stderr)
         self.exit(1, f"error: {message}\n")
+
+    def _get_values(self, action, arg_strings):
+        # Before Python 3.13, argparse drops a flag's value ``--``
+        # (``--years=--``) and hands the setting ``[]``. Here, as on 3.13,
+        # the setting gets the text ``--`` and its own check words the error.
+        if action.option_strings and arg_strings == ["--"]:
+            value = self._get_value(action, "--")
+            self._check_value(action, value)
+            return value
+        return super()._get_values(action, arg_strings)
 
 
 def parse_years(text: str) -> tuple[int, int]:
@@ -267,6 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_config_file(name: Optional[str]) -> dict:
     if name is None:
         return {}
+    import json
+
     path = Path(name)
     with _user_file("read config file", path, f"config file not found: {path}"):
         text = path.read_text(encoding="utf-8-sig")  # as exports: a leading BOM is dropped
@@ -442,6 +452,8 @@ def _require_year_pair(cfg: argparse.Namespace, corpus: Corpus) -> tuple[int, in
 # ── commands ──────────────────────────────────────────────────────────────────
 
 def _parse_export(path: Path, parser) -> ParseResult:
+    from .ingest import MalformedRecord
+
     with _user_file("read input file", path, f"input file not found: {path}"):
         try:
             # utf-8-sig drops the byte-order mark that starts some exports.
@@ -454,6 +466,7 @@ def _parse_export(path: Path, parser) -> ParseResult:
 def cmd_ingest(cfg: argparse.Namespace) -> list[_Output]:
     if cfg.index is None and cfg.medline is None:
         raise CliError("ingest needs at least one input file (--index and/or --medline)")
+    from .ingest import link_records, parse_citation_index_export, parse_medline_export
 
     results = [_parse_export(path, parser) for path, parser in (
         (cfg.index, parse_citation_index_export), (cfg.medline, parse_medline_export))

@@ -17,14 +17,16 @@ A title table reads ``{source: {key: stats}}``, a key per term, pair or year.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .cocitation import ThresholdPair
 from .records import Corpus, Source, write_text_atomic
 from .stability import GrooveReport, RsiPoint
 from .textmetrics import CoWordPair, DocShare
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 ConfigPairs = Sequence[tuple[str, str]]
 

@@ -16,10 +16,12 @@ interval, that interval is flagged as a consensus shift candidate.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .cocitation import ThresholdPair
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 Interval = tuple[int, int]
 
@@ -58,6 +60,8 @@ def rsi(former: frozenset[str], later: frozenset[str]) -> RsiPoint:
     if n_former == 0 or n_later == 0:
         value = None
     else:
+        from fractions import Fraction  # only an RSI needs it, and it loads decimal
+
         value = Fraction(shared, n_former + n_later - shared)
     return RsiPoint(n_former=n_former, n_later=n_later, shared=shared, rsi=value)
 

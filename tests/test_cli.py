@@ -1732,13 +1732,21 @@ class TestConfigFile:
         assert "must hold a JSON object" in capsys.readouterr().err
 
 
+def _command_flags() -> dict[str, list[str]]:
+    """Each command's long flags, ``--help`` included, as ``build_parser``
+    declares them."""
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    return {command: [flag for action in sub._actions for flag in action.option_strings
+                      if flag.startswith("--")]
+            for command, sub in subparsers.choices.items()}
+
+
 def test_readme_names_every_flag_and_config_key():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
-    subparsers = next(action for action in build_parser()._actions
-                      if isinstance(action, argparse._SubParsersAction))
-    flags = {flag for sub in subparsers.choices.values() for action in sub._actions
-             for flag in action.option_strings if flag not in ("-h", "--help")}
+    flags = {flag for flags in _command_flags().values() for flag in flags
+             if flag != "--help"}
     assert "--min-cosine" in flags and "--config" in flags
     assert sorted(flag for flag in flags if f"`{flag}" not in section) == []
     assert sorted(key for key in cli._SETTINGS if f"`{key}`" not in section) == []
@@ -1866,6 +1874,38 @@ class TestArgparseErrors:
         assert lines[0].startswith("usage: bibshift")
         assert lines[-1].startswith("error: ")
         assert "Traceback" not in "\n".join(lines)
+
+
+_VALID_RUNS = {
+    "ingest": ["--index", "index.txt", "--medline", "medline.txt"],
+    "summary": [],
+    "rsi": ["--thresholds", "2/2", "--gaps", "1"],
+    "core-refs": ["--thresholds", "2/2"],
+    "words": ["--years", "1970:1972"],
+    "cowords": ["--years", "1970:1972"],
+    "phrase": ["--head", "reverse", "--stem", "transcr"],
+}
+
+
+class TestDoubleDashValue:
+    def test_every_command_has_a_valid_run(self):
+        assert list(_VALID_RUNS) == list(_command_flags())
+
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command, flags in _command_flags().items() for flag in flags])
+    def test_a_flag_given_the_text_double_dash_is_checked_like_any_value(
+            self, tmp_path, command, flag):
+        # Python before 3.13 drops the ``--`` and hands the setting ``[]``,
+        # which no check expected.
+        ingest(tmp_path)
+        with _chdir(tmp_path):
+            argv = [command, *_VALID_RUNS[command], "--cache", "cache.tsv",
+                    "--out-dir", "out", f"{flag}=--"]
+            code, err = _run_quietly(argv)
+        assert "Traceback" not in err
+        assert code in (0, 1)
+        if code == 1:
+            assert sum(line.startswith("error:") for line in err.splitlines()) == 1
 
 
 class TestThresholdWarning:

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from bibshift import cli
+from bibshift import cli, ingest
 from bibshift.cli import run
 from bibshift.records import Source
 from conftest import write_index_export, write_medline_export
@@ -66,14 +66,49 @@ def test_demo_script_runs(tmp_path):
     assert not line.endswith("None")
 
 
+def _fresh_python(code: str, *args: str) -> str:
+    """Stdout of ``code`` run in a new interpreter with ``src`` on its path."""
+    proc = subprocess.run([sys.executable, "-c", code, *args], check=True,
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    return proc.stdout
+
+
 def test_importing_the_cli_leaves_dataclasses_out():
     """No value type is a dataclass: importing ``dataclasses``, and the
     ``inspect`` it pulls in, would add to every command's start-up."""
     code = "import sys, bibshift.cli; print('dataclasses' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
-                          text=True, timeout=120,
-                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
-    assert proc.stdout == "False\n"
+    assert _fresh_python(code) == "False\n"
+
+
+def test_importing_the_cli_leaves_out_what_only_some_commands_run():
+    """``json`` is for ``--config``, ``fractions`` (with ``decimal``) for an
+    RSI, and ``bibshift.ingest`` for ``ingest``: every other command would
+    pay for loading them at start-up."""
+    code = "import sys, bibshift.cli; print(sorted(set(sys.argv[1:]) & set(sys.modules)))"
+    assert _fresh_python(code, "json", "fractions", "decimal", "bibshift.ingest") == "[]\n"
+
+
+def test_an_ingest_run_loads_every_module_the_tracer_wraps(tmp_path):
+    """The tracer reads each module of its tables from ``sys.modules`` right
+    after the untraced ``ingest`` run; a module that run left unloaded would
+    end a ``--trace 1`` run in a ``KeyError``."""
+    write_index_export(tmp_path / "index.txt", [("IDX:1", 1970, "A title", ["X, 1960"])])
+    write_medline_export(tmp_path / "medline.txt", [("1", 1970, "A title")])
+    code = ("import contextlib, io, sys\n"
+            "from bibshift import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.run(sys.argv[2:]) == 0\n"
+            "print(sorted(name for name in sys.argv[1].split(',')\n"
+            "             if f'bibshift.{name}' not in sys.modules))\n")
+    wrapped = {module for table in _tracer_tables().values() for module in table}
+    assert wrapped >= {"ingest", "records", "refkey", "cocitation", "stability",
+                       "textmetrics", "reports"}
+    assert _fresh_python(code, ",".join(sorted(wrapped)), "ingest",
+                         "--index", str(tmp_path / "index.txt"),
+                         "--medline", str(tmp_path / "medline.txt"),
+                         "--cache", str(tmp_path / "cache.tsv"),
+                         "--out-dir", str(tmp_path / "out")) == "[]\n"
 
 
 def test_every_public_class_is_an_exception_an_enum_or_a_named_tuple():
@@ -106,8 +141,7 @@ def test_every_function_the_tracer_wraps_exists():
     assert set(tables) == {"SPANNED", "HOT"}
     for table in tables.values():
         for module_name, names in table.items():
-            # install() needs the module loaded by importing the CLI.
-            module = sys.modules[f"bibshift.{module_name}"]
+            module = importlib.import_module(f"bibshift.{module_name}")
             for name in names:
                 assert callable(getattr(module, name, None)), f"bibshift.{module_name}.{name}"
 
@@ -303,11 +337,13 @@ def _count_calls(monkeypatch, module, names) -> dict[str, int]:
 
 
 def test_ingest_calls_each_traced_layer_through_the_cli_binding(tmp_path, monkeypatch):
-    """The tracer times ingest's layers by wrapping the names ``cli`` binds;
-    a layer ingest reached some other way would read 0 without a warning."""
-    names = ("parse_citation_index_export", "parse_medline_export", "link_records",
-             "write_cache")
-    calls = _count_calls(monkeypatch, cli, names)
+    """The tracer times ingest's layers by wrapping the names that bind
+    them: ``cli`` binds ``write_cache``, and ``cmd_ingest`` reads the three
+    export layers from ``bibshift.ingest`` when it runs. A layer ingest
+    reached some other way would read 0 without a warning."""
+    parsing = ("parse_citation_index_export", "parse_medline_export", "link_records")
+    parse_calls = _count_calls(monkeypatch, ingest, parsing)
+    write_calls = _count_calls(monkeypatch, cli, ["write_cache"])
     write_index_export(tmp_path / "index.txt", [("IDX:1", 1970, "A title", ["X, 1960"])])
     write_medline_export(tmp_path / "medline.txt", [("1", 1970, "A title")])
     with contextlib.redirect_stdout(io.StringIO()):
@@ -315,7 +351,7 @@ def test_ingest_calls_each_traced_layer_through_the_cli_binding(tmp_path, monkey
                     "--medline", str(tmp_path / "medline.txt"),
                     "--cache", str(tmp_path / "cache.tsv"),
                     "--out-dir", str(tmp_path / "out")]) == 0
-    assert calls == dict.fromkeys(names, 1)
+    assert {**parse_calls, **write_calls} == dict.fromkeys([*parsing, "write_cache"], 1)
 
 
 @pytest.mark.parametrize("command, analysis, table", [

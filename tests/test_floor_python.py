@@ -4,9 +4,11 @@ or a library function the older version lacks) would show. Parsing every
 file at that version (``tests/test_syntax_floor.py``) cannot see those.
 
 The interpreter is ``python3.10`` on ``PATH``, else the one that
-``BIBSHIFT_FLOOR_PYTHON`` names; a candidate counts only if it runs and
-reports that version. With none, the test is skipped and says what it
-tried. ``test_command_digests`` imports only the standard library and
+``BIBSHIFT_FLOOR_PYTHON`` names, else a ``python3.10`` that pyenv built
+(``<pyenv root>/versions/3.10*/bin``, the root from ``PYENV_ROOT`` or
+``~/.pyenv``); a candidate counts only if it runs and reports that
+version. With none, the test is skipped and says what it tried.
+``test_command_digests`` imports only the standard library and
 ``bibshift``, so the floor interpreter needs no test packages.
 """
 import json
@@ -29,8 +31,12 @@ def _floor_python() -> tuple[str | None, list[str]]:
     each candidate tried."""
     version = _oldest_python()
     name = "python{}.{}".format(*version)
+    pyenv_root = Path(os.environ.get("PYENV_ROOT") or Path.home() / ".pyenv")
+    pattern = "versions/{}.{}*/bin/{}".format(*version, name)
+    built = [("pyenv", str(path), "") for path in sorted(pyenv_root.glob(pattern))]
     candidates = [(f"{name} on PATH", shutil.which(name), "not found"),
-                  (ENV_VAR, os.environ.get(ENV_VAR) or None, "unset")]
+                  (ENV_VAR, os.environ.get(ENV_VAR) or None, "unset"),
+                  *(built or [(f"pyenv ({pyenv_root / pattern})", None, "not found")])]
     tried = []
     for label, path, absent in candidates:
         if path is None:
