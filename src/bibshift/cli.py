@@ -9,7 +9,9 @@ An analysis error carries values and this module words it: ``rsi`` names
 the threshold pair and gap of a series with no defined RSI point.
 
 Flags may also come from a JSON config file (``--config``); explicit
-command-line flags win. Each process runs one command and imports only
+command-line flags win. A flag is spelled in full, as its config key is,
+and an empty path is refused, since ``Path`` reads it as the working
+directory. Each process runs one command and imports only
 what it can run: ``ingest`` alone imports the export parsers
 (``bibshift.ingest``), and ``json`` is loaded only when ``--config``
 names a file. All reports are deterministic: re-running a command with
@@ -163,6 +165,8 @@ def _min_cosine(name: str, number: float) -> float:
 
 
 def _path(name: str, text: str) -> Path:
+    if not text:
+        raise CliError(f"{name} must not be empty")
     if "\0" in text:
         raise CliError(f"{name} {text!r} must not hold a NUL character")
     try:
@@ -257,13 +261,13 @@ _SETTINGS = {
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
-        prog="bibshift",
+        prog="bibshift", allow_abbrev=False,
         description="Detect shifts in a literature corpus via core-reference "
                     "stability and title-word analysis.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (help_text, _) in _COMMANDS.items():
-        p = sub.add_parser(command, help=help_text)
+        p = sub.add_parser(command, help=help_text, allow_abbrev=False)
         p.add_argument("--config", help="JSON config file; explicit flags override it")
         for name, setting in _SETTINGS.items():
             if setting.takes(command):
@@ -275,6 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_config_file(name: Optional[str]) -> dict:
     if name is None:
         return {}
+    if not name:
+        raise CliError("config must not be empty")
     import json
 
     path = Path(name)

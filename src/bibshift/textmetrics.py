@@ -18,11 +18,17 @@ say) and keys a ``DocShare`` by each of its years, in order.
 Phrase trends deliberately use the raw ordered token sequence (stop words
 kept) so that adjacency is judged on the title as written.
 
-Each query tokenises each title it is given at most once.
+Each query tokenises each title it is given at most once. Former titles
+are split into words (``title_token_sequence``) but never filtered: the
+filter judges each word alone, and only later analysis terms are looked up
+among the former words, so a dropped word there can match none of them.
 ``new_coword_pairs`` counts pairs, in both years, only among the later
 terms whose own share reaches ``min_percent``: a pair's share never exceeds
 either member's, so no pair holding another term can pass the floor, and
 former pairs outside that vocabulary can mark no later pair as not new.
+It counts them by enumerating each title's term pairs or, when the kept
+terms have fewer pairs than the later titles do, by one AND of per-term
+title bitsets per pair; both give the same pairs and counts.
 ``phrase_trend`` tokenises only titles whose case-folded text contains the
 case-folded head. That filter drops no match because ``str.casefold`` maps
 each code point on its own, so the case fold of any token is a substring of
@@ -42,9 +48,10 @@ from typing import NamedTuple, Sequence
 from .records import BibRecord, Corpus
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
-# On ASCII, [^\W_] is [A-Za-z0-9] and casefold is lower; all else becomes a
-# space. Letters and digits map to themselves: a full table outruns a sparse one.
-_ASCII_PUNCT_TO_SPACE = {c: chr(c) if chr(c).isalnum() else " " for c in range(128)}
+# On ASCII, [^\W_] is [A-Za-z0-9] and casefold is lower: this byte table
+# lower-cases A-Z, keeps a-z and 0-9, and makes every other byte a space.
+_ASCII_WORD_BYTES = bytes(ord(chr(c).lower()) if c < 128 and chr(c).isalnum() else 32
+                          for c in range(256))
 
 
 class DocShare(NamedTuple):
@@ -82,7 +89,7 @@ def default_stopwords() -> frozenset[str]:
 def title_token_sequence(title: str) -> tuple[str, ...]:
     """Ordered case-folded ``_TOKEN_RE`` runs, unfiltered; adjacency-faithful."""
     if title.isascii():
-        return tuple(title.lower().translate(_ASCII_PUNCT_TO_SPACE).split())
+        return tuple(title.encode("ascii").translate(_ASCII_WORD_BYTES).decode("ascii").split())
     return tuple(map(str.casefold, _TOKEN_RE.findall(title)))
 
 
@@ -99,6 +106,30 @@ def tokenize_title(title: str, stop: frozenset[str]) -> frozenset[str]:
 def _term_pairs(token_sets):
     """Every term pair of every set, lexicographically ordered in the pair."""
     return chain.from_iterable(combinations(sorted(tokens), 2) for tokens in token_sets)
+
+
+def _title_masks(token_sets, terms) -> dict[str, int]:
+    """Per term, an int whose bit ``i`` is set when set ``i`` holds it."""
+    token_sets = list(token_sets)
+    # Setting bits in bytes keeps each step small; an int would be rebuilt.
+    rows = {term: bytearray(len(token_sets) // 8 + 1) for term in terms}
+    for i, tokens in enumerate(token_sets):
+        for term in tokens:
+            rows[term][i >> 3] |= 1 << (i & 7)
+    return {term: int.from_bytes(row, "little") for term, row in rows.items()}
+
+
+def _new_pair_counts(former_sets, later_sets, terms):
+    """``((a, b), n)`` for each pair of the sorted ``terms`` that shares
+    ``n > 0`` later sets and no former set, by one AND of title masks."""
+    former = _title_masks(former_sets, terms)
+    later = _title_masks(later_sets, terms)
+    for i, a in enumerate(terms):
+        later_a, former_a = later[a], former[a]
+        for b in terms[i + 1:]:
+            n = (later_a & later[b]).bit_count()
+            if n and not former_a & former[b]:
+                yield (a, b), n
 
 
 def _percent(n: int, total: int) -> float:
@@ -118,7 +149,7 @@ def new_terms(
     df = Counter(chain.from_iterable(
         tokenize_title(record.title, stop) for record in later))
     former_terms = set(chain.from_iterable(
-        tokenize_title(record.title, stop) for record in former))
+        title_token_sequence(record.title) for record in former))
     fresh = [(term, n) for term, n in df.items()
              if _percent(n, total) >= min_percent and term not in former_terms]
     fresh.sort(key=lambda item: (-item[1], item[0]))
@@ -146,12 +177,19 @@ def new_coword_pairs(
     # monotone in it: a pair holding a term outside keep cannot pass.
     keep = frozenset(t for t, n in df.items() if _percent(n, total) >= min_percent)
     later_sets = [tokens & keep for tokens in later_sets]
-    former_sets = (tokenize_title(record.title, stop) & keep for record in former)
-    former_pairs = set(_term_pairs(former_sets))
+    former_sets = (keep.intersection(title_token_sequence(record.title))
+                   for record in former)
+    # Masks cost one AND per pair of keep terms; enumeration one count per
+    # term pair of each later title. Take whichever does fewer.
+    if math.comb(len(keep), 2) < sum(math.comb(len(tokens), 2) for tokens in later_sets):
+        counts = _new_pair_counts(former_sets, later_sets, sorted(keep))
+    else:
+        former_pairs = set(_term_pairs(former_sets))
+        # A generator: a list of every pair would set off cyclic GC passes.
+        counts = ((pair, n) for pair, n in Counter(_term_pairs(later_sets)).items()
+                  if pair not in former_pairs)
     pairs = []
-    for (a, b), n in Counter(_term_pairs(later_sets)).items():
-        if (a, b) in former_pairs:
-            continue
+    for (a, b), n in counts:
         cosine = n / math.sqrt(df[a] * df[b])
         percent = _percent(n, total)
         if cosine >= min_cosine and percent >= min_percent:

@@ -530,10 +530,11 @@ def count_calls(monkeypatch, name):
 
 
 class TestTitlesReadOnce:
-    def test_cowords_tokenizes_each_title_of_the_two_years_once(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("command", ["words", "cowords"])
+    def test_each_title_of_the_two_years_is_split_once(self, tmp_path, monkeypatch, command):
         cache = ingest(tmp_path)
-        calls = count_calls(monkeypatch, "tokenize_title")
-        assert run(["cowords", *base_args(tmp_path, cache), "--years", "1971:1972"]) == 0
+        calls = count_calls(monkeypatch, "title_token_sequence")
+        assert run([command, *base_args(tmp_path, cache), "--years", "1971:1972"]) == 0
         titles = [r.title for r in read_cache(cache) if r.pub_year in (1971, 1972)]
         assert sorted(calls) == sorted(titles)
 
@@ -1225,6 +1226,42 @@ class TestTextThatCannotBeEncoded:
         assert _tree(tmp_path) == before
 
 
+class TestEmptyPath:
+    """An empty path, which ``Path`` reads as the working directory, ends in
+    one ``error:`` line naming its setting before anything is made."""
+
+    @pytest.mark.parametrize("argv, config, name", [
+        (["summary", "--cache="], None, "cache"),
+        (["summary", "--out-dir="], None, "out_dir"),
+        (["words", "--years", "1971:1972", "--stopwords="], None, "stopwords"),
+        (["ingest", "--index=", "--medline", "medline.txt"], None, "index"),
+        (["ingest", "--index", "index.txt", "--medline="], None, "medline"),
+        (["summary", "--config="], None, "config"),
+        (["summary"], {"cache": ""}, "cache"),
+        (["summary"], {"out_dir": ""}, "out_dir"),
+        (["cowords", "--years", "1971:1972"], {"stopwords": ""}, "stopwords"),
+        (["ingest", "--medline", "medline.txt"], {"index": ""}, "index"),
+        (["ingest", "--index", "index.txt"], {"medline": ""}, "medline"),
+    ], ids=["cache", "out-dir", "stopwords", "index", "medline", "config",
+            "cache-config", "out_dir-config", "stopwords-config", "index-config",
+            "medline-config"])
+    def test_refused_before_anything_is_made(self, tmp_path, capsys, monkeypatch,
+                                             argv, config, name):
+        ingest(tmp_path).rename(tmp_path / "corpus_cache.tsv")
+        shutil.rmtree(tmp_path / "out")
+        if config is not None:
+            (tmp_path / "run.json").write_text(json.dumps(config), encoding="utf-8")
+            argv = [*argv, "--config", "run.json"]
+        monkeypatch.chdir(tmp_path)
+        capsys.readouterr()
+        before = _tree(tmp_path)
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {name} must not be empty\n"
+        assert captured.out == ""
+        assert _tree(tmp_path) == before
+
+
 class TestBadCache:
     def write(self, tmp_path, edit):
         corpus = build_corpus([mkrec("a", title="virus", year=1970, source=Source.MEDLINE)])
@@ -1865,6 +1902,10 @@ class TestArgparseErrors:
         pytest.param(["summary", "--workers", "abc"], id="bad-value"),
         pytest.param(["summary", "--bogus"], id="unknown-flag"),
         pytest.param([], id="no-subcommand"),
+        # a flag is spelled in full, as a config key is: no prefix stands for it
+        pytest.param(["words", "--years", "1970:1972", "--min", "5"], id="flag-prefix"),
+        pytest.param(["words", "--years", "1970:1972", "--min=5"], id="flag-prefix-equals"),
+        pytest.param(["summary", "--conf", "run.json"], id="config-prefix"),
     ])
     def test_bad_flag_ends_in_error_and_exit_1(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -23,6 +24,7 @@ from oracles import (
     brute_co_doc_freq,
     brute_doc_freq,
     brute_new_coword_pairs,
+    brute_new_terms,
     brute_sequence,
     brute_tokens,
 )
@@ -221,29 +223,34 @@ class TestNewCowordPairs:
         assert tight == {("mice", "transcription"): CoWordPair(1, 1.0, 100 / 3)}
 
 
-    def test_no_pair_with_a_term_below_the_floor_is_counted(self, monkeypatch):
-        former = build_corpus([mkrec("f1", title="alpha gamma", year=1970),
-                               mkrec("f2", title="beta delta", year=1970)])[1970]
-        later = build_corpus([mkrec("l1", title="alpha beta", year=1971),
-                              mkrec("l2", title="alpha beta", year=1971),
-                              mkrec("l3", title="alpha gamma", year=1971),
-                              mkrec("l4", title="delta epsilon", year=1971)])[1971]
-        counted = []
-        original = textmetrics._term_pairs
+    @pytest.mark.parametrize("later_titles, keep, path, pair", [
+        # alpha (3 of 4) and beta (2 of 4) reach 50 %; gamma, delta, epsilon do
+        # not. One pair of keep terms against two title pairs: title masks.
+        (["alpha beta", "alpha beta", "alpha gamma", "delta epsilon"],
+         {"alpha", "beta"}, "_title_masks", CoWordPair(2, 2 / math.sqrt(6), 50.0)),
+        # alpha, beta and gamma (2 of 4 each) reach 50 %; delta and epsilon do
+        # not. Three pairs of keep terms against two title pairs: enumeration.
+        (["alpha beta", "alpha beta", "gamma delta", "gamma epsilon"],
+         {"alpha", "beta", "gamma"}, "_term_pairs", CoWordPair(2, 1.0, 50.0)),
+    ], ids=["masks", "enumeration"])
+    def test_no_pair_with_a_term_below_the_floor_is_counted(self, monkeypatch, later_titles,
+                                                             keep, path, pair):
+        former_titles = ["alpha gamma", "beta delta"]
+        counted = {}
+        for name in ("_term_pairs", "_title_masks"):
+            def spy(token_sets, *rest, name=name, original=getattr(textmetrics, name)):
+                token_sets = [set(tokens) for tokens in token_sets]
+                counted.setdefault(name, []).append(token_sets)
+                return original(token_sets, *rest)
 
-        def spy(token_sets):
-            token_sets = [set(tokens) for tokens in token_sets]
-            counted.append(token_sets)
-            return original(token_sets)
-
-        monkeypatch.setattr(textmetrics, "_term_pairs", spy)
-        # alpha (3 of 4) and beta (2 of 4) reach 50 %; gamma, delta, epsilon do not
-        fresh = new_coword_pairs(former, later, EMPTY_STOP, min_cosine=0.0, min_percent=50.0)
-        assert fresh == {("alpha", "beta"): CoWordPair(2, 2 / math.sqrt(6), 50.0)}
-        [former_sets, later_sets] = counted
-        assert all(tokens <= {"alpha", "beta"} for tokens in former_sets + later_sets)
-        assert set(original(former_sets)) == set()
-        assert set(original(later_sets)) == {("alpha", "beta")}
+            monkeypatch.setattr(textmetrics, name, spy)
+        fresh = new_coword_pairs(_slice(former_titles, 1970), _slice(later_titles, 1971),
+                                 EMPTY_STOP, min_cosine=0.0, min_percent=50.0)
+        assert fresh == {("alpha", "beta"): pair}
+        assert list(counted) == [path]
+        # each path reads the former titles, then the later ones, as keep terms only
+        assert counted[path] == [[keep.intersection(title.split()) for title in titles]
+                                 for titles in (former_titles, later_titles)]
 
 
 @pytest.mark.parametrize("analysis", [
@@ -350,6 +357,12 @@ _title = st.text(
 )
 
 
+# Stop words (of the), one-letter words and digit runs mixed with terms.
+_filtered_title = st.lists(
+    st.sampled_from(["of", "Of", "the", "a", "x", "X", "1970", "22", "virus", "rna", "x2"]),
+    max_size=6).map(" ".join)
+
+
 def _slice(titles, year):
     records = [mkrec(f"r{year}-{i}", title=t, year=year) for i, t in enumerate(titles)]
     return build_corpus(records)[year]
@@ -443,14 +456,42 @@ class TestOracleProperties:
 
     @settings(max_examples=300, deadline=None)
     @given(coword_cases())
-    # (ab, cd) is in 2 of 8 later titles: exactly on the 25 % floor
+    # (ab, cd) is in 2 of 8 later titles: exactly on the 25 % floor. Three
+    # pairs of terms at the floor, two title pairs: enumeration.
     @example((_slice(["ab", "cd ef"], 1970),
               _slice(["ab cd", "ab cd"] + ["ef"] * 6, 1971), 25.0, 0.25))
+    # Three pairs of terms at the floor, seven title pairs: title masks.
+    @example((_slice(["ab ef", "cd"], 1970),
+              _slice(["ab cd ef", "ab cd ef", "ab cd", "X"], 1971), 25.0, 0.0))
     def test_new_coword_pairs_match_brute_force(self, case):
         former, later, min_percent, min_cosine = case
-        fresh = new_coword_pairs(former, later, EMPTY_STOP, min_cosine, min_percent)
+        with mock.patch.object(textmetrics, "_title_masks",
+                               wraps=textmetrics._title_masks) as masks:
+            fresh = new_coword_pairs(former, later, EMPTY_STOP, min_cosine, min_percent)
         assert fresh == brute_new_coword_pairs(former, later, set(), min_cosine, min_percent)
         assert list(fresh) == sorted(fresh, key=lambda pair: (-fresh[pair].co_doc_freq, pair))
+        keep = {term for term, n in brute_doc_freq(later, set()).items()
+                if 100.0 * n / len(later) >= min_percent}
+        title_pairs = sum(math.comb(len(brute_tokens(r.title, set()) & keep), 2)
+                          for r in later)
+        assert masks.called == (math.comb(len(keep), 2) < title_pairs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_filtered_title, min_size=1, max_size=6),
+           st.lists(_filtered_title, min_size=1, max_size=6),
+           st.sampled_from([0.0, 20.0, 50.0]))
+    # the former titles hold only words the filter drops, each also in a later title
+    @example(["Of the 1970 x", "a 22"], ["virus rna of 1970", "rna x the", "22 a virus"], 0.0)
+    def test_former_words_the_filter_drops_are_never_new(self, former_titles,
+                                                         later_titles, min_percent):
+        # former titles are split but not filtered: a stop word, a one-letter
+        # word or a digit run there can match no later analysis term
+        former, later = _slice(former_titles, 1970), _slice(later_titles, 1971)
+        stop = frozenset({"of", "the"})
+        assert new_terms(former, later, stop, min_percent) == brute_new_terms(
+            former, later, set(stop), min_percent)
+        assert new_coword_pairs(former, later, stop, 0.0, min_percent) == (
+            brute_new_coword_pairs(former, later, set(stop), 0.0, min_percent))
 
     def test_superscript_digits_are_kept(self):
         assert tokenize_title("x² ²² ٣٣", EMPTY_STOP) == {"x²", "²²"}
