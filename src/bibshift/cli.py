@@ -16,10 +16,10 @@ what it can run: ``ingest`` alone imports the export parsers
 (``bibshift.ingest``), and ``json`` is loaded only when ``--config``
 names a file. All reports are deterministic: re-running a command with
 the same inputs and any ``--workers`` value reproduces the files byte
-for byte. A command returns its outputs; ``run`` writes them
-once none of them is an input of the run, another of its outputs, an
-existing directory or below a file, and only then makes their
-directories. A warning is printed as soon as it is found, before
+for byte. A command returns its outputs. Once none of them is an input of
+the run, another of its outputs, an existing directory or below a file,
+``run`` writes them all to temp files and only then replaces the targets
+(``_commit``). A warning is printed as soon as it is found, before
 anything is written.
 """
 from __future__ import annotations
@@ -70,8 +70,8 @@ def _user_file(action: str, path: Path, missing: str = ""):
     if the file does not exist, ``<path>: not UTF-8 text (...)`` on bad
     bytes, and ``cannot <action> <path> (<file>: <reason>)`` on any other
     ``OSError``; the file the system names can differ from ``path`` (a
-    parent that is not a directory). When a temp file fails to replace
-    ``path``, the file named is the target, not the temp file."""
+    parent that is not a directory, or the temp file ``_commit`` writes for
+    ``path``); a temp file that fails to replace ``path`` names ``path``."""
     try:
         if missing and not path.exists():  # exists() raises on a name too long
             raise CliError(missing)
@@ -439,6 +439,30 @@ def _check_target(path: Path) -> None:
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
 
 
+def _commit(outputs: list[_Output]) -> None:
+    """Write each output to a new temp file beside its target (its directory
+    made, the name ``.bibshift-<pid>-<hex>.tmp`` of fixed length), then
+    replace each target, in output order. On any exception, an interrupt
+    included, every temp file is removed, so only a failure in the replace
+    loop leaves some targets replaced. Nothing is synced to disk."""
+    temps: list[Path] = []
+    try:
+        for output in outputs:
+            with _user_file(f"write {output.what}", output.path):
+                output.path.parent.mkdir(parents=True, exist_ok=True)
+                temp = output.path.with_name(f".bibshift-{os.getpid()}-{os.urandom(4).hex()}.tmp")
+                temp.touch(exist_ok=False)
+                temps.append(temp)
+                output.write(temp)
+        for output, temp in zip(outputs, temps):
+            with _user_file(f"write {output.what}", output.path):
+                os.replace(temp, output.path)
+    except BaseException:
+        for temp in temps:
+            temp.unlink(missing_ok=True)
+        raise
+
+
 def _require_year_pair(cfg: argparse.Namespace, corpus: Corpus) -> tuple[int, int]:
     if cfg.years is None:
         raise CliError(f"{cfg.command} needs --years FORMER:LATER")
@@ -521,7 +545,6 @@ def cmd_ingest(cfg: argparse.Namespace) -> list[_Output]:
     by_year, total = distinct_ref_count(corpus)
     return [
         _report(cfg, "ingest_report.tsv", reports.summary_table(corpus, by_year, total, config)),
-        # The cache goes last, so a failed ingest leaves the earlier cache (or none).
         _Output("cache", cfg.cache, lambda path: write_cache(corpus, path)),
     ]
 
@@ -656,12 +679,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         for output in outputs:
             with _user_file(f"write {output.what}", output.path):
                 _check_target(output.path)
-        for output in outputs:
-            with _user_file(f"write {output.what}", output.path):
-                output.path.parent.mkdir(parents=True, exist_ok=True)
-        for output in outputs:
-            with _user_file(f"write {output.what}", output.path):
-                output.write(output.path)
+        _commit(outputs)
         for output in outputs:
             print(f"wrote {output.path}")
         sys.stdout.flush()

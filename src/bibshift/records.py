@@ -18,13 +18,13 @@ Backslash escapes (backslash, tab, newline, carriage return, ``#``, and
 cache file round-trips byte-identically, and any other escape is rejected on read. The
 first line must be ``CACHE_HEADER``; later lines starting with ``#`` are
 comment lines and are skipped on read. The file always ends with a newline,
-so a last line without one marks a cut file and is rejected. The cache is
-written through a temp file that replaces the old one only once complete
-(``write_text_atomic``); each distinct reference is spelled and escaped once
-per write. A reader that needs only titles can leave the reference column
-unparsed (``read_cache(path, refs=False)``). On read, each distinct year
-cell is checked once per call, and a line without a backslash holds no
-escape, so none of its cells is unescaped.
+so a last line without one marks a cut file and is rejected. ``write_cache``
+writes the path it is given; the CLI is where a cache is replaced atomically.
+Each distinct reference is spelled and escaped once per write. A reader that
+needs only titles can leave the reference column unparsed (``read_cache(path,
+refs=False)``). On read, each distinct year cell is checked once per call,
+and a line without a backslash holds no escape, so none of its cells is
+unescaped.
 """
 from __future__ import annotations
 
@@ -150,31 +150,13 @@ def _unescape(text: str) -> str:
     return _ESCAPE_RE.sub(_unescape_one, text)
 
 
-def write_text_atomic(path: str | os.PathLike, text: str) -> None:
-    """Write ``text`` to ``path`` as UTF-8 with ``\\n`` line ends, through a
-    temp file in the same directory that replaces ``path`` only once it is
-    complete. On any error the temp file is removed and ``path`` keeps what
-    it held. This guards against an interrupted process, not a power loss:
-    nothing is synced to disk."""
-    path = Path(path)
-    tmp = path.with_name(f".bibshift-{os.getpid()}-{os.urandom(4).hex()}.tmp")
-    handle = open(tmp, "x", encoding="utf-8", newline="\n")
-    try:
-        with handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
 def write_cache(corpus: Corpus, path: str | os.PathLike) -> None:
     """Write the corpus as a TSV cache. Deterministic: years ascending,
     each year's records in order, each record's cited refs in order of
     their cells. A reference cell is the reference's escaped spelling, or
     a single space for the reference of a blank string, whose spelling is
     empty (an empty cell holds no reference). Each distinct reference is
-    escaped once per write."""
+    escaped once per write. The CLI passes a temp file, not the cache."""
     lines = [CACHE_HEADER]
     escaped: dict[str, str] = {}  # reference -> its cache cell
     for year, records in corpus.items():
@@ -199,7 +181,7 @@ def write_cache(corpus: Corpus, path: str | os.PathLike) -> None:
                     )
                 )
             )
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
 def read_cache(path: str | os.PathLike, refs: bool = True) -> list[BibRecord]:

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .cocitation import ThresholdPair
-from .records import Corpus, Source, write_text_atomic
+from .records import Corpus, Source
 from .stability import GrooveReport, RsiPoint
 from .textmetrics import CoWordPair, DocShare
 
@@ -62,7 +62,7 @@ def render_table(config: ConfigPairs, columns: Sequence[str], rows) -> str:
 
 
 def write_report(path: Path, text: str) -> None:
-    write_text_atomic(path, text)
+    path.write_text(text, encoding="utf-8", newline="\n")
 
 
 # ── corpus summary ────────────────────────────────────────────────────────────

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import bibshift
-from bibshift import cli, records, textmetrics
+from bibshift import cli, records, reports, textmetrics
 from bibshift.cli import (
     CliError,
     build_parser,
@@ -1571,6 +1571,38 @@ class TestNoWriteOverOwnFiles:
                             before)
 
 
+COMMANDS = ["ingest", *REFERENCE_COMMANDS, *TITLE_COMMANDS]
+CACHE = Path("cache", "cache.tsv")
+
+
+def _commit_argv(root: Path, command: str) -> list[str]:
+    """The argv of ``command`` over the exports, cache and reports under
+    ``root``. The cache has a directory of its own, so each of ingest's two
+    outputs has a parent of its own."""
+    paths = ["--cache", str(root / CACHE), "--out-dir", str(root / "out")]
+    if command == "ingest":
+        return ["ingest", "--index", str(root / "index.txt"),
+                "--medline", str(root / "medline.txt"), *paths]
+    return [*{**REFERENCE_COMMANDS, **TITLE_COMMANDS}[command], *paths]
+
+
+def _older_run(seed: Path, capsys, command: str) -> dict[Path, bytes]:
+    """Each target of ``command`` under ``seed``, relative and in output
+    order, with the bytes a run writes there. Every target then holds
+    other bytes, ``# an older run``, so a rewrite shows."""
+    seed.mkdir()
+    seed_exports(seed)
+    assert run(_commit_argv(seed, "ingest")) == 0
+    capsys.readouterr()
+    assert run(_commit_argv(seed, command)) == 0
+    new = {}
+    for line in capsys.readouterr().out.splitlines():
+        target = Path(line[len("wrote "):])
+        new[target.relative_to(seed)] = target.read_bytes()
+        target.write_bytes(b"# an older run\n")
+    return new
+
+
 class TestNoWriteBeforeEveryTargetIsChecked:
     """An output target that is a directory, or that lies below a file, ends
     the run in ``error:`` before any output is written or any directory is
@@ -1580,27 +1612,10 @@ class TestNoWriteBeforeEveryTargetIsChecked:
     are gone, so one made and left behind shows."""
 
     @pytest.mark.parametrize("case", ["target-is-a-directory", "parent-is-a-file"])
-    @pytest.mark.parametrize("command", ["ingest", *REFERENCE_COMMANDS, *TITLE_COMMANDS])
+    @pytest.mark.parametrize("command", COMMANDS)
     def test_no_output_is_written(self, tmp_path, capsys, command, case):
-        # The cache has a directory of its own, so each of ingest's two
-        # outputs has a parent of its own.
-        def argv(root: Path, command: str = command) -> list[str]:
-            paths = ["--cache", str(root / "cache" / "cache.tsv"), "--out-dir", str(root / "out")]
-            if command == "ingest":
-                return ["ingest", "--index", str(root / "index.txt"),
-                        "--medline", str(root / "medline.txt"), *paths]
-            return [*{**REFERENCE_COMMANDS, **TITLE_COMMANDS}[command], *paths]
-
         seed = tmp_path / "seed"
-        seed.mkdir()
-        seed_exports(seed)
-        assert run(argv(seed, "ingest")) == 0
-        capsys.readouterr()
-        assert run(argv(seed)) == 0
-        targets = [Path(line[len("wrote "):]).relative_to(seed)
-                   for line in capsys.readouterr().out.splitlines()]
-        for path in targets:
-            (seed / path).write_text("# an older run\n", encoding="utf-8")
+        targets = list(_older_run(seed, capsys, command))
 
         for (k, target), new_dirs in itertools.product(enumerate(targets), (False, True)):
             root = tmp_path / f"k{k}-{new_dirs}"
@@ -1616,7 +1631,7 @@ class TestNoWriteBeforeEveryTargetIsChecked:
                 for folder in {(root / other).parent for other in targets} - {path.parent}:
                     shutil.rmtree(folder)
             before = _tree(root)
-            assert run(argv(root)) == 1, target
+            assert run(_commit_argv(root, command)) == 1, target
             captured = capsys.readouterr()
             assert captured.err.startswith("error: cannot write "), captured.err
             if case == "target-is-a-directory":
@@ -1626,6 +1641,97 @@ class TestNoWriteBeforeEveryTargetIsChecked:
             assert "Traceback" not in captured.err
             assert "wrote" not in captured.out
             assert _tree(root) == before, target
+
+
+def _fail_writer_call(monkeypatch, k: int, error: BaseException) -> None:
+    """Make the k-th call of a writer that ``cli`` calls raise ``error``."""
+    calls = itertools.count()
+
+    def failing(writer):
+        def write(*args):
+            if next(calls) == k:
+                raise error
+            return writer(*args)
+        return write
+
+    monkeypatch.setattr(reports, "write_report", failing(reports.write_report))
+    monkeypatch.setattr(cli, "write_cache", failing(cli.write_cache))
+
+
+class TestAFailedWriteChangesNoTarget:
+    """A run writes every output before it replaces any target. So an
+    output whose write fails, or is interrupted, leaves every target as an
+    older run left it and no temp file; only a failed replace leaves the
+    targets before it replaced. Every target and output directory exists
+    before the run, as after an older run."""
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_a_full_device_at_output_k_changes_no_file(self, tmp_path, capsys, monkeypatch,
+                                                        command):
+        # For ingest, k = 1 is the cache: its report must not describe a
+        # cache that was never written.
+        seed = tmp_path / "seed"
+        targets = list(_older_run(seed, capsys, command))
+        for k, target in enumerate(targets):
+            root = tmp_path / f"k{k}"
+            shutil.copytree(seed, root)
+            before = _tree(root)
+            error = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            with monkeypatch.context() as patch:
+                _fail_writer_call(patch, k, error)
+                assert run(_commit_argv(root, command)) == 1, target
+            captured = capsys.readouterr()
+            what = "cache" if target == CACHE else "report"
+            assert captured.err == f"error: cannot write {what} {root / target} ({error})\n"
+            assert "wrote" not in captured.out
+            assert _tree(root) == before, target
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_an_interrupt_changes_no_file(self, tmp_path, capsys, monkeypatch, command):
+        seed = tmp_path / "seed"
+        targets = list(_older_run(seed, capsys, command))
+        for k, target in enumerate(targets):
+            root = tmp_path / f"k{k}"
+            shutil.copytree(seed, root)
+            before = _tree(root)
+            with monkeypatch.context() as patch:
+                _fail_writer_call(patch, k, KeyboardInterrupt())
+                with pytest.raises(KeyboardInterrupt):
+                    run(_commit_argv(root, command))
+            assert "wrote" not in capsys.readouterr().out
+            assert _tree(root) == before, target
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_a_failed_replace_leaves_only_the_earlier_targets_replaced(
+            self, tmp_path, capsys, monkeypatch, command):
+        seed = tmp_path / "seed"
+        new = _older_run(seed, capsys, command)
+        targets = list(new)
+        replace = os.replace
+        for k, target in enumerate(targets):
+            root = tmp_path / f"k{k}"
+            shutil.copytree(seed, root)
+            expected = {**_tree(root), **{str(t): new[t] for t in targets[:k]}}
+            calls = itertools.count()
+
+            def replace_fails_at_k(src, dst):
+                # Every output is written before the first target is replaced.
+                assert len(list(root.rglob(".bibshift-*.tmp"))) == len(targets) - next(calls)
+                if Path(dst) == root / target:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(src), None,
+                                  str(dst))
+                replace(src, dst)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(os, "replace", replace_fails_at_k)
+                assert run(_commit_argv(root, command)) == 1, target
+            captured = capsys.readouterr()
+            what = "cache" if target == CACHE else "report"
+            path = root / target
+            assert captured.err == (f"error: cannot write {what} {path} "
+                                    f"({path}: No space left on device)\n")
+            assert "wrote" not in captured.out
+            assert _tree(root) == expected, target
 
 
 def test_module_runs_the_cli(tmp_path):

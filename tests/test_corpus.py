@@ -561,22 +561,3 @@ class TestCacheWrite:
         path = tmp_path / "c.tsv"
         write_cache(self.corpus(), str(path))
         assert [r.record_id for r in read_cache(str(path))] == ["p"]
-
-    @pytest.mark.parametrize("failure", ["unencodable title", "replace fails"])
-    def test_failed_write_keeps_the_earlier_cache_and_no_temp_file(
-            self, tmp_path, monkeypatch, failure):
-        path = tmp_path / "c.tsv"
-        write_cache(self.corpus(), path)
-        before = path.read_bytes()
-        if failure == "replace fails":
-            def replace_fails(src, dst):
-                raise OSError(28, "No space left on device", str(src))
-            monkeypatch.setattr(os, "replace", replace_fails)
-            corpus, error = self.corpus("tumor"), OSError
-        else:
-            # a lone surrogate cannot be encoded as UTF-8: the write fails part way
-            corpus, error = self.corpus("virus \ud800"), UnicodeEncodeError
-        with pytest.raises(error):
-            write_cache(corpus, path)
-        assert path.read_bytes() == before
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.tsv"]
