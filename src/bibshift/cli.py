@@ -17,10 +17,10 @@ what it can run: ``ingest`` alone imports the export parsers
 names a file. All reports are deterministic: re-running a command with
 the same inputs and any ``--workers`` value reproduces the files byte
 for byte. A command returns its outputs. Once none of them is an input of
-the run, another of its outputs, an existing directory or below a file,
-``run`` writes them all to temp files and only then replaces the targets
-(``_commit``). A warning is printed as soon as it is found, before
-anything is written.
+the run, another of its outputs, a directory or below a file, ``run``
+writes them all to temp files and only then replaces the targets
+(``_commit``, the one place an output file is opened). A warning is
+printed as soon as it is found, before anything is written.
 """
 from __future__ import annotations
 
@@ -31,7 +31,7 @@ import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Any, BinaryIO, Callable, NamedTuple, Optional, Sequence
 
 from . import reports
 from .cocitation import ThresholdPair, core_sets, distinct_ref_count
@@ -70,8 +70,9 @@ def _user_file(action: str, path: Path, missing: str = ""):
     if the file does not exist, ``<path>: not UTF-8 text (...)`` on bad
     bytes, and ``cannot <action> <path> (<file>: <reason>)`` on any other
     ``OSError``; the file the system names can differ from ``path`` (a
-    parent that is not a directory, or the temp file ``_commit`` writes for
-    ``path``); a temp file that fails to replace ``path`` names ``path``."""
+    parent that is not a directory, or the temp file ``_commit`` creates
+    for ``path``); a temp file that fails to replace ``path`` names
+    ``path``, and a write to the temp file's handle names no file."""
     try:
         if missing and not path.exists():  # exists() raises on a name too long
             raise CliError(missing)
@@ -379,14 +380,15 @@ def _thresholds_text(cfg: argparse.Namespace) -> str:
 
 class _Output(NamedTuple):
     """A file a command writes once the run's every output has been checked
-    against its inputs and against each other."""
+    against its inputs and against each other: ``write`` encodes it into
+    the binary handle ``_commit`` opened."""
     what: str  # "report" or "cache"
     path: Path
-    write: Callable[[Path], None]
+    write: Callable[[BinaryIO], None]
 
 
 def _report(cfg: argparse.Namespace, name: str, text: str) -> _Output:
-    return _Output("report", cfg.out_dir / name, lambda path: reports.write_report(path, text))
+    return _Output("report", cfg.out_dir / name, lambda out: reports.write_report(out, text))
 
 
 def _inputs(cfg: argparse.Namespace, config: Optional[str]) -> list[tuple[str, Path]]:
@@ -428,32 +430,35 @@ def _check_target(path: Path) -> None:
     """Raise the error a write to ``path`` would meet, before any directory
     is made: ``ENOTDIR`` naming the first existing ancestor of its parent
     (a dangling link counts) when that is not a directory, ``EISDIR`` when
-    ``path`` is a directory (a symlink is replaced, so it passes)."""
+    ``path`` is a directory (a symlink is replaced, so it passes) or ends in
+    ``..``, which names one once its parent is made."""
     for folder in (path.parent, *path.parent.parents):
         if folder.is_symlink() or folder.exists():
             if not folder.is_dir():
                 raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR),
                                          str(folder))
             break
-    if path.is_dir() and not path.is_symlink():
+    if path.name == ".." or (path.is_dir() and not path.is_symlink()):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
 
 
 def _commit(outputs: list[_Output]) -> None:
     """Write each output to a new temp file beside its target (its directory
     made, the name ``.bibshift-<pid>-<hex>.tmp`` of fixed length), then
-    replace each target, in output order. On any exception, an interrupt
-    included, every temp file is removed, so only a failure in the replace
-    loop leaves some targets replaced. Nothing is synced to disk."""
+    replace each target, in output order. Each temp file is created
+    exclusively and its writer is handed that handle, so no writer opens a
+    file by name. On any exception, an interrupt included, every temp file
+    is removed, so only a failure in the replace loop leaves some targets
+    replaced. Nothing is synced to disk."""
     temps: list[Path] = []
     try:
         for output in outputs:
             with _user_file(f"write {output.what}", output.path):
                 output.path.parent.mkdir(parents=True, exist_ok=True)
                 temp = output.path.with_name(f".bibshift-{os.getpid()}-{os.urandom(4).hex()}.tmp")
-                temp.touch(exist_ok=False)
-                temps.append(temp)
-                output.write(temp)
+                with open(temp, "xb") as out:
+                    temps.append(temp)
+                    output.write(out)
         for output, temp in zip(outputs, temps):
             with _user_file(f"write {output.what}", output.path):
                 os.replace(temp, output.path)
@@ -545,7 +550,7 @@ def cmd_ingest(cfg: argparse.Namespace) -> list[_Output]:
     by_year, total = distinct_ref_count(corpus)
     return [
         _report(cfg, "ingest_report.tsv", reports.summary_table(corpus, by_year, total, config)),
-        _Output("cache", cfg.cache, lambda path: write_cache(corpus, path)),
+        _Output("cache", cfg.cache, lambda out: write_cache(corpus, out)),
     ]
 
 

@@ -19,7 +19,8 @@ cache file round-trips byte-identically, and any other escape is rejected on rea
 first line must be ``CACHE_HEADER``; later lines starting with ``#`` are
 comment lines and are skipped on read. The file always ends with a newline,
 so a last line without one marks a cut file and is rejected. ``write_cache``
-writes the path it is given; the CLI is where a cache is replaced atomically.
+encodes into the binary file it is given, a year at a time, and never
+opens one; the CLI creates the file and replaces the cache with it.
 Each distinct reference is spelled and escaped once per write. A reader that
 needs only titles can leave the reference column unparsed (``read_cache(path,
 refs=False)``). On read, each distinct year cell is checked once per call,
@@ -31,8 +32,7 @@ from __future__ import annotations
 import enum
 import os
 import re
-from pathlib import Path
-from typing import Iterable, NamedTuple, Optional
+from typing import BinaryIO, Iterable, NamedTuple, Optional
 
 from .refkey import parse_cited_ref
 
@@ -150,17 +150,20 @@ def _unescape(text: str) -> str:
     return _ESCAPE_RE.sub(_unescape_one, text)
 
 
-def write_cache(corpus: Corpus, path: str | os.PathLike) -> None:
-    """Write the corpus as a TSV cache. Deterministic: years ascending,
-    each year's records in order, each record's cited refs in order of
-    their cells. A reference cell is the reference's escaped spelling, or
-    a single space for the reference of a blank string, whose spelling is
+def write_cache(corpus: Corpus, out: BinaryIO) -> None:
+    """Write the corpus as a TSV cache to the binary file ``out``: the
+    header, then each year's lines as one UTF-8 chunk, so the whole cache
+    is never held as one string. Deterministic: years ascending, each
+    year's records in order, each record's cited refs in order of their
+    cells. A reference cell is the reference's escaped spelling, or a
+    single space for the reference of a blank string, whose spelling is
     empty (an empty cell holds no reference). Each distinct reference is
-    escaped once per write. The CLI passes a temp file, not the cache."""
-    lines = [CACHE_HEADER]
+    escaped once per write."""
+    out.write(f"{CACHE_HEADER}\n".encode("utf-8"))
     escaped: dict[str, str] = {}  # reference -> its cache cell
     for year, records in corpus.items():
         year_text = str(year)
+        lines = []
         for record in records:
             cells = []
             for ref in record.cited_refs:
@@ -170,18 +173,10 @@ def write_cache(corpus: Corpus, path: str | os.PathLike) -> None:
                 cells.append(cell)
             # distinct references escape differently, so their cells differ too
             cells.sort()
-            lines.append(
-                "\t".join(
-                    (
-                        _escape(record.record_id),
-                        record.source.name,
-                        year_text,
-                        _escape(record.title),
-                        "|".join(cells),
-                    )
-                )
-            )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+            lines.append("\t".join((_escape(record.record_id), record.source.name, year_text,
+                                    _escape(record.title), "|".join(cells))))
+        if lines:
+            out.write(("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def read_cache(path: str | os.PathLike, refs: bool = True) -> list[BibRecord]:

@@ -4,7 +4,7 @@ Every report is UTF-8 with ``\\n`` line endings and starts with ``# key=value``
 lines recording the analysis configuration, followed by a tab-separated
 column header and data rows. Emitters are pure string builders with fully
 specified orderings, so a report is byte-identical across runs and worker
-counts.
+counts; ``write_report`` encodes one into the binary file the CLI opened.
 
 The analyses return values, and this module words them: an RSI reads as
 two decimals with halves rounded up (``rsi_text``), or ``-/-`` when
@@ -17,8 +17,7 @@ A title table reads ``{source: {key: stats}}``, a key per term, pair or year.
 """
 from __future__ import annotations
 
-from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, BinaryIO, Optional, Sequence
 
 from .cocitation import ThresholdPair
 from .records import Corpus, Source
@@ -61,8 +60,8 @@ def render_table(config: ConfigPairs, columns: Sequence[str], rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_report(path: Path, text: str) -> None:
-    path.write_text(text, encoding="utf-8", newline="\n")
+def write_report(out: BinaryIO, text: str) -> None:
+    out.write(text.encode("utf-8"))
 
 
 # ── corpus summary ────────────────────────────────────────────────────────────

@@ -3,7 +3,7 @@ from pathlib import Path
 import pytest
 
 from bibshift.cocitation import ThresholdPair, cocitation_counts, core_sets
-from bibshift.records import BibRecord, Source, build_corpus
+from bibshift.records import BibRecord, Source, build_corpus, write_cache
 from bibshift.refkey import parse_cited_ref
 from bibshift.stability import rsi_series
 from bibshift.textmetrics import CoWordPair, DocShare, new_coword_pairs, new_terms
@@ -23,6 +23,12 @@ def mkrec(record_id, refs=(), title="", year=1970, source=Source.CITATION_INDEX)
         pub_year=year,
         cited_refs=frozenset(mkref(r) if isinstance(r, str) else r for r in refs),
     )
+
+
+def save_cache(corpus, path) -> None:
+    """Write ``corpus`` as a new cache file at ``path``."""
+    with open(path, "wb") as out:
+        write_cache(corpus, out)
 
 
 def corpus_series(corpus, thresholds, gap):

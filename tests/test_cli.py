@@ -34,13 +34,13 @@ from bibshift.records import (
     Source,
     build_corpus,
     read_cache,
-    write_cache,
 )
 from bibshift.textmetrics import default_stopwords
 from conftest import (
     index_export_text,
     medline_export_text,
     mkrec,
+    save_cache,
     write_index_export,
     write_medline_export,
 )
@@ -644,7 +644,7 @@ class TestPhraseMatchesOracle:
         years = list(corpus)
         with tempfile.TemporaryDirectory() as tmp:
             cache, out = Path(tmp) / "c.tsv", Path(tmp) / "out"
-            write_cache(corpus, cache)
+            save_cache(corpus, cache)
             assert run(["phrase", "--cache", str(cache), "--out-dir", str(out),
                         f"--head={head}", f"--stem={stem}"]) == 0
             table = _table_rows(out / f"phrase_{head}_{stem}.tsv")
@@ -737,7 +737,7 @@ class TestReferenceReportsMatchOracle:
         brute = {(t, y): brute_core_refs(corpus[y], t) for t in thresholds for y in years}
         with tempfile.TemporaryDirectory() as tmp:
             cache, out = Path(tmp) / "c.tsv", Path(tmp) / "out"
-            write_cache(corpus, cache)
+            save_cache(corpus, cache)
             with contextlib.redirect_stdout(io.StringIO()):
                 assert run(["core-refs", "--cache", str(cache), "--out-dir", str(out),
                             "--thresholds", threshold_text]) == 0
@@ -890,7 +890,7 @@ class TestTitleAndSummaryReportsMatchOracle:
         stop = set(default_stopwords())
         with tempfile.TemporaryDirectory() as tmp:
             cache, out = Path(tmp) / "c.tsv", Path(tmp) / "out"
-            write_cache(build_corpus(records), cache)
+            save_cache(build_corpus(records), cache)
             base = ["--cache", str(cache), "--out-dir", str(out)]
             with contextlib.redirect_stdout(io.StringIO()):
                 assert run(["summary", *base]) == 0
@@ -1173,7 +1173,7 @@ class TestPhraseValuesThatCanNeverMatch:
         assert all(hits == 0 for _, hits, _ in points)
         with tempfile.TemporaryDirectory() as tmp:
             cache, out = Path(tmp) / "c.tsv", Path(tmp) / "out"
-            write_cache(corpus, cache)
+            save_cache(corpus, cache)
             assert run(["phrase", "--cache", str(cache), "--out-dir", str(out),
                         f"--head={head}", f"--stem={stem}"]) == 1
             assert not out.exists()
@@ -1266,7 +1266,7 @@ class TestBadCache:
     def write(self, tmp_path, edit):
         corpus = build_corpus([mkrec("a", title="virus", year=1970, source=Source.MEDLINE)])
         cache = tmp_path / "c.tsv"
-        write_cache(corpus, cache)
+        save_cache(corpus, cache)
         cache.write_text(edit(cache.read_text(encoding="utf-8")), encoding="utf-8")
         return cache
 
@@ -1321,7 +1321,7 @@ class TestBadCache:
         corpus = build_corpus([mkrec("a", refs=["X, 1960, J"], title="virus", year=1970),
                                mkrec("b", title="tumor", year=1971)])
         cache = tmp_path / "c.tsv"
-        write_cache(corpus, cache)
+        save_cache(corpus, cache)
         text = cache.read_text(encoding="utf-8")
         cache.write_text(edit(text), encoding="utf-8")
         assert cache.read_text(encoding="utf-8") != text
@@ -1642,6 +1642,21 @@ class TestNoWriteBeforeEveryTargetIsChecked:
             assert "wrote" not in captured.out
             assert _tree(root) == before, target
 
+    def test_a_cache_named_dotdot_below_a_new_directory(self, tmp_path, capsys):
+        # ``new/..`` names the cache's directory once ``new`` is made, so the
+        # stat that finds a directory target cannot see it beforehand.
+        root = tmp_path / "root"
+        _older_run(root, capsys, "ingest")
+        argv = _commit_argv(root, "ingest")
+        path = root / CACHE.parent / "new" / ".."
+        argv[argv.index("--cache") + 1] = str(path)
+        before = _tree(root)
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot write cache {path} ({path}: Is a directory)\n"
+        assert "wrote" not in captured.out
+        assert _tree(root) == before
+
 
 def _fail_writer_call(monkeypatch, k: int, error: BaseException) -> None:
     """Make the k-th call of a writer that ``cli`` calls raise ``error``."""
@@ -1685,6 +1700,34 @@ class TestAFailedWriteChangesNoTarget:
             assert captured.err == f"error: cannot write {what} {root / target} ({error})\n"
             assert "wrote" not in captured.out
             assert _tree(root) == before, target
+
+    def test_a_cache_write_that_fails_part_way_changes_no_file(self, tmp_path, capsys,
+                                                              monkeypatch):
+        # The cache goes out a year at a time; its second write fails.
+        root = tmp_path / "root"
+        _older_run(root, capsys, "ingest")
+        before = _tree(root)
+        error = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        writes = itertools.count()
+
+        class FullAfterOneWrite:
+            def __init__(self, out):
+                self.out = out
+
+            def write(self, data):
+                if next(writes) == 1:
+                    raise error
+                return self.out.write(data)
+
+        write_cache = cli.write_cache
+        monkeypatch.setattr(cli, "write_cache",
+                            lambda corpus, out: write_cache(corpus, FullAfterOneWrite(out)))
+        assert run(_commit_argv(root, "ingest")) == 1
+        assert next(writes) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot write cache {root / CACHE} ({error})\n"
+        assert "wrote" not in captured.out
+        assert _tree(root) == before
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_an_interrupt_changes_no_file(self, tmp_path, capsys, monkeypatch, command):
@@ -1732,6 +1775,32 @@ class TestAFailedWriteChangesNoTarget:
                                     f"({path}: No space left on device)\n")
             assert "wrote" not in captured.out
             assert _tree(root) == expected, target
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_a_temp_file_swapped_for_a_link_is_not_written_through(tmp_path, capsys, monkeypatch,
+                                                               command):
+    """A writer writes the handle that created its temp file, so a temp file
+    swapped for a symlink before the writer runs never sends an output to
+    the link's target."""
+    root = tmp_path / "root"
+    _older_run(root, capsys, command)
+    victim = root / "victim"
+    victim.write_bytes(b"# not an output\n")
+
+    def swapping(writer):
+        def write(*args):
+            for temp in root.rglob(".bibshift-*.tmp"):
+                temp.unlink()
+                temp.symlink_to(victim)
+            return writer(*args)
+        return write
+
+    monkeypatch.setattr(reports, "write_report", swapping(reports.write_report))
+    monkeypatch.setattr(cli, "write_cache", swapping(cli.write_cache))
+    run(_commit_argv(root, command))
+    capsys.readouterr()
+    assert victim.read_bytes() == b"# not an output\n"
 
 
 def test_module_runs_the_cli(tmp_path):
@@ -1928,7 +1997,7 @@ class TestDeterminism:
             for year in range(1970, 1974) for i in range(3)
         ]
         cache = tmp_path / "cache.tsv"
-        write_cache(build_corpus(records), cache)
+        save_cache(build_corpus(records), cache)
         src = str(Path(bibshift.__file__).resolve().parents[1])
         outcomes = []
         for seed in range(1, 5):

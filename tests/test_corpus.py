@@ -19,10 +19,9 @@ from bibshift.records import (
     build_corpus,
     read_cache,
     split_by_source,
-    write_cache,
 )
 from bibshift.refkey import parse_cited_ref
-from conftest import mkrec
+from conftest import mkrec, save_cache
 from oracles import CELL_ESCAPES, brute_read_cache
 
 
@@ -204,8 +203,8 @@ class TestCacheRoundTrip:
             corpus = build_corpus(parse_citation_index_export(fh).records)
         path_a = tmp_path / "a.tsv"
         path_b = tmp_path / "b.tsv"
-        write_cache(corpus, path_a)
-        write_cache(build_corpus(read_cache(path_a)), path_b)
+        save_cache(corpus, path_a)
+        save_cache(build_corpus(read_cache(path_a)), path_b)
         assert path_a.read_bytes() == path_b.read_bytes()
 
     @settings(max_examples=50, deadline=None)
@@ -245,7 +244,7 @@ class TestCacheRoundTrip:
         ]
         corpus = build_corpus(records)
         path = tmp_path_factory.mktemp("cache") / "c.tsv"
-        write_cache(corpus, path)
+        save_cache(corpus, path)
         loaded = build_corpus(read_cache(path))
         assert list(loaded) == list(corpus)
         for year, recs in corpus.items():
@@ -261,7 +260,7 @@ class TestCacheRoundTrip:
     def test_header_line_skipped_on_read(self, tmp_path):
         corpus = build_corpus([mkrec("a", refs=["X, 1960, J"], title="T", year=1970)])
         path = tmp_path / "c.tsv"
-        write_cache(corpus, path)
+        save_cache(corpus, path)
         assert path.read_text(encoding="utf-8").startswith("#")
         assert len(read_cache(path)) == 1
 
@@ -269,7 +268,7 @@ class TestCacheRoundTrip:
         corpus = build_corpus([mkrec("a", refs=["X, 1960, J"], title="T", year=1970),
                                mkrec("b", title="U", year=1971)])
         path = tmp_path / "c.tsv"
-        write_cache(corpus, path)
+        save_cache(corpus, path)
         header, *rows = path.read_text(encoding="utf-8").splitlines(keepends=True)
         padded = tmp_path / "padded.tsv"
         padded.write_text("".join([header, "\n", "# a note\n", rows[0], "#\n", "\n",
@@ -303,7 +302,7 @@ class TestCacheReferenceSpellings:
         }
         records = [mkrec(rid, refs=refs) for rid, refs in cited.items()]
         path_a, path_b = tmp_path / "a.tsv", tmp_path / "b.tsv"
-        write_cache(build_corpus(records), path_a)
+        save_cache(build_corpus(records), path_a)
         loaded = read_cache(path_a)
 
         assert loaded == records
@@ -311,7 +310,7 @@ class TestCacheReferenceSpellings:
         assert _spellings(path_a) == [[baltimore, "X, 1960, J"],
                                       [baltimore, "X, 1960, J", "Y, 1961, K"],
                                       [baltimore, "X, 1960, J"], [baltimore]]
-        write_cache(build_corpus(loaded), path_b)
+        save_cache(build_corpus(loaded), path_b)
         assert path_a.read_bytes() == path_b.read_bytes()
 
     def test_references_order_alike_under_any_hash_seed(self, tmp_path):
@@ -319,12 +318,12 @@ class TestCacheReferenceSpellings:
         # that spell differently, "X, 1970" and "X, , 1970"
         script = (
             "import sys\n"
-            "from pathlib import Path\n"
             "from bibshift.records import BibRecord, Source, build_corpus, write_cache\n"
             "from bibshift.refkey import parse_cited_ref\n"
             "refs = frozenset(parse_cited_ref(r) for r in ('X, 1970', 'X,,1970', 'W, 1950'))\n"
             "record = BibRecord('p', Source.CITATION_INDEX, 't', 1970, refs)\n"
-            "write_cache(build_corpus([record]), Path(sys.argv[1]))\n"
+            "with open(sys.argv[1], 'wb') as out:\n"
+            "    write_cache(build_corpus([record]), out)\n"
         )
         src = str(Path(bibshift.__file__).resolve().parents[1])
         outputs = set()
@@ -365,7 +364,7 @@ class TestCacheReferenceSpellings:
             **{rid: frozenset(map(parse_cited_ref, refs))
                for rid, refs in self.EXPORT_SPELLINGS.items()},
             "m1": frozenset()}
-        write_cache(build_corpus(records), new)
+        save_cache(build_corpus(records), new)
         assert read_cache(new) == records
         # the rewrite holds each reference's canonical spelling, which reads back as it
         rewritten = _spellings(new)
@@ -389,7 +388,7 @@ class TestCacheWithoutReferences:
             mkrec("m", title="tumor", year=1971, source=Source.MEDLINE),
         ]
         path = tmp_path / "c.tsv"
-        write_cache(build_corpus(records), path)
+        save_cache(build_corpus(records), path)
         return path
 
     def test_same_records_with_no_references(self, tmp_path):
@@ -437,7 +436,7 @@ class TestCacheCutShort:
         records = [mkrec(f"p{i}", refs=["GROSS L, 1957, CANCER RES, V17, P1"],
                          title="virus", year=1970 + i) for i in range(3)]
         path = tmp_path / "c.tsv"
-        write_cache(build_corpus(records), path)
+        save_cache(build_corpus(records), path)
         return path
 
     def test_cache_cut_mid_line_rejected(self, tmp_path):
@@ -559,5 +558,5 @@ class TestCacheWrite:
 
     def test_str_path_works(self, tmp_path):
         path = tmp_path / "c.tsv"
-        write_cache(self.corpus(), str(path))
+        save_cache(self.corpus(), path)
         assert [r.record_id for r in read_cache(str(path))] == ["p"]

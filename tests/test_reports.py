@@ -1,3 +1,4 @@
+import io
 from fractions import Fraction
 
 from bibshift.cocitation import ThresholdPair, core_sets
@@ -60,10 +61,10 @@ class TestRenderTable:
         text = render_table([], ["only"], [["row"]])
         assert text == "only\nrow\n"
 
-    def test_write_report_uses_lf_and_utf8(self, tmp_path):
-        path = tmp_path / "out.tsv"
-        write_report(path, render_table([("note", "é")], ["c"], [["v"]]))
-        raw = path.read_bytes()
+    def test_write_report_uses_lf_and_utf8(self):
+        out = io.BytesIO()
+        write_report(out, render_table([("note", "é")], ["c"], [["v"]]))
+        raw = out.getvalue()
         assert b"\r" not in raw
         assert raw.decode("utf-8") == "# note=é\nc\nv\n"
 
