@@ -29,7 +29,7 @@ import errno
 import math
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, BinaryIO, Callable, NamedTuple, Optional, Sequence
 
@@ -429,7 +429,9 @@ def _check_outputs(outputs: list[_Output], inputs: list[tuple[str, Path]]) -> No
 def _check_target(path: Path) -> None:
     """Raise the error a write to ``path`` would meet, before any directory
     is made: ``ENOTDIR`` naming the first existing ancestor of its parent
-    (a dangling link counts) when that is not a directory, ``EISDIR`` when
+    (a dangling link counts) when that is not a directory, ``ENOENT`` naming
+    a ``..`` of its parent that follows a directory not made yet (making it
+    only for ``..`` to leave it would leave it behind), and ``EISDIR`` when
     ``path`` is a directory (a symlink is replaced, so it passes) or ends in
     ``..``, which names one once its parent is made."""
     for folder in (path.parent, *path.parent.parents):
@@ -438,8 +440,29 @@ def _check_target(path: Path) -> None:
                 raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR),
                                          str(folder))
             break
+    missing = path.parent.parts[len(folder.parts):]
+    if ".." in missing:
+        dotdot = folder.joinpath(*missing[:missing.index("..") + 1])
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(dotdot))
     if path.name == ".." or (path.is_dir() and not path.is_symlink()):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+
+
+def _make_dirs(folder: Path, made: list[Path]) -> None:
+    """Make ``folder`` and its missing ancestors, outermost first, adding
+    each directory made to ``made``."""
+    missing = []
+    while folder != folder.parent and not folder.is_dir():
+        missing.append(folder)
+        folder = folder.parent
+    for folder in reversed(missing):
+        try:
+            folder.mkdir()
+        except FileExistsError:
+            if not folder.is_dir():
+                raise
+        else:
+            made.append(folder)
 
 
 def _commit(outputs: list[_Output]) -> None:
@@ -447,24 +470,36 @@ def _commit(outputs: list[_Output]) -> None:
     made, the name ``.bibshift-<pid>-<hex>.tmp`` of fixed length), then
     replace each target, in output order. Each temp file is created
     exclusively and its writer is handed that handle, so no writer opens a
-    file by name. On any exception, an interrupt included, every temp file
-    is removed, so only a failure in the replace loop leaves some targets
-    replaced. Nothing is synced to disk."""
-    temps: list[Path] = []
+    file by name. Before the first replace, each temp name must still be
+    the file its handle wrote, not a link or a file swapped in meanwhile.
+    On any exception, an interrupt included, every temp file is removed,
+    and then each directory made here, deepest first, if it is empty; so
+    only a failure in the replace loop leaves some targets replaced.
+    Nothing is synced to disk."""
+    temps: list[tuple[Path, os.stat_result]] = []
+    made: list[Path] = []
     try:
         for output in outputs:
             with _user_file(f"write {output.what}", output.path):
-                output.path.parent.mkdir(parents=True, exist_ok=True)
+                _make_dirs(output.path.parent, made)
                 temp = output.path.with_name(f".bibshift-{os.getpid()}-{os.urandom(4).hex()}.tmp")
                 with open(temp, "xb") as out:
-                    temps.append(temp)
+                    temps.append((temp, os.fstat(out.fileno())))
                     output.write(out)
-        for output, temp in zip(outputs, temps):
+        for output, (temp, written) in zip(outputs, temps):
+            with _user_file(f"write {output.what}", output.path):
+                if not os.path.samestat(os.lstat(temp), written):  # a link is not followed
+                    raise CliError(f"cannot write {output.what} {output.path} "
+                                   f"({temp}: replaced by another file while it was written)")
+        for output, (temp, _) in zip(outputs, temps):
             with _user_file(f"write {output.what}", output.path):
                 os.replace(temp, output.path)
     except BaseException:
-        for temp in temps:
+        for temp, _ in temps:
             temp.unlink(missing_ok=True)
+        for folder in reversed(made):
+            with suppress(OSError):  # not empty: something else wrote there
+                folder.rmdir()
         raise
 
 

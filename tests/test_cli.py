@@ -1657,6 +1657,31 @@ class TestNoWriteBeforeEveryTargetIsChecked:
         assert "wrote" not in captured.out
         assert _tree(root) == before
 
+    @pytest.mark.parametrize("out_dir", ["new/..", "new/x/../..", "out/new/../x"])
+    def test_an_out_dir_that_leaves_a_new_directory_by_dotdot(self, tmp_path, capsys, out_dir):
+        # Making ``new`` only for ``..`` to leave it would leave it behind.
+        root = tmp_path / "root"
+        _older_run(root, capsys, "summary")
+        argv = _commit_argv(root, "summary")
+        argv[argv.index("--out-dir") + 1] = str(root / out_dir)
+        before = _tree(root)
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        dotdot = root / out_dir[:out_dir.index("..") + 2]
+        assert captured.err == (f"error: cannot write report {root / out_dir / 'summary.tsv'} "
+                                f"({dotdot}: No such file or directory)\n")
+        assert "wrote" not in captured.out
+        assert _tree(root) == before
+
+    def test_an_out_dir_that_leaves_an_existing_directory_by_dotdot(self, tmp_path, capsys):
+        root = tmp_path / "root"
+        new = _older_run(root, capsys, "summary")
+        argv = _commit_argv(root, "summary")
+        argv[argv.index("--out-dir") + 1] = str(root / "out" / "..")
+        assert run(argv) == 0
+        assert capsys.readouterr().out == f"wrote {root / 'out' / '..' / 'summary.tsv'}\n"
+        assert (root / "summary.tsv").read_bytes() == new[Path("out", "summary.tsv")]
+
 
 def _fail_writer_call(monkeypatch, k: int, error: BaseException) -> None:
     """Make the k-th call of a writer that ``cli`` calls raise ``error``."""
@@ -1671,6 +1696,30 @@ def _fail_writer_call(monkeypatch, k: int, error: BaseException) -> None:
 
     monkeypatch.setattr(reports, "write_report", failing(reports.write_report))
     monkeypatch.setattr(cli, "write_cache", failing(cli.write_cache))
+
+
+def _swap_temp_at_writer_call(monkeypatch, k: int, victim: Path) -> list[Path]:
+    """Once the k-th call of a writer that ``cli`` calls has written its temp
+    file, put a link to ``victim`` in that file's place. The list returned
+    gets the temp file's path."""
+    calls = itertools.count()
+    swapped = []
+
+    def swapping(writer, handle):
+        def write(*args):
+            result = writer(*args)
+            if next(calls) == k:
+                temp = Path(handle(args).name)
+                temp.unlink()
+                temp.symlink_to(victim)
+                swapped.append(temp)
+            return result
+        return write
+
+    monkeypatch.setattr(reports, "write_report",
+                        swapping(reports.write_report, lambda args: args[0]))
+    monkeypatch.setattr(cli, "write_cache", swapping(cli.write_cache, lambda args: args[1]))
+    return swapped
 
 
 class TestAFailedWriteChangesNoTarget:
@@ -1775,6 +1824,56 @@ class TestAFailedWriteChangesNoTarget:
                                     f"({path}: No space left on device)\n")
             assert "wrote" not in captured.out
             assert _tree(root) == expected, target
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_a_temp_file_swapped_for_a_link_changes_no_file(self, tmp_path, capsys, monkeypatch,
+                                                            command):
+        # The swap comes after output k is written, so its bytes went to the
+        # unlinked file and the temp name is a link to a file not an output.
+        seed = tmp_path / "seed"
+        targets = list(_older_run(seed, capsys, command))
+        (seed / "victim").write_bytes(b"# not an output\n")
+        for k, target in enumerate(targets):
+            root = tmp_path / f"k{k}"
+            shutil.copytree(seed, root, symlinks=True)
+            before = _tree(root)
+            with monkeypatch.context() as patch:
+                swapped = _swap_temp_at_writer_call(patch, k, root / "victim")
+                assert run(_commit_argv(root, command)) == 1, target
+            [temp] = swapped
+            captured = capsys.readouterr()
+            what = "cache" if target == CACHE else "report"
+            assert captured.err == (f"error: cannot write {what} {root / target} ({temp}: "
+                                    "replaced by another file while it was written)\n")
+            assert "wrote" not in captured.out
+            assert _tree(root) == before, target
+
+    @pytest.mark.parametrize("error", [OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)),
+                                       KeyboardInterrupt()], ids=["full-device", "interrupt"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_a_failed_write_leaves_no_directory_it_made(self, tmp_path, capsys, monkeypatch,
+                                                        command, error):
+        # The reports go to a/b/c and ingest's cache to d/e, none of which
+        # exists before the run.
+        seed = tmp_path / "seed"
+        outputs = len(_older_run(seed, capsys, command))
+        for k in range(outputs):
+            root = tmp_path / f"k{k}"
+            shutil.copytree(seed, root)
+            argv = _commit_argv(root, command)
+            argv[argv.index("--out-dir") + 1] = str(root / "a" / "b" / "c")
+            if command == "ingest":
+                argv[argv.index("--cache") + 1] = str(root / "d" / "e" / "cache.tsv")
+            before = _tree(root)
+            with monkeypatch.context() as patch:
+                _fail_writer_call(patch, k, error)
+                if isinstance(error, KeyboardInterrupt):
+                    with pytest.raises(KeyboardInterrupt):
+                        run(argv)
+                else:
+                    assert run(argv) == 1, k
+            assert "wrote" not in capsys.readouterr().out
+            assert _tree(root) == before, k
 
 
 @pytest.mark.parametrize("command", COMMANDS)

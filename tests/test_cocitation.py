@@ -6,6 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from bibshift.cocitation import (
     ThresholdPair,
+    _candidates,
+    _mask_cores,
+    _masks_cheaper,
+    _pair_cores,
     citation_counts,
     cocitation_counts,
     core_references,
@@ -314,3 +318,76 @@ class TestCountingShapes:
         reordered = [data.draw(st.permutations(sorted(row)))
                      for row in rows]
         assert core_references(reordered, thresholds) == cores
+
+
+# Threshold lists that include pairs whose cocite_min exceeds their cite_min.
+_any_threshold_lists = st.lists(
+    st.builds(ThresholdPair, st.integers(min_value=1, max_value=5),
+              st.integers(min_value=1, max_value=5)),
+    min_size=1,
+    max_size=4,
+)
+
+
+class TestCoreKernels:
+    """Each way ``core_references`` may find a year's cores, called on its
+    own, gives the oracle's core under every threshold pair."""
+
+    @pytest.mark.parametrize("kernel", [_mask_cores, _pair_cores], ids=["masks", "pairs"])
+    @pytest.mark.parametrize("year", [dense_year(), one_off_year(), tall_year()],
+                             ids=["dense", "one-off", "tall"])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_matches_brute_force(self, kernel, year, data):
+        rows, _ = data.draw(year)
+        thresholds = data.draw(st.one_of(_threshold_lists, _any_threshold_lists))
+        ordered, counts = _candidates(rows, thresholds)
+        records = [mkrec(f"p{i}", refs=row) for i, row in enumerate(rows)]
+        assert kernel(rows, ordered, counts, thresholds) == [
+            brute_core_refs(records, t) for t in thresholds]
+
+    def test_a_candidate_with_no_partner_is_no_later_candidates_partner(self):
+        # A (4 rows) finds no partner and leaves the scan; B and C (3 rows
+        # each) share 2 rows, so they are core under 3/2 and A is not.
+        a, b, c = (mkref(f"{name}, 1960, J") for name in "ABC")
+        rows = [frozenset({a}), frozenset({a}), frozenset({a, b}), frozenset({a, c}),
+                frozenset({b, c}), frozenset({b, c})]
+        thresholds = [ThresholdPair(3, 2), ThresholdPair(3, 1)]
+        ordered, counts = _candidates(rows, thresholds)
+        assert ordered[0] == a
+        for kernel in (_mask_cores, _pair_cores):
+            assert kernel(rows, ordered, counts, thresholds) == [
+                frozenset({b, c}), frozenset({a, b, c})]
+
+
+_BENCH_THRESHOLDS = [ThresholdPair(15, 11), ThresholdPair(15, 8), ThresholdPair(11, 9),
+                     ThresholdPair(10, 8)]
+
+
+def _paper_like_year(seed: int) -> list[frozenset[str]]:
+    """1,000 rows shaped like a year of ``scripts/make_synthetic_corpus.py``:
+    a canon of nine, each cited by nine rows in ten, and one to three of
+    150 rarely cited references."""
+    rng = random.Random(seed)
+    canon, tail = _POOL[:9], _POOL[50:]
+    return [frozenset([ref for ref in canon if rng.random() < 0.9]
+                      + rng.sample(tail, rng.randint(1, 3)))
+            for _ in range(1000)]
+
+
+class TestKernelRule:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_a_paper_like_year_takes_masks(self, seed):
+        rows = _paper_like_year(seed)
+        for thresholds in (_BENCH_THRESHOLDS, [ThresholdPair(1, 1)]):
+            assert _masks_cheaper(len(rows), _candidates(rows, thresholds)[1])
+
+    @settings(max_examples=10, deadline=None)
+    @given(tall_year())
+    def test_a_tall_year_takes_pairs(self, year):
+        rows, _ = year
+        assert not _masks_cheaper(len(rows), _candidates(rows, _BENCH_THRESHOLDS)[1])
+
+    def test_a_year_with_no_candidate_takes_pairs(self):
+        assert not _masks_cheaper(0, [])
+        assert core_references([], [ThresholdPair(1, 1)]) == [frozenset()]

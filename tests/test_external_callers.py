@@ -402,8 +402,13 @@ def test_the_commands_call_every_function_the_tracer_wraps(tmp_path, monkeypatch
 
     pool = ["KAPLAN A, 1950, J ONE, V1, P1", "LODGE B, 1951, J TWO, V2, P2"]
     titles = ["reverse transcriptase assay", "virus growth study", "tumor virus notes"]
+    # Each record also cites six references no other record cites. Under
+    # 2/1 a year's candidates are the pool, and its cores come from row
+    # masks; under 1/1 every one-off is a candidate too, and the year's
+    # cores come from pair counts (``cocitation_counts``).
     write_index_export(tmp_path / "index.txt", [
-        (f"IDX:{year}{i}", year, title, pool)
+        (f"IDX:{year}{i}", year, title,
+         pool + [f"ONEOFF C{year}{i}{j}, 1940, J THREE, V3, P{j}" for j in range(6)])
         for year in (1970, 1971, 1972) for i, title in enumerate(titles)])
     write_medline_export(tmp_path / "medline.txt", [
         (f"{year}{i}", year, title) for year in (1970, 1971, 1972)
@@ -416,6 +421,7 @@ def test_the_commands_call_every_function_the_tracer_wraps(tmp_path, monkeypatch
         ["summary"],
         ["rsi", "--thresholds", "2/1", "--gaps", "1"],
         ["core-refs", "--thresholds", "2/1"],
+        ["core-refs", "--thresholds", "1/1"],
         ["words", "--years", "1970:1972"],
         ["words", "--years", "1970:1972", "--stopwords", str(tmp_path / "stop.txt")],
         ["cowords", "--years", "1970:1972"],
