@@ -4,7 +4,9 @@ A record is a ``NamedTuple``: immutable, hashable, equal field by field, and
 built at tuple cost, since every command builds one per cache line. Every
 record that cites nothing shares the one empty set ``NO_REFS``. A corpus is
 a plain dict (``Corpus``) from each year, first to last, to that year's
-records; ``build_corpus`` is its one producer.
+records; ``build_corpus`` is its one producer. It groups the records by one
+stable sort by year, which keeps input order within each year and costs
+one pass over a cache's records, since a cache is written year-ascending.
 
 A cited reference is its canonical spelling (see ``refkey``). The cache
 is a line-delimited TSV: one record per line with columns ``record_id``,
@@ -25,13 +27,20 @@ Each distinct reference is spelled and escaped once per write. A reader that
 needs only titles can leave the reference column unparsed (``read_cache(path,
 refs=False)``). On read, each distinct year cell is checked once per call,
 and a line without a backslash holds no escape, so none of its cells is
-unescaped.
+unescaped. A line is never copied to drop its newline: the newline stays
+on the last cell and is cut from that cell alone, a blank or comment line
+is told by its first character, and the newline itself is looked for only
+on a line found faulty and after the last line. A cut last line is thus
+reported as cut whatever else is wrong with it, as a check of every line
+would report it.
 """
 from __future__ import annotations
 
 import enum
 import os
 import re
+from itertools import groupby
+from operator import itemgetter
 from typing import BinaryIO, Iterable, NamedTuple, Optional
 
 from .refkey import parse_cited_ref
@@ -67,6 +76,9 @@ class BibRecord(NamedTuple):
     cited_refs: frozenset[str] = NO_REFS
 
 
+_YEAR = itemgetter(3)  # a record's pub_year, got in C
+
+
 class EmptyCorpus(Exception):
     """No record survived the year filter."""
 
@@ -87,23 +99,26 @@ def build_corpus(
     it is derived from the data. Raises EmptyCorpus when nothing survives,
     and ValueError when the range is reversed.
     """
+    # A stable sort keeps input order within each year; a cache arrives
+    # year-ascending, so its sort is one pass.
     dated = [r for r in records if r.pub_year is not None]
+    dated.sort(key=_YEAR)
     if year_range is None:
         if not dated:
             raise EmptyCorpus("no record carries a publication year")
-        year_range = (min(r.pub_year for r in dated), max(r.pub_year for r in dated))
+        year_range = (dated[0].pub_year, dated[-1].pub_year)
 
     lo, hi = year_range
     if lo > hi:
         raise ValueError(f"invalid year range {lo}:{hi}")
 
-    by_year: dict[int, list[BibRecord]] = {year: [] for year in range(lo, hi + 1)}
-    for record in dated:
-        if lo <= record.pub_year <= hi:
-            by_year[record.pub_year].append(record)
+    by_year: Corpus = dict.fromkeys(range(lo, hi + 1), ())
+    for year, recs in groupby(dated, _YEAR):
+        if lo <= year <= hi:
+            by_year[year] = tuple(recs)
     if not any(by_year.values()):
         raise EmptyCorpus(f"no record falls inside the year range {lo}:{hi}")
-    return {year: tuple(recs) for year, recs in by_year.items()}
+    return by_year
 
 
 def split_by_source(corpus: Corpus) -> dict[Source, Corpus]:
@@ -113,7 +128,8 @@ def split_by_source(corpus: Corpus) -> dict[Source, Corpus]:
     parts = {}
     for source in Source:
         # Sources compare by identity; hashing an Enum member runs Python code.
-        part = {year: tuple(r for r in records if r.source is source)
+        # A list comprehension runs fewer steps per record than a generator.
+        part = {year: tuple([r for r in records if r.source is source])
                 for year, records in corpus.items()}
         if any(part.values()):
             parts[source] = part
@@ -179,6 +195,18 @@ def write_cache(corpus: Corpus, out: BinaryIO) -> None:
             out.write(("\n".join(lines) + "\n").encode("utf-8"))
 
 
+_TRUNCATED = "truncated cache line (a cache file ends with a newline; this one was cut short)"
+
+
+def _line_error(path, lineno: int, line: str, message: str) -> ValueError:
+    """The error for a faulty cache line. A line without its newline is the
+    cut last line of the file, and is reported as cut whatever else is
+    wrong with it."""
+    if not line.endswith("\n"):
+        message = _TRUNCATED
+    return ValueError(f"{path}:{lineno}: {message}")
+
+
 def read_cache(path: str | os.PathLike, refs: bool = True) -> list[BibRecord]:
     """Read records back from a cache file written by write_cache.
 
@@ -195,6 +223,8 @@ def read_cache(path: str | os.PathLike, refs: bool = True) -> list[BibRecord]:
     cell that is not a whole number in 0-``MAX_YEAR``, a cell holding an
     escape that ``write_cache`` never writes, and a line holding a raw
     carriage return, which ``write_cache`` always escapes (a CRLF line end).
+    Faults are reported for the first faulty line; on a cut last line, the
+    cut is reported whatever else is wrong with it.
     """
     records: list[BibRecord] = []
     spellings: dict[str, str] = {}  # escaped reference cell -> its spelling
@@ -203,40 +233,40 @@ def read_cache(path: str | os.PathLike, refs: bool = True) -> list[BibRecord]:
         if handle.readline().rstrip("\n") != CACHE_HEADER:
             raise ValueError(f"{path}:1: not a bibshift cache (the first line must be "
                              f"{CACHE_HEADER!r})")
+        line = "\n"  # a file of the header alone is not cut
         for lineno, line in enumerate(handle, start=2):
-            if not line.endswith("\n"):
-                raise ValueError(f"{path}:{lineno}: truncated cache line (a cache file "
-                                 "ends with a newline; this one was cut short)")
-            line = line[:-1]
+            # Each line but a cut last one ends with "\n", which stays on its
+            # last cell; _line_error reports a line without it as cut.
             if "\r" in line:
-                raise ValueError(f"{path}:{lineno}: raw carriage return in a cache line (a "
-                                 "cache file has LF line ends, not CRLF)")
-            if not line or line.startswith("#"):
+                raise _line_error(path, lineno, line, "raw carriage return in a cache line (a "
+                                  "cache file has LF line ends, not CRLF)")
+            if line[0] in "\n#":  # a blank or comment line
                 continue
             # Tabs inside fields are escaped, so a plain split is safe.
             cells = line.split("\t")
             if len(cells) != 5:
-                raise ValueError(f"{path}:{lineno}: expected 5 cache columns, got {len(cells)}")
+                raise _line_error(path, lineno, line,
+                                  f"expected 5 cache columns, got {len(cells)}")
             record_id, source_name, year_text, title, refs_cell = cells
             source = _SOURCE_BY_NAME.get(source_name)
             if source is None:
-                raise ValueError(f"{path}:{lineno}: unknown source {source_name!r} (want one "
-                                 f"of {', '.join(Source.__members__)})")
+                raise _line_error(path, lineno, line, f"unknown source {source_name!r} (want "
+                                  f"one of {', '.join(Source.__members__)})")
             year = years.get(year_text)
             if year is None:
                 # 1-4 ASCII digits, as ingest writes a year; int() alone would
                 # also take "1_970" or "+2000000", a year no export can hold.
                 if not (len(year_text) <= 4 and year_text.isascii() and year_text.isdigit()):
-                    raise ValueError(f"{path}:{lineno}: year {year_text!r} is not a whole "
-                                     f"number in 0-{MAX_YEAR}")
+                    raise _line_error(path, lineno, line, f"year {year_text!r} is not a whole "
+                                      f"number in 0-{MAX_YEAR}")
                 year = years[year_text] = int(year_text)
             # A line without a backslash holds no escape: each cell is its text.
             escaped = "\\" in line
             try:
                 cited = NO_REFS
-                if refs and refs_cell:
+                if refs and refs_cell != "\n":
                     cited_refs = []
-                    for part in refs_cell.split("|"):
+                    for part in refs_cell[:-1].split("|"):
                         if not part:
                             continue
                         ref = spellings.get(part)
@@ -246,12 +276,14 @@ def read_cache(path: str | os.PathLike, refs: bool = True) -> list[BibRecord]:
                         cited_refs.append(ref)
                     cited = frozenset(cited_refs)
                 elif escaped:
-                    _unescape(refs_cell)  # reject what reading the references would
+                    _unescape(refs_cell[:-1])  # reject what reading the references would
                 if escaped:
                     record_id = _unescape(record_id)
                     title = _unescape(title)
             except ValueError as exc:  # a bad escape
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
+                raise _line_error(path, lineno, line, str(exc)) from None
             # tuple.__new__ skips the NamedTuple's Python-level __new__.
             records.append(tuple.__new__(BibRecord, (record_id, source, title, year, cited)))
+        if not line.endswith("\n"):
+            raise ValueError(f"{path}:{lineno}: {_TRUNCATED}")
     return records

@@ -35,6 +35,13 @@ each code point on its own, so the case fold of any token is a substring of
 the case fold of its title. The reverse does not hold (``"İ".casefold()``
 is two code points, one of them a combining mark), so the analyses never
 case-fold a title before tokenising it; linkage does (``ingest.normalize_title``).
+A title that passes the filter matches when ``" head stem"`` is a substring
+of its words joined with a leading space and one space between words. This
+is exact because no word holds a space (a word is a run of ``_TOKEN_RE``, and
+no case fold of such a character holds one): the phrase's first two spaces
+must then fall on the spaces around one whole word, which is the head, and
+the stem must start the next word. A head or stem that holds a space could
+match across words, so it matches nothing, as no word holds it.
 """
 from __future__ import annotations
 
@@ -205,17 +212,17 @@ def phrase_trend(corpus: Corpus, head: str, stem_prefix: str) -> dict[int, DocSh
         raise ValueError("head and stem_prefix must be non-empty")
     head = head.casefold()
     stem_prefix = stem_prefix.casefold()
+    if " " in head or " " in stem_prefix:  # no word holds a space
+        return {year: DocShare(0, 0.0) for year in corpus}
+    # Words hold no space, so the phrase is in a title's words joined by spaces
+    # exactly when one word is the head and the next starts with the stem.
+    phrase = f" {head} {stem_prefix}"
     trend = {}
     for year, records in corpus.items():
         hits = 0
         for record in records:
-            if head not in record.title.casefold():
-                continue
-            seq = title_token_sequence(record.title)
-            if any(
-                seq[i] == head and seq[i + 1].startswith(stem_prefix)
-                for i in range(len(seq) - 1)
-            ):
+            title = record.title
+            if head in title.casefold() and phrase in " " + " ".join(title_token_sequence(title)):
                 hits += 1
         trend[year] = DocShare(hits, _percent(hits, len(records)))
     return trend

@@ -12,7 +12,7 @@ from typing import Optional
 
 from bibshift.cocitation import ThresholdPair
 from bibshift.ingest import MalformedRecord, MissingField, ParseResult
-from bibshift.records import CACHE_HEADER, BibRecord, Source
+from bibshift.records import CACHE_HEADER, BibRecord, EmptyCorpus, Source
 
 
 def brute_citation_counts(records) -> dict:
@@ -397,6 +397,38 @@ def brute_link_counts(medline, index) -> tuple[int, int, int]:
                  and norm(m.title) and norm(r.title) == norm(m.title)]
         counts[0 if len(found) == 1 else 1 if found else 2] += 1
     return tuple(counts)
+
+
+# The corpus builder and source split as first written: one append per
+# record into a list per year, and one filtered tuple per year and source.
+def brute_build_corpus(records, year_range=None) -> dict:
+    dated = [r for r in records if r.pub_year is not None]
+    if year_range is None:
+        if not dated:
+            raise EmptyCorpus("no record carries a publication year")
+        year_range = (min(r.pub_year for r in dated), max(r.pub_year for r in dated))
+
+    lo, hi = year_range
+    if lo > hi:
+        raise ValueError(f"invalid year range {lo}:{hi}")
+
+    by_year = {year: [] for year in range(lo, hi + 1)}
+    for record in dated:
+        if lo <= record.pub_year <= hi:
+            by_year[record.pub_year].append(record)
+    if not any(by_year.values()):
+        raise EmptyCorpus(f"no record falls inside the year range {lo}:{hi}")
+    return {year: tuple(recs) for year, recs in by_year.items()}
+
+
+def brute_split_by_source(corpus) -> dict:
+    parts = {}
+    for source in Source:
+        part = {year: tuple(r for r in records if r.source is source)
+                for year, records in corpus.items()}
+        if any(part.values()):
+            parts[source] = part
+    return parts
 
 
 # The cache reader at its most literal: the whole file split on "\n", every

@@ -22,7 +22,7 @@ from bibshift.records import (
 )
 from bibshift.refkey import parse_cited_ref
 from conftest import mkrec, save_cache
-from oracles import CELL_ESCAPES, brute_read_cache
+from oracles import CELL_ESCAPES, brute_build_corpus, brute_read_cache, brute_split_by_source
 
 
 class TestBibRecord:
@@ -147,6 +147,63 @@ class TestSplitBySource:
     def test_an_absent_source_is_omitted(self):
         corpus = build_corpus([mkrec("m", year=1970, source=Source.MEDLINE)])
         assert list(split_by_source(corpus)) == [Source.MEDLINE]
+
+
+def _outcome(build, *args):
+    """What ``build`` returns for ``args``, or its exception's type and message."""
+    try:
+        return build(*args)
+    except (EmptyCorpus, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same_corpus(got, want):
+    """The same years in the same order, each holding the very same records."""
+    assert list(got) == list(want)
+    for year, records in want.items():
+        assert type(got[year]) is tuple
+        assert len(got[year]) == len(records)
+        assert all(a is b for a, b in zip(got[year], records))
+
+
+# Records in any order, some without a year; ids repeat, so equal records
+# that are different objects occur, and only identity tells them apart.
+_corpus_rows = st.lists(
+    st.tuples(st.sampled_from(["a", "b", "c"]), st.none() | st.integers(1968, 1973),
+              st.sampled_from(list(Source))),
+    max_size=12)
+_year_range = st.none() | st.tuples(st.integers(1965, 1976), st.integers(1965, 1976))
+
+
+class TestCorpusMatchesOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(_corpus_rows, _year_range)
+    @example([("a", 1970, Source.MEDLINE)], (1971, 1969))  # a reversed range
+    @example([("a", 1970, Source.MEDLINE)], (1960, 1965))  # a range outside the data
+    @example([("a", 1971, Source.MEDLINE), ("a", 1970, Source.CITATION_INDEX),
+              ("a", 1971, Source.CITATION_INDEX)], (1971, 1971))  # a single year
+    @example([("a", None, Source.MEDLINE)], None)  # no year at all
+    @example([("a", None, Source.MEDLINE)], (1971, 1969))
+    @example([("c", 1973, Source.MEDLINE), ("b", 1968, Source.MEDLINE),
+              ("a", 1973, Source.MEDLINE), ("a", None, Source.CITATION_INDEX)], None)
+    def test_build_and_split_agree_with_the_brute_ones(self, rows, year_range):
+        records = [mkrec(rid, title=rid, year=year, source=source)
+                   for rid, year, source in rows]
+        got = _outcome(build_corpus, records, year_range)
+        want = _outcome(brute_build_corpus, records, year_range)
+        if isinstance(want, tuple):
+            assert got == want
+            return
+        _assert_same_corpus(got, want)
+        parts, brute_parts = split_by_source(got), brute_split_by_source(want)
+        assert list(parts) == list(brute_parts)
+        for source, part in brute_parts.items():
+            _assert_same_corpus(parts[source], part)
+
+    def test_records_of_a_generator_are_grouped(self):
+        records = [mkrec("b", year=1971), mkrec("a", year=1970), mkrec("c", year=1971)]
+        corpus = build_corpus(iter(records))
+        _assert_same_corpus(corpus, brute_build_corpus(records))
 
 
 # awkward characters the cache escaping must survive
@@ -542,6 +599,19 @@ class TestCacheReaderOracle:
     @example(f"{CACHE_HEADER}\na\tMEDLINE\t1970\tt\t\nb\tMEDLINE\t1970\tt\\q\t\n")
     @example(f"{CACHE_HEADER}\na\tCITATION_INDEX\t1970\tt\\q\tX, 1960, J\\|Y\n")
     @example(f"{CACHE_HEADER}\n\n# note\na\tMEDLINE\t1970\tt\\p\t")
+    # A cut last line is reported as cut, whatever else is wrong with it.
+    @example(f"{CACHE_HEADER}\na\tMEDLINE\t1970\tt")  # four columns
+    @example(f"{CACHE_HEADER}\na\tMEDLINE\t1970\tt\\q\t")  # a bad escape
+    @example(f"{CACHE_HEADER}\na\tMEDLINE\t1970\tt\\\t")  # a lone trailing backslash
+    @example(f"{CACHE_HEADER}\na\tCITATION_INDEX\t1970\tt\tX, 1960, J\\")
+    @example(f"{CACHE_HEADER}\na\tMEDLINE\t1970\tt\t\r")  # a raw carriage return
+    @example(f"{CACHE_HEADER}\na\tBOGUS\t1970\tt\t")  # an unknown source
+    @example(f"{CACHE_HEADER}\na\tMEDLINE\t1_970\tt\t")  # a bad year
+    @example(f"{CACHE_HEADER}\n# note")  # a comment line
+    # a lone trailing backslash that the newline follows
+    @example(f"{CACHE_HEADER}\na\tCITATION_INDEX\t1970\tt\tX, 1960, J\\\n")
+    # years out of order, a blank and a comment line between them
+    @example(f"{CACHE_HEADER}\na\tMEDLINE\t1970\tt\t\n\n# note\nb\tMEDLINE\t1969\tu\t\n")
     def test_read_cache_agrees_with_the_brute_reader(self, tmp_path_factory, text):
         path = tmp_path_factory.mktemp("cache") / "c.tsv"
         path.write_text(text, encoding="utf-8", newline="\n")

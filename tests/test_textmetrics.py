@@ -25,6 +25,7 @@ from oracles import (
     brute_doc_freq,
     brute_new_coword_pairs,
     brute_new_terms,
+    brute_phrase_points,
     brute_sequence,
     brute_tokens,
 )
@@ -349,6 +350,47 @@ class TestPhraseTrend:
         assert summed == {1970: DocShare(1, 50.0), 1971: DocShare(1, 50.0),
                           1972: DocShare(1, 100.0), 1973: DocShare(0, 0.0)}
         assert list(summed) == [1970, 1971, 1972, 1973]
+
+
+# Head and stem may hold what the CLI rejects (whitespace, punctuation), so
+# that phrase_trend meets a head or stem that no word can match. "İ", "ß",
+# "ﬁ" and the Kelvin sign "\u212a" change length or script when case-folded.
+_phrase_part = st.text(
+    st.sampled_from(list("ab \t.-,") + ["İ", "i", "ß", "s", "ﬁ", "K", "\u212a", "k"]),
+    min_size=1, max_size=4)
+
+
+@st.composite
+def _phrase_cases(draw):
+    """Head, stem and (title, year) rows whose titles often put the head, in
+    any case, right before a word that starts with the stem."""
+    head, stem = draw(_phrase_part), draw(_phrase_part)
+    piece = st.one_of(_phrase_part, st.sampled_from([head, head.upper(), stem]),
+                      _phrase_part.map(lambda word: stem + word))
+    rows = draw(st.lists(st.tuples(st.lists(piece, max_size=6).map(" ".join),
+                                   st.integers(1970, 1972)), min_size=1, max_size=10))
+    return head, stem, rows
+
+
+class TestPhraseTrendMatchesOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(_phrase_cases())
+    @example(("reverse", "t", [("virus reverse", 1970)]))  # the head as the last word
+    @example(("reverse", "t", [("Reverse", 1970)]))  # a title that is only the head
+    @example(("reverse", "t", [("reverse reverse transcriptase", 1970),
+                               ("reverse x reverse", 1971)]))  # a head repeated
+    @example(("reverse", "transcriptase", [("reverse transcriptase", 1970)]))
+    @example(("reverse transcriptase", "x", [("reverse transcriptase xylose", 1970)]))
+    @example(("reverse", "transcriptase x", [("reverse transcriptase xylose", 1970)]))
+    @example(("İ", "x", [("İ x", 1970), ("i̇ x", 1971)]))
+    def test_trend_matches_brute_force(self, case):
+        head, stem, rows = case
+        records = [mkrec(f"r{i}", title=title, year=year)
+                   for i, (title, year) in enumerate(rows)]
+        corpus = build_corpus(records)
+        trend = phrase_trend(corpus, head, stem)
+        assert [(year, share.doc_freq, share.percent) for year, share in trend.items()] == (
+            brute_phrase_points(records, list(corpus), head, stem))
 
 
 _title = st.text(
