@@ -17,10 +17,11 @@ what it can run: ``ingest`` alone imports the export parsers
 names a file. All reports are deterministic: re-running a command with
 the same inputs and any ``--workers`` value reproduces the files byte
 for byte. A command returns its outputs. Once none of them is an input of
-the run, another of its outputs, a directory or below a file, ``run``
-writes them all to temp files and only then replaces the targets
-(``_commit``, the one place an output file is opened). A warning is
-printed as soon as it is found, before anything is written.
+the run or another of its outputs, ``run`` hands them to ``_commit``, the
+one place that changes a file: it checks that no target is a directory
+or below a file before it makes any directory, then writes every output
+to a temp file and only then replaces the targets. A warning is printed
+as soon as it is found, before anything is written.
 """
 from __future__ import annotations
 
@@ -67,19 +68,22 @@ class CliError(Exception):
 @contextmanager
 def _user_file(action: str, path: Path, missing: str = ""):
     """Turn a failure on ``path`` into ``CliError``: ``missing`` (when given)
-    if the file does not exist, ``<path>: not UTF-8 text (...)`` on bad
-    bytes, and ``cannot <action> <path> (<file>: <reason>)`` on any other
-    ``OSError``; the file the system names can differ from ``path`` (a
-    parent that is not a directory, or the temp file ``_commit`` creates
-    for ``path``); a temp file that fails to replace ``path`` names
-    ``path``, and a write to the temp file's handle names no file."""
+    if the file or a parent of it does not exist or is not a directory,
+    ``<path>: not UTF-8 text (...)`` on bad bytes, and ``cannot <action>
+    <path> (<file>: <reason>)`` on any other ``OSError`` (a symlink loop
+    is one); the file the system names can differ from ``path`` (a parent
+    that is not a directory, or the temp file ``_commit`` creates for
+    ``path``); a temp file that fails to replace ``path`` names ``path``,
+    and a write to the temp file's handle names no file. ``_commit``
+    checks every target, each in a block of its own, before it makes
+    anything."""
     try:
-        if missing and not path.exists():  # exists() raises on a name too long
-            raise CliError(missing)
         yield
     except UnicodeDecodeError as exc:
         raise CliError(f"{path}: not UTF-8 text ({exc})") from exc
     except OSError as exc:
+        if missing and isinstance(exc, (FileNotFoundError, NotADirectoryError)):
+            raise CliError(missing) from exc
         name = exc.filename2 or exc.filename
         reason = f"{name}: {exc.strerror}" if name else str(exc)
         raise CliError(f"cannot {action} {path} ({reason})") from exc
@@ -280,11 +284,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_config_file(name: Optional[str]) -> dict:
     if name is None:
         return {}
-    if not name:
-        raise CliError("config must not be empty")
+    path = _path("config", name)
     import json
 
-    path = Path(name)
     with _user_file("read config file", path, f"config file not found: {path}"):
         text = path.read_text(encoding="utf-8-sig")  # as exports: a leading BOM is dropped
     try:
@@ -426,14 +428,15 @@ def _check_outputs(outputs: list[_Output], inputs: list[tuple[str, Path]]) -> No
         earlier.append((output.what, output.path))
 
 
-def _check_target(path: Path) -> None:
-    """Raise the error a write to ``path`` would meet, before any directory
-    is made: ``ENOTDIR`` naming the first existing ancestor of its parent
-    (a dangling link counts) when that is not a directory, ``ENOENT`` naming
-    a ``..`` of its parent that follows a directory not made yet (making it
-    only for ``..`` to leave it would leave it behind), and ``EISDIR`` when
-    ``path`` is a directory (a symlink is replaced, so it passes) or ends in
-    ``..``, which names one once its parent is made."""
+def _dirs_to_make(path: Path) -> list[Path]:
+    """The missing directories of ``path``'s parent, outermost first, or the
+    error a write to ``path`` would meet: ``ENOTDIR`` naming the first
+    existing ancestor of its parent (a dangling link counts) when that is
+    not a directory, ``ENOENT`` naming a ``..`` of its parent that follows a
+    directory not made yet (making it only for ``..`` to leave it would
+    leave it behind), and ``EISDIR`` when ``path`` is a directory (a symlink
+    is replaced, so it passes) or ends in ``..``, which names one once its
+    parent is made."""
     for folder in (path.parent, *path.parent.parents):
         if folder.is_symlink() or folder.exists():
             if not folder.is_dir():
@@ -446,42 +449,40 @@ def _check_target(path: Path) -> None:
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(dotdot))
     if path.name == ".." or (path.is_dir() and not path.is_symlink()):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-
-
-def _make_dirs(folder: Path, made: list[Path]) -> None:
-    """Make ``folder`` and its missing ancestors, outermost first, adding
-    each directory made to ``made``."""
-    missing = []
-    while folder != folder.parent and not folder.is_dir():
-        missing.append(folder)
-        folder = folder.parent
-    for folder in reversed(missing):
-        try:
-            folder.mkdir()
-        except FileExistsError:
-            if not folder.is_dir():
-                raise
-        else:
-            made.append(folder)
+    return [folder.joinpath(*missing[:depth]) for depth in range(1, len(missing) + 1)]
 
 
 def _commit(outputs: list[_Output]) -> None:
-    """Write each output to a new temp file beside its target (its directory
-    made, the name ``.bibshift-<pid>-<hex>.tmp`` of fixed length), then
-    replace each target, in output order. Each temp file is created
-    exclusively and its writer is handed that handle, so no writer opens a
-    file by name. Before the first replace, each temp name must still be
-    the file its handle wrote, not a link or a file swapped in meanwhile.
-    On any exception, an interrupt included, every temp file is removed,
-    and then each directory made here, deepest first, if it is empty; so
-    only a failure in the replace loop leaves some targets replaced.
-    Nothing is synced to disk."""
+    """Check every target (``_dirs_to_make``) before anything is made, so a
+    refused target changes no file. Then write each output to a new temp
+    file beside its target (its missing directories made, the name
+    ``.bibshift-<pid>-<hex>.tmp`` of fixed length), and replace each
+    target, in output order. A directory an earlier output made is not made
+    again. Each temp file is created exclusively and its writer is handed
+    that handle, so no writer opens a file by name. Before the first
+    replace, each temp name must still be the file its handle wrote, not a
+    link or a file swapped in meanwhile. On any exception after the checks,
+    an interrupt included, every temp file is removed, and then each
+    directory made here, deepest first, if it is empty; so only a failure
+    in the replace loop leaves some targets replaced. Nothing is synced to
+    disk."""
+    new_dirs = []
+    for output in outputs:
+        with _user_file(f"write {output.what}", output.path):
+            new_dirs.append(_dirs_to_make(output.path))
     temps: list[tuple[Path, os.stat_result]] = []
     made: list[Path] = []
     try:
-        for output in outputs:
+        for output, folders in zip(outputs, new_dirs):
             with _user_file(f"write {output.what}", output.path):
-                _make_dirs(output.path.parent, made)
+                for folder in folders:
+                    try:
+                        folder.mkdir()
+                    except FileExistsError:  # an earlier output made it
+                        if not folder.is_dir():
+                            raise
+                    else:
+                        made.append(folder)
                 temp = output.path.with_name(f".bibshift-{os.getpid()}-{os.urandom(4).hex()}.tmp")
                 with open(temp, "xb") as out:
                     temps.append((temp, os.fstat(out.fileno())))
@@ -716,9 +717,6 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         cfg = resolve_config(args)
         outputs = _COMMANDS[cfg.command][1](cfg)
         _check_outputs(outputs, _inputs(cfg, args.config))
-        for output in outputs:
-            with _user_file(f"write {output.what}", output.path):
-                _check_target(output.path)
         _commit(outputs)
         for output in outputs:
             print(f"wrote {output.path}")

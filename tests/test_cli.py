@@ -1206,7 +1206,12 @@ class TestTextThatCannotBeEncoded:
          "cache '\\ud800' cannot be encoded as a file name"),
         (["phrase"], {"head": "\ud800", "stem": "x"},
          "head '\\ud800' is not UTF-8 text"),
-    ], ids=["head-argv", "stopwords-argv", "out_dir-config", "cache-config", "head-config"])
+        (["summary", "--config", "\ud800"], None,
+         "config '\\ud800' cannot be encoded as a file name"),
+        (["summary", "--config", "run\0.json"], None,
+         "config 'run\\x00.json' must not hold a NUL character"),
+    ], ids=["head-argv", "stopwords-argv", "out_dir-config", "cache-config", "head-config",
+            "config-name", "config-name-nul"])
     def test_refused_before_anything_is_made(self, tmp_path, capsys, monkeypatch,
                                              argv, config, error):
         ingest(tmp_path).rename(tmp_path / "corpus_cache.tsv")
@@ -1450,6 +1455,24 @@ class TestUnreadableFiles:
         name = tmp_path / ("a" * 300)  # longer than a file system allows a name
         assert run([argv[0], *base_args(tmp_path, cache), *argv[1:], str(name)]) == 1
         self.assert_error(capsys, f"error: cannot read {what} {name}", "File name too long")
+
+    @pytest.mark.parametrize("argv,what", [
+        (["summary", "--cache"], "cache"),
+        (["ingest", "--medline"], "input file"),
+        (["ingest", "--index"], "input file"),
+        (["words", "--years", "1971:1972", "--stopwords"], "stop-word file"),
+        (["summary", "--config"], "config file"),
+    ], ids=["cache", "medline", "index", "stopwords", "config"])
+    def test_an_input_that_is_a_symlink_loop_is_not_missing(self, tmp_path, capsys, argv,
+                                                             what):
+        # ``Path.exists()`` is false for a link to itself, as for a missing file.
+        cache = ingest(tmp_path)
+        capsys.readouterr()
+        loop = tmp_path / "loop"
+        loop.symlink_to(loop)
+        assert run([argv[0], *base_args(tmp_path, cache), *argv[1:], str(loop)]) == 1
+        self.assert_error(capsys, f"error: cannot read {what} {loop} "
+                                  f"({loop}: {os.strerror(errno.ELOOP)})\n")
 
 
 def _tree(root: Path) -> dict[str, bytes | str]:
@@ -1874,6 +1897,63 @@ class TestAFailedWriteChangesNoTarget:
                     assert run(argv) == 1, k
             assert "wrote" not in capsys.readouterr().out
             assert _tree(root) == before, k
+
+
+class TestOutputsSharingNewDirectories:
+    """Ingest's report and cache go below a directory ``R/a`` that does not
+    exist before the run, one output's directory inside the other's, so
+    both outputs need ``R/a`` made. A run makes it once and writes both; a
+    run that fails leaves no ``R/a``."""
+
+    @pytest.fixture(params=[("a", "a/b/c.tsv"), ("a/b", "a/c.tsv")],
+                    ids=["cache-below-report", "report-below-cache"])
+    def layout(self, request, tmp_path):
+        seed_exports(tmp_path)
+        (tmp_path / "R").mkdir()
+        out_dir, cache = request.param
+        argv = _commit_argv(tmp_path, "ingest")
+        argv[argv.index("--out-dir") + 1] = str(tmp_path / "R" / out_dir)
+        argv[argv.index("--cache") + 1] = str(tmp_path / "R" / cache)
+        return tmp_path, argv
+
+    def test_both_outputs_are_written(self, layout, capsys):
+        root, argv = layout
+        report = Path(argv[argv.index("--out-dir") + 1], "ingest_report.tsv")
+        cache = Path(argv[argv.index("--cache") + 1])
+        assert run(argv) == 0
+        assert capsys.readouterr().out == f"wrote {report}\nwrote {cache}\n"
+        assert run(_commit_argv(root, "ingest")) == 0  # the same run, to its own directories
+        assert report.read_bytes() == (root / "out" / "ingest_report.tsv").read_bytes()
+        assert cache.read_bytes() == (root / CACHE).read_bytes()
+
+    @pytest.mark.parametrize("error", [OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)),
+                                       KeyboardInterrupt()], ids=["full-device", "interrupt"])
+    @pytest.mark.parametrize("k", [0, 1], ids=["report", "cache"])
+    def test_a_failed_write_leaves_no_new_directory(self, layout, capsys, monkeypatch, k,
+                                                    error):
+        root, argv = layout
+        before = _tree(root)
+        _fail_writer_call(monkeypatch, k, error)
+        if isinstance(error, KeyboardInterrupt):
+            with pytest.raises(KeyboardInterrupt):
+                run(argv)
+        else:
+            assert run(argv) == 1
+        assert "wrote" not in capsys.readouterr().out
+        assert not (root / "R" / "a").exists()
+        assert _tree(root) == before
+
+    def test_a_refused_cache_target_leaves_no_new_directory(self, layout, capsys):
+        root, argv = layout
+        cache = root / "R"  # an existing directory
+        argv[argv.index("--cache") + 1] = str(cache)
+        before = _tree(root)
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot write cache {cache} ({cache}: Is a directory)\n"
+        assert "wrote" not in captured.out
+        assert not (root / "R" / "a").exists()
+        assert _tree(root) == before
 
 
 @pytest.mark.parametrize("command", COMMANDS)

@@ -4,8 +4,9 @@ names through which ``ingest`` and the title commands reach the layers the
 tracer times. Also guards that every public name in ``src/`` has one of
 these callers or a caller in ``src/``, that the commands call every
 function the tracer wraps, that no module imports a name it never reads,
-that ``reports`` imports only classes from the analyses, and that only
-``records`` and ``ingest`` import ``refkey``."""
+that ``reports`` imports only classes from the analyses, that only
+``records`` and ``ingest`` import ``refkey``, and that only ``cli._commit``
+changes the file system."""
 import ast
 import contextlib
 import enum
@@ -318,6 +319,88 @@ def test_the_refkey_import_guard_sees_each_kind_of_import():
                "e": "from .records import refkeys\nimport refkeyx\n"}
     trees = {name: ast.parse(code) for name, code in sources.items()}
     assert _modules_importing("refkey", trees) == ["a", "b", "c", "d"]
+
+
+_PATH_WRITES = {"mkdir", "rmdir", "unlink", "touch", "write_text", "write_bytes", "symlink_to"}
+_OS_WRITES = {"replace", "rename", "remove", "makedirs"}
+
+
+def _file_system_change(call: ast.Call) -> str | None:
+    """What ``call`` is when it makes, removes, renames or writes a file or
+    directory: a ``Path`` method by its name (``.mkdir``), an ``os``
+    function by its dotted name, and an ``open`` or ``.open`` whose mode
+    is not a literal read mode. ``os.open`` takes flags, not a mode, so
+    every ``os.open`` counts."""
+    func = call.func
+    owner = func.value.id if (isinstance(func, ast.Attribute)
+                              and isinstance(func.value, ast.Name)) else None
+    if owner == "os" and func.attr in _OS_WRITES | {"open"}:
+        return f"os.{func.attr}"
+    if isinstance(func, ast.Attribute) and func.attr in _PATH_WRITES:
+        return f".{func.attr}"
+    if isinstance(func, ast.Name) and func.id == "open":
+        name, position = "open", 1  # open(file, mode)
+    elif isinstance(func, ast.Attribute) and func.attr == "open":
+        name, position = ".open", 0  # path.open(mode)
+    else:
+        return None
+    if len(call.args) > position:
+        mode = call.args[position]
+    else:
+        mode = next((kw.value for kw in call.keywords if kw.arg == "mode"), None)
+    reads = mode is None or (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                             and not set(mode.value) & set("wxa+"))
+    return None if reads else name
+
+
+def _file_system_changes(tree: ast.Module) -> list[tuple[str, str]]:
+    """Each call of ``tree`` that changes the file system, as the top-level
+    function or class it is in (``<module>`` outside one) and what it is,
+    in line order."""
+    found = []
+    for top in tree.body:
+        where = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and (change := _file_system_change(node)):
+                found.append((node.lineno, node.col_offset, where, change))
+    return [(where, change) for *_, where, change in sorted(found)]
+
+
+def test_only_the_commit_changes_the_file_system():
+    """A failed run changes no file because ``cli._commit`` checks every
+    target before it makes a directory, and removes its temp files and the
+    directories it made on any failure; a write anywhere else would escape
+    both. The one exception is ``_to_devnull``'s ``os.open(os.devnull,
+    ...)``, which retargets a standard stream that failed and names no
+    output."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src" / "bibshift").glob("*.py"))}
+    outside = [f"{module}.{where}: {change}" for module, tree in trees.items()
+               for where, change in _file_system_changes(tree)
+               if (module, where) != ("cli", "_commit")]
+    assert outside == ["cli._to_devnull: os.open"]
+
+
+def test_the_file_system_guard_sees_each_kind_of_call():
+    tree = ast.parse(
+        "import os\n"
+        "def writes(p, q, m):\n"
+        "    p.mkdir(); p.rmdir(); p.unlink(); p.touch(); p.write_text(''); p.write_bytes(b'')\n"
+        "    p.symlink_to(q); os.replace(p, q); os.rename(p, q); os.remove(p); os.makedirs(p)\n"
+        "    open(p, 'w'); open(p, mode='xb'); open(p, 'a'); p.open('r+'); open(p, m)\n"
+        "def reads(p, text):\n"
+        "    open(p); open(p, 'rb'); p.open(); p.open(encoding='utf-8'); p.read_text()\n"
+        "    text.replace('a', 'b'); [p].remove(p); os.path.exists(p); os.stat(p)\n"
+        "class C:\n"
+        "    def method(self, p):\n"
+        "        os.open(p, os.O_RDONLY)\n"
+        "p.unlink()\n")
+    assert _file_system_changes(tree) == [
+        ("writes", ".mkdir"), ("writes", ".rmdir"), ("writes", ".unlink"), ("writes", ".touch"),
+        ("writes", ".write_text"), ("writes", ".write_bytes"), ("writes", ".symlink_to"),
+        ("writes", "os.replace"), ("writes", "os.rename"), ("writes", "os.remove"),
+        ("writes", "os.makedirs"), ("writes", "open"), ("writes", "open"), ("writes", "open"),
+        ("writes", ".open"), ("writes", "open"), ("C", "os.open"), ("<module>", ".unlink")]
 
 
 def _counting(calls: dict[str, int], label: str, original):
